@@ -2,6 +2,8 @@
 their feature embeddings, with spread/attract feature perturbation."""
 
 __version__ = "0.1.0"
+# the one bulk stream-fill implementation (terank.rng), for environment reports
+RNG_BACKEND = "numpy"
 
 from .embeddings import (  # noqa: F401
     ClassPartition,
@@ -49,7 +51,6 @@ from .perturbation import (  # noqa: F401
     spread,
 )
 from .reduction import PcaModel, fit_pca, transform  # noqa: F401
-from .rng import BACKEND as RNG_BACKEND  # noqa: F401
 from .rng import SplitMix64  # noqa: F401
 from .synth import (  # noqa: F401
     ZooConfig,

@@ -95,7 +95,14 @@ def _common_options(fn):
     return fn
 
 
-def _scoring_options(fn):
+def _scoring_options(command):
+    # the --pca-energy/--pca-rank exclusivity check for every scoring command
+    @functools.wraps(command)
+    def fn(*args, pca_energy, pca_rank, **kwargs):
+        if pca_energy is not None and pca_rank is not None:
+            raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
+        return command(*args, pca_energy=pca_energy, pca_rank=pca_rank, **kwargs)
+
     fn = click.option("--input", "inputs", multiple=True, required=True,
                       type=click.Path(exists=True, path_type=Path),
                       help="EMB1/CSV embedding file, or a directory of .emb1 files. "
@@ -318,8 +325,8 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         classes=classes,
         per_class=per_class,
         dim=dim,
-        rhos=tuple(np.linspace(rho_a, rho_b, models)),
-        noises=tuple(np.linspace(noise_a, noise_b, models)),
+        rhos=tuple(np.linspace(rho_a, rho_b, models).tolist()),
+        noises=tuple(np.linspace(noise_a, noise_b, models).tolist()),
         seed=seed,
     )
     t0 = time.perf_counter()
@@ -385,8 +392,6 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Score models: one record per (model, metric, mode)."""
-    if pca_energy is not None and pca_rank is not None:
-        raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
     files = _resolve_inputs(inputs)
     t0 = time.perf_counter()
     sets = [_load_set(p, label_col) for p in files]
@@ -549,10 +554,12 @@ def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
         )
         for mode, rows in summaries.items():
             for row in rows:
+                pct = ("n/a" if row.improvement_pct is None
+                       else f"{row.improvement_pct:+.2f}%")
                 click.echo(
                     f"improvement[{row.metric}, {mode} vs none]: "
                     f"{row.mean_tau_before:+.4f} -> {row.mean_tau_after:+.4f} "
-                    f"({row.improvement_pct:+.2f}%)"
+                    f"({pct})"
                 )
     if out_files:
         click.echo(f"wrote {len(out_files)} files to {out}", err=True)
@@ -572,8 +579,6 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
           pool, weighting, alpha_grid, sigma_grid, out, seed, jobs, fmt):
     """Hyper-parameter sensitivity: vary alpha with sigma fixed, then sigma
     with alpha fixed, reporting tau_w per cell."""
-    if pca_energy is not None and pca_rank is not None:
-        raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
     alphas = _parse_grid(alpha_grid, "--alpha-grid")
     sigmas = _parse_grid(sigma_grid, "--sigma-grid")
     files = _resolve_inputs(inputs)
@@ -651,8 +656,6 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Wall-time comparison per metric: raw features (no reduction, no
     perturbation) against each requested pipeline mode."""
-    if pca_energy is not None and pca_rank is not None:
-        raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
     files = _resolve_inputs(inputs)
     sets = [_load_set(p, label_col) for p in files]
     lda_cfg = LdaConfig(epsilon_scale=lda_eps)

@@ -290,7 +290,7 @@ class ImprovementRow:
     metric: str
     mean_tau_before: float
     mean_tau_after: float
-    improvement_pct: float
+    improvement_pct: float | None  # None when the baseline mean tau is 0
     dataset_count: int
 
     def to_dict(self) -> dict:
@@ -309,7 +309,9 @@ def improvement_summary(
     """Per-metric mean tau before/after and the relative change in percent.
 
     Reports are paired by (metric, dataset); an unpaired report is an
-    error. The relative change is (after - before) / |before| * 100.
+    error. The relative change is (after - before) / |before| * 100. It is
+    undefined when the mean tau before is 0; improvement_pct is then None
+    (JSON null).
     """
     before_by_key = {}
     for rep in before:
@@ -338,7 +340,10 @@ def improvement_summary(
         taus = pairs[metric]
         mean_before = float(np.mean([b for b, _ in taus]))
         mean_after = float(np.mean([a for _, a in taus]))
-        pct = (mean_after - mean_before) / abs(mean_before) * 100.0
+        pct = (
+            (mean_after - mean_before) / abs(mean_before) * 100.0
+            if mean_before != 0.0 else None
+        )
         rows.append(
             ImprovementRow(
                 metric=metric,

@@ -2,9 +2,15 @@
 
 The stream contract is part of the package's reproducibility surface:
 golden files and synthetic truth tables depend on the exact bit sequence,
-so numpy's RNG is not used anywhere. Bulk fills go through a compiled
-kernel when the extension built, with a bit-identical pure-Python
-fallback selected here at import time.
+so numpy's RNG is not used anywhere. SplitMix64 is the generator of
+Steele, Lea and Flood (OOPSLA 2014).
+
+The bulk fills are vectorised but bit-identical to the scalar methods.
+Integer mixing, the 53-bit conversion, products and sqrt run in numpy
+uint64/float64 arithmetic, which is exact or correctly rounded. log, cos
+and sin go through `math` (libm), because numpy's versions depend on the
+SIMD code it picks for the CPU. Fills work in blocks of `_BLOCK` draws to
+keep the temporaries small.
 """
 from __future__ import annotations
 
@@ -12,19 +18,48 @@ import math
 
 import numpy as np
 
-try:
-    from . import _splitmix as _kernels
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built
-    from . import _splitmix_py as _kernels
-
-    BACKEND = "python"
-
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_NEG53 = 1.0 / 9007199254740992.0
 _TWO_PI = 6.283185307179586
+
+_BLOCK = 8192  # draws per vectorised step; even, so only a fill's last block is odd
+# _STEPS[k] = (k + 1) * golden mod 2^64: the state increments within a block
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_STEPS.setflags(write=False)  # shared by every stream, in every thread
+
+
+def _fill_uniform(out: np.ndarray, state: int) -> int:
+    """Fill `out` (at most `_BLOCK` long) with the next uniforms of the
+    stream at `state`; return the advanced state."""
+    n = out.shape[0]
+    z = _STEPS[:n] + np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    np.multiply(z.astype(np.float64), _TWO_NEG53, out=out)
+    return (state + n * _GOLDEN) & _MASK
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.shape[0])
+
+
+def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
+    """The next `pairs` Box-Muller pairs as [cos, sin, cos, sin, ...], and
+    the advanced state."""
+    z = np.empty(2 * pairs, dtype=np.float64)
+    state = _fill_uniform(z, state)
+    # draws are multiples of 2^-53, so this is gaussian()'s u1 <= 0 clamp
+    u1 = np.maximum(z[0::2], _TWO_NEG53)
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    theta = _TWO_PI * z[1::2]
+    z[0::2] = r * _libm(math.cos, theta)
+    z[1::2] = r * _libm(math.sin, theta)
+    return z, state
 
 
 class SplitMix64:
@@ -32,7 +67,8 @@ class SplitMix64:
 
     gaussian() caches the second Box-Muller draw of each pair; the cache
     lives and dies with the instance, so a fresh stream never inherits a
-    spare from another.
+    spare from another. The bulk fills share that cache with the scalar
+    draws.
     """
 
     __slots__ = ("_state", "_has_spare", "_spare")
@@ -70,12 +106,24 @@ class SplitMix64:
 
     def uniforms(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.float64)
-        self._state = _kernels.fill_uniform(out, self._state)
+        for i in range(0, count, _BLOCK):
+            self._state = _fill_uniform(out[i:i + _BLOCK], self._state)
         return out
 
     def gaussians(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.float64)
-        self._state, self._has_spare, self._spare = _kernels.fill_gaussian(
-            out, self._state, self._has_spare, self._spare
-        )
+        i = 0
+        if self._has_spare and count > 0:
+            out[0] = self._spare
+            self._has_spare = False
+            self._spare = 0.0
+            i = 1
+        while i < count:
+            take = min(_BLOCK, count - i)
+            z, self._state = _box_muller(self._state, (take + 1) // 2)
+            out[i:i + take] = z[:take]
+            if take % 2:
+                self._has_spare = True
+                self._spare = float(z[-1])
+            i += take
         return out

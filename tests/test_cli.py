@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, machine output."""
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,21 @@ def test_synth_writes_zoo(zoo_dir):
     assert {r["regime"] for r in rows} == {"synthetic"}
 
 
+def test_synth_csv_fields_are_plain_numbers(tmp_path):
+    result = run_ok(["synth", "--models", "3", "--classes", "2",
+                     "--per-class", "4", "--dim", "2", "--rho-range", "2:3",
+                     "--seed", "1", "--out", str(tmp_path / "zoo"),
+                     "--format", "csv"])
+    rows = list(csv.reader(result.output.splitlines()))
+    assert rows[0] == ["model", "rho", "noise", "oracle_accuracy"]
+    assert len(rows) == 4
+    for row in rows[1:]:
+        for field in row[1:]:
+            float(field)  # no numpy reprs such as np.float64(2.0)
+    assert [row[1] for row in rows[1:]] == ["2.0", "2.5", "3.0"]
+    assert [row[2] for row in rows[1:]] == ["1.0", "1.0", "1.0"]
+
+
 def test_score_emits_records_per_model_metric_mode(zoo_dir, tmp_path):
     out = tmp_path / "scores.json"
     run_ok(["score", "--input", str(zoo_dir), "--metric", "logme",
@@ -84,13 +100,15 @@ def test_score_rejects_negative_alpha(zoo_dir):
     assert "--alpha" in result.output
 
 
-def test_score_rejects_conflicting_pca_flags(zoo_dir):
+@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     result = CliRunner().invoke(
         main,
-        ["score", "--input", str(zoo_dir), "--pca-energy", "0.8",
+        [command, "--input", str(zoo_dir), "--pca-energy", "0.8",
          "--pca-rank", "4"],
     )
     assert result.exit_code == 2
+    assert "mutually exclusive" in result.output
 
 
 def test_score_missing_input_is_data_error(tmp_path):
@@ -159,6 +177,28 @@ def test_evaluate_improvement_zero_for_identical_modes(zoo_dir, tmp_path):
             "--truth", str(zoo_dir / "truth.csv"), "--out", str(reports)])
     imp = json.loads((reports / "improvement_sa.json").read_text())
     assert imp["rows"][0]["improvement_pct"] == 0.0
+
+
+def test_evaluate_zero_baseline_reports_null_improvement(zoo_dir, tmp_path):
+    # identical embeddings give every model the same score, so the baseline
+    # tau is 0 and the relative improvement is undefined
+    inputs = tmp_path / "twins"
+    inputs.mkdir()
+    for name in ("model-00", "model-01"):
+        shutil.copy(zoo_dir / "model-00.emb1", inputs / f"{name}.emb1")
+    scores = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(inputs), "--metric", "gbc",
+            "--mode", "none", "--mode", "spread", "--out", str(scores)])
+    args = ["evaluate", "--scores", str(scores),
+            "--truth", str(zoo_dir / "truth.csv")]
+    reports = tmp_path / "reports"
+    result = run_ok(args + ["--out", str(reports)])
+    assert "(n/a)" in result.output
+    imp = json.loads((reports / "improvement_spread.json").read_text())
+    assert imp["rows"][0]["mean_tau_before"] == 0.0
+    assert imp["rows"][0]["improvement_pct"] is None
+    doc = json.loads(run_ok(args + ["--format", "json"]).output)
+    assert doc["improvement"]["spread"][0]["improvement_pct"] is None
 
 
 def test_score_rerun_is_byte_identical_after_timing_strip(zoo_dir, tmp_path):

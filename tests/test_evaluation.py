@@ -298,6 +298,17 @@ def test_improvement_identical_reports_is_zero():
     assert rows[0].improvement_pct == 0.0
 
 
+def test_improvement_from_zero_baseline_is_undefined():
+    rows = improvement_summary(
+        [tau_report("gbc", d, tau) for d, tau in (("a", 0.25), ("b", -0.25))],
+        [tau_report("gbc", d, 0.5, "sa") for d in ("a", "b")],
+    )
+    assert rows[0].mean_tau_before == 0.0
+    assert rows[0].mean_tau_after == 0.5
+    assert rows[0].improvement_pct is None
+    assert rows[0].to_dict()["improvement_pct"] is None
+
+
 def test_improvement_single_pair_equals_its_own_mean():
     rows = improvement_summary(
         [tau_report("lda", "x", 0.4)], [tau_report("lda", "x", 0.6, "sa")]

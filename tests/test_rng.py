@@ -1,13 +1,11 @@
 """SplitMix64 stream contract: reference vectors, Box-Muller consumption,
-and bit-equality of the compiled and pure-Python fill kernels."""
+and bit-equality of the bulk numpy fills with the scalar draws."""
 import math
 
 import numpy as np
 import pytest
 
 from terank import SplitMix64, splitmix64_stream
-from terank.rng import BACKEND
-from terank import _splitmix_py
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -98,33 +96,51 @@ def test_fresh_stream_discards_cached_draw():
     assert fresh.gaussian() == first
 
 
-def test_backends_bit_identical():
-    if BACKEND != "compiled":
-        pytest.skip("compiled kernels not built")
-    from terank import _splitmix
+# lengths around the fills' 8192-draw block edges, plus a zoo-sized fill
+BLOCK_LENGTHS = (8191, 8192, 8193, 16385, 256000)
 
-    for seed in (0, 7, 2**63 + 5):
-        for n in (1, 2, 7, 1000, 1001):
-            a = np.empty(n)
-            b = np.empty(n)
-            sa = _splitmix.fill_uniform(a, seed)
-            sb = _splitmix_py.fill_uniform(b, seed)
-            assert sa == sb
-            assert a.tobytes() == b.tobytes()
 
-            a = np.empty(n)
-            b = np.empty(n)
-            ra = _splitmix.fill_gaussian(a, seed, False, 0.0)
-            rb = _splitmix_py.fill_gaussian(b, seed, False, 0.0)
-            assert ra == rb
-            assert a.tobytes() == b.tobytes()
+def scalar_draws(draw, count):
+    return np.array([draw() for _ in range(count)], dtype=np.float64)
 
-    # spare handoff across calls
-    a1, a2 = np.empty(5), np.empty(6)
-    s, h, sp = _splitmix.fill_gaussian(a1, 77, False, 0.0)
-    s, h, sp = _splitmix.fill_gaussian(a2, s, h, sp)
-    b1, b2 = np.empty(5), np.empty(6)
-    t, g, gp = _splitmix_py.fill_gaussian(b1, 77, False, 0.0)
-    t, g, gp = _splitmix_py.fill_gaussian(b2, t, g, gp)
-    assert (a1.tobytes(), a2.tobytes()) == (b1.tobytes(), b2.tobytes())
-    assert (s, h, sp) == (t, g, gp)
+
+@pytest.mark.parametrize("count", BLOCK_LENGTHS)
+def test_bulk_uniforms_equal_scalar_across_blocks(count):
+    scalar = SplitMix64(0xC0FFEE)
+    bulk = SplitMix64(0xC0FFEE)
+    assert bulk.uniforms(count).tobytes() == scalar_draws(scalar.uniform, count).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("count", BLOCK_LENGTHS)
+def test_bulk_gaussians_equal_scalar_across_blocks(count):
+    scalar = SplitMix64(2**63 + 5)
+    bulk = SplitMix64(2**63 + 5)
+    assert bulk.gaussians(count).tobytes() == scalar_draws(scalar.gaussian, count).tobytes()
+    # an odd count leaves the same spare behind on both paths
+    assert bulk.gaussians(3).tobytes() == scalar_draws(scalar.gaussian, 3).tobytes()
+
+
+def test_spare_carries_across_calls_and_block_edges():
+    scalar = SplitMix64(77)
+    bulk = SplitMix64(77)
+    # 8193 crosses a block edge and leaves a spare; 8192 starts with it and
+    # leaves another; the next 8193 uses it and fills one exact block; 16386
+    # starts with a spare, fills two blocks and one odd draw, leaving a spare
+    for count in (8193, 8192, 8193, 1, 16386, 2):
+        got = bulk.gaussians(count)
+        assert got.tobytes() == scalar_draws(scalar.gaussian, count).tobytes(), count
+    assert bulk.gaussian() == scalar.gaussian()
+
+
+def test_zero_uniform_is_clamped_like_scalar_path():
+    # the first state step lands on 0, whose mix is 0, so u1 == 0 and
+    # Box-Muller must clamp it to 2^-53 rather than take log(0)
+    seed = 2**64 - 0x9E3779B97F4A7C15
+    assert SplitMix64(seed).uniform() == 0.0
+    scalar = SplitMix64(seed)
+    expected = [scalar.gaussian(), scalar.gaussian()]
+    got = SplitMix64(seed).gaussians(2)
+    assert list(got) == expected
+    # the pair's radius is sqrt(-2 log 2^-53), about 8.57
+    assert math.hypot(*got) == pytest.approx(math.sqrt(106.0 * math.log(2.0)))
