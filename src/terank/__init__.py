@@ -6,11 +6,9 @@ __version__ = "0.1.0"
 RNG_BACKEND = "numpy"
 
 from .embeddings import (  # noqa: F401
-    ClassPartition,
     EmbeddingSet,
     load_csv,
     load_emb1,
-    partition,
     save_emb1,
 )
 from .evaluation import (  # noqa: F401

@@ -8,9 +8,12 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
+import math
 import sys
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from .evaluation import (
     rank_and_report,
 )
 from .metrics import LdaConfig, MetricId, ScoreRecord, score_metric, score_model
-from .perturbation import AttractDirection, PerturbConfig, PerturbMode
+from .perturbation import PerturbConfig, PerturbMode
 from .synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, ZooConfig, gen_model_zoo
 
 EXIT_DATA = 3
@@ -41,14 +44,22 @@ MODE_CHOICES = [m.value for m in PerturbMode]
 # ---------------------------------------------------------------------------
 # option plumbing
 
-def _check_nonneg(ctx, param, value):
-    if value is not None and value < 0:
-        raise click.BadParameter(f"{param.opts[0]} must be >= 0, got {value}")
+def _check_finite(value: float, flag: str, minimum: float | None = None) -> float:
+    """The one value rule of numeric flags and of range and grid entries:
+    finite, and at least `minimum` when one is given."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{flag} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise click.BadParameter(f"{flag} must be >= {minimum:g}, got {value}")
     return value
 
 
+def _check_nonneg(ctx, param, value):
+    return value if value is None else _check_finite(value, param.opts[0], 0)
+
+
 def _check_positive(ctx, param, value):
-    if value is not None and value <= 0:
+    if value is not None and not _check_finite(value, param.opts[0]) > 0:
         raise click.BadParameter(f"{param.opts[0]} must be > 0, got {value}")
     return value
 
@@ -56,12 +67,6 @@ def _check_positive(ctx, param, value):
 def _check_energy(ctx, param, value):
     if value is not None and not 0.0 < value <= 1.0:
         raise click.BadParameter(f"{param.opts[0]} must lie in (0, 1], got {value}")
-    return value
-
-
-def _check_rank(ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter(f"{param.opts[0]} must be >= 1, got {value}")
     return value
 
 
@@ -86,13 +91,15 @@ def _handle_errors(fn):
 def _common_options(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Base seed; per-model seeds are seed XOR model index.")(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      callback=_check_positive,
-                      help="Max models scored concurrently.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                       default=None,
                       help="Machine format on stdout instead of a table.")(fn)
     return fn
+
+
+_jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
+                            show_default=True,
+                            help="Max models scored concurrently.")
 
 
 def _scoring_options(command):
@@ -121,15 +128,15 @@ def _scoring_options(command):
     fn = click.option("--pca-energy", type=float, default=None,
                       callback=_check_energy,
                       help="Retained-variance target (default 0.8).")(fn)
-    fn = click.option("--pca-rank", type=int, default=None, callback=_check_rank,
+    fn = click.option("--pca-rank", type=click.IntRange(min=1), default=None,
                       help="Explicit PCA rank; excludes --pca-energy.")(fn)
-    fn = click.option("--nleep-k", type=int, default=None, callback=_check_rank,
+    fn = click.option("--nleep-k", type=click.IntRange(min=1), default=None,
                       help="GMM components for nleep (default: class count).")(fn)
     fn = click.option("--lda-eps", type=float, default=1e-4, show_default=True,
                       callback=_check_positive,
                       help="LDA ridge as a fraction of the mean within-class "
                            "variance.")(fn)
-    return fn
+    return _jobs_option(fn)
 
 
 def _truth_options(fn):
@@ -203,12 +210,14 @@ def _manifest(command: str, config: dict, input_files: list[Path]) -> dict:
     }
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _echo_json(obj: dict) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+def _csv_text(rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float]:
@@ -216,9 +225,10 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise click.BadParameter(f"{flag} expects 'a:b', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        low, high = float(parts[0]), float(parts[1])
     except ValueError:
         raise click.BadParameter(f"{flag} expects numbers, got {text!r}") from None
+    return _check_finite(low, flag), _check_finite(high, flag)
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -228,16 +238,13 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise click.BadParameter(f"{flag} expects comma-separated numbers") from None
     if not values:
         raise click.BadParameter(f"{flag} is empty")
-    return values
+    return [_check_finite(v, flag, 0) for v in values]
 
 
 def _score_records(
     sets: list[EmbeddingSet],
     metric_names: tuple[str, ...],
-    modes: tuple[str, ...],
-    alpha: float,
-    sigma: float,
-    attract_dir: str,
+    configs: list[PerturbConfig],
     pca_energy: float | None,
     pca_rank: int | None,
     seed: int,
@@ -245,7 +252,8 @@ def _score_records(
     nleep_k: int | None,
     lda_eps: float,
 ) -> list[ScoreRecord]:
-    """Score every (model, mode, metric) cell; parallel across models.
+    """Score every (model, config, metric) cell, in that order; parallel
+    across models.
 
     The result order and values are independent of the job count: each
     model gets its own derived seed and a deterministic task.
@@ -253,45 +261,35 @@ def _score_records(
     lda_cfg = LdaConfig(epsilon_scale=lda_eps)
 
     def run_model(index: int) -> list[ScoreRecord]:
-        model_seed = seed ^ index
-        records = []
-        for mode in modes:
-            cfg = PerturbConfig(
-                alpha=alpha,
-                sigma=sigma,
-                mode=PerturbMode(mode),
-                attract_direction=AttractDirection(attract_dir),
-            )
-            for name in metric_names:
-                records.append(
-                    score_model(
-                        sets[index],
-                        MetricId(name),
-                        perturb=cfg,
-                        energy=pca_energy,
-                        rank=pca_rank,
-                        seed=model_seed,
-                        nleep_components=nleep_k,
-                        lda_config=lda_cfg,
-                    )
-                )
-        return records
+        return score_model(
+            sets[index], metric_names, configs,
+            energy=pca_energy, rank=pca_rank, seed=seed ^ index,
+            nleep_components=nleep_k, lda_config=lda_cfg,
+        )
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         nested = list(pool.map(run_model, range(len(sets))))
     return [rec for group in nested for rec in group]
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    click.echo(line)
-    click.echo("  ".join("-" * w for w in widths))
-    for r in rows:
-        click.echo("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+def _emit(fmt: str | None, doc: dict, csv_rows: list[list],
+          table_rows: list[list[str]], notes: Sequence[str] = ()) -> None:
+    """Print a command's result on stdout: the JSON document, the CSV
+    rows, or an aligned table (header row first) followed by notes."""
+    if fmt == "json":
+        sys.stdout.write(_json_text(doc))
+        return
+    if fmt == "csv":
+        sys.stdout.write(_csv_text(csv_rows))
+        return
+    widths = [max(len(row[i]) for row in table_rows)
+              for i in range(len(table_rows[0]))]
+    lines = [[c.ljust(w) for c, w in zip(row, widths)] for row in table_rows]
+    lines.insert(1, ["-" * w for w in widths])
+    for line in lines:
+        click.echo("  ".join(line))
+    for note in notes:
+        click.echo(note)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +311,7 @@ def main():
 @click.option("--noise-range", default="1:1", show_default=True,
               help="Intra-class std a:b, linearly spaced across models.")
 @click.option("--out", type=click.Path(path_type=Path), required=True)
+@_jobs_option
 @_common_options
 @_handle_errors
 def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
@@ -334,12 +333,10 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     out.mkdir(parents=True, exist_ok=True)
     for ds in sets:
         save_emb1(ds, out / f"{ds.model_id}.emb1")
-    truth_path = out / "truth.csv"
-    with truth_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "dataset", "regime", "pool", "accuracy"])
-        for key in sorted(truth.records):
-            writer.writerow([*key, repr(truth.records[key])])
+    (out / "truth.csv").write_text(_csv_text(
+        [["model", "dataset", "regime", "pool", "accuracy"]]
+        + [[*key, repr(truth.records[key])] for key in sorted(truth.records)]
+    ), newline="")
     manifest = _manifest(
         "synth",
         {
@@ -352,33 +349,23 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     manifest["runtime"] = {
         "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
     }
-    _dump_json(manifest, out / "manifest.json")
-    summary = [
-        {
-            "model": ds.model_id,
-            "rho": cfg.rhos[i],
-            "noise": cfg.noises[i],
-            "oracle_accuracy":
-                truth.records[(ds.model_id, SYNTH_DATASET, SYNTH_REGIME,
-                               SYNTH_POOL)],
-        }
+    (out / "manifest.json").write_text(_json_text(manifest))
+    header = ["model", "rho", "noise", "oracle_accuracy"]
+    rows = [
+        [ds.model_id, cfg.rhos[i], cfg.noises[i],
+         truth.records[(ds.model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL)]]
         for i, ds in enumerate(sets)
     ]
-    if fmt == "json":
-        _echo_json({"manifest": manifest, "models": summary})
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["model", "rho", "noise", "oracle_accuracy"])
-        for row in summary:
-            writer.writerow([row["model"], repr(row["rho"]), repr(row["noise"]),
-                             repr(row["oracle_accuracy"])])
-    else:
-        _print_table(
-            ["model", "rho", "noise", "oracle_acc_%"],
-            [[r["model"], f"{r['rho']:.3f}", f"{r['noise']:.3f}",
-              f"{r['oracle_accuracy']:.2f}"] for r in summary],
-        )
-        click.echo(f"wrote {len(sets)} embedding sets + truth.csv to {out}")
+    _emit(
+        fmt,
+        {"manifest": manifest, "models": [dict(zip(header, row)) for row in rows]},
+        [header] + [[m, repr(rho), repr(noise), repr(acc)]
+                    for m, rho, noise, acc in rows],
+        [["model", "rho", "noise", "oracle_acc_%"]]
+        + [[m, f"{rho:.3f}", f"{noise:.3f}", f"{acc:.2f}"]
+           for m, rho, noise, acc in rows],
+        notes=(f"wrote {len(sets)} embedding sets + truth.csv to {out}",),
+    )
 
 
 @main.command()
@@ -399,7 +386,9 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
 
     t1 = time.perf_counter()
     records = _score_records(
-        sets, metric_names, modes, alpha, sigma, attract_dir,
+        sets, metric_names,
+        [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
+                       attract_direction=attract_dir) for mode in modes],
         pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
     )
     score_s = time.perf_counter() - t1
@@ -422,30 +411,27 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     }
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
     if out is not None:
-        _dump_json(payload, out)
-    if fmt == "json":
-        _echo_json(payload)
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["model", "metric", "mode", "score", "wall_time_s"])
-        for r in records:
-            writer.writerow([r.model_id, r.metric, r.mode, repr(r.score),
-                             f"{r.wall_time_s:.6f}"])
-    else:
-        _print_table(
-            ["model", "metric", "mode", "score"],
-            [[r.model_id, r.metric, r.mode, f"{r.score:.6f}"] for r in records],
-        )
+        out.write_text(_json_text(payload))
+    _emit(
+        fmt,
+        payload,
+        [["model", "metric", "mode", "score", "wall_time_s"]]
+        + [[r.model_id, r.metric, r.mode, repr(r.score), f"{r.wall_time_s:.6f}"]
+           for r in records],
+        [["model", "metric", "mode", "score"]]
+        + [[r.model_id, r.metric, r.mode, f"{r.score:.6f}"] for r in records],
+    )
 
 
-def _load_score_payload(path: Path) -> tuple[dict, list[ScoreRecord]]:
-    payload = json.loads(path.read_text())
+def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
+    """Parse a score JSON file once: the payload, its manifest, its records."""
     try:
-        records = [ScoreRecord.from_dict(d) for d in payload["records"]]
+        payload = json.loads(path.read_text())
         manifest = payload["manifest"]
-    except (KeyError, TypeError) as exc:
+        records = [ScoreRecord.from_dict(d) for d in payload["records"]]
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"{path}: not a score JSON file ({exc})") from None
-    return manifest, records
+    return payload, manifest, records
 
 
 @main.command()
@@ -458,11 +444,11 @@ def _load_score_payload(path: Path) -> tuple[dict, list[ScoreRecord]]:
 @_common_options
 @_handle_errors
 def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
-             seed, jobs, fmt):
+             seed, fmt):
     """Rank scored models against ground truth; emit reports and, when a
     baseline mode is present, an improvement summary."""
     t0 = time.perf_counter()
-    score_manifest, records = _load_score_payload(scores_path)
+    score_payload, score_manifest, records = _load_score_payload(scores_path)
     truth = load_truth(truth_path) if truth_path else load_bundled_truth()
 
     groups: dict[tuple[str, str], list[ScoreRecord]] = {}
@@ -481,9 +467,7 @@ def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
     )
     # hash the score file's content net of timings, so re-scoring the same
     # inputs leads to the same evaluate manifest
-    manifest["inputs"][str(scores_path)] = _semantic_digest(
-        json.loads(scores_path.read_text())
-    )
+    manifest["inputs"][str(scores_path)] = _semantic_digest(score_payload)
     manifest["score_manifest"] = score_manifest
 
     reports: dict[tuple[str, str], RankingReport] = {}
@@ -492,76 +476,60 @@ def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
             groups[(metric, mode)], truth, dataset, regime, pool,
             weighting=weighting,
         )
-    manifest["runtime"] = {
-        "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
-    }
+    manifest["runtime"] = {"timings": {"total_s": time.perf_counter() - t0}}
 
-    out_files = []
+    summaries = {}
+    for mode in sorted({m for _, m in reports} - {"none"}):
+        paired = [met for met, m in reports if m == mode and (met, "none") in reports]
+        if paired:
+            summaries[mode] = improvement_summary(
+                [reports[(met, "none")] for met in paired],
+                [reports[(met, mode)] for met in paired],
+            )
+
+    # file name -> text, written under --out
+    out_files = {}
+    for (metric, mode), rep in reports.items():
+        out_files[f"report_{metric}_{mode}.json"] = _json_text(
+            {**rep.to_dict(), "manifest": manifest})
+        out_files[f"plot_{metric}_{mode}.csv"] = _csv_text(
+            [["score", "accuracy", "model"]]
+            + [[repr(s_val), repr(acc), model] for s_val, acc, model in rep.plot_rows()]
+        )
+    for mode, rows in summaries.items():
+        out_files[f"improvement_{mode}.json"] = _json_text(
+            {"manifest": manifest, "mode": mode, "rows": [r.to_dict() for r in rows]})
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for (metric, mode), rep in reports.items():
-            doc = rep.to_dict()
-            doc["manifest"] = manifest
-            report_path = out / f"report_{metric}_{mode}.json"
-            _dump_json(doc, report_path)
-            plot_path = out / f"plot_{metric}_{mode}.csv"
-            with plot_path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["score", "accuracy", "model"])
-                for s_val, acc, model in rep.plot_rows():
-                    writer.writerow([repr(s_val), repr(acc), model])
-            out_files += [report_path, plot_path]
+        for name, text in out_files.items():
+            (out / name).write_text(text, newline="")
 
-    baseline_modes = {mode for _, mode in reports if mode == "none"}
-    summaries = {}
-    if baseline_modes:
-        for mode in sorted({m for _, m in reports} - {"none"}):
-            before, after = [], []
-            for metric in sorted({met for met, _ in reports}):
-                if (metric, "none") in reports and (metric, mode) in reports:
-                    before.append(reports[(metric, "none")])
-                    after.append(reports[(metric, mode)])
-            if before:
-                summaries[mode] = improvement_summary(before, after)
-        if out is not None:
-            for mode, rows in summaries.items():
-                doc = {"manifest": manifest, "mode": mode,
-                       "rows": [r.to_dict() for r in rows]}
-                path = out / f"improvement_{mode}.json"
-                _dump_json(doc, path)
-                out_files.append(path)
-
-    if fmt == "json":
-        _echo_json(
-            {
-                "manifest": manifest,
-                "reports": {f"{m}/{md}": r.to_dict() for (m, md), r in reports.items()},
-                "improvement": {
-                    mode: [r.to_dict() for r in rows]
-                    for mode, rows in summaries.items()
-                },
-            }
-        )
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["metric", "mode", "tau_w"])
-        for (metric, mode), rep in sorted(reports.items()):
-            writer.writerow([metric, mode, repr(rep.tau_w)])
-    else:
-        _print_table(
-            ["metric", "mode", "tau_w"],
-            [[m, md, f"{rep.tau_w:+.4f}"] for (m, md), rep in sorted(reports.items())],
-        )
-        for mode, rows in summaries.items():
-            for row in rows:
-                pct = ("n/a" if row.improvement_pct is None
-                       else f"{row.improvement_pct:+.2f}%")
-                click.echo(
-                    f"improvement[{row.metric}, {mode} vs none]: "
-                    f"{row.mean_tau_before:+.4f} -> {row.mean_tau_after:+.4f} "
-                    f"({pct})"
-                )
-    if out_files:
+    notes = []
+    for mode, rows in summaries.items():
+        for row in rows:
+            pct = ("n/a" if row.improvement_pct is None
+                   else f"{row.improvement_pct:+.2f}%")
+            notes.append(
+                f"improvement[{row.metric}, {mode} vs none]: "
+                f"{row.mean_tau_before:+.4f} -> {row.mean_tau_after:+.4f} ({pct})"
+            )
+    _emit(
+        fmt,
+        {
+            "manifest": manifest,
+            "reports": {f"{m}/{md}": r.to_dict() for (m, md), r in reports.items()},
+            "improvement": {
+                mode: [r.to_dict() for r in rows]
+                for mode, rows in summaries.items()
+            },
+        },
+        [["metric", "mode", "tau_w"]]
+        + [[m, md, repr(rep.tau_w)] for (m, md), rep in reports.items()],
+        [["metric", "mode", "tau_w"]]
+        + [[m, md, f"{rep.tau_w:+.4f}"] for (m, md), rep in reports.items()],
+        notes,
+    )
+    if out is not None and out_files:
         click.echo(f"wrote {len(out_files)} files to {out}", err=True)
 
 
@@ -587,28 +555,32 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
 
     t0 = time.perf_counter()
     cells = [(a, sigma) for a in alphas] + [(alpha, s) for s in sigmas]
+    records = _score_records(
+        sets, metric_names,
+        [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
+         for a, s_val in cells],
+        pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
+    )
+    # records run model by model, each in (cell, metric) order
+    by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
+    for i, rec in enumerate(records):
+        cell = i // len(metric_names) % len(cells)
+        by_cell.setdefault((cell, rec.metric), []).append(rec)
     rows = []
-    for cell_alpha, cell_sigma in cells:
-        records = _score_records(
-            sets, metric_names, ("sa",), cell_alpha, cell_sigma, attract_dir,
-            pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
-        )
-        by_metric: dict[str, list[ScoreRecord]] = {}
-        for rec in records:
-            by_metric.setdefault(rec.metric, []).append(rec)
+    for cell, (cell_alpha, cell_sigma) in enumerate(cells):
         for metric in metric_names:
             rep = rank_and_report(
-                by_metric[metric], truth, dataset, regime, pool,
+                by_cell[(cell, metric)], truth, dataset, regime, pool,
                 weighting=weighting,
             )
             rows.append((cell_alpha, cell_sigma, metric, rep.tau_w))
 
+    header = ["alpha", "sigma", "metric", "tau_w"]
+    csv_rows = [header] + [
+        [repr(a), repr(s_val), metric, repr(tau)] for a, s_val, metric, tau in rows
+    ]
     if out is not None:
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "sigma", "metric", "tau_w"])
-            for a, s_val, metric, tau in rows:
-                writer.writerow([repr(a), repr(s_val), metric, repr(tau)])
+        out.write_text(_csv_text(csv_rows), newline="")
         manifest = _manifest(
             "sweep",
             {
@@ -623,25 +595,15 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
         manifest["runtime"] = {
             "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
         }
-        _dump_json(manifest, Path(str(out) + ".manifest.json"))
+        Path(str(out) + ".manifest.json").write_text(_json_text(manifest))
 
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["alpha", "sigma", "metric", "tau_w"])
-        for a, s_val, metric, tau in rows:
-            writer.writerow([repr(a), repr(s_val), metric, repr(tau)])
-    elif fmt == "json":
-        _echo_json(
-            {"rows": [
-                {"alpha": a, "sigma": s_val, "metric": m, "tau_w": tau}
-                for a, s_val, m, tau in rows
-            ]}
-        )
-    else:
-        _print_table(
-            ["alpha", "sigma", "metric", "tau_w"],
-            [[f"{a:g}", f"{s_val:g}", m, f"{tau:+.4f}"] for a, s_val, m, tau in rows],
-        )
+    _emit(
+        fmt,
+        {"rows": [dict(zip(header, row)) for row in rows]},
+        csv_rows,
+        [header]
+        + [[f"{a:g}", f"{s_val:g}", m, f"{tau:+.4f}"] for a, s_val, m, tau in rows],
+    )
 
 
 @main.command()
@@ -667,13 +629,14 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
             score_metric(ds, MetricId(name), seed=seed ^ index,
                          nleep_components=nleep_k, lda_config=lda_cfg)
         timings[(name, "raw")] = time.perf_counter() - t0
-    for mode in modes:
-        for name in metric_names:
-            records = _score_records(
-                sets, (name,), (mode,), alpha, sigma, attract_dir,
-                pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
-            )
-            timings[(name, mode)] = sum(r.wall_time_s for r in records)
+    for rec in _score_records(
+        sets, metric_names,
+        [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
+                       attract_direction=attract_dir) for mode in modes],
+        pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
+    ):
+        key = (rec.metric, rec.mode)
+        timings[key] = timings.get(key, 0.0) + rec.wall_time_s
 
     rows = []
     for name in metric_names:
@@ -682,30 +645,18 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
             t = timings[(name, mode)]
             rows.append((name, mode, t, t / raw_t if raw_t > 0 else float("nan")))
 
+    header = ["metric", "mode", "wall_time_s", "ratio_vs_raw"]
+    csv_rows = [header] + [
+        [name, mode, f"{t:.6f}", f"{ratio:.4f}"] for name, mode, t, ratio in rows
+    ]
     if out is not None:
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "mode", "wall_time_s", "ratio_vs_raw"])
-            for name, mode, t, ratio in rows:
-                writer.writerow([name, mode, f"{t:.6f}", f"{ratio:.4f}"])
-
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["metric", "mode", "wall_time_s", "ratio_vs_raw"])
-        for name, mode, t, ratio in rows:
-            writer.writerow([name, mode, f"{t:.6f}", f"{ratio:.4f}"])
-    elif fmt == "json":
-        _echo_json(
-            {"rows": [
-                {"metric": n, "mode": m, "wall_time_s": t, "ratio_vs_raw": r}
-                for n, m, t, r in rows
-            ]}
-        )
-    else:
-        _print_table(
-            ["metric", "mode", "wall_time_s", "ratio_vs_raw"],
-            [[n, m, f"{t:.4f}", f"{r:.3f}"] for n, m, t, r in rows],
-        )
+        out.write_text(_csv_text(csv_rows), newline="")
+    _emit(
+        fmt,
+        {"rows": [dict(zip(header, row)) for row in rows]},
+        csv_rows,
+        [header] + [[n, m, f"{t:.4f}", f"{r:.3f}"] for n, m, t, r in rows],
+    )
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ EMB1 is the package's binary interchange format (little-endian):
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    DataError,
     LabelRangeError,
     MissingLabelColumnError,
     NonFiniteValueError,
@@ -60,8 +62,10 @@ class EmbeddingSet:
             raise ValidationError(f"need at least 2 samples, got {n}")
         if d < 1:
             raise ValidationError("need at least 1 feature dimension")
-        if self.class_count < 2:
-            raise ValidationError(f"need at least 2 classes, got {self.class_count}")
+        if not 2 <= self.class_count <= n:
+            raise ValidationError(
+                f"need 2 to {n} classes for {n} samples, got {self.class_count}"
+            )
         if not np.isfinite(feats).all():
             bad = int(np.flatnonzero(~np.isfinite(feats).ravel())[0])
             raise NonFiniteValueError(
@@ -100,18 +104,6 @@ class EmbeddingSet:
             dataset_id=self.dataset_id,
             label_map=self.label_map,
         )
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    """Row indices of each class, in row order."""
-
-    by_class: tuple[np.ndarray, ...]
-
-
-def partition(ds: EmbeddingSet) -> ClassPartition:
-    idx = [np.flatnonzero(ds.labels == c) for c in range(ds.class_count)]
-    return ClassPartition(by_class=tuple(idx))
 
 
 def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
@@ -173,43 +165,45 @@ def load_csv(
     """Load a header CSV. Feature column order is preserved; labels are
     remapped to a dense [0, C) range with the mapping kept on the set."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise MissingLabelColumnError(
-                f"{path}: no column named {label_column!r} in header {header}"
+    try:
+        text = path.read_bytes().decode("utf-8")
+        lines = list(csv.reader(io.StringIO(text, newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+    if not lines:
+        raise ValidationError(f"{path}: empty file")
+    header = lines[0]
+    if label_column not in header:
+        raise MissingLabelColumnError(
+            f"{path}: no column named {label_column!r} in header {header}"
+        )
+    label_idx = header.index(label_column)
+    feat_names = [h for i, h in enumerate(header) if i != label_idx]
+    rows: list[list[float]] = []
+    raw_labels: list[int] = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
             )
-        label_idx = header.index(label_column)
-        feat_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows: list[list[float]] = []
-        raw_labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
-                )
+        try:
+            raw_labels.append(int(row[label_idx]))
+        except ValueError:
+            raise NonNumericCellError(
+                f"{path}:{lineno}: label {row[label_idx]!r} is not an integer"
+            ) from None
+        vals = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
             try:
-                raw_labels.append(int(row[label_idx]))
+                vals.append(float(cell))
             except ValueError:
                 raise NonNumericCellError(
-                    f"{path}:{lineno}: label {row[label_idx]!r} is not an integer"
+                    f"{path}:{lineno}: column {header[i]!r} cell {cell!r} "
+                    "is not numeric"
                 ) from None
-            vals = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise NonNumericCellError(
-                        f"{path}:{lineno}: column {header[i]!r} cell {cell!r} "
-                        "is not numeric"
-                    ) from None
-            rows.append(vals)
+        rows.append(vals)
     if not feat_names:
         raise ValidationError(f"{path}: no feature columns besides {label_column!r}")
     uniq = sorted(set(raw_labels))

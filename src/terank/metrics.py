@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,8 +18,8 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from .embeddings import EmbeddingSet
-from .errors import DataError, SingletonClassError, ValidationError
-from .perturbation import PerturbConfig, sa_perturb
+from .errors import DataError, NumericError, SingletonClassError, ValidationError
+from .perturbation import PerturbConfig, PerturbMode, sa_perturb
 from .rng import SplitMix64
 
 log = logging.getLogger(__name__)
@@ -339,7 +340,10 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
         eps = cfg.epsilon_scale
     rank = cfg.projection_rank if cfg.projection_rank is not None else min(c - 1, k)
     rank = min(rank, k)
-    _, vecs = scipy.linalg.eigh(scatter_between, scatter_within + eps * np.eye(k))
+    try:
+        _, vecs = scipy.linalg.eigh(scatter_between, scatter_within + eps * np.eye(k))
+    except ValueError as exc:  # scatter overflowed to inf or nan
+        raise NumericError(f"lda: {exc}") from None
     # top eigenvalues; scaled so the projected within-class covariance is
     # the identity (the discriminant assumes unit-variance classes), which
     # also sends U -> 0 as the ridge grows
@@ -382,14 +386,21 @@ class ScoreRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreRecord":
+        """Parse one record of a score JSON file. A missing field, an
+        unknown metric or mode, or a value of the wrong type raises
+        KeyError, ValueError or TypeError."""
+        if not (isinstance(d["model"], str) and isinstance(d["dataset"], str)
+                and isinstance(d["perturbed"], bool)
+                and all(type(d[k]) in (int, float) for k in ("score", "wall_time_s"))):
+            raise TypeError("a score record field has the wrong type")
         return cls(
             model_id=d["model"],
             dataset_id=d["dataset"],
-            metric=d["metric"],
-            mode=d["mode"],
+            metric=MetricId(d["metric"]).value,
+            mode=PerturbMode(d["mode"]).value,
             perturbed=d["perturbed"],
-            score=d["score"],
-            wall_time_s=d["wall_time_s"],
+            score=float(d["score"]),
+            wall_time_s=float(d["wall_time_s"]),
         )
 
 
@@ -413,36 +424,47 @@ def score_metric(
 
 def score_model(
     raw: EmbeddingSet,
-    metric: MetricId,
-    perturb: PerturbConfig | None = None,
+    metrics: Sequence[MetricId],
+    configs: Sequence[PerturbConfig],
     energy: float | None = None,
     rank: int | None = None,
     seed: int = 0,
     nleep_components: int | None = None,
     lda_config: LdaConfig | None = None,
-) -> ScoreRecord:
-    """Score one model's raw embeddings: reduce, perturb, apply metric.
+) -> list[ScoreRecord]:
+    """Score one model's raw embeddings under every config and metric.
 
-    The wall time covers the whole pipeline so perturbed and baseline
-    runs can be compared for overhead.
+    The features are prepared once for all configs (`sa_perturb`), and
+    the records come in (config, metric) order. A record's wall time is
+    the seconds of the stages its score depends on, so perturbed and
+    baseline runs can be compared for overhead. A score that is not
+    finite raises NumericError.
     """
-    perturb = perturb or PerturbConfig()
-    start = time.perf_counter()
-    prepared = sa_perturb(raw, perturb, energy=energy, rank=rank)
-    value = score_metric(
-        prepared,
-        metric,
-        seed=seed,
-        nleep_components=nleep_components,
-        lda_config=lda_config,
-    )
-    elapsed = time.perf_counter() - start
-    return ScoreRecord(
-        model_id=raw.model_id,
-        dataset_id=raw.dataset_id,
-        metric=MetricId(metric).value,
-        mode=perturb.mode.value,
-        perturbed=perturb.mode.value != "none",
-        score=float(value),
-        wall_time_s=elapsed,
-    )
+    metrics = [MetricId(m) for m in metrics]
+    records = []
+    for cfg, (prepared, prepare_s) in zip(
+        configs, sa_perturb(raw, configs, energy=energy, rank=rank)
+    ):
+        for metric in metrics:
+            start = time.perf_counter()
+            value = score_metric(
+                prepared,
+                metric,
+                seed=seed,
+                nleep_components=nleep_components,
+                lda_config=lda_config,
+            )
+            if not math.isfinite(value):
+                raise NumericError(f"{metric.value} score is not finite ({value})")
+            records.append(
+                ScoreRecord(
+                    model_id=raw.model_id,
+                    dataset_id=raw.dataset_id,
+                    metric=metric.value,
+                    mode=cfg.mode.value,
+                    perturbed=cfg.mode is not PerturbMode.NONE,
+                    score=float(value),
+                    wall_time_s=prepare_s + time.perf_counter() - start,
+                )
+            )
+    return records

@@ -8,6 +8,8 @@ sit from the equilibrium separation sigma * (R_u + R_v).
 from __future__ import annotations
 
 import logging
+import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +29,9 @@ class PerturbMode(str, Enum):
     SPREAD = "spread"
     ATTRACT = "attract"
     SA = "sa"
+
+
+_SPREADING = frozenset({PerturbMode.SPREAD, PerturbMode.SA})
 
 
 class AttractDirection(str, Enum):
@@ -93,13 +98,14 @@ def class_geometry(ds: EmbeddingSet) -> ClassGeometry:
     return ClassGeometry(centroids=cents, radii=radii)
 
 
-def spread(ds: EmbeddingSet) -> EmbeddingSet:
+def spread(ds: EmbeddingSet, geometry: ClassGeometry) -> EmbeddingSet:
     """Displace every sample one unit along its ray from the class
-    centroid. Samples sitting on their centroid have no defined ray and
-    are left unchanged."""
+    centroid in `geometry`. Samples sitting on their centroid have no
+    defined ray and are left unchanged."""
     x = np.asarray(ds.features, dtype=np.float64)
-    cents = class_geometry(ds).centroids
-    diff = x - cents[ds.labels]
+    if geometry.centroids.shape[0] != ds.class_count:
+        raise ValidationError("geometry does not match the embedding set")
+    diff = x - geometry.centroids[ds.labels]
     norms = np.linalg.norm(diff, axis=1)
     moved = norms > _DEGENERATE_NORM
     out = x.copy()
@@ -148,23 +154,47 @@ def attract(
     return ds.with_features(x + cfg.alpha * disp[ds.labels])
 
 
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
 def sa_perturb(
     raw: EmbeddingSet,
-    cfg: PerturbConfig,
+    configs: Sequence[PerturbConfig],
     energy: float | None = None,
     rank: int | None = None,
-) -> EmbeddingSet:
-    """Full pipeline: PCA-reduce, then spread and/or attract per cfg.mode.
+) -> Iterator[tuple[EmbeddingSet, float]]:
+    """The one preprocessing chain: PCA, then spread, then attract.
 
-    mode=none returns just the reduced set (the unperturbed baseline).
-    For mode=sa the attract geometry is computed on the spread set.
+    Yields a `(set, seconds)` pair per config, in order and lazily, so
+    one attracted copy is alive at a time. mode=none yields the reduced
+    set; mode=sa attracts with the geometry of the spread set. Stages
+    the configs share run once: PCA fit and transform, spread, and the
+    class geometry of each base set. `seconds` sums the stages the set
+    depends on, each timed once.
     """
-    reduced = transform(fit_pca(raw, energy=energy, rank=rank), raw)
-    if cfg.mode is PerturbMode.NONE:
-        return reduced
-    if cfg.mode is PerturbMode.SPREAD:
-        return spread(reduced)
-    if cfg.mode is PerturbMode.ATTRACT:
-        return attract(reduced, class_geometry(reduced), cfg)
-    spread_set = spread(reduced)
-    return attract(spread_set, class_geometry(spread_set), cfg)
+    modes = {cfg.mode for cfg in configs}
+    reduced, reduce_s = _timed(
+        lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw)
+    )
+    # base set and its seconds, keyed by whether the config spreads
+    bases = {False: (reduced, reduce_s)}
+    geometries = {}
+    if modes - {PerturbMode.NONE}:
+        geometries[False] = _timed(class_geometry, reduced)
+    if modes & _SPREADING:
+        geom, geom_s = geometries[False]
+        spread_set, spread_s = _timed(spread, reduced, geom)
+        bases[True] = (spread_set, reduce_s + geom_s + spread_s)
+    if PerturbMode.SA in modes:
+        geometries[True] = _timed(class_geometry, bases[True][0])
+    for cfg in configs:
+        spreads = cfg.mode in _SPREADING
+        base, seconds = bases[spreads]
+        if cfg.mode in (PerturbMode.ATTRACT, PerturbMode.SA):
+            geom, geom_s = geometries[spreads]
+            base, attract_s = _timed(attract, base, geom, cfg)
+            seconds += geom_s + attract_s
+        yield base, seconds

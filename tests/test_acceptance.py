@@ -59,8 +59,9 @@ def test_criterion_01_spread_unit_displacement():
                 3, 200, 16, rho=2.0 + 0.3 * seed, noise=1.0, seed=1000 + seed
             )
             assert ds.sample_count == 600 and ds.feature_dim == 16
-            cents = class_geometry(ds).centroids
-            out = spread(ds)
+            geometry = class_geometry(ds)
+            cents = geometry.centroids
+            out = spread(ds, geometry)
             x = ds.features.astype(np.float64)
             before = np.linalg.norm(x - cents[ds.labels], axis=1)
             after = np.linalg.norm(out.features - cents[ds.labels], axis=1)
@@ -322,13 +323,13 @@ def test_criterion_09_end_to_end_desk_experiment():
         for metric in MetricId:
             baseline, perturbed = [], []
             for index, ds in enumerate(sets):
-                baseline.append(
-                    score_model(ds, metric, PerturbConfig(mode=PerturbMode.NONE),
-                                seed=index)
+                none_rec, sa_rec = score_model(
+                    ds, [metric],
+                    [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig()],
+                    seed=index,
                 )
-                perturbed.append(
-                    score_model(ds, metric, PerturbConfig(), seed=index)
-                )
+                baseline.append(none_rec)
+                perturbed.append(sa_rec)
             # defaults are the published optimum
             assert PerturbConfig().alpha == 0.005
             assert PerturbConfig().sigma == 0.6
@@ -384,8 +385,7 @@ def test_criterion_10_determinism_across_job_counts():
             result = runner.invoke(
                 main,
                 ["evaluate", "--scores", "scores.json",
-                 "--truth", "zoo/truth.csv", "--jobs", str(jobs),
-                 "--out", "reports"],
+                 "--truth", "zoo/truth.csv", "--out", "reports"],
             )
             assert result.exit_code == 0, result.output
             from pathlib import Path

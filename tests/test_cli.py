@@ -2,6 +2,7 @@
 import csv
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,24 @@ def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     assert "mutually exclusive" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["score", "--alpha", "nan"],
+    ["score", "--sigma", "inf"],
+    ["score", "--lda-eps", "inf"],
+    ["sweep", "--alpha-grid=-1"],
+    ["sweep", "--alpha-grid", "inf"],
+    ["sweep", "--sigma-grid", "0.5,nan"],
+    ["synth", "--rho-range", "nan:1"],
+    ["synth", "--noise-range", "1:inf"],
+], ids=" ".join)
+def test_non_finite_or_negative_values_are_usage_errors(zoo_dir, tmp_path, args):
+    where = ["--out", str(tmp_path / "zoo")] if args[0] == "synth" else [
+        "--input", str(zoo_dir)]
+    result = CliRunner().invoke(main, args + where)
+    assert result.exit_code == 2, result.output
+    assert args[1].partition("=")[0] in result.output
+
+
 def test_score_missing_input_is_data_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -158,6 +177,47 @@ def test_evaluate_missing_model_exits_3(zoo_dir, tmp_path):
     )
     assert result.exit_code == 3
     assert "model-01" in result.output
+
+
+RECORD = {"model": "m", "dataset": "d", "metric": "gbc", "mode": "sa",
+          "perturbed": True, "score": 0.5, "wall_time_s": 0.0}
+
+
+BAD_FIELDS = {"text-score": {"score": "high"}, "unknown-metric": {"metric": "../gbc"},
+              "numeric-model": {"model": 7}, "huge-time": {"wall_time_s": 10**400}}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"{not json", id="not-json"),
+    pytest.param(b'{"records": []\xff}', id="not-utf8"),
+    *(pytest.param(json.dumps({"manifest": {}, "records": [{**RECORD, **bad}]})
+                   .encode(), id=name) for name, bad in BAD_FIELDS.items()),
+])
+def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
+    scores = tmp_path / "scores.json"
+    scores.write_bytes(content)
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores),
+                                       "--out", str(tmp_path / "reports")])
+    assert result.exit_code == 3, result.output
+    assert "not a score JSON file" in result.output
+
+
+@pytest.mark.parametrize("metric", ["logme", "gbc", "lda"])
+def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
+    # a huge attract step leaves finite features whose scatter overflows
+    result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
+                                       "--metric", metric, "--alpha", "1e300",
+                                       "--format", "json"])
+    assert result.exit_code == 4, result.output
+    assert "numeric failure" in result.output
+
+
+def test_score_non_utf8_csv_is_data_error(tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_bytes(b"a,label\n0.5,0\n\xff1.5,1\n")
+    result = CliRunner().invoke(main, ["score", "--input", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "UTF-8" in result.output
 
 
 def test_evaluate_improvement_zero_for_identical_modes(zoo_dir, tmp_path):
@@ -257,24 +317,53 @@ def test_sweep_row_count(zoo_dir, tmp_path):
 
 
 def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):
-    sweep_csv = tmp_path / "one.csv"
-    run_ok(["sweep", "--input", str(zoo_dir),
-            "--truth", str(zoo_dir / "truth.csv"), "--metric", "gbc",
-            "--alpha-grid", "0.005", "--sigma-grid", "0.6",
-            "--seed", "2", "--out", str(sweep_csv)])
-    rows = list(csv.DictReader(sweep_csv.open()))
-    taus = {float(r["tau_w"]) for r in rows}
-    assert len(taus) == 1  # both cells are the default (alpha, sigma)
+    # the default (alpha, sigma) as both cells, then a 2x2 grid: each sweep
+    # cell equals score + evaluate at its (alpha, sigma)
+    for alpha_grid, sigma_grid in (("0.005", "0.6"), ("0.001,0.02", "0.5,0.9")):
+        sweep_csv = tmp_path / "sweep.csv"
+        run_ok(["sweep", "--input", str(zoo_dir),
+                "--truth", str(zoo_dir / "truth.csv"), "--metric", "gbc",
+                "--alpha-grid", alpha_grid, "--sigma-grid", sigma_grid,
+                "--seed", "2", "--jobs", "2", "--out", str(sweep_csv)])
+        rows = list(csv.DictReader(sweep_csv.open()))
+        assert len(rows) == 2 + alpha_grid.count(",") + sigma_grid.count(",")
+        for row in rows:
+            scores = tmp_path / "scores.json"
+            run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc",
+                    "--mode", "sa", "--alpha", row["alpha"],
+                    "--sigma", row["sigma"], "--seed", "2", "--out", str(scores)])
+            reports = tmp_path / "reports"
+            run_ok(["evaluate", "--scores", str(scores),
+                    "--truth", str(zoo_dir / "truth.csv"), "--out", str(reports)])
+            rep = json.loads((reports / "report_gbc_sa.json").read_text())
+            assert rep["tau_w"] == float(row["tau_w"]), row
 
-    scores = tmp_path / "scores.json"
-    run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc", "--mode", "sa",
-            "--alpha", "0.005", "--sigma", "0.6", "--seed", "2",
-            "--out", str(scores)])
-    reports = tmp_path / "reports"
-    run_ok(["evaluate", "--scores", str(scores),
-            "--truth", str(zoo_dir / "truth.csv"), "--out", str(reports)])
-    rep = json.loads((reports / "report_gbc_sa.json").read_text())
-    assert rep["tau_w"] == taus.pop()
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
+    # score with 4 metrics x every mode, or sweep over its 9 default cells:
+    # one PCA fit, one spread and two class geometries per model suffice
+    import terank.perturbation as perturbation
+
+    calls = Counter()
+    for name in ("fit_pca", "spread", "class_geometry"):
+        def counted(ds, *args, _fn=getattr(perturbation, name), _name=name,
+                    **kwargs):
+            calls[(_name, ds.model_id)] += 1
+            return _fn(ds, *args, **kwargs)
+
+        monkeypatch.setattr(perturbation, name, counted)
+    args = {
+        "score": ["score", "--mode", "none", "--mode", "spread",
+                  "--mode", "attract", "--mode", "sa"],
+        "sweep": ["sweep", "--truth", str(zoo_dir / "truth.csv")],
+    }[command]
+    run_ok(args + ["--input", str(zoo_dir)])
+    models = [p.stem for p in sorted(zoo_dir.glob("*.emb1"))]
+    for model in models:
+        assert calls[("fit_pca", model)] == 1
+        assert calls[("spread", model)] <= 1
+        assert calls[("class_geometry", model)] <= 2
 
 
 def test_bench_rows_and_ratio(zoo_dir, tmp_path):

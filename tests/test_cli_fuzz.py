@@ -1,0 +1,150 @@
+"""Property test of the CLI surface: malformed EMB1, CSV and score-JSON
+bytes and bad flag values always end in a documented exit code (0 ok,
+2 usage, 3 data, 4 numeric), never in a traceback, and `--format json`
+output always parses."""
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from terank import load_emb1
+from terank.cli import main
+
+SCORING_FLAGS = [
+    ("--alpha", ["-1", "nan", "inf", "1e300", "abc", "0", "0.01"]),
+    ("--sigma", ["-0.5", "nan", "-inf", "1e300", "0", "0.9"]),
+    ("--attract-dir", ["literal", "sideways"]),
+    ("--pca-energy", ["0", "1.5", "nan", "1", "0.5"]),
+    ("--pca-rank", ["0", "-3", "1", "1000"]),
+    ("--nleep-k", ["0", "1", "1000"]),
+    ("--lda-eps", ["0", "-1", "inf", "nan", "1e-300", "1e300"]),
+    ("--jobs", ["0", "-1", "2"]),
+    ("--seed", ["-1", "18446744073709551617", "x"]),
+    ("--metric", ["logme", "lda", "bogus"]),
+    ("--label-col", ["nope", "label"]),
+]
+FLAGS = {
+    "score": SCORING_FLAGS + [("--mode", ["none", "spread", "attract", "zap"])],
+    "sweep": SCORING_FLAGS + [
+        ("--alpha-grid", ["", ",", "nan", "-1", "0.1,abc", "1e400", "0,0.5"]),
+        ("--sigma-grid", ["inf", "-0.1", "0.6", "1e300"]),
+        ("--weighting", ["truth_ranks", "x"]),
+        ("--dataset", ["Pets"]),
+    ],
+    "evaluate": [
+        ("--weighting", ["truth_ranks", "x"]),
+        ("--dataset", ["Pets", "synthetic"]),
+        ("--regime", ["vanilla", "bogus"]),
+        ("--seed", ["-1", "nan"]),
+    ],
+}
+# a sweep runs two cells of one metric unless drawn flags override them
+BASE_ARGS = {"score": [], "evaluate": [], "sweep": [
+    "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """A tiny zoo and one valid input of each kind, as bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    zoo = root / "zoo"
+    result = runner.invoke(
+        main, ["synth", "--models", "3", "--classes", "2", "--per-class", "6",
+               "--dim", "3", "--rho-range", "0.5:2", "--seed", "3",
+               "--out", str(zoo)])
+    assert result.exit_code == 0, result.output
+    ds = load_emb1(zoo / "model-00.emb1")
+    lines = ["f0,f1,f2,label"] + [
+        ",".join(repr(float(v)) for v in row) + f",{lab}"
+        for row, lab in zip(ds.features, ds.labels)
+    ]
+    scores = root / "scores.json"
+    result = runner.invoke(
+        main, ["score", "--input", str(zoo), "--metric", "gbc", "--mode", "none",
+               "--mode", "sa", "--out", str(scores)])
+    assert result.exit_code == 0, result.output
+    return {
+        "zoo": zoo,
+        "emb1": (zoo / "model-00.emb1").read_bytes(),
+        "csv": ("\n".join(lines) + "\n").encode(),
+        "json": scores.read_bytes(),
+    }
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed(draw, base: bytes, kind: str):
+    """`base` cut short, overwritten in places, or replaced outright; for
+    score JSON also one field of the document replaced by any JSON value."""
+    how = draw(st.sampled_from(["valid", "cut", "overwrite", "random", "field"]))
+    if how == "valid":
+        return base
+    if how == "cut":
+        return base[:draw(st.integers(0, len(base)))]
+    if how == "overwrite":
+        out = bytearray(base)
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(out) - 1))
+            patch = draw(st.binary(min_size=1, max_size=4))
+            out[at:at + len(patch)] = patch
+        return bytes(out)
+    if how == "field" and kind == "json":
+        doc = json.loads(base)
+        target = draw(st.sampled_from(["doc", "manifest", "record"]))
+        holder = {"doc": doc, "manifest": doc["manifest"],
+                  "record": doc["records"][0]}[target]
+        holder[draw(st.sampled_from(sorted(holder)))] = draw(json_values)
+        return json.dumps(doc).encode()
+    return draw(st.binary(max_size=64))
+
+
+@st.composite
+def invocations(draw, valid):
+    command = draw(st.sampled_from(["score", "evaluate", "sweep"]))
+    kind = "json" if command == "evaluate" else draw(st.sampled_from(["emb1", "csv"]))
+    content = draw(malformed(valid[kind], kind))
+    flags = draw(st.lists(st.sampled_from(FLAGS[command]), max_size=3))
+    args = [command, *BASE_ARGS[command]]
+    for flag, choices in flags:
+        args += [flag, draw(st.sampled_from(choices))]
+    fmt = draw(st.sampled_from([None, "json", "csv"]))
+    if fmt:
+        args += ["--format", fmt]
+    return kind, content, args, fmt
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_exits_with_a_documented_code(valid, data):
+    kind, content, args, fmt = data.draw(invocations(valid))
+    truth = str(valid["zoo"] / "truth.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"model-00.{kind}"
+        path.write_bytes(content)
+        if kind == "json":
+            args += ["--scores", str(path), "--truth", truth, "--out", f"{tmp}/out"]
+        else:
+            # the malformed model joins two valid ones
+            args += ["--input", str(path),
+                     "--input", str(valid["zoo"] / "model-01.emb1"),
+                     "--input", str(valid["zoo"] / "model-02.emb1")]
+            if args[0] == "sweep":
+                args += ["--truth", truth]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exc_info)
+    if result.exit_code == 0 and fmt == "json":
+        json.loads(result.stdout)

@@ -1,4 +1,4 @@
-"""EmbeddingSet validation, EMB1 byte layout, CSV ingestion, partition."""
+"""EmbeddingSet validation, EMB1 byte layout, CSV ingestion."""
 import struct
 
 import numpy as np
@@ -11,7 +11,6 @@ from terank import (
     gen_class_gaussians,
     load_csv,
     load_emb1,
-    partition,
     save_emb1,
 )
 from terank.errors import (
@@ -189,53 +188,21 @@ def test_every_class_must_occur():
         )
 
 
+def test_more_classes_than_samples_rejected():
+    # checked before the per-class count, which would allocate one slot
+    # per class named in an EMB1 header
+    with pytest.raises(ValidationError):
+        EmbeddingSet(
+            features=np.zeros((2, 1), dtype=np.float32),
+            labels=np.array([0, 1]),
+            class_count=2**32 - 1,
+        )
+
+
 def test_features_are_read_only():
     ds = small_set()
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
-
-
-# --- partition --------------------------------------------------------------
-
-def test_partition_trivial():
-    ds = EmbeddingSet(
-        features=np.zeros((3, 1), dtype=np.float32) + [[1.0], [2.0], [3.0]],
-        labels=np.array([0, 1, 0]),
-        class_count=2,
-    )
-    part = partition(ds)
-    assert part.by_class[0].tolist() == [0, 2]
-    assert part.by_class[1].tolist() == [1]
-
-
-def test_partition_is_permutation():
-    ds = gen_class_gaussians(8, 125, 3, rho=1.0, noise=1.0, seed=4)  # 1000 rows
-    part = partition(ds)
-    merged = np.concatenate(part.by_class)
-    assert sorted(merged.tolist()) == list(range(ds.sample_count))
-    for c, idx in enumerate(part.by_class):
-        assert (ds.labels[idx] == c).all()
-        assert (np.diff(idx) > 0).all()  # row order preserved
-
-
-@given(
-    labels=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=60)
-)
-@settings(max_examples=60, deadline=None)
-def test_partition_disjoint_and_complete(labels):
-    labels = np.asarray(labels)
-    present = np.unique(labels)
-    dense = np.searchsorted(present, labels)  # densify so the set validates
-    if len(present) < 2:
-        return
-    ds = EmbeddingSet(
-        features=np.arange(len(labels) * 2, dtype=np.float32).reshape(-1, 2),
-        labels=dense,
-        class_count=len(present),
-    )
-    part = partition(ds)
-    merged = np.concatenate(part.by_class)
-    assert sorted(merged.tolist()) == list(range(len(labels)))
 
 
 @given(

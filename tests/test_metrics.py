@@ -203,10 +203,9 @@ def test_mode_none_reproduces_unperturbed_baseline():
     from terank import sa_perturb, score_metric
 
     ds = gen_class_gaussians(3, 40, 8, rho=3.0, noise=1.0, seed=8)
-    rec = score_model(ds, MetricId.GBC, PerturbConfig(mode=PerturbMode.NONE))
-    baseline = score_metric(
-        sa_perturb(ds, PerturbConfig(mode=PerturbMode.NONE)), MetricId.GBC
-    )
+    [rec] = score_model(ds, [MetricId.GBC], [PerturbConfig(mode=PerturbMode.NONE)])
+    [(reduced, _)] = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE)])
+    baseline = score_metric(reduced, MetricId.GBC)
     assert rec.score == baseline
     assert rec.perturbed is False
     assert rec.mode == "none"
@@ -214,11 +213,12 @@ def test_mode_none_reproduces_unperturbed_baseline():
 
 def test_score_model_is_deterministic():
     ds = gen_class_gaussians(4, 30, 8, rho=2.0, noise=1.0, seed=9)
-    for metric in MetricId:
-        a = score_model(ds, metric, PerturbConfig(), seed=77)
-        b = score_model(ds, metric, PerturbConfig(), seed=77)
-        assert a.score == b.score
-        assert a.wall_time_s >= 0
+    a = score_model(ds, list(MetricId), [PerturbConfig()], seed=77)
+    b = score_model(ds, list(MetricId), [PerturbConfig()], seed=77)
+    assert [r.metric for r in a] == [m.value for m in MetricId]
+    for ra, rb in zip(a, b):
+        assert ra.score == rb.score
+        assert ra.wall_time_s >= 0
 
 
 def test_sa_lowers_gbc_on_separated_zoo():
@@ -233,6 +233,7 @@ def test_sa_lowers_gbc_on_separated_zoo():
     )
     sets, _ = gen_model_zoo(cfg)
     for ds in sets:
-        plain = score_model(ds, MetricId.GBC, PerturbConfig(mode=PerturbMode.NONE))
-        perturbed = score_model(ds, MetricId.GBC, PerturbConfig())
+        plain, perturbed = score_model(
+            ds, [MetricId.GBC], [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig()]
+        )
         assert perturbed.score < plain.score

@@ -63,7 +63,7 @@ def test_radius_equals_norm_of_stds():
 
 def test_spread_unit_step_along_ray():
     ds = make_set([[2.0, 0.0], [-2.0, 0.0], [0.0, 5.0], [0.0, 7.0]], [0, 0, 1, 1], 2)
-    out = spread(ds)
+    out = spread(ds, class_geometry(ds))
     # class 0 centroid is the origin: (2,0) -> (3,0)
     assert out.features[0].tolist() == [3.0, 0.0]
     assert out.features[1].tolist() == [-3.0, 0.0]
@@ -72,14 +72,14 @@ def test_spread_unit_step_along_ray():
 def test_spread_leaves_centroid_point_unchanged():
     # three identical points put every sample exactly on the centroid
     ds = make_set([[1.0, 1.0], [1.0, 1.0], [4.0, 0.0], [6.0, 0.0]], [0, 0, 1, 1], 2)
-    out = spread(ds)
+    out = spread(ds, class_geometry(ds))
     assert out.features[0].tolist() == [1.0, 1.0]
     assert out.features[1].tolist() == [1.0, 1.0]
 
 
 def test_spread_increases_distance_by_exactly_one():
     ds = gen_class_gaussians(3, 167, 4, rho=3.0, noise=1.0, seed=10)  # 501 points
-    out = spread(ds)
+    out = spread(ds, class_geometry(ds))
     x = ds.features.astype(np.float64)
     cents = class_geometry(ds).centroids
     before = np.linalg.norm(x - cents[ds.labels], axis=1)
@@ -91,7 +91,7 @@ def test_spread_increases_distance_by_exactly_one():
 
 def test_spread_preserves_ray_direction():
     ds = gen_class_gaussians(3, 60, 5, rho=2.0, noise=1.0, seed=12)
-    out = spread(ds)
+    out = spread(ds, class_geometry(ds))
     cents = class_geometry(ds).centroids
     u = ds.features.astype(np.float64) - cents[ds.labels]
     v = out.features - cents[ds.labels]
@@ -104,7 +104,7 @@ def test_spread_preserves_ray_direction():
 def test_spread_grows_every_class_radius():
     ds = gen_class_gaussians(4, 30, 6, rho=2.0, noise=0.7, seed=14)
     before = class_geometry(ds).radii
-    after = class_geometry(spread(ds)).radii
+    after = class_geometry(spread(ds, class_geometry(ds))).radii
     assert (after > before).all()
 
 
@@ -197,7 +197,7 @@ def test_attract_warns_on_coincident_centroids(caplog):
 
 def test_mode_none_is_reduction_only():
     ds = gen_class_gaussians(3, 50, 10, rho=3.0, noise=1.0, seed=22)
-    out = sa_perturb(ds, PerturbConfig(mode=PerturbMode.NONE), energy=0.9)
+    [(out, _)] = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE)], energy=0.9)
     expect = transform(fit_pca(ds, energy=0.9), ds)
     assert np.array_equal(out.features, expect.features)
 
@@ -205,9 +205,9 @@ def test_mode_none_is_reduction_only():
 def test_mode_sa_equals_manual_composition():
     ds = gen_class_gaussians(3, 50, 10, rho=3.0, noise=1.0, seed=24)
     cfg = PerturbConfig(alpha=0.01, sigma=0.7)
-    out = sa_perturb(ds, cfg, energy=0.9)
+    [(out, _)] = sa_perturb(ds, [cfg], energy=0.9)
     reduced = transform(fit_pca(ds, energy=0.9), ds)
-    spread_set = spread(reduced)
+    spread_set = spread(reduced, class_geometry(reduced))
     expect = attract(spread_set, class_geometry(spread_set), cfg)
     assert np.array_equal(out.features, expect.features)
 
@@ -229,10 +229,14 @@ def test_invalid_config_rejected():
 
 def test_ablation_modes_are_distinguishable():
     ds = gen_class_gaussians(3, 40, 8, rho=2.0, noise=1.0, seed=26)
+    configs = [PerturbConfig(mode=mode) for mode in PerturbMode]
     outs = {
-        mode: sa_perturb(ds, PerturbConfig(mode=mode), energy=0.9).features
-        for mode in PerturbMode
+        cfg.mode: out.features
+        for cfg, (out, _) in zip(configs, sa_perturb(ds, configs, energy=0.9))
     }
+    for cfg in configs:  # preparing once for every mode changes no set
+        [(alone, _)] = sa_perturb(ds, [cfg], energy=0.9)
+        assert np.array_equal(alone.features, outs[cfg.mode])
     base = outs[PerturbMode.NONE]
     for mode in (PerturbMode.SPREAD, PerturbMode.ATTRACT, PerturbMode.SA):
         assert not np.allclose(outs[mode], base)

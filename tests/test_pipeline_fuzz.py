@@ -47,7 +47,7 @@ def test_pipeline_stays_finite(case_index, mode):
     classes, counts, dim, scale, noise, pca = CASES[case_index]
     ds = build_case(classes, counts, dim, scale, noise, seed=900 + case_index)
     cfg = PerturbConfig(mode=mode)
-    out = sa_perturb(ds, cfg, **pca)
+    [(out, _)] = sa_perturb(ds, [cfg], **pca)
     assert np.isfinite(out.features).all()
     assert out.labels.tolist() == ds.labels.tolist()
     for metric in MetricId:
@@ -59,7 +59,6 @@ def test_pipeline_stays_finite(case_index, mode):
 def test_score_model_repeatable_on_fuzz_cases(case_index):
     classes, counts, dim, scale, noise, pca = CASES[case_index]
     ds = build_case(classes, counts, dim, scale, noise, seed=900 + case_index)
-    for metric in MetricId:
-        a = score_model(ds, metric, PerturbConfig(), seed=5, **pca)
-        b = score_model(ds, metric, PerturbConfig(), seed=5, **pca)
-        assert a.score == b.score
+    a = score_model(ds, list(MetricId), [PerturbConfig()], seed=5, **pca)
+    b = score_model(ds, list(MetricId), [PerturbConfig()], seed=5, **pca)
+    assert [r.score for r in a] == [r.score for r in b]
