@@ -302,7 +302,8 @@ def main():
 
 
 @main.command()
-@click.option("--models", type=int, default=8, show_default=True)
+@click.option("--models", type=click.IntRange(min=0), default=8,
+              show_default=True)
 @click.option("--classes", type=int, default=4, show_default=True)
 @click.option("--per-class", type=int, default=100, show_default=True)
 @click.option("--dim", type=int, default=16, show_default=True)

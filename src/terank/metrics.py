@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError, SingletonClassError, ValidationError
@@ -26,6 +25,8 @@ log = logging.getLogger(__name__)
 
 _VAR_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
+_EM_MAX_ITER = 200
+_EM_TOL = 1e-4
 
 
 class MetricId(str, Enum):
@@ -166,15 +167,46 @@ class GmmModel:
     log_likelihood_trace: tuple[float, ...]
 
 
-def _log_gaussian_prob(x, means, variances):
-    # log N(x | mu_j, diag(var_j)) for every (sample, component)
+def _log_gaussian_prob(x, xsq, means, variances):
+    # log N(x | mu_j, diag(var_j)) for every (sample, component); xsq = x * x
     inv = 1.0 / variances
     quad = (
-        (x * x) @ inv.T
+        xsq @ inv.T
         - 2.0 * (x @ (means * inv).T)
         + np.sum(means * means * inv, axis=1)
     )
     return -0.5 * (x.shape[1] * _LOG_2PI + np.sum(np.log(variances), axis=1) + quad)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)), bit-identical to scipy.special.logsumexp:
+    the same operations in the same order, without its array-API
+    dispatch. The maxima are summed apart from the rest, and a row whose
+    result is not finite falls back to the direct formula."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
+def _canonical_order(x: np.ndarray) -> np.ndarray:
+    """Row permutation equal to np.lexsort(x.T[::-1]): rows sorted by
+    column 0, ties broken by the later columns in turn. A stable sort of
+    column 0 alone gives that order when the sorted column is strictly
+    increasing; ties, signed zeros and NaN take the full lexsort."""
+    if x.shape[1] > 0:
+        order = np.argsort(x[:, 0], kind="stable")
+        first = x[order, 0]
+        if np.all(first[1:] > first[:-1]):
+            return order
+    return np.lexsort(x.T[::-1])
 
 
 def _kmeanspp_centers(xs: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
@@ -199,11 +231,16 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     """EM with diagonal covariances, variance floor 1e-6, and D^2-weighted
     seeding driven by the SplitMix64 stream for `seed`.
 
-    Stops when the relative log-likelihood change falls below 1e-4 or
-    after 200 iterations; the likelihood trace is non-decreasing. The
-    same seed yields bit-identical parameters, and the fit does not
-    depend on the row order of `features`: seeding and accumulation both
-    run over a canonical (lexicographically sorted) view of the data.
+    Stops when the relative log-likelihood change falls below 1e-4, or
+    after 200 iterations with a logged warning; the likelihood trace is
+    non-decreasing. An E-step whose log-likelihood is not finite (the
+    features overflowed) raises NumericError. The same seed yields
+    bit-identical parameters, and the fit does not depend on the row
+    order of `features`: seeding and accumulation both run over a
+    canonical (lexicographically sorted) view of the data. That order
+    and the order of every floating-point operation are kept bit for bit
+    (`_canonical_order`, `_logsumexp_rows`), so a faster kernel here
+    never moves a score.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -212,21 +249,26 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     if components > n:
         raise DataError(f"cannot fit {components} components to {n} samples")
 
-    order = np.lexsort(x.T[::-1])
+    order = _canonical_order(x)
     xs = x[order]
+    xsq = xs * xs
     means = _kmeanspp_centers(xs, components, SplitMix64(seed))
     variances = np.tile(np.maximum(xs.var(axis=0), _VAR_FLOOR), (components, 1))
     weights = np.full(components, 1.0 / components)
 
     trace: list[float] = []
     resp_sorted = np.full((n, components), 1.0 / components)
-    for _ in range(200):
+    for _ in range(_EM_MAX_ITER):
         # E-step
-        log_joint = _log_gaussian_prob(xs, means, variances) + np.log(weights)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = _log_gaussian_prob(xs, xsq, means, variances) + np.log(weights)
+        log_norm = _logsumexp_rows(log_joint)
         resp_sorted = np.exp(log_joint - log_norm[:, None])
         ll = float(log_norm.sum())
-        if trace and abs(ll - trace[-1]) / max(abs(trace[-1]), 1e-12) < 1e-4:
+        if not math.isfinite(ll):
+            raise NumericError(
+                f"gmm log-likelihood is not finite ({ll}) at EM step {len(trace) + 1}"
+            )
+        if trace and abs(ll - trace[-1]) / max(abs(trace[-1]), 1e-12) < _EM_TOL:
             trace.append(ll)
             break
         trace.append(ll)
@@ -238,9 +280,14 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
         new_means = means.copy()
         new_vars = variances.copy()
         new_means[alive] = (resp_sorted.T[alive] @ xs) / nk[alive, None]
-        ex2 = (resp_sorted.T[alive] @ (xs * xs)) / nk[alive, None]
+        ex2 = (resp_sorted.T[alive] @ xsq) / nk[alive, None]
         new_vars[alive] = np.maximum(ex2 - new_means[alive] ** 2, _VAR_FLOOR)
         means, variances = new_means, new_vars
+    else:
+        log.warning(
+            "gmm EM stopped at its %d-iteration cap without reaching the "
+            "%g relative tolerance", _EM_MAX_ITER, _EM_TOL,
+        )
 
     resp = np.empty_like(resp_sorted)
     resp[order] = resp_sorted

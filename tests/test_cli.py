@@ -202,7 +202,7 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
     assert "not a score JSON file" in result.output
 
 
-@pytest.mark.parametrize("metric", ["logme", "gbc", "lda"])
+@pytest.mark.parametrize("metric", ["logme", "gbc", "nleep", "lda"])
 def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
     # a huge attract step leaves finite features whose scatter overflows
     result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
@@ -210,6 +210,15 @@ def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
                                        "--format", "json"])
     assert result.exit_code == 4, result.output
     assert "numeric failure" in result.output
+
+
+@pytest.mark.parametrize("count,code", [("-2", 2), ("0", 3), ("1", 3)])
+def test_synth_model_count_exit_codes(tmp_path, count, code):
+    # a negative count is a usage error; 0 and 1 reach ZooConfig's check
+    result = CliRunner().invoke(main, ["synth", "--models", count,
+                                       "--out", str(tmp_path / "zoo")])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_score_non_utf8_csv_is_data_error(tmp_path):

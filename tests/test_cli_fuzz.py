@@ -42,6 +42,18 @@ FLAGS = {
         ("--seed", ["-1", "nan"]),
     ],
 }
+# synth's integer flags, negatives included; kept small so a drawn zoo
+# costs milliseconds
+SYNTH_FLAGS = [
+    ("--models", ["-2", "-1", "0", "1", "2", "3"]),
+    ("--classes", ["-3", "0", "1", "2", "3"]),
+    ("--per-class", ["-1", "0", "1", "2", "5"]),
+    ("--dim", ["-2", "0", "1", "2", "4"]),
+    ("--jobs", ["-1", "0", "1", "2"]),
+    ("--seed", ["-1", "0", "18446744073709551617", "x"]),
+]
+SYNTH_BASE = ["synth", "--models", "2", "--classes", "2", "--per-class", "3",
+              "--dim", "2"]
 # a sweep runs two cells of one metric unless drawn flags override them
 BASE_ARGS = {"score": [], "evaluate": [], "sweep": [
     "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}
@@ -147,4 +159,20 @@ def test_cli_exits_with_a_documented_code(valid, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
     if result.exit_code == 0 and fmt == "json":
+        json.loads(result.stdout)
+
+
+@given(flags=st.lists(st.sampled_from(SYNTH_FLAGS), max_size=3), data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_synth_exits_with_a_documented_code(flags, data):
+    args = list(SYNTH_BASE)
+    for flag, choices in flags:
+        args += [flag, data.draw(st.sampled_from(choices))]
+    with tempfile.TemporaryDirectory() as tmp:
+        result = CliRunner().invoke(main, args + ["--out", f"{tmp}/zoo",
+                                                  "--format", "json"])
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exc_info)
+    if result.exit_code == 0:
         json.loads(result.stdout)

@@ -1,12 +1,20 @@
 """Mixture fitting and the nleep score built on its posteriors."""
+import hashlib
 import logging
 
 import numpy as np
 import pytest
+import scipy.special
 
 from terank import EmbeddingSet, fit_gmm, gen_class_gaussians, score_nleep
-from terank.errors import DataError
-from terank.metrics import nleep_from_responsibilities
+from terank import metrics
+from terank.errors import DataError, NumericError
+from terank.metrics import (
+    _canonical_order,
+    _logsumexp_rows,
+    nleep_from_responsibilities,
+)
+from terank.rng import SplitMix64
 
 
 def test_single_component_closed_form():
@@ -72,6 +80,114 @@ def test_fit_is_row_order_invariant():
     b = fit_gmm(x[perm], 3, seed=9)
     np.testing.assert_allclose(a.means, b.means, atol=1e-9)
     np.testing.assert_allclose(a.responsibilities[perm], b.responsibilities, atol=1e-9)
+
+
+def _golden_input(tied: bool) -> np.ndarray:
+    # three shifted blobs of SplitMix64 Gaussians; `tied` rounds column 0 so
+    # the canonical order needs the later columns to break ties
+    x = SplitMix64(2024).gaussians(300 * 6).reshape(300, 6)
+    x[:, :2] += np.repeat(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]), 100, axis=0)
+    if tied:
+        x[:, 0] = np.round(x[:, 0], 1)
+    return x
+
+
+# sha256 over weights, means, variances, responsibilities and the likelihood
+# trace of fit_gmm(_golden_input(tied), 4, seed), recorded before the EM
+# kernels were rewritten; a kernel change may not move one bit of them
+GOLDEN_FITS = {
+    (False, 0): "a678503882b7bf4e7974e5855c230f485e91e325e78fd88dbb2454ad96cf157c",
+    (False, 7): "0093eb608f6b445510fc246535d1a96ba5dd0a0339926f96737b77e8529edd97",
+    (True, 0): "2648c778d1c986e353247114137e58b3c4ccae81d4fcff903c5dcfc545866be4",
+    (True, 7): "96f56bb79a9b36bf075a6663f75088ef5d121a0c78397eda5bd318f8ef1d686c",
+}
+
+
+@pytest.mark.parametrize("tied,seed", sorted(GOLDEN_FITS))
+def test_fit_is_bit_identical_to_golden(tied, seed):
+    gmm = fit_gmm(_golden_input(tied), 4, seed)
+    h = hashlib.sha256()
+    for a in (gmm.weights, gmm.means, gmm.variances, gmm.responsibilities,
+              np.array(gmm.log_likelihood_trace)):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    assert h.hexdigest() == GOLDEN_FITS[(tied, seed)]
+
+
+def _order_cases():
+    rng = np.random.default_rng(5)
+    distinct = rng.normal(size=(50, 4))
+    ties = distinct.copy()
+    ties[:, 0] = np.round(ties[:, 0])
+    dupes = np.vstack([distinct[:10], distinct[:10], distinct[3:7]])
+    zeros = distinct[:6].copy()
+    zeros[:, 0] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0]
+    zeros[:, 1] = [-0.0, 0.0, 0.0, -0.0, 2.0, 2.0]
+    infs = distinct[:8].copy()
+    infs[:, 0] = [np.inf, -np.inf, 0.5, np.inf, -np.inf, -1.0, 2.0, 3.0]
+    one_inf = distinct[:5].copy()
+    one_inf[2, 0] = np.inf
+    nans = distinct[:8].copy()
+    nans[[1, 4], 0] = np.nan
+    nans[6, 2] = np.nan
+    return {
+        "distinct": distinct, "ties": ties, "duplicate-rows": dupes,
+        "signed-zeros": zeros, "infs": infs, "one-inf": one_inf, "nans": nans,
+        "one-row": distinct[:1], "one-column": ties[:, :1],
+        "no-rows": distinct[:0],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_order_cases()))
+def test_canonical_order_equals_lexsort(case):
+    x = _order_cases()[case]
+    np.testing.assert_array_equal(_canonical_order(x), np.lexsort(x.T[::-1]))
+
+
+def _lse_cases():
+    rng = np.random.default_rng(9)
+    a = rng.normal(scale=30.0, size=(40, 7))
+    tied = a.copy()
+    tied[::3, 2] = tied[::3, 5] = tied[::3].max(axis=1) + 1.0
+    dead = a.copy()
+    dead[:, 1] = -np.inf  # a component with weight 0 gives log(0)
+    dead[5] = -np.inf
+    equal = np.full((6, 4), -3.25)
+    odd = a[:8].copy()
+    odd[0, 0] = np.inf
+    odd[1, 3] = np.nan
+    odd[2] = [np.inf, np.inf, 1.0, 2.0, 0.0, -np.inf, 3.0]
+    return {
+        "plain": a, "tied-maxima": tied, "dead-components": dead,
+        "all-equal": equal, "scaled-1e3": a * 1e3, "scaled-1e-3": a * 1e-3,
+        "one-column": a[:, :1], "inf-and-nan": odd,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_lse_cases()))
+def test_logsumexp_rows_equals_scipy(case):
+    a = _lse_cases()[case]
+    with np.errstate(all="ignore"):
+        expected = scipy.special.logsumexp(a, axis=1)
+    # NaN counts as equal
+    np.testing.assert_array_equal(_logsumexp_rows(a), expected)
+
+
+def test_overflowing_rows_raise_instead_of_nan_responsibilities():
+    x = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300], [0.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+        fit_gmm(x, 2, seed=0)
+
+
+def test_em_cap_hit_is_logged(monkeypatch, caplog):
+    ds = gen_class_gaussians(3, 50, 4, rho=1.0, noise=1.0, seed=3)
+    with caplog.at_level(logging.WARNING, logger="terank.metrics"):
+        fit_gmm(ds.features, 3, seed=1)
+    assert "cap" not in caplog.text
+    monkeypatch.setattr(metrics, "_EM_MAX_ITER", 1)
+    with caplog.at_level(logging.WARNING, logger="terank.metrics"):
+        gmm = fit_gmm(ds.features, 3, seed=1)
+    assert len(gmm.log_likelihood_trace) == 1
+    assert "1-iteration cap" in caplog.text
 
 
 # --- nleep -------------------------------------------------------------------
