@@ -71,10 +71,13 @@ def _check_energy(ctx, param, value):
 
 
 def _handle_errors(fn):
+    # numpy's floating-point warnings are silenced: a non-finite result ends
+    # in NumericError or DataError, which is reported below as one line
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
         except DataError as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA)
@@ -211,7 +214,11 @@ def _manifest(command: str, config: dict, input_files: list[Path]) -> dict:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a bare NaN or Infinity token is a numeric failure
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"output is not finite: {exc}") from None
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -261,11 +268,14 @@ def _score_records(
     lda_cfg = LdaConfig(epsilon_scale=lda_eps)
 
     def run_model(index: int) -> list[ScoreRecord]:
-        return score_model(
-            sets[index], metric_names, configs,
-            energy=pca_energy, rank=pca_rank, seed=seed ^ index,
-            nleep_components=nleep_k, lda_config=lda_cfg,
-        )
+        # np.errstate is per thread: pool workers do not inherit the
+        # command's setting from _handle_errors
+        with np.errstate(all="ignore"):
+            return score_model(
+                sets[index], metric_names, configs,
+                energy=pca_energy, rank=pca_rank, seed=seed ^ index,
+                nleep_components=nleep_k, lda_config=lda_cfg,
+            )
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         nested = list(pool.map(run_model, range(len(sets))))
@@ -644,11 +654,16 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
         raw_t = timings[(name, "raw")]
         for mode in ("raw", *modes):
             t = timings[(name, mode)]
-            rows.append((name, mode, t, t / raw_t if raw_t > 0 else float("nan")))
+            # undefined (JSON null, n/a in text) when the raw run took no time
+            rows.append((name, mode, t, t / raw_t if raw_t > 0 else None))
+
+    def ratio_text(ratio, spec):
+        return "n/a" if ratio is None else format(ratio, spec)
 
     header = ["metric", "mode", "wall_time_s", "ratio_vs_raw"]
     csv_rows = [header] + [
-        [name, mode, f"{t:.6f}", f"{ratio:.4f}"] for name, mode, t, ratio in rows
+        [name, mode, f"{t:.6f}", ratio_text(ratio, ".4f")]
+        for name, mode, t, ratio in rows
     ]
     if out is not None:
         out.write_text(_csv_text(csv_rows), newline="")
@@ -656,7 +671,7 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
         fmt,
         {"rows": [dict(zip(header, row)) for row in rows]},
         csv_rows,
-        [header] + [[n, m, f"{t:.4f}", f"{r:.3f}"] for n, m, t, r in rows],
+        [header] + [[n, m, f"{t:.4f}", ratio_text(r, ".3f")] for n, m, t, r in rows],
     )
 
 

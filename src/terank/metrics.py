@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError, SingletonClassError, ValidationError
@@ -182,14 +181,23 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)), bit-identical to scipy.special.logsumexp:
     the same operations in the same order, without its array-API
     dispatch. The maxima are summed apart from the rest, and a row whose
-    result is not finite falls back to the direct formula."""
+    result is not finite falls back to the direct formula.
+
+    The row max and the count of maxima are exact, so they are taken
+    column by column (a has few columns, one per mixture component); the
+    shifted exp keeps numpy's row sum, which fixes the summation order."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        cols = a.T
+        a_max = cols[0].copy()
+        for col in cols[1:]:
+            np.maximum(a_max, col, out=a_max)
+        is_max = a == a_max[:, None]
+        m = np.zeros_like(a_max)
+        for col in is_max.T:
+            m += col
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max[:, None]).sum(axis=1)
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
             out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
@@ -387,6 +395,10 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
         eps = cfg.epsilon_scale
     rank = cfg.projection_rank if cfg.projection_rank is not None else min(c - 1, k)
     rank = min(rank, k)
+    # imported here, its only use, so commands that never score lda start
+    # without loading scipy
+    import scipy.linalg
+
     try:
         _, vecs = scipy.linalg.eigh(scatter_between, scatter_within + eps * np.eye(k))
     except ValueError as exc:  # scatter overflowed to inf or nan

@@ -2,13 +2,16 @@
 import csv
 import json
 import shutil
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from terank import cli
 from terank.cli import main
+from terank.errors import NumericError
 
 
 @pytest.fixture(scope="module")
@@ -204,12 +207,43 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
 
 @pytest.mark.parametrize("metric", ["logme", "gbc", "nleep", "lda"])
 def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
-    # a huge attract step leaves finite features whose scatter overflows
-    result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
-                                       "--metric", metric, "--alpha", "1e300",
-                                       "--format", "json"])
-    assert result.exit_code == 4, result.output
-    assert "numeric failure" in result.output
+    # a huge attract step leaves finite features whose scatter overflows.
+    # numpy's overflow warnings are silenced in the command and in every
+    # --jobs worker thread: stderr is one line, and a warning turned into
+    # an error would change the exit code
+    for jobs in ("1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
+                                               "--metric", metric, "--alpha", "1e300",
+                                               "--jobs", jobs, "--format", "json"])
+        assert result.exit_code == 4, result.output
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: "), lines
+
+
+def test_json_output_rejects_non_finite_values():
+    assert cli._json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NumericError, match="not finite"):
+            cli._json_text({"rows": [{"x": bad}]})
+
+
+def test_bench_ratio_is_null_when_raw_time_is_zero(zoo_dir, tmp_path, monkeypatch):
+    # a clock that never advances in cli makes every raw time 0; the
+    # pipeline records keep their own wall times
+    monkeypatch.setattr(cli, "time", type("Clock", (), {"perf_counter": lambda: 0.0}))
+    args = ["bench", "--input", str(zoo_dir), "--metric", "gbc",
+            "--mode", "none"]
+    rows = json.loads(run_ok(args + ["--format", "json"]).stdout)["rows"]
+    assert [(r["mode"], r["ratio_vs_raw"]) for r in rows] == [
+        ("raw", None), ("none", None)]
+    out = tmp_path / "bench.csv"
+    run_ok(args + ["--out", str(out)])
+    assert [r["ratio_vs_raw"] for r in csv.DictReader(out.open())] == ["n/a", "n/a"]
+    table = run_ok(args).stdout.splitlines()
+    assert [line.split()[-1] for line in table[2:]] == ["n/a", "n/a"]
 
 
 @pytest.mark.parametrize("count,code", [("-2", 2), ("0", 3), ("1", 3)])
@@ -227,6 +261,18 @@ def test_score_non_utf8_csv_is_data_error(tmp_path):
     result = CliRunner().invoke(main, ["score", "--input", str(path)])
     assert result.exit_code == 3, result.output
     assert "UTF-8" in result.output
+
+
+def test_csv_feature_beyond_float32_is_one_line_data_error(tmp_path):
+    # the float32 cast overflows in the command's own thread; its numpy
+    # warning is silenced, and the non-finite feature is a data error
+    path = tmp_path / "feats.csv"
+    path.write_text("a,label\n0.5,0\n1e300,1\n0.25,0\n-1.5,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["score", "--input", str(path)])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "data error: non-finite feature value at flat index 1\n"
 
 
 def test_evaluate_improvement_zero_for_identical_modes(zoo_dir, tmp_path):

@@ -1,0 +1,94 @@
+"""Cold start: scipy is loaded only by a command that scores lda.
+
+Each check runs in a fresh interpreter, because other test modules import
+scipy into this process.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from terank.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs the CLI with the arguments given, then prints the loaded scipy
+# modules as the last stdout line
+_PROBE = """
+import json, sys
+from terank.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_modules_after(args):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_ok(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result
+
+
+@pytest.fixture(scope="module")
+def zoo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("zoo")
+    run_ok(["synth", "--models", "3", "--classes", "3", "--per-class", "20",
+            "--dim", "6", "--seed", "5", "--out", str(out)])
+    run_ok(["score", "--input", str(out), "--metric", "gbc", "--mode", "none",
+            "--mode", "sa", "--out", str(out / "scores.json")])
+    return out
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after([]) == []
+
+
+def test_synth_loads_no_scipy(tmp_path):
+    assert scipy_modules_after(["synth", "--models", "2", "--classes", "2",
+                                "--per-class", "5", "--dim", "3",
+                                "--out", str(tmp_path / "zoo")]) == []
+    assert (tmp_path / "zoo" / "truth.csv").exists()
+
+
+def test_evaluate_loads_no_scipy(zoo, tmp_path):
+    assert scipy_modules_after(["evaluate", "--scores", str(zoo / "scores.json"),
+                                "--truth", str(zoo / "truth.csv"),
+                                "--out", str(tmp_path / "reports")]) == []
+    assert (tmp_path / "reports" / "improvement_sa.json").exists()
+
+
+def test_score_without_lda_loads_no_scipy(zoo, tmp_path):
+    out = tmp_path / "scores.json"
+    assert scipy_modules_after(["score", "--input", str(zoo), "--metric", "logme",
+                                "--metric", "gbc", "--metric", "nleep",
+                                "--out", str(out)]) == []
+    assert len(json.loads(out.read_text())["records"]) == 3 * 3
+
+
+def test_score_lda_loads_scipy_and_matches_in_process(zoo, tmp_path):
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    args = ["score", "--input", str(zoo), "--metric", "lda", "--mode", "none",
+            "--mode", "sa"]
+    assert "scipy.linalg" in scipy_modules_after(args + ["--out", str(fresh)])
+    run_ok(args + ["--out", str(here)])
+
+    def scores(path):
+        return [(r["model"], r["mode"], r["score"])
+                for r in json.loads(path.read_text())["records"]]
+
+    assert scores(fresh) == scores(here)
+    assert len(scores(here)) == 3 * 2

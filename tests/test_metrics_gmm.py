@@ -156,10 +156,15 @@ def _lse_cases():
     odd[0, 0] = np.inf
     odd[1, 3] = np.nan
     odd[2] = [np.inf, np.inf, 1.0, 2.0, 0.0, -np.inf, 3.0]
+    # a row max of +0.0 tied with -0.0, in either column order
+    zeros = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0, -2.0],
+                      [-1.0, -0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, -3.0, -0.0]])
+    column = np.array([[0.0], [-0.0], [np.inf], [-np.inf], [np.nan], [-7.5]])
     return {
         "plain": a, "tied-maxima": tied, "dead-components": dead,
         "all-equal": equal, "scaled-1e3": a * 1e3, "scaled-1e-3": a * 1e-3,
-        "one-column": a[:, :1], "inf-and-nan": odd,
+        "one-column": a[:, :1], "inf-and-nan": odd, "signed-zero-ties": zeros,
+        "one-column-non-finite": column,
     }
 
 
