@@ -70,6 +70,11 @@ def _check_energy(ctx, param, value):
     return value
 
 
+def _unique(ctx, param, value):
+    # a repeated --metric or --mode value would score and time its cells twice
+    return tuple(dict.fromkeys(value))
+
+
 def _handle_errors(fn):
     # numpy's floating-point warnings are silenced: a non-finite result ends
     # in NumericError or DataError, which is reported below as one line
@@ -120,7 +125,7 @@ def _scoring_options(command):
     fn = click.option("--label-col", default="label", show_default=True,
                       help="Label column for CSV embedding inputs.")(fn)
     fn = click.option("--metric", "metric_names", multiple=True,
-                      type=click.Choice(METRIC_CHOICES),
+                      type=click.Choice(METRIC_CHOICES), callback=_unique,
                       default=tuple(METRIC_CHOICES), show_default=True)(fn)
     fn = click.option("--alpha", type=float, default=0.005, show_default=True,
                       callback=_check_nonneg, help="Attract step scale.")(fn)
@@ -382,7 +387,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 @main.command()
 @_scoring_options
 @click.option("--mode", "modes", multiple=True, type=click.Choice(MODE_CHOICES),
-              default=("sa",), show_default=True)
+              callback=_unique, default=("sa",), show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Write the score JSON here.")
 @_common_options
@@ -620,7 +625,7 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
 @main.command()
 @_scoring_options
 @click.option("--mode", "modes", multiple=True, type=click.Choice(MODE_CHOICES),
-              default=("none", "sa"), show_default=True)
+              callback=_unique, default=("none", "sa"), show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Write the timing CSV here.")
 @_common_options

@@ -26,6 +26,8 @@ _VAR_FLOOR = 1e-6
 _LOG_2PI = math.log(2.0 * math.pi)
 _EM_MAX_ITER = 200
 _EM_TOL = 1e-4
+_LOGME_MAX_ITER = 100
+_LOGME_TOL = 1e-3
 
 
 class MetricId(str, Enum):
@@ -51,9 +53,10 @@ def maximize_evidence(
         a <- g / ||m||^2,   b <- (N - g) / ||Fm - y||^2
 
     over the squared singular values s_i^2 of F, until the relative
-    change of both precisions drops below 1e-3 (at most 100 updates).
-    Returns the final log evidence and its per-iteration trace, which is
-    non-decreasing.
+    change of both precisions drops below 1e-3. It stops early, with a
+    logged warning, after 100 updates or at an update that is not
+    finite. Returns the final log evidence and its per-iteration trace,
+    which is non-decreasing.
     """
     f = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -87,17 +90,26 @@ def _evidence_fixed_point(
 
     a = b = 1.0
     trace: list[float] = []
-    for _ in range(100):
+    for _ in range(_LOGME_MAX_ITER):
         ev, gamma, msq, res = state(a, b)
         trace.append(ev)
         a_new = gamma / msq if msq > 1e-300 else a
         b_new = (n - gamma) / res if res > 1e-300 else b
         if not (math.isfinite(a_new) and math.isfinite(b_new)):
+            log.warning(
+                "logme fixed point stopped at update %d: the new precisions "
+                "are not finite", len(trace),
+            )
             break
         rel = max(abs(a_new - a) / a, abs(b_new - b) / b)
         a, b = a_new, b_new
-        if rel < 1e-3:
+        if rel < _LOGME_TOL:
             break
+    else:
+        log.warning(
+            "logme fixed point stopped at its %d-iteration cap without "
+            "reaching the %g relative tolerance", _LOGME_MAX_ITER, _LOGME_TOL,
+        )
     ev, _, _, _ = state(a, b)
     trace.append(ev)
     return ev, trace
@@ -362,11 +374,18 @@ class LdaConfig:
 def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
     """Mean softmax probability of each sample's true class.
 
-    Discriminant directions solve the generalized eigenproblem of the
-    between-class scatter against the ridged within-class scatter; each
-    eigenvector v is normalized so v' (S_w + eps I) v = 1. The per-class
-    score of a sample f is f' U U' mu_c - mu_c' U U' mu_c / 2 + log prior.
-    Always in [0, 1].
+    Discriminant directions solve the generalized eigenproblem
+    S_b v = lambda (S_w + eps I) v of the between-class scatter against
+    the ridged within-class scatter, with numpy alone. With the Cholesky
+    factor L L' = S_w + eps I and S_b = B B' (B is k x C, one column per
+    class offset scaled by sqrt(count)), A = L^-1 B turns it into the
+    C x C symmetric problem A'A w = lambda w. Each kept pair maps back to
+    v = L'^-1 A w / sqrt(lambda), which satisfies v' (S_w + eps I) v = 1.
+    Pairs with lambda <= lambda_max * C * machine eps are null directions
+    of S_b: they shift every class score alike, so they are dropped.
+    The per-class score of a sample f is
+    f' U U' mu_c - mu_c' U U' mu_c / 2 + log prior. Always in [0, 1]; a
+    scatter that overflowed raises NumericError.
     """
     cfg = cfg or LdaConfig()
     x = np.asarray(ds.features, dtype=np.float64)
@@ -388,25 +407,29 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
         centered = pts - means[cls]
         scatter_within += centered.T @ centered
     offset = means - grand_mean
-    scatter_between = (offset * counts[:, None]).T @ offset
+    between_root = offset.T * np.sqrt(counts)  # S_b = B B'
 
     eps = cfg.epsilon_scale * float(np.trace(scatter_within)) / k
     if eps <= 0.0:
         eps = cfg.epsilon_scale
+    if not (math.isfinite(eps) and np.isfinite(scatter_within).all()
+            and np.isfinite(between_root).all()):
+        raise NumericError("lda: class scatter is not finite")
     rank = cfg.projection_rank if cfg.projection_rank is not None else min(c - 1, k)
     rank = min(rank, k)
-    # imported here, its only use, so commands that never score lda start
-    # without loading scipy
-    import scipy.linalg
-
     try:
-        _, vecs = scipy.linalg.eigh(scatter_between, scatter_within + eps * np.eye(k))
-    except ValueError as exc:  # scatter overflowed to inf or nan
+        chol = np.linalg.cholesky(scatter_within + eps * np.eye(k))
+        whitened = np.linalg.solve(chol, between_root)  # A = L^-1 B, (k, C)
+        vals, vecs = np.linalg.eigh(whitened.T @ whitened)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"lda: {exc}") from None
-    # top eigenvalues; scaled so the projected within-class covariance is
-    # the identity (the discriminant assumes unit-variance classes), which
-    # also sends U -> 0 as the ridge grows
-    u = vecs[:, ::-1][:, :rank] * math.sqrt(n)
+    # top eigenpairs, largest first; scaled so the projected within-class
+    # covariance is the identity (the discriminant assumes unit-variance
+    # classes), which also sends U -> 0 as the ridge grows
+    vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
+    keep = vals > max(float(vals[0]), 0.0) * c * np.finfo(np.float64).eps
+    vals, vecs = vals[keep], vecs[:, keep]
+    u = np.linalg.solve(chol.T, whitened @ vecs / np.sqrt(vals)) * math.sqrt(n)
 
     proj_means = means @ (u @ u.T)  # (C, k)
     delta = x @ proj_means.T  # f' U U' mu_c

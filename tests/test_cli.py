@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, machine output."""
 import csv
+import dataclasses
+import itertools
 import json
 import shutil
 import warnings
@@ -436,6 +438,46 @@ def test_bench_rows_and_ratio(zoo_dir, tmp_path):
         assert float(row["wall_time_s"]) >= 0
         if row["mode"] == "raw":
             assert float(row["ratio_vs_raw"]) == 1.0
+
+
+def test_score_repeated_metric_and_mode_match_single_flags(zoo_dir):
+    base = ["score", "--input", str(zoo_dir), "--format", "json"]
+    repeated = run_ok(base + ["--metric", "lda", "--metric", "gbc", "--metric", "lda",
+                              "--mode", "sa", "--mode", "none", "--mode", "sa"])
+    single = run_ok(base + ["--metric", "lda", "--metric", "gbc",
+                            "--mode", "sa", "--mode", "none"])
+    a, b = (strip_timing(json.loads(r.stdout)) for r in (repeated, single))
+    assert [(r["metric"], r["mode"]) for r in a["records"][:4]] == [
+        ("lda", "sa"), ("gbc", "sa"), ("lda", "none"), ("gbc", "none")]
+    assert a == b
+
+
+def test_sweep_repeated_metric_matches_single_flag(zoo_dir):
+    base = ["sweep", "--input", str(zoo_dir), "--truth", str(zoo_dir / "truth.csv"),
+            "--alpha-grid", "0.005", "--sigma-grid", "0.6", "--format", "json"]
+    repeated = run_ok(base + ["--metric", "gbc", "--metric", "gbc"])
+    single = run_ok(base + ["--metric", "gbc"])
+    assert json.loads(repeated.stdout) == json.loads(single.stdout)
+    assert len(json.loads(single.stdout)["rows"]) == 2
+
+
+def test_bench_repeated_metric_and_mode_are_timed_once(zoo_dir, monkeypatch):
+    # each raw pass takes one tick of a fake clock and each pipeline
+    # record 1 s, so the sa row sums one record per model: 4 s, ratio 4
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "time",
+                        type("Clock", (), {"perf_counter": lambda: float(next(ticks))}))
+    score_model = cli.score_model
+    monkeypatch.setattr(cli, "score_model", lambda *args, **kwargs: [
+        dataclasses.replace(rec, wall_time_s=1.0)
+        for rec in score_model(*args, **kwargs)])
+    rows = json.loads(run_ok(["bench", "--input", str(zoo_dir), "--metric", "gbc",
+                              "--metric", "gbc", "--mode", "sa", "--mode", "sa",
+                              "--format", "json"]).stdout)["rows"]
+    assert rows == [
+        {"metric": "gbc", "mode": "raw", "wall_time_s": 1.0, "ratio_vs_raw": 1.0},
+        {"metric": "gbc", "mode": "sa", "wall_time_s": 4.0, "ratio_vs_raw": 4.0},
+    ]
 
 
 def test_sweep_default_grids(zoo_dir, tmp_path):

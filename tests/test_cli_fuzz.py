@@ -1,7 +1,7 @@
 """Property test of the CLI surface: malformed EMB1, CSV and score-JSON
 bytes and bad flag values always end in a documented exit code (0 ok,
 2 usage, 3 data, 4 numeric), never in a traceback, and `--format json`
-output always parses."""
+output always parses as strict JSON (no NaN or Infinity tokens)."""
 import json
 import tempfile
 from pathlib import Path
@@ -35,6 +35,7 @@ FLAGS = {
         ("--weighting", ["truth_ranks", "x"]),
         ("--dataset", ["Pets"]),
     ],
+    "bench": SCORING_FLAGS + [("--mode", ["none", "spread", "attract", "zap"])],
     "evaluate": [
         ("--weighting", ["truth_ranks", "x"]),
         ("--dataset", ["Pets", "synthetic"]),
@@ -54,9 +55,19 @@ SYNTH_FLAGS = [
 ]
 SYNTH_BASE = ["synth", "--models", "2", "--classes", "2", "--per-class", "3",
               "--dim", "2"]
-# a sweep runs two cells of one metric unless drawn flags override them
+# a sweep runs two cells of one metric, and a bench times one metric,
+# unless drawn flags override them
 BASE_ARGS = {"score": [], "evaluate": [], "sweep": [
-    "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}
+    "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"],
+    "bench": ["--metric", "gbc"]}
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -123,24 +134,21 @@ def malformed(draw, base: bytes, kind: str):
 
 
 @st.composite
-def invocations(draw, valid):
-    command = draw(st.sampled_from(["score", "evaluate", "sweep"]))
+def invocations(draw, valid, commands, formats=(None, "json", "csv")):
+    command = draw(st.sampled_from(commands))
     kind = "json" if command == "evaluate" else draw(st.sampled_from(["emb1", "csv"]))
     content = draw(malformed(valid[kind], kind))
     flags = draw(st.lists(st.sampled_from(FLAGS[command]), max_size=3))
     args = [command, *BASE_ARGS[command]]
     for flag, choices in flags:
         args += [flag, draw(st.sampled_from(choices))]
-    fmt = draw(st.sampled_from([None, "json", "csv"]))
+    fmt = draw(st.sampled_from(formats))
     if fmt:
         args += ["--format", fmt]
     return kind, content, args, fmt
 
 
-@given(data=st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_cli_exits_with_a_documented_code(valid, data):
-    kind, content, args, fmt = data.draw(invocations(valid))
+def check_invocation(valid, kind, content, args, fmt):
     truth = str(valid["zoo"] / "truth.csv")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"model-00.{kind}"
@@ -159,7 +167,21 @@ def test_cli_exits_with_a_documented_code(valid, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
     if result.exit_code == 0 and fmt == "json":
-        json.loads(result.stdout)
+        strict_json(result.stdout)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_exits_with_a_documented_code(valid, data):
+    commands = ["score", "evaluate", "sweep"]
+    check_invocation(valid, *data.draw(invocations(valid, commands)))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bench_exits_with_a_documented_code(valid, data):
+    # every example asks for JSON, the one bench output with a validity rule
+    check_invocation(valid, *data.draw(invocations(valid, ["bench"], ["json"])))
 
 
 @given(flags=st.lists(st.sampled_from(SYNTH_FLAGS), max_size=3), data=st.data())
@@ -175,4 +197,4 @@ def test_synth_exits_with_a_documented_code(flags, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
     if result.exit_code == 0:
-        json.loads(result.stdout)
+        strict_json(result.stdout)

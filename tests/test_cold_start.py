@@ -1,8 +1,10 @@
-"""Cold start: scipy is loaded only by a command that scores lda.
+"""Cold start: no terank command loads scipy, which is a test-only
+dependency.
 
-Each check runs in a fresh interpreter, because other test modules import
-scipy into this process.
+Each command check runs in a fresh interpreter, because other test
+modules import scipy into this process.
 """
+import ast
 import json
 import os
 import subprocess
@@ -79,16 +81,46 @@ def test_score_without_lda_loads_no_scipy(zoo, tmp_path):
     assert len(json.loads(out.read_text())["records"]) == 3 * 3
 
 
-def test_score_lda_loads_scipy_and_matches_in_process(zoo, tmp_path):
+def scores(path):
+    return [(r["model"], r["metric"], r["mode"], r["score"])
+            for r in json.loads(path.read_text())["records"]]
+
+
+def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
-    args = ["score", "--input", str(zoo), "--metric", "lda", "--mode", "none",
-            "--mode", "sa"]
-    assert "scipy.linalg" in scipy_modules_after(args + ["--out", str(fresh)])
+    args = ["score", "--input", str(zoo), "--metric", "logme", "--metric", "gbc",
+            "--metric", "nleep", "--metric", "lda", "--mode", "none", "--mode", "sa"]
+    assert scipy_modules_after(args + ["--out", str(fresh)]) == []
     run_ok(args + ["--out", str(here)])
-
-    def scores(path):
-        return [(r["model"], r["mode"], r["score"])
-                for r in json.loads(path.read_text())["records"]]
-
     assert scores(fresh) == scores(here)
-    assert len(scores(here)) == 3 * 2
+    assert len(scores(here)) == 3 * 4 * 2
+
+
+def test_sweep_loads_no_scipy(zoo, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert scipy_modules_after(["sweep", "--input", str(zoo),
+                                "--truth", str(zoo / "truth.csv"),
+                                "--alpha-grid", "0.005", "--sigma-grid", "0.6",
+                                "--out", str(out)]) == []
+    assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
+
+def test_bench_loads_no_scipy(zoo, tmp_path):
+    out = tmp_path / "bench.csv"
+    assert scipy_modules_after(["bench", "--input", str(zoo), "--out", str(out)]) == []
+    assert len(out.read_text().splitlines()) == 1 + 4 * 3
+
+
+def test_no_module_imports_scipy():
+    importers = []
+    for path in sorted((SRC / "terank").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert importers == []

@@ -17,6 +17,7 @@ from terank import (
     score_model,
     ZooConfig,
 )
+from terank import metrics
 from terank.errors import SingletonClassError
 from terank.metrics import maximize_evidence
 
@@ -123,6 +124,28 @@ def test_logme_evidence_trace_non_decreasing():
             y[0] = 1.0 - y[0]
         _, trace = maximize_evidence(f, y)
         assert (np.diff(trace) >= -1e-8).all()
+
+
+def test_logme_cap_hit_is_logged(monkeypatch, caplog):
+    ds = gen_class_gaussians(3, 30, 4, rho=2.0, noise=1.0, seed=4)
+    with caplog.at_level("WARNING", logger="terank.metrics"):
+        score_logme(ds)
+    assert caplog.records == []
+    monkeypatch.setattr(metrics, "_LOGME_MAX_ITER", 1)
+    with caplog.at_level("WARNING", logger="terank.metrics"):
+        score_logme(ds)
+    messages = [r.getMessage() for r in caplog.records]
+    # one warning per one-vs-rest class fit
+    assert len(messages) == 3
+    assert all("1-iteration cap" in m for m in messages)
+
+
+def test_logme_non_finite_update_is_logged(caplog):
+    # an overflowed singular value makes the noise-precision update NaN
+    with np.errstate(all="ignore"), caplog.at_level("WARNING", logger="terank.metrics"):
+        metrics._evidence_fixed_point(np.array([np.inf]), np.array([1.0]), 2.0, 4, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "logme fixed point stopped at update 1: the new precisions are not finite"]
 
 
 # --- gbc ---------------------------------------------------------------------

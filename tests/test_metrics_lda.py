@@ -1,10 +1,109 @@
 """Discriminant-projection score contracts."""
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from terank import EmbeddingSet, LdaConfig, gen_class_gaussians
-from terank.errors import SingletonClassError, ValidationError
+from terank.errors import NumericError, SingletonClassError, ValidationError
 from terank.metrics import score_lda
+
+
+def scipy_lda(ds, cfg):
+    """The reference score: directions from scipy's generalized eigh of
+    (S_b, S_w + eps I), all k of them, then the top projection_rank."""
+    x = np.asarray(ds.features, dtype=np.float64)
+    n, k = x.shape
+    c = ds.class_count
+    counts = np.bincount(ds.labels, minlength=c).astype(np.float64)
+    means = np.stack([x[ds.labels == j].mean(axis=0) for j in range(c)])
+    centered = x - means[ds.labels]
+    offset = means - x.mean(axis=0)
+    scatter_within = centered.T @ centered
+    scatter_between = (offset * counts[:, None]).T @ offset
+    eps = cfg.epsilon_scale * float(np.trace(scatter_within)) / k
+    rank = min(cfg.projection_rank or c - 1, k)
+    _, vecs = scipy.linalg.eigh(scatter_between, scatter_within + eps * np.eye(k))
+    u = vecs[:, ::-1][:, :rank] * math.sqrt(n)
+    proj_means = means @ (u @ u.T)
+    delta = (x @ proj_means.T - 0.5 * np.einsum("ck,ck->c", means, proj_means)
+             + np.log(counts / n))
+    probs = np.exp(delta - delta.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return float(np.mean(probs[np.arange(n), ds.labels]))
+
+
+def random_set(seed):
+    """2 to 6 classes, 1 to 8 dims (k < C-1 included), 2 to 11 samples
+    per class, centroid scale log-uniform over two decades."""
+    rng = np.random.default_rng(seed)
+    c, k = 2 + seed % 5, 1 + seed // 5 % 8
+    labels = rng.permutation(np.repeat(np.arange(c), rng.integers(2, 12)))
+    centroids = rng.normal(size=(c, k)) * 10.0 ** rng.uniform(-1, 1)
+    x = centroids[labels] + rng.normal(size=(labels.size, k))
+    return EmbeddingSet(features=x.astype(np.float32), labels=labels, class_count=c)
+
+
+def test_matches_scipy_generalized_eigh():
+    cases = set()
+    for seed in range(210):
+        ds = random_set(seed)
+        c, k = ds.class_count, ds.feature_dim
+        for rank in (1, None, c, k + 2):
+            cfg = LdaConfig(projection_rank=rank)
+            np.testing.assert_allclose(score_lda(ds, cfg), scipy_lda(ds, cfg),
+                                       rtol=1e-12, err_msg=f"seed {seed} rank {rank}")
+        cases.add("k<C-1" if k < c - 1 else "k>=C-1")
+    assert cases == {"k<C-1", "k>=C-1"}
+
+
+def test_coincident_class_means_score_the_prior():
+    # every class holds the same points, so S_b = 0 and no direction is
+    # kept: the score is the prior-only softmax
+    base = np.array([[1.0, -2.0, 0.5], [-1.0, 2.0, -0.5], [3.0, 1.0, 1.0],
+                     [-3.0, -1.0, -1.0]])
+    for counts in ((1, 1, 1), (2, 1, 1)):
+        x = np.concatenate([np.tile(base, (m, 1)) for m in counts])
+        labels = np.repeat(np.arange(3), [4 * m for m in counts])
+        ds = EmbeddingSet(features=x, labels=labels, class_count=3)
+        priors = np.array(counts) / sum(counts)
+        val = score_lda(ds)
+        assert math.isfinite(val) and 0.0 <= val <= 1.0
+        assert val == pytest.approx(float(priors @ priors), rel=1e-12)
+
+
+def test_tied_eigenvalue_at_rank_cut_is_deterministic():
+    # three classes at the corners of an equilateral triangle, each the
+    # same cloud turned by 120 degrees: S_b has a tied top eigenvalue in
+    # the whitened space, and projection_rank=1 cuts between the pair
+    cloud = np.random.default_rng(21).normal(size=(30, 2))
+    parts = []
+    for j in range(3):
+        t = 2.0 * math.pi * j / 3.0
+        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        parts.append((cloud + [4.0, 0.0]) @ rot.T)
+    ds = EmbeddingSet(features=np.concatenate(parts), labels=np.repeat(np.arange(3), 30),
+                      class_count=3)
+    x = ds.features
+    means = np.stack([x[ds.labels == j].mean(axis=0) for j in range(3)])
+    centered = x - means[ds.labels]
+    offset = means - x.mean(axis=0)
+    vals = scipy.linalg.eigh((offset * 30).T @ offset, centered.T @ centered,
+                             eigvals_only=True)
+    assert vals[1] == pytest.approx(vals[0], rel=1e-9)
+    cfg = LdaConfig(projection_rank=1)
+    first = score_lda(ds, cfg)
+    assert 0.0 <= first <= 1.0
+    copy = EmbeddingSet(features=x.copy(), labels=ds.labels.copy(), class_count=3)
+    assert [score_lda(ds, cfg), score_lda(copy, cfg)] == [first, first]
+
+
+def test_overflowed_scatter_is_a_numeric_error():
+    ds = gen_class_gaussians(3, 10, 4, rho=2.0, noise=1.0, seed=3)
+    huge = ds.with_features(ds.features.astype(np.float64) * 1e200)
+    with np.errstate(all="ignore"), pytest.raises(NumericError):
+        score_lda(huge)
 
 
 def test_score_stays_in_unit_interval():
