@@ -24,7 +24,6 @@ from .evaluation import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     GmmModel,
-    LdaConfig,
     MetricId,
     ScoreRecord,
     fit_gmm,
@@ -42,7 +41,6 @@ from .perturbation import (  # noqa: F401
     PerturbConfig,
     PerturbMode,
     attract,
-    class_centroid,
     class_geometry,
     class_radius,
     sa_perturb,
@@ -55,5 +53,4 @@ from .synth import (  # noqa: F401
     gen_class_gaussians,
     gen_model_zoo,
     nearest_centroid_accuracy,
-    splitmix64_stream,
 )

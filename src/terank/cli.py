@@ -30,7 +30,7 @@ from .evaluation import (
     load_truth,
     rank_and_report,
 )
-from .metrics import LdaConfig, MetricId, ScoreRecord, score_metric, score_model
+from .metrics import MetricId, ScoreRecord, score_metric, score_model
 from .perturbation import PerturbConfig, PerturbMode
 from .synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, ZooConfig, gen_model_zoo
 
@@ -270,8 +270,6 @@ def _score_records(
     The result order and values are independent of the job count: each
     model gets its own derived seed and a deterministic task.
     """
-    lda_cfg = LdaConfig(epsilon_scale=lda_eps)
-
     def run_model(index: int) -> list[ScoreRecord]:
         # np.errstate is per thread: pool workers do not inherit the
         # command's setting from _handle_errors
@@ -279,7 +277,7 @@ def _score_records(
             return score_model(
                 sets[index], metric_names, configs,
                 energy=pca_energy, rank=pca_rank, seed=seed ^ index,
-                nleep_components=nleep_k, lda_config=lda_cfg,
+                nleep_components=nleep_k, eps_scale=lda_eps,
             )
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
@@ -600,13 +598,17 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
         manifest = _manifest(
             "sweep",
             {
+                "label_col": label_col,
                 "alpha_grid": alphas, "sigma_grid": sigmas,
                 "alpha_fixed": alpha, "sigma_fixed": sigma,
-                "metrics": list(metric_names), "dataset": dataset,
-                "regime": regime, "pool": pool, "weighting": weighting,
-                "seed": seed,
+                "attract_dir": attract_dir, "metrics": list(metric_names),
+                "pca_energy": pca_energy, "pca_rank": pca_rank,
+                "nleep_k": nleep_k, "lda_eps": lda_eps,
+                "truth": str(truth_path) if truth_path else "bundled",
+                "dataset": dataset, "regime": regime, "pool": pool,
+                "weighting": weighting, "seed": seed,
             },
-            files,
+            files + ([truth_path] if truth_path else []),
         )
         manifest["runtime"] = {
             "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
@@ -636,14 +638,13 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     perturbation) against each requested pipeline mode."""
     files = _resolve_inputs(inputs)
     sets = [_load_set(p, label_col) for p in files]
-    lda_cfg = LdaConfig(epsilon_scale=lda_eps)
 
     timings: dict[tuple[str, str], float] = {}
     for name in metric_names:
         t0 = time.perf_counter()
         for index, ds in enumerate(sets):
             score_metric(ds, MetricId(name), seed=seed ^ index,
-                         nleep_components=nleep_k, lda_config=lda_cfg)
+                         nleep_components=nleep_k, eps_scale=lda_eps)
         timings[(name, "raw")] = time.perf_counter() - t0
     for rec in _score_records(
         sets, metric_names,

@@ -15,17 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    LabelRangeError,
-    MissingLabelColumnError,
-    NonFiniteValueError,
-    NonNumericCellError,
-    SingleClassError,
-    TruncatedPayloadError,
-    ValidationError,
-)
+from .errors import DataError, NumericError
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4I")  # N, D, C, reserved
@@ -51,35 +41,33 @@ class EmbeddingSet:
         if feats.dtype not in (np.float32, np.float64):
             feats = feats.astype(np.float32)
         if feats.ndim != 2:
-            raise ValidationError(f"features must be 2-D, got shape {feats.shape}")
+            raise DataError(f"features must be 2-D, got shape {feats.shape}")
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise ValidationError(
+            raise DataError(
                 f"labels shape {labels.shape} does not match {feats.shape[0]} rows"
             )
         n, d = feats.shape
         if n < 2:
-            raise ValidationError(f"need at least 2 samples, got {n}")
+            raise DataError(f"need at least 2 samples, got {n}")
         if d < 1:
-            raise ValidationError("need at least 1 feature dimension")
+            raise DataError("need at least 1 feature dimension")
         if not 2 <= self.class_count <= n:
-            raise ValidationError(
+            raise DataError(
                 f"need 2 to {n} classes for {n} samples, got {self.class_count}"
             )
         if not np.isfinite(feats).all():
             bad = int(np.flatnonzero(~np.isfinite(feats).ravel())[0])
-            raise NonFiniteValueError(
-                f"non-finite feature value at flat index {bad}"
-            )
+            raise DataError(f"non-finite feature value at flat index {bad}")
         if labels.min() < 0 or labels.max() >= self.class_count:
-            raise LabelRangeError(
+            raise DataError(
                 f"labels must lie in [0, {self.class_count}), "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
         present = np.bincount(labels, minlength=self.class_count)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
-            raise ValidationError(f"class {missing} has no samples")
+            raise DataError(f"class {missing} has no samples")
         feats = np.ascontiguousarray(feats)
         feats.setflags(write=False)
         labels.setflags(write=False)
@@ -95,15 +83,22 @@ class EmbeddingSet:
         return self.features.shape[1]
 
     def with_features(self, features: np.ndarray) -> "EmbeddingSet":
-        """Same labels and identity, new feature matrix."""
-        return EmbeddingSet(
-            features=features,
-            labels=self.labels,
-            class_count=self.class_count,
-            model_id=self.model_id,
-            dataset_id=self.dataset_id,
-            label_map=self.label_map,
-        )
+        """Same labels and identity, new feature matrix. The matrix is
+        derived from finite features, so a non-finite value means the
+        computation overflowed: it raises NumericError, not DataError."""
+        try:
+            return EmbeddingSet(
+                features=features,
+                labels=self.labels,
+                class_count=self.class_count,
+                model_id=self.model_id,
+                dataset_id=self.dataset_id,
+                label_map=self.label_map,
+            )
+        except DataError as exc:
+            if np.isfinite(features).all():
+                raise
+            raise NumericError(f"derived set: {exc}") from None
 
 
 def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
@@ -126,27 +121,25 @@ def load_emb1(
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MAGIC!r}, got {raw[:4]!r}")
+        raise DataError(f"{path}: expected magic {MAGIC!r}, got {raw[:4]!r}")
     if len(raw) < 4 + _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: header truncated at {len(raw)} bytes")
+        raise DataError(f"{path}: header truncated at {len(raw)} bytes")
     n, d, c, reserved = _HEADER.unpack_from(raw, 4)
     if reserved != 0:
-        raise ValidationError(f"{path}: reserved header field is {reserved}, not 0")
+        raise DataError(f"{path}: reserved header field is {reserved}, not 0")
     expected = 4 + _HEADER.size + n * d * 4 + n * 4
     if len(raw) < expected:
-        raise TruncatedPayloadError(
+        raise DataError(
             f"{path}: payload is {len(raw)} bytes, header promises {expected}"
         )
     if len(raw) > expected:
-        raise TruncatedPayloadError(
-            f"{path}: {len(raw) - expected} trailing bytes after payload"
-        )
+        raise DataError(f"{path}: {len(raw) - expected} trailing bytes after payload")
     offset = 4 + _HEADER.size
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset)
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=offset + n * d * 4)
     if (labels >= c).any():
         bad = int(labels[labels >= c][0])
-        raise LabelRangeError(f"{path}: label {bad} >= class count {c}")
+        raise DataError(f"{path}: label {bad} >= class count {c}")
     return EmbeddingSet(
         features=feats.reshape(n, d).copy(),
         labels=labels.astype(np.int64),
@@ -171,25 +164,23 @@ def load_csv(
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
     if not lines:
-        raise ValidationError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     header = lines[0]
     if label_column not in header:
-        raise MissingLabelColumnError(
-            f"{path}: no column named {label_column!r} in header {header}"
-        )
+        raise DataError(f"{path}: no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
     feat_names = [h for i, h in enumerate(header) if i != label_idx]
     rows: list[list[float]] = []
     raw_labels: list[int] = []
     for lineno, row in enumerate(lines[1:], start=2):
         if len(row) != len(header):
-            raise ValidationError(
+            raise DataError(
                 f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
             )
         try:
             raw_labels.append(int(row[label_idx]))
         except ValueError:
-            raise NonNumericCellError(
+            raise DataError(
                 f"{path}:{lineno}: label {row[label_idx]!r} is not an integer"
             ) from None
         vals = []
@@ -199,16 +190,16 @@ def load_csv(
             try:
                 vals.append(float(cell))
             except ValueError:
-                raise NonNumericCellError(
+                raise DataError(
                     f"{path}:{lineno}: column {header[i]!r} cell {cell!r} "
                     "is not numeric"
                 ) from None
         rows.append(vals)
     if not feat_names:
-        raise ValidationError(f"{path}: no feature columns besides {label_column!r}")
+        raise DataError(f"{path}: no feature columns besides {label_column!r}")
     uniq = sorted(set(raw_labels))
     if len(uniq) < 2:
-        raise SingleClassError(f"{path}: only one class present ({uniq})")
+        raise DataError(f"{path}: only one class present ({uniq})")
     remap = {orig: dense for dense, orig in enumerate(uniq)}
     return EmbeddingSet(
         features=np.asarray(rows, dtype=np.float32),

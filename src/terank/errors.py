@@ -1,70 +1,17 @@
-"""Exception hierarchy.
+"""The package's two error families, one per CLI exit code.
 
-Two top-level families matter to callers: DataError (malformed or
-inconsistent inputs, CLI exit code 3) and NumericError (a computation
-failed to produce a usable result, CLI exit code 4).
+DataError: malformed or inconsistent inputs, flags or tables (exit 3).
+NumericError: a computation did not produce a usable result, such as
+features that overflowed or a score that is not finite (exit 4).
+
+Each raise site says in its message which check fired; the class only
+decides the exit code.
 """
 
 
-class TerankError(Exception):
-    """Base class for all package errors."""
-
-
-class DataError(TerankError):
+class DataError(Exception):
     """Invalid, malformed, or inconsistent input data."""
 
 
-class ValidationError(DataError):
-    """An embedding set or config violates a structural invariant."""
-
-
-class BadMagicError(DataError):
-    """EMB1 file does not start with the expected magic bytes."""
-
-
-class TruncatedPayloadError(DataError):
-    """EMB1 file is shorter (or longer) than its header promises."""
-
-
-class LabelRangeError(DataError):
-    """A label is outside [0, class_count)."""
-
-
-class NonFiniteValueError(DataError):
-    """A feature value is NaN or infinite."""
-
-
-class MissingLabelColumnError(DataError):
-    """CSV input lacks the requested label column."""
-
-
-class NonNumericCellError(DataError):
-    """CSV cell could not be parsed as a number."""
-
-
-class SingleClassError(DataError):
-    """Input contains fewer than two distinct classes."""
-
-
-class SingletonClassError(DataError):
-    """A metric that needs per-class variance saw a one-sample class."""
-
-
-class DegenerateDataError(DataError):
-    """Data carries no variance (all rows identical)."""
-
-
-class DuplicateKeyError(DataError):
-    """Truth table contains a repeated (model, dataset, regime, pool) key."""
-
-
-class AccuracyRangeError(DataError):
-    """Truth table accuracy outside (0, 100]."""
-
-
-class MissingModelError(DataError):
-    """A scored model has no ground-truth entry for the requested key."""
-
-
-class NumericError(TerankError):
-    """A numeric routine failed (non-convergence, singular system, ...)."""
+class NumericError(Exception):
+    """A numeric routine failed (non-finite result, singular system, ...)."""

@@ -10,12 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AccuracyRangeError,
-    DuplicateKeyError,
-    MissingModelError,
-    ValidationError,
-)
+from .errors import DataError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import ScoreRecord
@@ -44,7 +39,7 @@ class TruthTable:
         for key, acc in self.records.items():
             _check_key(key)
             if not 0.0 < acc <= 100.0:
-                raise AccuracyRangeError(f"{key}: accuracy {acc} outside (0, 100]")
+                raise DataError(f"{key}: accuracy {acc} outside (0, 100]")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -53,7 +48,7 @@ class TruthTable:
         try:
             return self.records[(model, dataset, regime, pool)]
         except KeyError:
-            raise MissingModelError(
+            raise DataError(
                 f"no ground truth for model {model!r} under "
                 f"(dataset={dataset}, regime={regime}, pool={pool})"
             ) from None
@@ -61,18 +56,18 @@ class TruthTable:
     def merged_with(self, other: "TruthTable") -> "TruthTable":
         dup = set(self.records) & set(other.records)
         if dup:
-            raise DuplicateKeyError(f"overlapping truth keys: {sorted(dup)[:3]}")
+            raise DataError(f"overlapping truth keys: {sorted(dup)[:3]}")
         return TruthTable(records={**self.records, **other.records})
 
 
 def _check_key(key: tuple[str, str, str, str]) -> None:
     model, dataset, regime, pool = key
     if not model or not dataset:
-        raise ValidationError(f"empty model or dataset in key {key}")
+        raise DataError(f"empty model or dataset in key {key}")
     if regime not in REGIMES:
-        raise ValidationError(f"unknown regime {regime!r} (allowed: {REGIMES})")
+        raise DataError(f"unknown regime {regime!r} (allowed: {REGIMES})")
     if pool not in POOLS:
-        raise ValidationError(f"unknown pool {pool!r} (allowed: {POOLS})")
+        raise DataError(f"unknown pool {pool!r} (allowed: {POOLS})")
 
 
 def load_truth(path: str | Path) -> TruthTable:
@@ -87,18 +82,18 @@ def _parse_truth(reader: Iterable[dict], origin: str) -> TruthTable:
     records: dict[tuple[str, str, str, str], float] = {}
     for lineno, row in enumerate(reader, start=2):
         if not needed <= set(row):
-            raise ValidationError(
+            raise DataError(
                 f"{origin}: columns {sorted(needed)} required, got {sorted(row)}"
             )
         key = (row["model"], row["dataset"], row["regime"], row["pool"])
         try:
             acc = float(row["accuracy"])
         except (TypeError, ValueError):
-            raise ValidationError(
+            raise DataError(
                 f"{origin}:{lineno}: accuracy {row['accuracy']!r} is not a number"
             ) from None
         if key in records:
-            raise DuplicateKeyError(f"{origin}:{lineno}: duplicate key {key}")
+            raise DataError(f"{origin}:{lineno}: duplicate key {key}")
         records[key] = acc
     return TruthTable(records=records)
 
@@ -142,15 +137,15 @@ def weighted_kendall_tau(
     from score-derived ranks.
     """
     if weighting not in WEIGHTINGS:
-        raise ValidationError(f"weighting must be one of {WEIGHTINGS}")
+        raise DataError(f"weighting must be one of {WEIGHTINGS}")
     t = np.asarray(truth, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
     if t.shape != s.shape or t.ndim != 1:
-        raise ValidationError("truth and scores must be 1-D and equally long")
+        raise DataError("truth and scores must be 1-D and equally long")
     if t.shape[0] < 2:
-        raise ValidationError("need at least two items to correlate")
+        raise DataError("need at least two items to correlate")
     if not (np.isfinite(t).all() and np.isfinite(s).all()):
-        raise ValidationError("truth and scores must be finite")
+        raise DataError("truth and scores must be finite")
 
     iu = np.triu_indices(t.shape[0], k=1)
     sign = (np.sign(t[:, None] - t[None, :]) * np.sign(s[:, None] - s[None, :]))[iu]
@@ -214,20 +209,6 @@ class RankingReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankingReport":
-        return cls(
-            metric=d["metric"],
-            dataset=d["dataset"],
-            regime=d["regime"],
-            pool=d["pool"],
-            perturb_mode=d["perturb_mode"],
-            weighting=d["weighting"],
-            tau_w=d["tau_w"],
-            models=tuple(ModelRow(**m) for m in d["models"]),
-            wall_time_s=d["wall_time_s"],
-        )
-
     def plot_rows(self) -> list[tuple[float, float, str]]:
         """(score, accuracy, model) triples, the regression-plot shape."""
         return [(m.score, m.accuracy, m.id) for m in self.models]
@@ -247,13 +228,13 @@ def rank_and_report(
     model must have a truth entry for the requested key.
     """
     if not scores:
-        raise ValidationError("no score records to rank")
+        raise DataError("no score records to rank")
     cells = {(r.metric, r.mode) for r in scores}
     if len(cells) != 1:
-        raise ValidationError(f"records span several (metric, mode) cells: {cells}")
+        raise DataError(f"records span several (metric, mode) cells: {cells}")
     ids = [r.model_id for r in scores]
     if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate model ids in score records")
+        raise DataError("duplicate model ids in score records")
 
     accs = np.array(
         [truth.accuracy(r.model_id, dataset, regime, pool) for r in scores]
@@ -317,23 +298,23 @@ def improvement_summary(
     for rep in before:
         key = (rep.metric, rep.dataset)
         if key in before_by_key:
-            raise ValidationError(f"duplicate before-report for {key}")
+            raise DataError(f"duplicate before-report for {key}")
         before_by_key[key] = rep
     after_keys = set()
     pairs: dict[str, list[tuple[float, float]]] = {}
     for rep in after:
         key = (rep.metric, rep.dataset)
         if key in after_keys:
-            raise ValidationError(f"duplicate after-report for {key}")
+            raise DataError(f"duplicate after-report for {key}")
         after_keys.add(key)
         if key not in before_by_key:
-            raise ValidationError(f"after-report {key} has no before-report")
+            raise DataError(f"after-report {key} has no before-report")
         pairs.setdefault(rep.metric, []).append(
             (before_by_key[key].tau_w, rep.tau_w)
         )
     unpaired = set(before_by_key) - after_keys
     if unpaired:
-        raise ValidationError(f"before-reports without after-reports: {unpaired}")
+        raise DataError(f"before-reports without after-reports: {unpaired}")
 
     rows = []
     for metric in sorted(pairs):

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import DataError, NumericError, SingletonClassError, ValidationError
+from .errors import DataError, NumericError
 from .perturbation import PerturbConfig, PerturbMode, sa_perturb
 from .rng import SplitMix64
 
@@ -93,8 +93,9 @@ def _evidence_fixed_point(
     for _ in range(_LOGME_MAX_ITER):
         ev, gamma, msq, res = state(a, b)
         trace.append(ev)
-        a_new = gamma / msq if msq > 1e-300 else a
-        b_new = (n - gamma) / res if res > 1e-300 else b
+        # a NaN state fails both guards, so its updates are NaN and stop below
+        a_new = a if msq <= 1e-300 else gamma / msq
+        b_new = b if res <= 1e-300 else (n - gamma) / res
         if not (math.isfinite(a_new) and math.isfinite(b_new)):
             log.warning(
                 "logme fixed point stopped at update %d: the new precisions "
@@ -147,7 +148,7 @@ def score_gbc(ds: EmbeddingSet) -> float:
     for u_cls in range(c):
         pts = x[ds.labels == u_cls]
         if pts.shape[0] < 2:
-            raise SingletonClassError(
+            raise DataError(
                 f"class {u_cls} has a single sample; gbc needs per-class variance"
             )
         means[u_cls] = pts.mean(axis=0)
@@ -265,7 +266,7 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     if components < 1:
-        raise ValidationError(f"component count must be >= 1, got {components}")
+        raise DataError(f"component count must be >= 1, got {components}")
     if components > n:
         raise DataError(f"cannot fit {components} components to {n} samples")
 
@@ -355,28 +356,14 @@ def score_nleep(
 # lda: mean softmax probability of the true class under discriminant
 # scores in the regularized discriminant projection
 
-@dataclass(frozen=True)
-class LdaConfig:
-    # ridge added to the within-class scatter, as a fraction of its mean
-    # diagonal; relative scaling survives feature rescaling
-    epsilon_scale: float = 1e-4
-    projection_rank: int | None = None  # default min(C-1, k)
-
-    def __post_init__(self):
-        if self.epsilon_scale <= 0:
-            raise ValidationError(
-                f"epsilon_scale must be > 0, got {self.epsilon_scale}"
-            )
-        if self.projection_rank is not None and self.projection_rank < 1:
-            raise ValidationError("projection_rank must be >= 1")
-
-
-def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
+def score_lda(ds: EmbeddingSet, eps_scale: float = 1e-4) -> float:
     """Mean softmax probability of each sample's true class.
 
     Discriminant directions solve the generalized eigenproblem
     S_b v = lambda (S_w + eps I) v of the between-class scatter against
-    the ridged within-class scatter, with numpy alone. With the Cholesky
+    the ridged within-class scatter, with numpy alone. The ridge eps is
+    `eps_scale` times the mean diagonal of S_w, so it survives feature
+    rescaling, and the top min(C-1, k) pairs are kept. With the Cholesky
     factor L L' = S_w + eps I and S_b = B B' (B is k x C, one column per
     class offset scaled by sqrt(count)), A = L^-1 B turns it into the
     C x C symmetric problem A'A w = lambda w. Each kept pair maps back to
@@ -387,7 +374,8 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
     f' U U' mu_c - mu_c' U U' mu_c / 2 + log prior. Always in [0, 1]; a
     scatter that overflowed raises NumericError.
     """
-    cfg = cfg or LdaConfig()
+    if not eps_scale > 0:
+        raise DataError(f"eps_scale must be > 0, got {eps_scale}")
     x = np.asarray(ds.features, dtype=np.float64)
     n, k = x.shape
     c = ds.class_count
@@ -395,9 +383,7 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
     counts = np.bincount(ds.labels, minlength=c).astype(np.float64)
     if (counts < 2).any():
         bad = int(np.flatnonzero(counts < 2)[0])
-        raise SingletonClassError(
-            f"class {bad} has a single sample; lda needs per-class scatter"
-        )
+        raise DataError(f"class {bad} has a single sample; lda needs per-class scatter")
     grand_mean = x.mean(axis=0)
     means = np.empty((c, k))
     scatter_within = np.zeros((k, k))
@@ -409,14 +395,13 @@ def score_lda(ds: EmbeddingSet, cfg: LdaConfig | None = None) -> float:
     offset = means - grand_mean
     between_root = offset.T * np.sqrt(counts)  # S_b = B B'
 
-    eps = cfg.epsilon_scale * float(np.trace(scatter_within)) / k
+    eps = eps_scale * float(np.trace(scatter_within)) / k
     if eps <= 0.0:
-        eps = cfg.epsilon_scale
+        eps = eps_scale
     if not (math.isfinite(eps) and np.isfinite(scatter_within).all()
             and np.isfinite(between_root).all()):
         raise NumericError("lda: class scatter is not finite")
-    rank = cfg.projection_rank if cfg.projection_rank is not None else min(c - 1, k)
-    rank = min(rank, k)
+    rank = min(c - 1, k)
     try:
         chol = np.linalg.cholesky(scatter_within + eps * np.eye(k))
         whitened = np.linalg.solve(chol, between_root)  # A = L^-1 B, (k, C)
@@ -491,7 +476,7 @@ def score_metric(
     metric: MetricId,
     seed: int = 0,
     nleep_components: int | None = None,
-    lda_config: LdaConfig | None = None,
+    eps_scale: float = 1e-4,
 ) -> float:
     """Apply one metric to an (already reduced/perturbed) embedding set."""
     metric = MetricId(metric)
@@ -501,7 +486,7 @@ def score_metric(
         return score_gbc(ds)
     if metric is MetricId.NLEEP:
         return score_nleep(ds, components=nleep_components, seed=seed)
-    return score_lda(ds, cfg=lda_config)
+    return score_lda(ds, eps_scale=eps_scale)
 
 
 def score_model(
@@ -512,7 +497,7 @@ def score_model(
     rank: int | None = None,
     seed: int = 0,
     nleep_components: int | None = None,
-    lda_config: LdaConfig | None = None,
+    eps_scale: float = 1e-4,
 ) -> list[ScoreRecord]:
     """Score one model's raw embeddings under every config and metric.
 
@@ -534,7 +519,7 @@ def score_model(
                 metric,
                 seed=seed,
                 nleep_components=nleep_components,
-                lda_config=lda_config,
+                eps_scale=eps_scale,
             )
             if not math.isfinite(value):
                 raise NumericError(f"{metric.value} score is not finite ({value})")

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ValidationError
+from .errors import DataError
 from .reduction import fit_pca, transform
 
 log = logging.getLogger(__name__)
@@ -52,9 +52,9 @@ class PerturbConfig:
 
     def __post_init__(self):
         if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+            raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if self.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
+            raise DataError(f"sigma must be >= 0, got {self.sigma}")
         object.__setattr__(self, "mode", PerturbMode(self.mode))
         object.__setattr__(
             self, "attract_direction", AttractDirection(self.attract_direction)
@@ -67,13 +67,6 @@ class ClassGeometry:
 
     centroids: np.ndarray  # (C, k)
     radii: np.ndarray  # (C,)
-
-
-def class_centroid(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValidationError("centroid needs a non-empty 2-D point array")
-    return points.mean(axis=0)
 
 
 def class_radius(points: np.ndarray, centroid: np.ndarray) -> float:
@@ -104,7 +97,7 @@ def spread(ds: EmbeddingSet, geometry: ClassGeometry) -> EmbeddingSet:
     defined ray and are left unchanged."""
     x = np.asarray(ds.features, dtype=np.float64)
     if geometry.centroids.shape[0] != ds.class_count:
-        raise ValidationError("geometry does not match the embedding set")
+        raise DataError("geometry does not match the embedding set")
     diff = x - geometry.centroids[ds.labels]
     norms = np.linalg.norm(diff, axis=1)
     moved = norms > _DEGENERATE_NORM
@@ -128,7 +121,7 @@ def attract(
     radii = geometry.radii
     c = cents.shape[0]
     if c != ds.class_count:
-        raise ValidationError("geometry does not match the embedding set")
+        raise DataError("geometry does not match the embedding set")
 
     diffs = cents[:, None, :] - cents[None, :, :]  # (u, v) -> C_u - C_v
     dist = np.linalg.norm(diffs, axis=2)

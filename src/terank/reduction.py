@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import DegenerateDataError, ValidationError
+from .errors import DataError
 
 DEFAULT_ENERGY = 0.8
 
@@ -29,13 +29,13 @@ class PcaModel:
         k, d = self.components.shape
         gram = self.components @ self.components.T
         if not np.allclose(gram, np.eye(k), atol=1e-5):
-            raise ValidationError("component rows are not orthonormal")
+            raise DataError("component rows are not orthonormal")
         ev = self.eigenvalues
         slack = (ev[0] if ev.size else 0.0) * 1e-9 + 1e-12
         if (np.diff(ev) > slack).any() or (ev < 0).any():
-            raise ValidationError("eigenvalues must be non-increasing and >= 0")
+            raise DataError("eigenvalues must be non-increasing and >= 0")
         if not 0.0 < self.energy_retained <= 1.0 + 1e-12:
-            raise ValidationError("energy_retained must lie in (0, 1]")
+            raise DataError("energy_retained must lie in (0, 1]")
 
     @property
     def rank(self) -> int:
@@ -55,13 +55,13 @@ def fit_pca(
     data. Eigenvalues use the population (1/N) convention.
     """
     if energy is not None and rank is not None:
-        raise ValidationError("give either an energy target or a rank, not both")
+        raise DataError("give either an energy target or a rank, not both")
     if energy is None and rank is None:
         energy = DEFAULT_ENERGY
     if energy is not None and not 0.0 < energy <= 1.0:
-        raise ValidationError(f"energy target must lie in (0, 1], got {energy}")
+        raise DataError(f"energy target must lie in (0, 1], got {energy}")
     if rank is not None and rank < 1:
-        raise ValidationError(f"rank must be >= 1, got {rank}")
+        raise DataError(f"rank must be >= 1, got {rank}")
 
     x = np.asarray(ds.features, dtype=np.float64)
     n, d = x.shape
@@ -91,7 +91,7 @@ def fit_pca(
     total = float(evals.sum())
     scale_ref = float(np.mean(np.sum(x * x, axis=1)))
     if total <= max(scale_ref, 1.0) * 1e-18:
-        raise DegenerateDataError("features carry no variance (all rows identical)")
+        raise DataError("features carry no variance (all rows identical)")
 
     # effective rank: directions with numerically zero variance are never
     # meaningful components
@@ -124,7 +124,7 @@ def transform(model: PcaModel, ds: EmbeddingSet) -> EmbeddingSet:
     contracts are tighter than float32 resolution.
     """
     if ds.feature_dim != model.components.shape[1]:
-        raise ValidationError(
+        raise DataError(
             f"feature dimension {ds.feature_dim} does not match "
             f"model dimension {model.components.shape[1]}"
         )

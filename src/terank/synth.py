@@ -8,25 +8,17 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import ValidationError
+from .errors import DataError
 from .evaluation import TruthTable
 from .rng import SplitMix64
 
 SYNTH_DATASET = "synthetic"
 SYNTH_REGIME = "synthetic"
 SYNTH_POOL = "synthetic"
-
-
-def splitmix64_stream(seed: int) -> Iterator[int]:
-    """The raw deterministic u64 stream for a seed."""
-    rng = SplitMix64(seed)
-    while True:
-        yield rng.next_u64()
 
 
 @dataclass(frozen=True)
@@ -48,13 +40,11 @@ class ZooConfig:
 
     def __post_init__(self):
         if self.models < 2 or self.classes < 2 or self.per_class < 2 or self.dim < 2:
-            raise ValidationError(
-                "need models >= 2, classes >= 2, per_class >= 2, dim >= 2"
-            )
+            raise DataError("need models >= 2, classes >= 2, per_class >= 2, dim >= 2")
         if len(self.rhos) != self.models or len(self.noises) != self.models:
-            raise ValidationError("rhos and noises must list one value per model")
+            raise DataError("rhos and noises must list one value per model")
         if any(r <= 0 for r in self.rhos) or any(s <= 0 for s in self.noises):
-            raise ValidationError("rho and noise values must be > 0")
+            raise DataError("rho and noise values must be > 0")
 
 
 def _draw_points(
@@ -146,12 +136,20 @@ def gen_model_zoo(
     "fine-tuning accuracy" is the held-out nearest-centroid accuracy (in
     percent), stored under the synthetic regime/pool. Models have
     independent streams, so `jobs` > 1 generates them concurrently with
-    output identical to the sequential run.
+    output identical to the sequential run. The workers run under the
+    caller's floating-point error settings, which threads do not inherit.
+    `jobs` = 1 runs on the calling thread, which keeps the draws inside
+    this call for per-thread profilers such as zoobench's span tracer.
     """
     if jobs > 1:
+        errors = np.geterr()
+
+        def run(m: int) -> tuple[EmbeddingSet, float]:
+            with np.errstate(**errors):
+                return _gen_one_model(cfg, m)
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda m: _gen_one_model(cfg, m),
-                                    range(cfg.models)))
+            results = list(pool.map(run, range(cfg.models)))
     else:
         results = [_gen_one_model(cfg, m) for m in range(cfg.models)]
     sets = [ds for ds, _ in results]

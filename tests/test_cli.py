@@ -209,17 +209,20 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
 
 @pytest.mark.parametrize("metric", ["logme", "gbc", "nleep", "lda"])
 def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
-    # a huge attract step leaves finite features whose scatter overflows.
-    # numpy's overflow warnings are silenced in the command and in every
-    # --jobs worker thread: stderr is one line, and a warning turned into
-    # an error would change the exit code
-    for jobs in ("1", "2"):
+    # --alpha 1e300 leaves finite features whose scatter overflows; a 1e308
+    # attract step or radius scale overflows the perturbed features
+    # themselves. numpy's overflow warnings are silenced in the command and
+    # in every --jobs worker thread: stderr is one line, and a warning
+    # turned into an error would change the exit code
+    for flags, jobs in itertools.product(
+            (["--alpha", "1e300"], ["--alpha", "1e308"], ["--sigma", "1e308"]),
+            ("1", "2")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
-                                               "--metric", metric, "--alpha", "1e300",
+                                               "--metric", metric, *flags,
                                                "--jobs", jobs, "--format", "json"])
-        assert result.exit_code == 4, result.output
+        assert result.exit_code == 4, (flags, result.output)
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: "), lines
@@ -255,6 +258,23 @@ def test_synth_model_count_exit_codes(tmp_path, count, code):
                                        "--out", str(tmp_path / "zoo")])
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):
+    # the centroid scale overflows in the generator's worker threads; they
+    # run under the command's errstate, so no numpy warning reaches stderr
+    stderr = {}
+    for jobs in ("1", "2"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(main, [
+                "synth", "--models", "2", "--rho-range", "1e308:1e308",
+                "--jobs", jobs, "--out", str(tmp_path / f"zoo{jobs}")])
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        stderr[jobs] = result.stderr
+    assert stderr["1"] == stderr["2"] == (
+        "data error: non-finite feature value at flat index 0\n")
 
 
 def test_score_non_utf8_csv_is_data_error(tmp_path):
@@ -371,6 +391,40 @@ def test_sweep_row_count(zoo_dir, tmp_path):
         assert -1.0 <= float(row["tau_w"]) <= 1.0
     assert per_metric == {"gbc": 5, "lda": 5}
     assert Path(str(out) + ".manifest.json").exists()
+
+
+def test_sweep_manifest_records_every_scoring_flag(zoo_dir, tmp_path):
+    truth = zoo_dir / "truth.csv"
+    other_truth = tmp_path / "other_truth.csv"
+    other_truth.write_text(
+        truth.read_text() + "extra,synthetic,synthetic,synthetic,50\n")
+
+    def manifest(*flags, truth_path=truth):
+        out = tmp_path / "sweep.csv"
+        run_ok(["sweep", "--input", str(zoo_dir), "--truth", str(truth_path),
+                "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6",
+                *flags, "--out", str(out)])
+        return strip_timing(json.loads(Path(str(out) + ".manifest.json").read_text()))
+
+    base = manifest()
+    assert base["config"]["truth"] == str(truth)
+    emb1 = {str(p) for p in zoo_dir.glob("*.emb1")}
+    assert set(base["inputs"]) == emb1 | {str(truth)}
+    for flags, field, value in [
+        (["--label-col", "y"], "label_col", "y"),
+        (["--attract-dir", "literal"], "attract_dir", "literal"),
+        (["--pca-energy", "0.9"], "pca_energy", 0.9),
+        (["--pca-rank", "3"], "pca_rank", 3),
+        (["--nleep-k", "2"], "nleep_k", 2),
+        (["--lda-eps", "0.001"], "lda_eps", 0.001),
+    ]:
+        got = manifest(*flags)
+        assert got["config"] == {**base["config"], field: value}, flags
+        assert got["inputs"] == base["inputs"], flags
+    got = manifest(truth_path=other_truth)
+    assert got["config"] == {**base["config"], "truth": str(other_truth)}
+    assert set(got["inputs"]) == emb1 | {str(other_truth)}
+    assert got["inputs"][str(other_truth)] != base["inputs"][str(truth)]
 
 
 def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):

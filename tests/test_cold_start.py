@@ -1,10 +1,12 @@
 """Cold start: no terank command loads scipy, which is a test-only
-dependency.
+dependency. Source scans also keep scipy imports and error classes
+beyond the two exit-code families out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy into this process.
 """
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -124,3 +126,24 @@ def test_no_module_imports_scipy():
             importers += [f"{path.name}:{node.lineno}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert importers == []
+
+
+def test_errors_define_exactly_two_families():
+    # one class per failure exit code: 3 for DataError, 4 for NumericError
+    tree = ast.parse((SRC / "terank" / "errors.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+        "DataError", "NumericError"]
+
+
+def test_every_package_raise_names_an_error_family():
+    # a raised name that is not a builtin exception is a package error
+    strays = []
+    for path in sorted((SRC / "terank").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if (isinstance(exc, ast.Name) and not hasattr(builtins, exc.id)
+                    and exc.id not in ("DataError", "NumericError")):
+                strays.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert strays == []

@@ -13,16 +13,7 @@ from terank import (
     load_emb1,
     save_emb1,
 )
-from terank.errors import (
-    BadMagicError,
-    LabelRangeError,
-    MissingLabelColumnError,
-    NonFiniteValueError,
-    NonNumericCellError,
-    SingleClassError,
-    TruncatedPayloadError,
-    ValidationError,
-)
+from terank.errors import DataError
 
 
 def emb1_bytes(n, d, c, features, labels, magic=b"EMB1", reserved=0):
@@ -56,7 +47,7 @@ def test_load_smallest_valid_file(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 1], magic=b"XXXX"))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(DataError, match="expected magic"):
         load_emb1(path)
 
 
@@ -64,31 +55,31 @@ def test_truncated_payload(tmp_path):
     full = emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 1])
     path = tmp_path / "cut.emb1"
     path.write_bytes(full[:-3])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(DataError, match="header promises"):
         load_emb1(path)
     path.write_bytes(full + b"\x00")
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(DataError, match="trailing bytes after payload"):
         load_emb1(path)
 
 
 def test_label_out_of_range(tmp_path):
     path = tmp_path / "lab.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 5]))
-    with pytest.raises(LabelRangeError):
+    with pytest.raises(DataError, match="label 5 >= class count 2"):
         load_emb1(path)
 
 
 def test_non_finite_feature(tmp_path):
     path = tmp_path / "nan.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[np.nan], [1.0]], [0, 1]))
-    with pytest.raises(NonFiniteValueError):
+    with pytest.raises(DataError, match="non-finite feature value"):
         load_emb1(path)
 
 
 def test_reserved_field_must_be_zero(tmp_path):
     path = tmp_path / "res.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 1], reserved=7))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="reserved header field is 7"):
         load_emb1(path)
 
 
@@ -136,7 +127,7 @@ def test_csv_dense_remap(tmp_path):
 def test_csv_single_row_rejected(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("f0,label\n1.0,0\n")
-    with pytest.raises((ValidationError, SingleClassError)):
+    with pytest.raises(DataError, match="only one class present"):
         load_csv(path)
 
 
@@ -158,14 +149,14 @@ def test_csv_matches_emb1_within_tolerance(tmp_path):
 def test_csv_missing_label_column(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("f0,f1\n1,2\n3,4\n")
-    with pytest.raises(MissingLabelColumnError):
+    with pytest.raises(DataError, match="no column named 'label'"):
         load_csv(path)
 
 
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "n.csv"
     path.write_text("f0,label\n1.0,0\nfoo,1\n")
-    with pytest.raises(NonNumericCellError) as err:
+    with pytest.raises(DataError, match="is not numeric") as err:
         load_csv(path)
     assert "foo" in str(err.value)
 
@@ -173,14 +164,14 @@ def test_csv_non_numeric_cell(tmp_path):
 def test_csv_single_class(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("f0,label\n1.0,3\n2.0,3\n")
-    with pytest.raises(SingleClassError):
+    with pytest.raises(DataError, match="only one class present"):
         load_csv(path)
 
 
 # --- validation ------------------------------------------------------------
 
 def test_every_class_must_occur():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="class 1 has no samples"):
         EmbeddingSet(
             features=np.zeros((3, 2), dtype=np.float32),
             labels=np.array([0, 0, 0]),
@@ -191,7 +182,7 @@ def test_every_class_must_occur():
 def test_more_classes_than_samples_rejected():
     # checked before the per-class count, which would allocate one slot
     # per class named in an EMB1 header
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="need 2 to 2 classes"):
         EmbeddingSet(
             features=np.zeros((2, 1), dtype=np.float32),
             labels=np.array([0, 1]),

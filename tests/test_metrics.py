@@ -18,7 +18,7 @@ from terank import (
     ZooConfig,
 )
 from terank import metrics
-from terank.errors import SingletonClassError
+from terank.errors import DataError
 from terank.metrics import maximize_evidence
 
 
@@ -148,6 +148,17 @@ def test_logme_non_finite_update_is_logged(caplog):
         "logme fixed point stopped at update 1: the new precisions are not finite"]
 
 
+def test_logme_nan_state_is_logged_not_converged(caplog):
+    # s2 * z^2 overflows, so the state is NaN; NaN fails the 1e-300 guards
+    # and must not pass for a zero relative change
+    with np.errstate(all="ignore"), caplog.at_level("WARNING", logger="terank.metrics"):
+        ev, trace = metrics._evidence_fixed_point(
+            np.array([1e300]), np.array([1e150]), 1e150**2, 4, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "logme fixed point stopped at update 1: the new precisions are not finite"]
+    assert math.isnan(ev) and len(trace) == 2
+
+
 # --- gbc ---------------------------------------------------------------------
 
 def test_gbc_identically_drawn_classes_score_near_minus_one():
@@ -215,7 +226,7 @@ def test_gbc_singleton_class_names_the_class():
         labels=np.array([0, 0, 1]),
         class_count=2,
     )
-    with pytest.raises(SingletonClassError) as err:
+    with pytest.raises(DataError, match="single sample; gbc needs") as err:
         score_gbc(ds)
     assert "class 1" in str(err.value)
 

@@ -10,7 +10,6 @@ from terank import (
     PerturbConfig,
     PerturbMode,
     attract,
-    class_centroid,
     class_geometry,
     class_radius,
     fit_pca,
@@ -19,7 +18,7 @@ from terank import (
     spread,
     transform,
 )
-from terank.errors import ValidationError
+from terank.errors import DataError
 
 
 def make_set(features, labels, classes):
@@ -30,18 +29,7 @@ def make_set(features, labels, classes):
     )
 
 
-# --- centroid / radius -------------------------------------------------------
-
-def test_centroid_examples():
-    assert class_centroid([[0.0, 0.0], [2.0, 0.0]]).tolist() == [1.0, 0.0]
-    assert class_centroid([[3.5, -1.0]]).tolist() == [3.5, -1.0]
-    assert class_centroid([[0, 0], [1, 0], [2, 3]]).tolist() == [1.0, 1.0]
-
-
-def test_centroid_rejects_empty():
-    with pytest.raises(ValidationError):
-        class_centroid(np.empty((0, 2)))
-
+# --- radius ------------------------------------------------------------------
 
 def test_radius_examples():
     assert class_radius([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0]) == 1.0
@@ -221,9 +209,9 @@ def test_default_config_values():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="alpha must be >= 0"):
         PerturbConfig(alpha=-0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="sigma must be >= 0"):
         PerturbConfig(sigma=-1.0)
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from terank import EmbeddingSet, fit_pca, gen_class_gaussians, transform
-from terank.errors import DegenerateDataError, ValidationError
+from terank.errors import DataError
 
 
 def make_set(features, labels=None, classes=2):
@@ -99,7 +99,7 @@ def test_variance_never_increases():
 
 def test_identical_rows_are_degenerate():
     ds = make_set(np.ones((5, 3)))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DataError, match="features carry no variance"):
         fit_pca(ds)
 
 
@@ -143,13 +143,13 @@ def test_rank_is_clamped():
 
 def test_energy_and_rank_are_exclusive():
     ds = gaussian_cloud(10, 4, 37)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="either an energy target or a rank"):
         fit_pca(ds, energy=0.5, rank=2)
 
 
 def test_dimension_mismatch():
     model = fit_pca(gaussian_cloud(10, 4, 41))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="feature dimension 5 does not match"):
         transform(model, gaussian_cloud(10, 5, 41))
 
 

@@ -9,9 +9,8 @@ from terank import (
     gen_model_zoo,
     nearest_centroid_accuracy,
     save_emb1,
-    splitmix64_stream,
 )
-from terank.errors import ValidationError
+from terank.errors import DataError
 from terank.synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME
 
 
@@ -30,7 +29,7 @@ def zoo_config(**overrides):
 
 
 def test_stream_first_output():
-    assert next(splitmix64_stream(0)) == 0xE220A8397B1DCDAF
+    assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
 
 
 def test_generation_order_is_class_major_dimension_minor():
@@ -149,9 +148,9 @@ def test_oracle_accuracy_bounded_by_chance_and_one():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="need models >= 2"):
         zoo_config(models=1, rhos=(1.0,), noises=(1.0,))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="one value per model"):
         zoo_config(rhos=(1.0, 2.0))  # wrong length
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="values must be > 0"):
         zoo_config(noises=(0.0, 1.0, 1.0, 1.0))
