@@ -107,7 +107,7 @@ def _common_options(fn):
 
 _jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
                             show_default=True,
-                            help="Max models scored concurrently.")
+                            help="Max models loaded and scored at once.")
 
 
 def _scoring_options(command):
@@ -187,6 +187,9 @@ def _semantic_digest(payload: dict) -> str:
 
 
 def _resolve_inputs(inputs: tuple[Path, ...]) -> list[Path]:
+    """Expand directories to their .emb1 files, in order. Two files with
+    the same model id (the file stem) are a data error, raised before any
+    file loads."""
     files: list[Path] = []
     for item in inputs:
         if item.is_dir():
@@ -198,6 +201,12 @@ def _resolve_inputs(inputs: tuple[Path, ...]) -> list[Path]:
             files.append(item)
     if not files:
         raise DataError("no embedding inputs given")
+    seen: dict[str, Path] = {}
+    for path in files:
+        if path.stem in seen:
+            raise DataError(f"model id {path.stem!r} given twice: "
+                            f"{seen[path.stem]} and {path}")
+        seen[path.stem] = path
     return files
 
 
@@ -253,36 +262,60 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     return [_check_finite(v, flag, 0) for v in values]
 
 
-def _score_records(
-    sets: list[EmbeddingSet],
+def _map_models(files: list[Path], label_col: str, jobs: int, fn):
+    """Run `fn(index, ds)` on each input file's set, `jobs` models at a
+    time; return the results in input order and the summed per-model load
+    seconds.
+
+    Each task loads its own set and keeps only what `fn` returns, so at
+    most `jobs` sets are in memory at once. A corrupt input is found when
+    its turn comes, and the first failing model in input order raises its
+    error.
+    """
+    def task(index: int):
+        # np.errstate is per thread: pool workers do not inherit the
+        # command's setting from _handle_errors
+        with np.errstate(all="ignore"):
+            start = time.perf_counter()
+            ds = _load_set(files[index], label_col)
+            load_s = time.perf_counter() - start
+            return load_s, fn(index, ds)
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = list(pool.map(task, range(len(files))))
+    return [result for _, result in done], sum(load_s for load_s, _ in done)
+
+
+def _model_scorer(
     metric_names: tuple[str, ...],
     configs: list[PerturbConfig],
     pca_energy: float | None,
     pca_rank: int | None,
     seed: int,
-    jobs: int,
     nleep_k: int | None,
     lda_eps: float,
-) -> list[ScoreRecord]:
-    """Score every (model, config, metric) cell, in that order; parallel
-    across models.
+):
+    """`fn(index, ds)` for `_map_models` that scores one model in
+    (config, metric) order. Each model gets its own derived seed, so the
+    records are independent of the job count."""
+    def run(index: int, ds: EmbeddingSet) -> list[ScoreRecord]:
+        return score_model(
+            ds, metric_names, configs,
+            energy=pca_energy, rank=pca_rank, seed=seed ^ index,
+            nleep_components=nleep_k, eps_scale=lda_eps,
+        )
 
-    The result order and values are independent of the job count: each
-    model gets its own derived seed and a deterministic task.
-    """
-    def run_model(index: int) -> list[ScoreRecord]:
-        # np.errstate is per thread: pool workers do not inherit the
-        # command's setting from _handle_errors
-        with np.errstate(all="ignore"):
-            return score_model(
-                sets[index], metric_names, configs,
-                energy=pca_energy, rank=pca_rank, seed=seed ^ index,
-                nleep_components=nleep_k, eps_scale=lda_eps,
-            )
+    return run
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        nested = list(pool.map(run_model, range(len(sets))))
-    return [rec for group in nested for rec in group]
+
+def _score_records(
+    files: list[Path], label_col: str, jobs: int, scorer
+) -> tuple[list[ScoreRecord], float]:
+    """Score every (model, config, metric) cell, in that order, streaming
+    the models through `_map_models`; also return the summed per-model
+    load seconds."""
+    groups, load_s = _map_models(files, label_col, jobs, scorer)
+    return [rec for group in groups for rec in group], load_s
 
 
 def _emit(fmt: str | None, doc: dict, csv_rows: list[list],
@@ -395,17 +428,13 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     """Score models: one record per (model, metric, mode)."""
     files = _resolve_inputs(inputs)
     t0 = time.perf_counter()
-    sets = [_load_set(p, label_col) for p in files]
-    load_s = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    records = _score_records(
-        sets, metric_names,
+    records, load_s = _score_records(files, label_col, jobs, _model_scorer(
+        metric_names,
         [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
                        attract_direction=attract_dir) for mode in modes],
-        pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
-    )
-    score_s = time.perf_counter() - t1
+        pca_energy, pca_rank, seed, nleep_k, lda_eps,
+    ))
+    total_s = time.perf_counter() - t0
 
     manifest = _manifest(
         "score",
@@ -421,7 +450,7 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     )
     manifest["runtime"] = {
         "jobs": jobs,
-        "timings": {"load_s": load_s, "score_s": score_s},
+        "timings": {"load_s": load_s, "total_s": total_s},
     }
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
     if out is not None:
@@ -564,17 +593,16 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
     alphas = _parse_grid(alpha_grid, "--alpha-grid")
     sigmas = _parse_grid(sigma_grid, "--sigma-grid")
     files = _resolve_inputs(inputs)
-    sets = [_load_set(p, label_col) for p in files]
     truth = load_truth(truth_path) if truth_path else load_bundled_truth()
 
     t0 = time.perf_counter()
     cells = [(a, sigma) for a in alphas] + [(alpha, s) for s in sigmas]
-    records = _score_records(
-        sets, metric_names,
+    records, _ = _score_records(files, label_col, jobs, _model_scorer(
+        metric_names,
         [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
          for a, s_val in cells],
-        pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
-    )
+        pca_energy, pca_rank, seed, nleep_k, lda_eps,
+    ))
     # records run model by model, each in (cell, metric) order
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for i, rec in enumerate(records):
@@ -637,23 +665,29 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     """Wall-time comparison per metric: raw features (no reduction, no
     perturbation) against each requested pipeline mode."""
     files = _resolve_inputs(inputs)
-    sets = [_load_set(p, label_col) for p in files]
-
-    timings: dict[tuple[str, str], float] = {}
-    for name in metric_names:
-        t0 = time.perf_counter()
-        for index, ds in enumerate(sets):
-            score_metric(ds, MetricId(name), seed=seed ^ index,
-                         nleep_components=nleep_k, eps_scale=lda_eps)
-        timings[(name, "raw")] = time.perf_counter() - t0
-    for rec in _score_records(
-        sets, metric_names,
+    scorer = _model_scorer(
+        metric_names,
         [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
                        attract_direction=attract_dir) for mode in modes],
-        pca_energy, pca_rank, seed, jobs, nleep_k, lda_eps,
-    ):
-        key = (rec.metric, rec.mode)
-        timings[key] = timings.get(key, 0.0) + rec.wall_time_s
+        pca_energy, pca_rank, seed, nleep_k, lda_eps,
+    )
+
+    def run(index: int, ds: EmbeddingSet) -> list[tuple[tuple[str, str], float]]:
+        # raw metrics, then the pipeline, on the same loaded set, so both
+        # are timed under the same concurrency
+        cells = []
+        for name in metric_names:
+            t0 = time.perf_counter()
+            score_metric(ds, MetricId(name), seed=seed ^ index,
+                         nleep_components=nleep_k, eps_scale=lda_eps)
+            cells.append(((name, "raw"), time.perf_counter() - t0))
+        return cells + [((rec.metric, rec.mode), rec.wall_time_s)
+                        for rec in scorer(index, ds)]
+
+    timings: dict[tuple[str, str], float] = {}
+    for cells in _map_models(files, label_col, jobs, run)[0]:
+        for key, t in cells:
+            timings[key] = timings.get(key, 0.0) + t
 
     rows = []
     for name in metric_names:

@@ -101,6 +101,11 @@ def spread(ds: EmbeddingSet, geometry: ClassGeometry) -> EmbeddingSet:
     diff = x - geometry.centroids[ds.labels]
     norms = np.linalg.norm(diff, axis=1)
     moved = norms > _DEGENERATE_NORM
+    if moved.all():
+        # the common case, formed inside diff: no copy of x, no masks
+        diff /= norms[:, None]
+        diff += x
+        return ds.with_features(diff)
     out = x.copy()
     out[moved] += diff[moved] / norms[moved, None]
     return ds.with_features(out)
@@ -167,6 +172,10 @@ def sa_perturb(
     the configs share run once: PCA fit and transform, spread, and the
     class geometry of each base set. `seconds` sums the stages the set
     depends on, each timed once.
+
+    Memory per model: the caller's `raw` set, the reduced set, the spread
+    set when a config spreads, and one attracted copy. The CLI streams
+    its pool, so at most `--jobs` models hold these at once.
     """
     modes = {cfg.mode for cfg in configs}
     reduced, reduce_s = _timed(

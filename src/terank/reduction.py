@@ -86,6 +86,7 @@ def fit_pca(
         if pos.any():
             scale = np.sqrt(n * evals[pos])
             comps[pos] = (xc.T @ u[:, pos] / scale).T
+    del xc  # before the x * x temporary below
 
     evals = np.maximum(evals, 0.0)
     total = float(evals.sum())
@@ -128,5 +129,6 @@ def transform(model: PcaModel, ds: EmbeddingSet) -> EmbeddingSet:
             f"feature dimension {ds.feature_dim} does not match "
             f"model dimension {model.components.shape[1]}"
         )
-    x = np.asarray(ds.features, dtype=np.float64)
-    return ds.with_features((x - model.mean) @ model.components.T)
+    x = np.array(ds.features, dtype=np.float64)  # a copy: centered in place
+    x -= model.mean
+    return ds.with_features(x @ model.components.T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import DataError
+from .errors import DataError, NumericError
 from .evaluation import TruthTable
 from .rng import SplitMix64
 
@@ -112,16 +112,23 @@ def _gen_one_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     )
     train = _draw_points(rng, centroids, cfg.per_class, cfg.noises[m])
     test = _draw_points(rng, centroids, cfg.per_class, cfg.noises[m])
+    train, test = train.astype(np.float32), test.astype(np.float32)
+    # finite flags can still overflow the draws or their float32 cast
+    if not (np.isfinite(train).all() and np.isfinite(test).all()):
+        raise NumericError(
+            f"model-{m:02d}: generated features are not finite in float32 "
+            f"(rho {cfg.rhos[m]:g}, noise {cfg.noises[m]:g})"
+        )
     labels = np.repeat(np.arange(cfg.classes, dtype=np.int64), cfg.per_class)
     ds = EmbeddingSet(
-        features=train.astype(np.float32),
+        features=train,
         labels=labels,
         class_count=cfg.classes,
         model_id=f"model-{m:02d}",
         dataset_id=SYNTH_DATASET,
     )
     acc = nearest_centroid_accuracy(
-        ds.features, labels, test.astype(np.float32), labels, cfg.classes
+        ds.features, labels, test, labels, cfg.classes
     )
     return ds, 100.0 * acc
 

@@ -261,20 +261,28 @@ def test_synth_model_count_exit_codes(tmp_path, count, code):
 
 
 def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):
-    # the centroid scale overflows in the generator's worker threads; they
-    # run under the command's errstate, so no numpy warning reaches stderr
-    stderr = {}
-    for jobs in ("1", "2"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = CliRunner().invoke(main, [
-                "synth", "--models", "2", "--rho-range", "1e308:1e308",
-                "--jobs", jobs, "--out", str(tmp_path / f"zoo{jobs}")])
-        assert result.exit_code == 3, result.output
-        assert result.stdout == ""
-        stderr[jobs] = result.stderr
-    assert stderr["1"] == stderr["2"] == (
-        "data error: non-finite feature value at flat index 0\n")
+    # finite flags whose draws overflow, in float64 or only in the float32
+    # cast, are a numeric failure (exit 4) before --out is created. The
+    # generator's worker threads run under the command's errstate, so no
+    # numpy warning reaches stderr
+    for flags in (["--rho-range", "1e308:1e308"], ["--rho-range", "1e39:1e39"],
+                  ["--noise-range", "1e39:1e39"]):
+        stderr = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"zoo{jobs}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = CliRunner().invoke(main, [
+                    "synth", "--models", "2", *flags, "--jobs", jobs,
+                    "--out", str(out)])
+            assert result.exit_code == 4, (flags, result.output)
+            assert result.stdout == ""
+            assert not out.exists()
+            stderr[jobs] = result.stderr
+        assert stderr["1"] == stderr["2"], flags
+        lines = stderr["1"].splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("numeric failure: model-00: "), lines
 
 
 def test_score_non_utf8_csv_is_data_error(tmp_path):
@@ -516,21 +524,22 @@ def test_sweep_repeated_metric_matches_single_flag(zoo_dir):
 
 
 def test_bench_repeated_metric_and_mode_are_timed_once(zoo_dir, monkeypatch):
-    # each raw pass takes one tick of a fake clock and each pipeline
-    # record 1 s, so the sa row sums one record per model: 4 s, ratio 4
+    # each model's raw pass takes one tick of a fake clock and each
+    # pipeline record 2 s, so over 4 models raw sums 4 s and sa one record
+    # per model, 8 s: ratio 2. A cell timed twice would double its row
     ticks = itertools.count()
     monkeypatch.setattr(cli, "time",
                         type("Clock", (), {"perf_counter": lambda: float(next(ticks))}))
     score_model = cli.score_model
     monkeypatch.setattr(cli, "score_model", lambda *args, **kwargs: [
-        dataclasses.replace(rec, wall_time_s=1.0)
+        dataclasses.replace(rec, wall_time_s=2.0)
         for rec in score_model(*args, **kwargs)])
     rows = json.loads(run_ok(["bench", "--input", str(zoo_dir), "--metric", "gbc",
                               "--metric", "gbc", "--mode", "sa", "--mode", "sa",
                               "--format", "json"]).stdout)["rows"]
     assert rows == [
-        {"metric": "gbc", "mode": "raw", "wall_time_s": 1.0, "ratio_vs_raw": 1.0},
-        {"metric": "gbc", "mode": "sa", "wall_time_s": 4.0, "ratio_vs_raw": 4.0},
+        {"metric": "gbc", "mode": "raw", "wall_time_s": 4.0, "ratio_vs_raw": 1.0},
+        {"metric": "gbc", "mode": "sa", "wall_time_s": 8.0, "ratio_vs_raw": 2.0},
     ]
 
 

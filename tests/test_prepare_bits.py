@@ -1,0 +1,122 @@
+"""The prepare stages allocate less than their first formulas did, but
+must give the same bits: `transform` centers a copy in place, `fit_pca`
+frees the centered copy early, and `spread` forms its output inside the
+displacement array when every sample moves. Each is compared byte for
+byte with the formula it replaced."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from terank import EmbeddingSet, class_geometry, fit_pca, spread, transform
+from terank.reduction import DEFAULT_ENERGY
+
+
+@st.composite
+def embedding_sets(draw):
+    n = draw(st.integers(3, 40))
+    d = draw(st.integers(1, 48))  # d > n reaches fit_pca's Gram branch
+    classes = draw(st.integers(2, min(4, n)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * scale + rng.normal(size=d) * scale
+    labels = np.arange(n) % classes
+    return EmbeddingSet(features=x.astype(dtype), labels=labels,
+                        class_count=classes)
+
+
+def on_centroid_set(dtype):
+    # class 0's middle sample sits exactly on its centroid, so spread
+    # takes the masked path that leaves it in place
+    x = np.array([[-1.0, 2.0], [0.0, 2.0], [1.0, 2.0],
+                  [4.0, -1.0], [5.0, 0.5], [7.0, 3.0]])
+    return EmbeddingSet(features=x.astype(dtype), labels=[0, 0, 0, 1, 1, 1],
+                        class_count=2)
+
+
+def old_fit_pca(ds, energy=None, rank=None):
+    """fit_pca's body before it freed the centered copy early."""
+    if energy is None and rank is None:
+        energy = DEFAULT_ENERGY
+    x = np.asarray(ds.features, dtype=np.float64)
+    n, d = x.shape
+    mean = x.mean(axis=0)
+    xc = x - mean
+    max_rank = min(n - 1, d)
+    if d <= n:
+        evals, evecs = np.linalg.eigh((xc.T @ xc) / n)
+        evals = evals[::-1][:max_rank]
+        comps = evecs[:, ::-1][:, :max_rank].T
+    else:
+        evals, evecs = np.linalg.eigh((xc @ xc.T) / n)
+        evals = evals[::-1][:max_rank]
+        u = evecs[:, ::-1][:, :max_rank]
+        comps = np.zeros((max_rank, d))
+        pos = evals > 0
+        if pos.any():
+            comps[pos] = (xc.T @ u[:, pos] / np.sqrt(n * evals[pos])).T
+    evals = np.maximum(evals, 0.0)
+    total = float(evals.sum())
+    n_eff = int(np.count_nonzero(evals > evals[0] * 1e-12))
+    ratios = np.cumsum(evals) / total
+    if rank is not None:
+        k = min(rank, max_rank, n_eff)
+    else:
+        k = min(int(np.searchsorted(ratios, energy - 1e-12, side="left")) + 1, n_eff)
+    comps = comps[:k].copy()
+    for row in comps:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1.0
+    return mean, comps, evals[:k].copy(), min(float(ratios[k - 1]), 1.0)
+
+
+def old_spread(ds, geometry):
+    x = np.asarray(ds.features, dtype=np.float64)
+    diff = x - geometry.centroids[ds.labels]
+    norms = np.linalg.norm(diff, axis=1)
+    moved = norms > 1e-12
+    out = x.copy()
+    out[moved] += diff[moved] / norms[moved, None]
+    return out
+
+
+def assert_same_bits(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def check_stages(ds, pca_kwargs):
+    model = fit_pca(ds, **pca_kwargs)
+    mean, comps, evals, energy = old_fit_pca(ds, **pca_kwargs)
+    for new, old in ((model.mean, mean), (model.components, comps),
+                     (model.eigenvalues, evals)):
+        assert_same_bits(new, old)
+    assert model.energy_retained == energy
+
+    x = np.asarray(ds.features, dtype=np.float64)
+    reduced = transform(model, ds)
+    assert_same_bits(reduced.features, (x - model.mean) @ model.components.T)
+
+    for base in (ds, reduced):
+        geom = class_geometry(base)
+        assert_same_bits(spread(base, geom).features, old_spread(base, geom))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=embedding_sets(),
+       pca_kwargs=st.sampled_from([{}, {"energy": 0.5}, {"energy": 1.0},
+                                   {"rank": 1}, {"rank": 3}]))
+def test_prepare_stages_match_their_old_formulas(ds, pca_kwargs):
+    check_stages(ds, pca_kwargs)
+
+
+def test_spread_on_centroid_sample_matches_old_formula():
+    for dtype in (np.float32, np.float64):
+        ds = on_centroid_set(dtype)
+        geom = class_geometry(ds)
+        out = spread(ds, geom).features
+        assert_same_bits(out, old_spread(ds, geom))
+        assert out[1].tolist() == [0.0, 2.0]  # left on its centroid
+        check_stages(ds, {"energy": 1.0})
