@@ -52,5 +52,6 @@ from .synth import (  # noqa: F401
     ZooConfig,
     gen_class_gaussians,
     gen_model_zoo,
+    gen_zoo_model,
     nearest_centroid_accuracy,
 )

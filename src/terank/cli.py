@@ -5,13 +5,16 @@ Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import io
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +35,7 @@ from .evaluation import (
 )
 from .metrics import MetricId, ScoreRecord, score_metric, score_model
 from .perturbation import PerturbConfig, PerturbMode
-from .synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, ZooConfig, gen_model_zoo
+from .synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, ZooConfig, gen_zoo_model
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -262,27 +265,62 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     return [_check_finite(v, flag, 0) for v in values]
 
 
-def _map_models(files: list[Path], label_col: str, jobs: int, fn):
-    """Run `fn(index, ds)` on each input file's set, `jobs` models at a
-    time; return the results in input order and the summed per-model load
-    seconds.
+@contextlib.contextmanager
+def _all_or_nothing(out: Path):
+    """Create directory `out` and yield a fresh staging directory inside
+    it for the block to write into. When the block succeeds, move each
+    staged file into `out`, replacing any file of the same name. When it
+    raises, remove the staging directory, then `out` and each parent this
+    call created while they are empty, and re-raise: a failed command
+    leaves `out` as it found it."""
+    created = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    try:
+        yield stage
+        for path in stage.iterdir():
+            path.replace(out / path.name)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for directory in created:  # deepest first
+            try:
+                directory.rmdir()
+            except OSError:  # it holds files this run did not write
+                break
+        raise
+    stage.rmdir()
 
-    Each task loads its own set and keeps only what `fn` returns, so at
-    most `jobs` sets are in memory at once. A corrupt input is found when
-    its turn comes, and the first failing model in input order raises its
-    error.
+
+def _pool_map(count: int, jobs: int, task) -> list:
+    """Run `task(index)` for every index in range(count), `jobs` at a
+    time, and return the results in index order.
+
+    This is the one pool of the commands. A task keeps only what it
+    returns, so at most `jobs` models' data are alive at once. The first
+    failing index raises its error, after every started task has ended.
     """
-    def task(index: int):
+    def run(index: int):
         # np.errstate is per thread: pool workers do not inherit the
         # command's setting from _handle_errors
         with np.errstate(all="ignore"):
-            start = time.perf_counter()
-            ds = _load_set(files[index], label_col)
-            load_s = time.perf_counter() - start
-            return load_s, fn(index, ds)
+            return task(index)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        done = list(pool.map(task, range(len(files))))
+        return list(pool.map(run, range(count)))
+
+
+def _map_models(files: list[Path], label_col: str, jobs: int, fn):
+    """Run `fn(index, ds)` on each input file's set through `_pool_map`;
+    return the results in input order and the summed per-model load
+    seconds. Each task loads its own set, so a corrupt input is found
+    when its turn comes."""
+    def task(index: int):
+        start = time.perf_counter()
+        ds = _load_set(files[index], label_col)
+        load_s = time.perf_counter() - start
+        return load_s, fn(index, ds)
+
+    done = _pool_map(len(files), jobs, task)
     return [result for _, result in done], sum(load_s for load_s, _ in done)
 
 
@@ -350,9 +388,12 @@ def main():
 @main.command()
 @click.option("--models", type=click.IntRange(min=0), default=8,
               show_default=True)
-@click.option("--classes", type=int, default=4, show_default=True)
-@click.option("--per-class", type=int, default=100, show_default=True)
-@click.option("--dim", type=int, default=16, show_default=True)
+@click.option("--classes", type=click.IntRange(min=0), default=4,
+              show_default=True)
+@click.option("--per-class", type=click.IntRange(min=0), default=100,
+              show_default=True)
+@click.option("--dim", type=click.IntRange(min=0), default=16,
+              show_default=True)
 @click.option("--rho-range", default="2:10", show_default=True,
               help="Centroid scale a:b, linearly spaced across models.")
 @click.option("--noise-range", default="1:1", show_default=True,
@@ -376,14 +417,6 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         seed=seed,
     )
     t0 = time.perf_counter()
-    sets, truth = gen_model_zoo(cfg, jobs=jobs)
-    out.mkdir(parents=True, exist_ok=True)
-    for ds in sets:
-        save_emb1(ds, out / f"{ds.model_id}.emb1")
-    (out / "truth.csv").write_text(_csv_text(
-        [["model", "dataset", "regime", "pool", "accuracy"]]
-        + [[*key, repr(truth.records[key])] for key in sorted(truth.records)]
-    ), newline="")
     manifest = _manifest(
         "synth",
         {
@@ -393,16 +426,26 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         },
         [],
     )
-    manifest["runtime"] = {
-        "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
-    }
-    (out / "manifest.json").write_text(_json_text(manifest))
+    with _all_or_nothing(out) as stage:
+        def task(m: int) -> tuple[str, float]:
+            # the set is freed when the task returns: only its accuracy stays
+            ds, acc = gen_zoo_model(cfg, m)
+            save_emb1(ds, stage / f"{ds.model_id}.emb1")
+            return ds.model_id, acc
+
+        accuracies = _pool_map(models, jobs, task)
+        (stage / "truth.csv").write_text(_csv_text(
+            [["model", "dataset", "regime", "pool", "accuracy"]]
+            + [[model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL, repr(acc)]
+               for model_id, acc in sorted(accuracies)]
+        ), newline="")
+        manifest["runtime"] = {
+            "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
+        }
+        (stage / "manifest.json").write_text(_json_text(manifest))
     header = ["model", "rho", "noise", "oracle_accuracy"]
-    rows = [
-        [ds.model_id, cfg.rhos[i], cfg.noises[i],
-         truth.records[(ds.model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL)]]
-        for i, ds in enumerate(sets)
-    ]
+    rows = [[model_id, cfg.rhos[i], cfg.noises[i], acc]
+            for i, (model_id, acc) in enumerate(accuracies)]
     _emit(
         fmt,
         {"manifest": manifest, "models": [dict(zip(header, row)) for row in rows]},
@@ -411,7 +454,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         [["model", "rho", "noise", "oracle_acc_%"]]
         + [[m, f"{rho:.3f}", f"{noise:.3f}", f"{acc:.2f}"]
            for m, rho, noise, acc in rows],
-        notes=(f"wrote {len(sets)} embedding sets + truth.csv to {out}",),
+        notes=(f"wrote {len(rows)} embedding sets + truth.csv to {out}",),
     )
 
 

@@ -6,7 +6,6 @@ on any platform.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +49,14 @@ class ZooConfig:
 def _draw_points(
     rng: SplitMix64, centroids: np.ndarray, per_class: int, noise: float
 ) -> np.ndarray:
+    # noise * g + centroid, formed in the draw's own buffer: the sum is
+    # commutative, so the bits equal repeat(centroids) + noise * g
     classes, dim = centroids.shape
-    g = rng.gaussians(classes * per_class * dim).reshape(classes * per_class, dim)
-    return np.repeat(centroids, per_class, axis=0) + noise * g
+    g = rng.gaussians(classes * per_class * dim)
+    g *= noise
+    points = g.reshape(classes, per_class, dim)
+    points += centroids[:, None, :]
+    return points.reshape(classes * per_class, dim)
 
 
 def gen_class_gaussians(
@@ -105,7 +109,17 @@ def nearest_centroid_accuracy(
     return float(np.mean(np.argmin(d2, axis=1) == test_labels))
 
 
-def _gen_one_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
+def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
+    """Generate model m of the zoo: its embedding set and its oracle
+    accuracy in percent.
+
+    The model uses the stream seeded with seed XOR m: centroids, then the
+    training draw, then a fresh held-out draw of the same size. Its
+    "fine-tuning accuracy" is the held-out nearest-centroid accuracy.
+    Models share no state, so they can be generated in any order or
+    concurrently with identical output. Raises NumericError when the
+    draws or their float32 cast overflow.
+    """
     rng = SplitMix64(cfg.seed ^ m)
     centroids = cfg.rhos[m] * rng.gaussians(cfg.classes * cfg.dim).reshape(
         cfg.classes, cfg.dim
@@ -133,35 +147,17 @@ def _gen_one_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     return ds, 100.0 * acc
 
 
-def gen_model_zoo(
-    cfg: ZooConfig, jobs: int = 1
-) -> tuple[list[EmbeddingSet], TruthTable]:
-    """Generate one embedding set per model plus oracle ground truth.
+def gen_model_zoo(cfg: ZooConfig) -> tuple[list[EmbeddingSet], TruthTable]:
+    """Generate every model of the zoo in order with `gen_zoo_model`, and
+    the oracle truth table of their accuracies under the synthetic
+    regime/pool.
 
-    Model m uses the stream seeded with seed XOR m: centroids, then the
-    training draw, then a fresh held-out draw of the same size. Its
-    "fine-tuning accuracy" is the held-out nearest-centroid accuracy (in
-    percent), stored under the synthetic regime/pool. Models have
-    independent streams, so `jobs` > 1 generates them concurrently with
-    output identical to the sequential run. The workers run under the
-    caller's floating-point error settings, which threads do not inherit.
-    `jobs` = 1 runs on the calling thread, which keeps the draws inside
-    this call for per-thread profilers such as zoobench's span tracer.
+    All the sets are held at once; `terank synth` instead writes each
+    model's file as soon as it is generated.
     """
-    if jobs > 1:
-        errors = np.geterr()
-
-        def run(m: int) -> tuple[EmbeddingSet, float]:
-            with np.errstate(**errors):
-                return _gen_one_model(cfg, m)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(cfg.models)))
-    else:
-        results = [_gen_one_model(cfg, m) for m in range(cfg.models)]
-    sets = [ds for ds, _ in results]
+    results = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
     records = {
         (ds.model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL): acc
         for ds, acc in results
     }
-    return sets, TruthTable(records=records)
+    return [ds for ds, _ in results], TruthTable(records=records)

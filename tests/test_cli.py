@@ -260,6 +260,17 @@ def test_synth_model_count_exit_codes(tmp_path, count, code):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("value,code", [("-2", 2), ("0", 3), ("1", 3)])
+@pytest.mark.parametrize("flag", ["--classes", "--per-class", "--dim"])
+def test_synth_size_exit_codes(tmp_path, flag, value, code):
+    # a negative size is a usage error; 0 and 1 reach ZooConfig's check
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, ["synth", flag, value, "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):
     # finite flags whose draws overflow, in float64 or only in the float32
     # cast, are a numeric failure (exit 4) before --out is created. The
@@ -382,6 +393,26 @@ def test_jobs_do_not_change_scores(zoo_dir, tmp_path):
     a = strip_timing(json.loads(out_a.read_text()))
     b = strip_timing(json.loads(out_b.read_text()))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_synth_jobs_do_not_change_outputs(tmp_path):
+    # models have independent streams, so a pool of 3 writes what 1 does
+    outs, stdout = {}, {}
+    for jobs in ("1", "3"):
+        outs[jobs] = tmp_path / f"zoo{jobs}"
+        result = run_ok(["synth", "--models", "4", "--classes", "3",
+                         "--per-class", "50", "--dim", "6", "--seed", "17",
+                         "--jobs", jobs, "--format", "json",
+                         "--out", str(outs[jobs])])
+        stdout[jobs] = strip_timing(json.loads(result.stdout))
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["3"].iterdir())
+    for name in names:
+        if name != "manifest.json":  # its runtime differs
+            assert (outs["1"] / name).read_bytes() == (outs["3"] / name).read_bytes()
+    assert stdout["1"] == stdout["3"]
+    assert [m["model"] for m in stdout["1"]["models"]] == [
+        f"model-{m:02d}" for m in range(4)]
 
 
 def test_sweep_row_count(zoo_dir, tmp_path):

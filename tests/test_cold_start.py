@@ -1,6 +1,7 @@
 """Cold start: no terank command loads scipy, which is a test-only
-dependency. Source scans also keep scipy imports and error classes
-beyond the two exit-code families out of the package.
+dependency. Source scans also keep scipy imports, error classes beyond
+the two exit-code families, and any thread pool but the CLI's one out of
+the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy into this process.
@@ -147,3 +148,28 @@ def test_every_package_raise_names_an_error_family():
                     and exc.id not in ("DataError", "NumericError")):
                 strays.append(f"{path.name}:{node.lineno} {exc.id}")
     assert strays == []
+
+
+def test_one_thread_pool_in_the_cli_helper():
+    # every command maps its models through cli._pool_map, which sets each
+    # worker's errstate; a second pool would need its own copy of that
+    sites, geterr = [], []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ThreadPoolExecutor":
+                sites.append(f"{path.name}:{where}")
+        if (isinstance(node, ast.Attribute) and node.attr == "geterr") or (
+                isinstance(node, ast.Name) and node.id == "geterr"):
+            geterr.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted((SRC / "terank").rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    assert sites == ["cli.py:_pool_map"]
+    assert geterr == []

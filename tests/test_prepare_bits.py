@@ -1,14 +1,16 @@
-"""The prepare stages allocate less than their first formulas did, but
-must give the same bits: `transform` centers a copy in place, `fit_pca`
-frees the centered copy early, and `spread` forms its output inside the
-displacement array when every sample moves. Each is compared byte for
-byte with the formula it replaced."""
+"""The prepare stages and the zoo draw allocate less than their first
+formulas did, but must give the same bits: `transform` centers a copy in
+place, `fit_pca` frees the centered copy early, `spread` forms its output
+inside the displacement array when every sample moves, and `synth`'s
+`_draw_points` adds the centroids inside the Gaussian draw. Each is
+compared byte for byte with the formula it replaced."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet, class_geometry, fit_pca, spread, transform
+from terank import EmbeddingSet, SplitMix64, class_geometry, fit_pca, spread, transform
 from terank.reduction import DEFAULT_ENERGY
+from terank.synth import _draw_points
 
 
 @st.composite
@@ -120,3 +122,34 @@ def test_spread_on_centroid_sample_matches_old_formula():
         assert_same_bits(out, old_spread(ds, geom))
         assert out[1].tolist() == [0.0, 2.0]  # left on its centroid
         check_stages(ds, {"energy": 1.0})
+
+
+def old_draw_points(rng, centroids, per_class, noise):
+    """_draw_points before it formed the sum inside the draw."""
+    classes, dim = centroids.shape
+    g = rng.gaussians(classes * per_class * dim).reshape(classes * per_class, dim)
+    return np.repeat(centroids, per_class, axis=0) + noise * g
+
+
+@settings(max_examples=80, deadline=None)
+@given(classes=st.integers(1, 5),
+       # 3 x 1367 x 3 = 12303 draws: odd, and past one 8192-draw fill block
+       per_class=st.one_of(st.integers(0, 7), st.just(1367)),
+       dim=st.integers(1, 7),
+       lead=st.integers(0, 3),  # an odd lead leaves a Box-Muller spare pending
+       seed=st.integers(0, 2**64 - 1),
+       rho=st.sampled_from([1e-3, 1.0, 1e3]),
+       noise=st.sampled_from([1e-300, 1e-9, 0.5, 1.0, 3.0, 1e9, 1e300]))
+def test_draw_points_matches_old_formula(classes, per_class, dim, lead, seed,
+                                         rho, noise):
+    def draw(fn):
+        rng = SplitMix64(seed)
+        rng.gaussians(lead)
+        centroids = rho * rng.gaussians(classes * dim).reshape(classes, dim)
+        with np.errstate(over="ignore"):  # 1e300 x a large draw is inf in both
+            points = fn(rng, centroids, per_class, noise)
+        return points, rng.gaussians(3)  # the stream state after the draw
+
+    (new, after_new), (old, after_old) = draw(_draw_points), draw(old_draw_points)
+    assert_same_bits(new, old)
+    assert_same_bits(after_new, after_old)

@@ -1,7 +1,9 @@
 """The model pool is streamed: score, sweep and bench load each model
-inside its own task, so at most `--jobs` embedding sets are alive at
-once; inputs are checked for repeated model ids before any file loads,
-and a corrupt input is reported when its turn comes."""
+inside its own task, and synth writes each model's file inside the task
+that generates it, so at most `--jobs` embedding sets are alive at once;
+inputs are checked for repeated model ids before any file loads, a
+corrupt input is reported when its turn comes, and a failed synth leaves
+no partial zoo."""
 import json
 import math
 import shutil
@@ -37,29 +39,35 @@ def command_args(command, zoo):
     }[command]
 
 
-@pytest.fixture
-def live_sets(monkeypatch):
-    """Count the embedding sets that cli's loads return and are still
-    alive, and the most ever alive at once."""
-    counts = {"loads": 0, "live": 0, "max_live": 0}
+def count_live_sets(monkeypatch, name, pick):
+    """Wrap `cli.<name>` to count the embedding sets it returns (`pick`
+    finds the set in its result) and that are still alive, and the most
+    ever alive at once."""
+    counts = {"made": 0, "live": 0, "max_live": 0}
     lock = threading.RLock()  # a finalizer may run inside the locked block
-    load = cli.load_emb1
+    original = getattr(cli, name)
 
     def release():
         with lock:
             counts["live"] -= 1
 
-    def counted_load(*args, **kwargs):
-        ds = load(*args, **kwargs)
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
         with lock:
-            counts["loads"] += 1
+            counts["made"] += 1
             counts["live"] += 1
             counts["max_live"] = max(counts["max_live"], counts["live"])
-        weakref.finalize(ds, release)
-        return ds
+        weakref.finalize(pick(result), release)
+        return result
 
-    monkeypatch.setattr(cli, "load_emb1", counted_load)
+    monkeypatch.setattr(cli, name, counted)
     return counts
+
+
+@pytest.fixture
+def live_sets(monkeypatch):
+    """The sets that cli's EMB1 loads return."""
+    return count_live_sets(monkeypatch, "load_emb1", lambda ds: ds)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -68,9 +76,71 @@ def test_at_most_jobs_sets_are_alive(zoo, live_sets, command, jobs):
     result = CliRunner().invoke(main, command_args(command, zoo) + [
         "--input", str(zoo), "--jobs", str(jobs), "--format", "json"])
     assert result.exit_code == 0, result.output
-    assert live_sets["loads"] == MODELS
+    assert live_sets["made"] == MODELS
     assert 1 <= live_sets["max_live"] <= jobs, live_sets
     assert live_sets["live"] == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_synth_holds_at_most_jobs_sets(tmp_path, monkeypatch, jobs):
+    generated = count_live_sets(monkeypatch, "gen_zoo_model",
+                                lambda result: result[0])
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, [
+        "synth", "--models", str(MODELS), "--classes", "3", "--per-class", "30",
+        "--dim", "6", "--jobs", str(jobs), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert generated["made"] == MODELS
+    assert 1 <= generated["max_live"] <= jobs, generated
+    assert generated["live"] == 0
+    assert len(list(out.glob("*.emb1"))) == MODELS
+
+
+def failing_synth(out, jobs):
+    # model-00 is finite; model-01's rho overflows its float32 cast
+    return CliRunner().invoke(main, [
+        "synth", "--models", "2", "--rho-range", "1:1e39", "--jobs", str(jobs),
+        "--out", str(out)])
+
+
+def assert_one_numeric_failure_at_model_01(result):
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("numeric failure: model-01: "), lines
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_synth_leaves_no_zoo(tmp_path, jobs):
+    out = tmp_path / "new" / "zoo"
+    assert_one_numeric_failure_at_model_01(failing_synth(out, jobs))
+    assert not out.exists()
+    assert not out.parent.exists()  # parents the run created go too
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_synth_keeps_what_out_held_before(tmp_path, jobs):
+    out = tmp_path / "zoo"
+    out.mkdir()
+    (out / "notes.txt").write_text("unrelated\n")
+    assert_one_numeric_failure_at_model_01(failing_synth(out, jobs))
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "unrelated\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_synth_keeps_a_previous_zoo(tmp_path, jobs):
+    # the failing run would overwrite model-00 and truth.csv; it leaves
+    # the zoo already there byte for byte
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "3", "--classes", "2", "--per-class", "5",
+        "--dim", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert_one_numeric_failure_at_model_01(failing_synth(out, jobs))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -106,7 +176,7 @@ def test_repeated_model_id_is_rejected_before_loading(zoo, tmp_path, live_sets,
     lines = result.stderr.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("data error: model id 'model-00' given twice"), lines
-    assert live_sets["loads"] == 0
+    assert live_sets["made"] == 0
     assert not out.exists()
 
 

@@ -78,15 +78,6 @@ def test_zoo_is_deterministic():
     assert truth_a.records == truth_b.records
 
 
-def test_parallel_generation_equals_sequential():
-    sets_a, truth_a = gen_model_zoo(zoo_config(), jobs=1)
-    sets_b, truth_b = gen_model_zoo(zoo_config(), jobs=4)
-    assert [s.model_id for s in sets_a] == [s.model_id for s in sets_b]
-    for a, b in zip(sets_a, sets_b):
-        assert a.features.tobytes() == b.features.tobytes()
-    assert truth_a.records == truth_b.records
-
-
 def test_zoo_training_set_matches_standalone_generator():
     # the zoo's training draw is the prefix of the per-model stream, so it
     # equals gen_class_gaussians for the same parameters
