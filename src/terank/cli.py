@@ -309,51 +309,20 @@ def _pool_map(count: int, jobs: int, task) -> list:
         return list(pool.map(run, range(count)))
 
 
-def _map_models(files: list[Path], label_col: str, jobs: int, fn):
-    """Run `fn(index, ds)` on each input file's set through `_pool_map`;
-    return the results in input order and the summed per-model load
-    seconds. Each task loads its own set, so a corrupt input is found
-    when its turn comes."""
+def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
+    """Run `fn(ds, model_seed)` on each input file's set through
+    `_pool_map`; return the results in input order and the summed
+    per-model load seconds. `model_seed` is `seed` XOR the input's index,
+    so the results are independent of the job count. Each task loads its
+    own set, so a corrupt input is found when its turn comes."""
     def task(index: int):
         start = time.perf_counter()
         ds = _load_set(files[index], label_col)
         load_s = time.perf_counter() - start
-        return load_s, fn(index, ds)
+        return load_s, fn(ds, seed ^ index)
 
     done = _pool_map(len(files), jobs, task)
     return [result for _, result in done], sum(load_s for load_s, _ in done)
-
-
-def _model_scorer(
-    metric_names: tuple[str, ...],
-    configs: list[PerturbConfig],
-    pca_energy: float | None,
-    pca_rank: int | None,
-    seed: int,
-    nleep_k: int | None,
-    lda_eps: float,
-):
-    """`fn(index, ds)` for `_map_models` that scores one model in
-    (config, metric) order. Each model gets its own derived seed, so the
-    records are independent of the job count."""
-    def run(index: int, ds: EmbeddingSet) -> list[ScoreRecord]:
-        return score_model(
-            ds, metric_names, configs,
-            energy=pca_energy, rank=pca_rank, seed=seed ^ index,
-            nleep_components=nleep_k, eps_scale=lda_eps,
-        )
-
-    return run
-
-
-def _score_records(
-    files: list[Path], label_col: str, jobs: int, scorer
-) -> tuple[list[ScoreRecord], float]:
-    """Score every (model, config, metric) cell, in that order, streaming
-    the models through `_map_models`; also return the summed per-model
-    load seconds."""
-    groups, load_s = _map_models(files, label_col, jobs, scorer)
-    return [rec for group in groups for rec in group], load_s
 
 
 def _emit(fmt: str | None, doc: dict, csv_rows: list[list],
@@ -471,12 +440,14 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     """Score models: one record per (model, metric, mode)."""
     files = _resolve_inputs(inputs)
     t0 = time.perf_counter()
-    records, load_s = _score_records(files, label_col, jobs, _model_scorer(
-        metric_names,
-        [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
-                       attract_direction=attract_dir) for mode in modes],
-        pca_energy, pca_rank, seed, nleep_k, lda_eps,
-    ))
+    configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
+                             attract_direction=attract_dir) for mode in modes]
+    groups, load_s = _map_models(
+        files, label_col, jobs, seed,
+        lambda ds, model_seed: score_model(
+            ds, metric_names, configs, energy=pca_energy, rank=pca_rank,
+            seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
+    records = [rec for group in groups for rec in group]
     total_s = time.perf_counter() - t0
 
     manifest = _manifest(
@@ -640,17 +611,18 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
 
     t0 = time.perf_counter()
     cells = [(a, sigma) for a in alphas] + [(alpha, s) for s in sigmas]
-    records, _ = _score_records(files, label_col, jobs, _model_scorer(
-        metric_names,
-        [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
-         for a, s_val in cells],
-        pca_energy, pca_rank, seed, nleep_k, lda_eps,
-    ))
-    # records run model by model, each in (cell, metric) order
+    configs = [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
+               for a, s_val in cells]
+    groups, _ = _map_models(
+        files, label_col, jobs, seed,
+        lambda ds, model_seed: score_model(
+            ds, metric_names, configs, energy=pca_energy, rank=pca_rank,
+            seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
+    # each model's records come in (cell, metric) order
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
-    for i, rec in enumerate(records):
-        cell = i // len(metric_names) % len(cells)
-        by_cell.setdefault((cell, rec.metric), []).append(rec)
+    for group in groups:
+        for i, rec in enumerate(group):
+            by_cell.setdefault((i // len(metric_names), rec.metric), []).append(rec)
     rows = []
     for cell, (cell_alpha, cell_sigma) in enumerate(cells):
         for metric in metric_names:
@@ -708,27 +680,25 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     """Wall-time comparison per metric: raw features (no reduction, no
     perturbation) against each requested pipeline mode."""
     files = _resolve_inputs(inputs)
-    scorer = _model_scorer(
-        metric_names,
-        [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
-                       attract_direction=attract_dir) for mode in modes],
-        pca_energy, pca_rank, seed, nleep_k, lda_eps,
-    )
+    configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
+                             attract_direction=attract_dir) for mode in modes]
 
-    def run(index: int, ds: EmbeddingSet) -> list[tuple[tuple[str, str], float]]:
+    def run(ds: EmbeddingSet, model_seed: int) -> list[tuple[tuple[str, str], float]]:
         # raw metrics, then the pipeline, on the same loaded set, so both
         # are timed under the same concurrency
         cells = []
         for name in metric_names:
             t0 = time.perf_counter()
-            score_metric(ds, MetricId(name), seed=seed ^ index,
+            score_metric(ds, MetricId(name), seed=model_seed,
                          nleep_components=nleep_k, eps_scale=lda_eps)
             cells.append(((name, "raw"), time.perf_counter() - t0))
-        return cells + [((rec.metric, rec.mode), rec.wall_time_s)
-                        for rec in scorer(index, ds)]
+        records = score_model(ds, metric_names, configs, energy=pca_energy,
+                              rank=pca_rank, seed=model_seed,
+                              nleep_components=nleep_k, eps_scale=lda_eps)
+        return cells + [((rec.metric, rec.mode), rec.wall_time_s) for rec in records]
 
     timings: dict[tuple[str, str], float] = {}
-    for cells in _map_models(files, label_col, jobs, run)[0]:
+    for cells in _map_models(files, label_col, jobs, seed, run)[0]:
         for key, t in cells:
             timings[key] = timings.get(key, 0.0) + t
 

@@ -34,7 +34,6 @@ class EmbeddingSet:
     class_count: int
     model_id: str = "unknown"
     dataset_id: str = "unknown"
-    label_map: dict[int, int] | None = None  # original -> dense, CSV only
 
     def __post_init__(self):
         feats = np.asarray(self.features)
@@ -93,7 +92,6 @@ class EmbeddingSet:
                 class_count=self.class_count,
                 model_id=self.model_id,
                 dataset_id=self.dataset_id,
-                label_map=self.label_map,
             )
         except DataError as exc:
             if np.isfinite(features).all():
@@ -112,12 +110,8 @@ def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
     path.write_bytes(header + body)
 
 
-def load_emb1(
-    path: str | Path,
-    model_id: str | None = None,
-    dataset_id: str = "unknown",
-) -> EmbeddingSet:
-    """Parse an EMB1 file; the model id defaults to the file stem."""
+def load_emb1(path: str | Path) -> EmbeddingSet:
+    """Parse an EMB1 file; the model id is the file stem."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -144,19 +138,13 @@ def load_emb1(
         features=feats.reshape(n, d).copy(),
         labels=labels.astype(np.int64),
         class_count=c,
-        model_id=model_id if model_id is not None else path.stem,
-        dataset_id=dataset_id,
+        model_id=path.stem,
     )
 
 
-def load_csv(
-    path: str | Path,
-    label_column: str = "label",
-    model_id: str | None = None,
-    dataset_id: str = "unknown",
-) -> EmbeddingSet:
-    """Load a header CSV. Feature column order is preserved; labels are
-    remapped to a dense [0, C) range with the mapping kept on the set."""
+def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
+    """Load a header CSV; the model id is the file stem. Feature column
+    order is preserved; labels are remapped to a dense [0, C) range."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -205,7 +193,5 @@ def load_csv(
         features=np.asarray(rows, dtype=np.float32),
         labels=np.asarray([remap[v] for v in raw_labels], dtype=np.int64),
         class_count=len(uniq),
-        model_id=model_id if model_id is not None else path.stem,
-        dataset_id=dataset_id,
-        label_map=remap,
+        model_id=path.stem,
     )

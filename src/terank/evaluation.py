@@ -3,7 +3,7 @@ per-run reports, and before/after improvement summaries."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -53,12 +53,6 @@ class TruthTable:
                 f"(dataset={dataset}, regime={regime}, pool={pool})"
             ) from None
 
-    def merged_with(self, other: "TruthTable") -> "TruthTable":
-        dup = set(self.records) & set(other.records)
-        if dup:
-            raise DataError(f"overlapping truth keys: {sorted(dup)[:3]}")
-        return TruthTable(records={**self.records, **other.records})
-
 
 def _check_key(key: tuple[str, str, str, str]) -> None:
     model, dataset, regime, pool = key
@@ -74,27 +68,30 @@ def load_truth(path: str | Path) -> TruthTable:
     """Parse a truth CSV with columns model,dataset,regime,pool,accuracy."""
     path = Path(path)
     with path.open(newline="") as fh:
-        return _parse_truth(csv.DictReader(fh), str(path))
+        return _parse_truth([(csv.DictReader(fh), str(path))])
 
 
-def _parse_truth(reader: Iterable[dict], origin: str) -> TruthTable:
+def _parse_truth(sources: Iterable[tuple[Iterable[dict], str]]) -> TruthTable:
+    """One TruthTable from the rows of each `(reader, origin)` source; a
+    key given twice, in one source or across two, is a data error."""
     needed = {"model", "dataset", "regime", "pool", "accuracy"}
     records: dict[tuple[str, str, str, str], float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not needed <= set(row):
-            raise DataError(
-                f"{origin}: columns {sorted(needed)} required, got {sorted(row)}"
-            )
-        key = (row["model"], row["dataset"], row["regime"], row["pool"])
-        try:
-            acc = float(row["accuracy"])
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{origin}:{lineno}: accuracy {row['accuracy']!r} is not a number"
-            ) from None
-        if key in records:
-            raise DataError(f"{origin}:{lineno}: duplicate key {key}")
-        records[key] = acc
+    for reader, origin in sources:
+        for lineno, row in enumerate(reader, start=2):
+            if not needed <= set(row):
+                raise DataError(
+                    f"{origin}: columns {sorted(needed)} required, got {sorted(row)}"
+                )
+            key = (row["model"], row["dataset"], row["regime"], row["pool"])
+            try:
+                acc = float(row["accuracy"])
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{origin}:{lineno}: accuracy {row['accuracy']!r} is not a number"
+                ) from None
+            if key in records:
+                raise DataError(f"{origin}:{lineno}: duplicate key {key}")
+            records[key] = acc
     return TruthTable(records=records)
 
 
@@ -105,12 +102,12 @@ def bundled_truth_text(pool: str, regime: str) -> str:
 
 
 def load_bundled_truth() -> TruthTable:
-    """All six bundled accuracy tables merged into one TruthTable."""
-    table = TruthTable(records={})
-    for pool, regime in _BUNDLED:
-        rows = csv.DictReader(bundled_truth_text(pool, regime).splitlines())
-        table = table.merged_with(_parse_truth(rows, f"bundled {pool}/{regime}"))
-    return table
+    """All six bundled accuracy tables in one TruthTable."""
+    return _parse_truth(
+        (csv.DictReader(bundled_truth_text(pool, regime).splitlines()),
+         f"bundled {pool}/{regime}")
+        for pool, regime in _BUNDLED
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +185,7 @@ class RankingReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "dataset": self.dataset,
-            "regime": self.regime,
-            "pool": self.pool,
-            "perturb_mode": self.perturb_mode,
-            "weighting": self.weighting,
-            "tau_w": self.tau_w,
-            "models": [
-                {
-                    "id": m.id,
-                    "score": m.score,
-                    "accuracy": m.accuracy,
-                    "pred_rank": m.pred_rank,
-                    "truth_rank": m.truth_rank,
-                }
-                for m in self.models
-            ],
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     def plot_rows(self) -> list[tuple[float, float, str]]:
         """(score, accuracy, model) triples, the regression-plot shape."""
@@ -275,13 +253,7 @@ class ImprovementRow:
     dataset_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "mean_tau_before": self.mean_tau_before,
-            "mean_tau_after": self.mean_tau_after,
-            "improvement_pct": self.improvement_pct,
-            "dataset_count": self.dataset_count,
-        }
+        return asdict(self)
 
 
 def improvement_summary(

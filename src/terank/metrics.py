@@ -58,11 +58,17 @@ def maximize_evidence(
     finite. Returns the final log evidence and its per-iteration trace,
     which is non-decreasing.
     """
-    f = np.asarray(features, dtype=np.float64)
+    u, s2, n, k = _evidence_basis(features)
     y = np.asarray(targets, dtype=np.float64)
-    n, k = f.shape
+    return _evidence_fixed_point(s2, u.T @ y, float(y @ y), n, k)
+
+
+def _evidence_basis(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The left singular vectors and squared singular values of the
+    feature matrix, and its shape: all the fixed point needs of it."""
+    f = np.asarray(features, dtype=np.float64)
     u, s, _ = np.linalg.svd(f, full_matrices=False)
-    return _evidence_fixed_point(s**2, u.T @ y, float(y @ y), n, k)
+    return u, s**2, *f.shape
 
 
 def _evidence_fixed_point(
@@ -119,10 +125,7 @@ def _evidence_fixed_point(
 def score_logme(ds: EmbeddingSet) -> float:
     """Mean over classes of the maximized one-vs-rest log evidence per
     sample. The SVD of the feature matrix is shared across classes."""
-    f = np.asarray(ds.features, dtype=np.float64)
-    n, k = f.shape
-    u, s, _ = np.linalg.svd(f, full_matrices=False)
-    s2 = s**2
+    u, s2, n, k = _evidence_basis(ds.features)
     total = 0.0
     for c in range(ds.class_count):
         y = (ds.labels == c).astype(np.float64)

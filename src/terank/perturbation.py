@@ -101,14 +101,11 @@ def spread(ds: EmbeddingSet, geometry: ClassGeometry) -> EmbeddingSet:
     diff = x - geometry.centroids[ds.labels]
     norms = np.linalg.norm(diff, axis=1)
     moved = norms > _DEGENERATE_NORM
-    if moved.all():
-        # the common case, formed inside diff: no copy of x, no masks
-        diff /= norms[:, None]
-        diff += x
-        return ds.with_features(diff)
-    out = x.copy()
-    out[moved] += diff[moved] / norms[moved, None]
-    return ds.with_features(out)
+    # formed inside diff; the unmoved rows then get their exact bits back
+    np.divide(diff, norms[:, None], out=diff, where=moved[:, None])
+    diff += x
+    diff[~moved] = x[~moved]
+    return ds.with_features(diff)
 
 
 def attract(

@@ -36,6 +36,10 @@ def run_ok(args):
     return result
 
 
+def read_csv(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 def strip_timing(doc):
     """Drop wall-clock fields and execution metadata before comparing."""
     if isinstance(doc, dict):
@@ -55,7 +59,7 @@ def test_synth_writes_zoo(zoo_dir):
         "manifest.json", "model-00.emb1", "model-01.emb1", "model-02.emb1",
         "model-03.emb1", "truth.csv",
     ]
-    rows = list(csv.DictReader((zoo_dir / "truth.csv").open()))
+    rows = read_csv(zoo_dir / "truth.csv")
     assert len(rows) == 4
     assert {r["regime"] for r in rows} == {"synthetic"}
 
@@ -162,7 +166,7 @@ def test_evaluate_produces_reports_and_improvement(zoo_dir, tmp_path):
     assert doc["dataset"] == "synthetic"
     assert len(doc["models"]) == 4
     assert "manifest" in doc
-    plot_rows = list(csv.DictReader((reports / "plot_gbc_sa.csv").open()))
+    plot_rows = read_csv(reports / "plot_gbc_sa.csv")
     assert set(plot_rows[0]) == {"score", "accuracy", "model"}
     imp = json.loads((reports / "improvement_sa.json").read_text())
     assert {row["metric"] for row in imp["rows"]} == {"logme", "gbc", "nleep", "lda"}
@@ -246,7 +250,7 @@ def test_bench_ratio_is_null_when_raw_time_is_zero(zoo_dir, tmp_path, monkeypatc
         ("raw", None), ("none", None)]
     out = tmp_path / "bench.csv"
     run_ok(args + ["--out", str(out)])
-    assert [r["ratio_vs_raw"] for r in csv.DictReader(out.open())] == ["n/a", "n/a"]
+    assert [r["ratio_vs_raw"] for r in read_csv(out)] == ["n/a", "n/a"]
     table = run_ok(args).stdout.splitlines()
     assert [line.split()[-1] for line in table[2:]] == ["n/a", "n/a"]
 
@@ -422,7 +426,7 @@ def test_sweep_row_count(zoo_dir, tmp_path):
             "--metric", "gbc", "--metric", "lda",
             "--alpha-grid", "0.001,0.01", "--sigma-grid", "0.5,0.6,0.7",
             "--seed", "1", "--out", str(out)])
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert len(rows) == 2 * (2 + 3)
     per_metric = {m: 0 for m in ("gbc", "lda")}
     for row in rows:
@@ -475,7 +479,7 @@ def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):
                 "--truth", str(zoo_dir / "truth.csv"), "--metric", "gbc",
                 "--alpha-grid", alpha_grid, "--sigma-grid", sigma_grid,
                 "--seed", "2", "--jobs", "2", "--out", str(sweep_csv)])
-        rows = list(csv.DictReader(sweep_csv.open()))
+        rows = read_csv(sweep_csv)
         assert len(rows) == 2 + alpha_grid.count(",") + sigma_grid.count(",")
         for row in rows:
             scores = tmp_path / "scores.json"
@@ -521,7 +525,7 @@ def test_bench_rows_and_ratio(zoo_dir, tmp_path):
     run_ok(["bench", "--input", str(zoo_dir), "--metric", "gbc",
             "--metric", "nleep", "--mode", "none", "--mode", "sa",
             "--seed", "4", "--out", str(out)])
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     cells = {(r["metric"], r["mode"]) for r in rows}
     assert cells == {
         ("gbc", "raw"), ("gbc", "none"), ("gbc", "sa"),
@@ -579,7 +583,7 @@ def test_sweep_default_grids(zoo_dir, tmp_path):
     run_ok(["sweep", "--input", str(zoo_dir),
             "--truth", str(zoo_dir / "truth.csv"), "--metric", "gbc",
             "--seed", "8", "--out", str(out)])
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert len(rows) == 4 + 5  # default alpha grid + default sigma grid
     alphas = [float(r["alpha"]) for r in rows[:4]]
     sigmas = [float(r["sigma"]) for r in rows[4:]]
@@ -600,7 +604,7 @@ def test_bench_nleep_reduced_is_faster_than_full_dimension(tmp_path):
     run_ok(["bench", "--input", str(zoo), "--metric", "nleep",
             "--mode", "none", "--pca-rank", "8", "--nleep-k", "16",
             "--seed", "2", "--out", str(out)])
-    rows = {r["mode"]: float(r["wall_time_s"]) for r in csv.DictReader(out.open())}
+    rows = {r["mode"]: float(r["wall_time_s"]) for r in read_csv(out)}
     assert rows["none"] <= rows["raw"]
 
 

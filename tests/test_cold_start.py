@@ -1,7 +1,7 @@
 """Cold start: no terank command loads scipy, which is a test-only
 dependency. Source scans also keep scipy imports, error classes beyond
-the two exit-code families, and any thread pool but the CLI's one out of
-the package.
+the two exit-code families, any thread pool but the CLI's one, and any
+per-model seed rule but the CLI's one out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy into this process.
@@ -173,3 +173,21 @@ def test_one_thread_pool_in_the_cli_helper():
         visit(ast.parse(path.read_text(), filename=str(path)), path, None)
     assert sites == ["cli.py:_pool_map"]
     assert geterr == []
+
+
+def test_one_seed_rule_in_the_cli_model_map():
+    # each model's seed is the base seed XOR its index, derived in
+    # cli._map_models alone, so every command scores a model alike
+    sites = []
+
+    def visit(node, where):  # where: the enclosing module-level function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not where:
+            where = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.BitXor)):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
+    assert sites == ["_map_models"]

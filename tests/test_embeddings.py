@@ -120,7 +120,6 @@ def test_csv_dense_remap(tmp_path):
     ds = load_csv(path)
     assert ds.labels.tolist() == [0, 1, 0]
     assert ds.class_count == 2
-    assert ds.label_map == {5: 0, 9: 1}
     assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
 

@@ -1,7 +1,7 @@
 """The prepare stages and the zoo draw allocate less than their first
 formulas did, but must give the same bits: `transform` centers a copy in
 place, `fit_pca` frees the centered copy early, `spread` forms its output
-inside the displacement array when every sample moves, and `synth`'s
+inside the displacement array and copies the unmoved rows back, and `synth`'s
 `_draw_points` adds the centroids inside the Gaussian draw. Each is
 compared byte for byte with the formula it replaced."""
 import numpy as np
@@ -29,12 +29,18 @@ def embedding_sets(draw):
 
 
 def on_centroid_set(dtype):
-    # class 0's middle sample sits exactly on its centroid, so spread
-    # takes the masked path that leaves it in place
+    # spread leaves three samples in place: class 0's middle one sits
+    # exactly on its centroid, and class 1's first one within
+    # _DEGENERATE_NORM of its centroid but not on it. Class 2's second
+    # coordinate is -0.0 throughout, so the displacement there is +0.0 and
+    # only the copy-back keeps the sign of its unmoved middle sample
     x = np.array([[-1.0, 2.0], [0.0, 2.0], [1.0, 2.0],
+                  [3e-13, 5.0], [-1.0, 4.0], [1.0, 6.0],
+                  [6.0, -0.0], [7.0, -0.0], [8.0, -0.0],
                   [4.0, -1.0], [5.0, 0.5], [7.0, 3.0]])
-    return EmbeddingSet(features=x.astype(dtype), labels=[0, 0, 0, 1, 1, 1],
-                        class_count=2)
+    return EmbeddingSet(features=x.astype(dtype),
+                        labels=[0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+                        class_count=4)
 
 
 def old_fit_pca(ds, energy=None, rank=None):
@@ -120,7 +126,10 @@ def test_spread_on_centroid_sample_matches_old_formula():
         geom = class_geometry(ds)
         out = spread(ds, geom).features
         assert_same_bits(out, old_spread(ds, geom))
-        assert out[1].tolist() == [0.0, 2.0]  # left on its centroid
+        x = np.asarray(ds.features, dtype=np.float64)
+        for row in (1, 3, 7):  # left in place, bit for bit
+            assert out[row].tobytes() == x[row].tobytes()
+        assert np.signbit(out[7, 1])
         check_stages(ds, {"energy": 1.0})
 
 
