@@ -92,6 +92,11 @@ def _handle_errors(fn):
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(EXIT_DATA)
+        except MemoryError as exc:
+            # numpy's allocation failure says how much it asked for
+            detail = f": {exc}" if str(exc) else ""
+            click.echo(f"data error: out of memory{detail}", err=True)
+            sys.exit(EXIT_DATA)
         except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)

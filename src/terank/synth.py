@@ -19,6 +19,9 @@ SYNTH_DATASET = "synthetic"
 SYNTH_REGIME = "synthetic"
 SYNTH_POOL = "synthetic"
 
+# the most float64 values one numpy array can hold: its byte size is an intp
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class ZooConfig:
@@ -40,6 +43,14 @@ class ZooConfig:
     def __post_init__(self):
         if self.models < 2 or self.classes < 2 or self.per_class < 2 or self.dim < 2:
             raise DataError("need models >= 2, classes >= 2, per_class >= 2, dim >= 2")
+        # centroids, then a training and a held-out draw of per_class each
+        draws = self.classes * self.dim * (1 + 2 * self.per_class)
+        if draws > _MAX_FLOAT64S:
+            raise DataError(
+                f"a model of {self.classes} classes x {self.per_class} per class "
+                f"x {self.dim} dims needs {draws} draws; a float64 array holds "
+                f"at most {_MAX_FLOAT64S}"
+            )
         if len(self.rhos) != self.models or len(self.noises) != self.models:
             raise DataError("rhos and noises must list one value per model")
         if any(r <= 0 for r in self.rhos) or any(s <= 0 for s in self.noises):

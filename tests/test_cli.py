@@ -300,6 +300,56 @@ def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):
         assert lines[0].startswith("numeric failure: model-00: "), lines
 
 
+def assert_one_data_error_line(result):
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("data error: "), lines
+    return lines[0]
+
+
+def test_synth_size_no_array_holds_is_one_line_data_error(tmp_path):
+    # ZooConfig refuses a model whose draws no float64 array can hold,
+    # before anything is allocated or --out is created
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "2", "--classes", "2", "--per-class", "2",
+        "--dim", str(2**62), "--out", str(out)])
+    assert "a float64 array holds" in assert_one_data_error_line(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+def test_synth_out_of_memory_is_one_line_data_error(tmp_path, monkeypatch, jobs,
+                                                    message):
+    # a size ZooConfig accepts can still exceed the machine's memory; the
+    # generator is stubbed, so the test allocates nothing large
+    def exhausted(cfg, m):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "gen_zoo_model", exhausted)
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, ["synth", "--models", "2", "--jobs", jobs,
+                                       "--out", str(out)])
+    line = assert_one_data_error_line(result)
+    assert line == ("data error: out of memory" + (f": {message}" if message else ""))
+    assert not out.exists()
+
+
+def test_score_out_of_memory_is_one_line_data_error(zoo_dir, monkeypatch):
+    # every command maps MemoryError to exit 3, not only synth
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "score_model", exhausted)
+    result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir)])
+    assert assert_one_data_error_line(result) == (
+        "data error: out of memory: Unable to allocate 1.00 TiB for an array")
+
+
 def test_score_non_utf8_csv_is_data_error(tmp_path):
     path = tmp_path / "feats.csv"
     path.write_bytes(b"a,label\n0.5,0\n\xff1.5,1\n")

@@ -1,7 +1,8 @@
 """Cold start: no terank command loads scipy, which is a test-only
 dependency. Source scans also keep scipy imports, error classes beyond
-the two exit-code families, any thread pool but the CLI's one, and any
-per-model seed rule but the CLI's one out of the package.
+the two exit-code families, any thread pool but the CLI's one, any
+per-model seed rule but the CLI's one, and numpy's transcendental
+functions in the random stream out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy into this process.
@@ -191,3 +192,24 @@ def test_one_seed_rule_in_the_cli_model_map():
 
     visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
     assert sites == ["_map_models"]
+
+
+# numpy picks SIMD code for these per CPU, so their bits can differ from
+# libm's from one machine to the next
+NUMPY_TRANSCENDENTALS = {"log", "log1p", "exp", "expm1", "sin", "cos", "tan", "power"}
+
+
+def test_rng_uses_no_numpy_transcendental():
+    # the Gaussian stream's bits are those of the C library's log, cos and
+    # sin; numpy's own versions of these would tie them to the CPU
+    uses = []
+    tree = ast.parse((SRC / "terank" / "rng.py").read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            uses.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            uses += [f"{node.lineno}: from numpy import {alias.name}"
+                     for alias in node.names if alias.name in NUMPY_TRANSCENDENTALS]
+    assert uses == []

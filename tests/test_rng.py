@@ -1,11 +1,17 @@
 """SplitMix64 stream contract: reference vectors, Box-Muller consumption,
-and bit-equality of the bulk numpy fills with the scalar draws."""
+bit-equality of the bulk numpy fills with the scalar draws, and the libm
+calls the bulk fill makes."""
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from terank import SplitMix64
+from terank import rng as rng_module
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -143,3 +149,61 @@ def test_zero_uniform_is_clamped_like_scalar_path():
     assert list(got) == expected
     # the pair's radius is sqrt(-2 log 2^-53), about 8.57
     assert math.hypot(*got) == pytest.approx(math.sqrt(106.0 * math.log(2.0)))
+
+
+def k_nearest(angle):
+    return round(angle / rng_module._TWO_PI * 2**53)
+
+
+# the ends of the draw range, and the draws around pi/2, pi and 3pi/2,
+# where cos or sin crosses zero
+EDGE_KS = [0, 1, 2**53 - 1] + [
+    k_nearest(angle) + step
+    for angle in (math.pi / 2, math.pi, 3 * math.pi / 2) for step in (-1, 0, 1)]
+
+
+def with_edge_examples(test):
+    for k in EDGE_KS:
+        test = example(k=k)(test)
+    return test
+
+
+@settings(max_examples=2000, deadline=None)
+@given(k=st.integers(0, 2**53 - 1))
+@with_edge_examples
+def test_cmath_exp_parts_have_the_bits_of_cos_and_sin(k):
+    # the bulk fill takes each pair's cos and sin from one cmath.exp call;
+    # its angles are _TWO_PI * k * 2^-53 for a 53-bit k, as in gaussian()
+    theta = rng_module._TWO_PI * (k * 2.0**-53)
+    w = cmath.exp(complex(0.0, theta))
+    assert (w.real.hex(), w.imag.hex()) == (math.cos(theta).hex(),
+                                            math.sin(theta).hex())
+
+
+class CountingModule:
+    """Stands in for a module and counts the calls of each function taken
+    from it."""
+
+    def __init__(self, module, counts):
+        self._module, self._counts = module, counts
+
+    def __getattr__(self, name):
+        fn = getattr(self._module, name)
+
+        def counted(*args):
+            self._counts[f"{self._module.__name__}.{name}"] += 1
+            return fn(*args)
+
+        return counted
+
+
+def test_bulk_fill_makes_one_log_and_one_exp_call_per_pair(monkeypatch):
+    # 16,385 draws are two full blocks of 4,096 pairs and one pair for the
+    # odd last draw
+    expected = SplitMix64(41).gaussians(16385)
+    counts = Counter()
+    monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
+    monkeypatch.setattr(rng_module, "cmath", CountingModule(cmath, counts))
+    got = SplitMix64(41).gaussians(16385)
+    assert got.tobytes() == expected.tobytes()
+    assert counts == {"math.log": 8193, "cmath.exp": 8193}

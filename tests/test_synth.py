@@ -145,3 +145,13 @@ def test_config_validation():
         zoo_config(rhos=(1.0, 2.0))  # wrong length
     with pytest.raises(DataError, match="values must be > 0"):
         zoo_config(noises=(0.0, 1.0, 1.0, 1.0))
+
+
+def test_config_rejects_a_model_no_float64_array_holds():
+    # a model draws classes*dim centroids plus two sets of classes*per_class*dim
+    # points; 2^60 - 1 float64s is the most whose byte size fits an intp
+    limit = np.iinfo(np.intp).max // 8
+    assert limit % 15 == 0  # so classes 3 x (1 + 2 x per_class 2) hits it exactly
+    zoo_config(classes=3, per_class=2, dim=limit // 15)
+    with pytest.raises(DataError, match="needs .* draws; a float64 array holds"):
+        zoo_config(classes=3, per_class=2, dim=limit // 15 + 1)
