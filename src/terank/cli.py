@@ -27,15 +27,25 @@ from . import __version__
 from .embeddings import EmbeddingSet, load_csv, load_emb1, save_emb1
 from .errors import DataError, NumericError
 from .evaluation import (
+    WEIGHTINGS,
     RankingReport,
+    TruthTable,
     improvement_summary,
     load_bundled_truth,
     load_truth,
     rank_and_report,
+    write_truth,
 )
 from .metrics import MetricId, ScoreRecord, score_metric, score_model
-from .perturbation import PerturbConfig, PerturbMode
-from .synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, ZooConfig, gen_zoo_model
+from .perturbation import AttractDirection, PerturbConfig, PerturbMode
+from .synth import (
+    SYNTH_DATASET,
+    SYNTH_POOL,
+    SYNTH_REGIME,
+    ZooConfig,
+    gen_zoo_model,
+    zoo_truth,
+)
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -132,14 +142,15 @@ def _scoring_options(command):
                            "Repeatable.")(fn)
     fn = click.option("--label-col", default="label", show_default=True,
                       help="Label column for CSV embedding inputs.")(fn)
-    fn = click.option("--metric", "metric_names", multiple=True,
+    fn = click.option("--metric", "metrics", multiple=True,
                       type=click.Choice(METRIC_CHOICES), callback=_unique,
                       default=tuple(METRIC_CHOICES), show_default=True)(fn)
     fn = click.option("--alpha", type=float, default=0.005, show_default=True,
                       callback=_check_nonneg, help="Attract step scale.")(fn)
     fn = click.option("--sigma", type=float, default=0.6, show_default=True,
                       callback=_check_nonneg, help="Radius sensitivity.")(fn)
-    fn = click.option("--attract-dir", type=click.Choice(["toward", "literal"]),
+    fn = click.option("--attract-dir",
+                      type=click.Choice([d.value for d in AttractDirection]),
                       default="toward", show_default=True)(fn)
     fn = click.option("--pca-energy", type=float, default=None,
                       callback=_check_energy,
@@ -156,13 +167,13 @@ def _scoring_options(command):
 
 
 def _truth_options(fn):
-    fn = click.option("--truth", "truth_path",
-                      type=click.Path(exists=True, path_type=Path), default=None,
+    fn = click.option("--truth", type=click.Path(exists=True, path_type=Path),
+                      default=None,
                       help="Truth CSV (default: bundled accuracy tables).")(fn)
     fn = click.option("--dataset", default=SYNTH_DATASET, show_default=True)(fn)
     fn = click.option("--regime", default=SYNTH_REGIME, show_default=True)(fn)
     fn = click.option("--pool", default=SYNTH_POOL, show_default=True)(fn)
-    fn = click.option("--weighting", type=click.Choice(["symmetric", "truth_ranks"]),
+    fn = click.option("--weighting", type=click.Choice(WEIGHTINGS),
                       default="symmetric", show_default=True)(fn)
     return fn
 
@@ -224,15 +235,34 @@ def _load_set(path: Path, label_col: str) -> EmbeddingSet:
     return load_emb1(path)
 
 
-def _manifest(command: str, config: dict, input_files: list[Path]) -> dict:
+# the parameters that only say how or where a command runs
+_RUN_PARAMS = ("inputs", "out", "jobs", "fmt")
+
+
+def _manifest(input_files: list[Path], **runtime) -> dict:
+    """The running command's manifest. Its `config` holds every parameter
+    but _RUN_PARAMS under its own name, paths as text and an absent
+    --truth as "bundled"; `runtime` is execution metadata, excluded from
+    determinism comparisons."""
+    ctx = click.get_current_context()
+    config = {}
+    for name, value in ctx.params.items():
+        if name == "truth" and value is None:
+            value = "bundled"
+        if name not in _RUN_PARAMS:
+            config[name] = str(value) if isinstance(value, Path) else value
     return {
         "version": __version__,
-        "command": command,
+        "command": ctx.command.name,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in input_files},
-        # execution metadata; excluded from determinism comparisons
-        "runtime": {},
+        "runtime": runtime,
     }
+
+
+def _load_truth_table(truth: Path | None) -> TruthTable:
+    # --truth's file, or the bundled tables when it is absent
+    return load_truth(truth) if truth else load_bundled_truth()
 
 
 def _json_text(doc: dict) -> str:
@@ -260,7 +290,9 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return _check_finite(low, flag), _check_finite(high, flag)
 
 
-def _parse_grid(text: str, flag: str) -> list[float]:
+def _parse_grid(ctx, param, text):
+    # a comma-separated --alpha-grid or --sigma-grid, as a list of floats
+    flag = param.opts[0]
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -391,15 +423,6 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         seed=seed,
     )
     t0 = time.perf_counter()
-    manifest = _manifest(
-        "synth",
-        {
-            "models": models, "classes": classes, "per_class": per_class,
-            "dim": dim, "rho_range": rho_range, "noise_range": noise_range,
-            "seed": seed,
-        },
-        [],
-    )
     with _all_or_nothing(out) as stage:
         def task(m: int) -> tuple[str, float]:
             # the set is freed when the task returns: only its accuracy stays
@@ -408,14 +431,9 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
             return ds.model_id, acc
 
         accuracies = _pool_map(models, jobs, task)
-        (stage / "truth.csv").write_text(_csv_text(
-            [["model", "dataset", "regime", "pool", "accuracy"]]
-            + [[model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL, repr(acc)]
-               for model_id, acc in sorted(accuracies)]
-        ), newline="")
-        manifest["runtime"] = {
-            "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
-        }
+        write_truth(zoo_truth(accuracies), stage / "truth.csv")
+        manifest = _manifest(
+            [], jobs=jobs, timings={"total_s": time.perf_counter() - t0})
         (stage / "manifest.json").write_text(_json_text(manifest))
     header = ["model", "rho", "noise", "oracle_accuracy"]
     rows = [[model_id, cfg.rhos[i], cfg.noises[i], acc]
@@ -440,7 +458,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
               help="Write the score JSON here.")
 @_common_options
 @_handle_errors
-def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
+def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Score models: one record per (model, metric, mode)."""
     files = _resolve_inputs(inputs)
@@ -450,27 +468,11 @@ def score(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
     groups, load_s = _map_models(
         files, label_col, jobs, seed,
         lambda ds, model_seed: score_model(
-            ds, metric_names, configs, energy=pca_energy, rank=pca_rank,
+            ds, metrics, configs, energy=pca_energy, rank=pca_rank,
             seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
     records = [rec for group in groups for rec in group]
-    total_s = time.perf_counter() - t0
-
-    manifest = _manifest(
-        "score",
-        {
-            "label_col": label_col,
-            "metrics": list(metric_names),
-            "modes": list(modes),
-            "alpha": alpha, "sigma": sigma, "attract_dir": attract_dir,
-            "pca_energy": pca_energy, "pca_rank": pca_rank,
-            "nleep_k": nleep_k, "lda_eps": lda_eps, "seed": seed,
-        },
-        files,
-    )
-    manifest["runtime"] = {
-        "jobs": jobs,
-        "timings": {"load_s": load_s, "total_s": total_s},
-    }
+    manifest = _manifest(files, jobs=jobs, timings={
+        "load_s": load_s, "total_s": time.perf_counter() - t0})
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
     if out is not None:
         out.write_text(_json_text(payload))
@@ -493,11 +495,13 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
         records = [ScoreRecord.from_dict(d) for d in payload["records"]]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"{path}: not a score JSON file ({exc})") from None
+    if not records:
+        raise DataError(f"no score records in {path}")
     return payload, manifest, records
 
 
 @main.command()
-@click.option("--scores", "scores_path", required=True,
+@click.option("--scores", required=True,
               type=click.Path(exists=True, path_type=Path),
               help="Score JSON produced by `terank score`.")
 @_truth_options
@@ -505,40 +509,29 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
               help="Directory for report JSON/CSV files.")
 @_common_options
 @_handle_errors
-def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
-             seed, fmt):
+def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     """Rank scored models against ground truth; emit reports and, when a
     baseline mode is present, an improvement summary."""
     t0 = time.perf_counter()
-    score_payload, score_manifest, records = _load_score_payload(scores_path)
-    truth = load_truth(truth_path) if truth_path else load_bundled_truth()
+    score_payload, score_manifest, records = _load_score_payload(scores)
+    truth_table = _load_truth_table(truth)
 
     groups: dict[tuple[str, str], list[ScoreRecord]] = {}
     for rec in records:
         groups.setdefault((rec.metric, rec.mode), []).append(rec)
 
-    manifest = _manifest(
-        "evaluate",
-        {
-            "scores": str(scores_path),
-            "truth": str(truth_path) if truth_path else "bundled",
-            "dataset": dataset, "regime": regime, "pool": pool,
-            "weighting": weighting, "seed": seed,
-        },
-        [truth_path] if truth_path else [],
-    )
-    # hash the score file's content net of timings, so re-scoring the same
-    # inputs leads to the same evaluate manifest
-    manifest["inputs"][str(scores_path)] = _semantic_digest(score_payload)
-    manifest["score_manifest"] = score_manifest
-
     reports: dict[tuple[str, str], RankingReport] = {}
     for (metric, mode) in sorted(groups):
         reports[(metric, mode)] = rank_and_report(
-            groups[(metric, mode)], truth, dataset, regime, pool,
+            groups[(metric, mode)], truth_table, dataset, regime, pool,
             weighting=weighting,
         )
-    manifest["runtime"] = {"timings": {"total_s": time.perf_counter() - t0}}
+    manifest = _manifest([truth] if truth else [],
+                         timings={"total_s": time.perf_counter() - t0})
+    # hash the score file's content net of timings, so re-scoring the same
+    # inputs leads to the same evaluate manifest
+    manifest["inputs"][str(scores)] = _semantic_digest(score_payload)
+    manifest["score_manifest"] = score_manifest
 
     summaries = {}
     for mode in sorted({m for _, m in reports} - {"none"}):
@@ -598,41 +591,41 @@ def evaluate(scores_path, truth_path, dataset, regime, pool, weighting, out,
 @main.command()
 @_scoring_options
 @_truth_options
-@click.option("--alpha-grid", default="0.001,0.005,0.01,0.05", show_default=True)
-@click.option("--sigma-grid", default="0.5,0.6,0.7,0.8,0.9", show_default=True)
+@click.option("--alpha-grid", default="0.001,0.005,0.01,0.05", show_default=True,
+              callback=_parse_grid)
+@click.option("--sigma-grid", default="0.5,0.6,0.7,0.8,0.9", show_default=True,
+              callback=_parse_grid)
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Write the sweep CSV here.")
 @_common_options
 @_handle_errors
-def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
-          pca_energy, pca_rank, nleep_k, lda_eps, truth_path, dataset, regime,
-          pool, weighting, alpha_grid, sigma_grid, out, seed, jobs, fmt):
+def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
+          pca_rank, nleep_k, lda_eps, truth, dataset, regime, pool, weighting,
+          alpha_grid, sigma_grid, out, seed, jobs, fmt):
     """Hyper-parameter sensitivity: vary alpha with sigma fixed, then sigma
     with alpha fixed, reporting tau_w per cell."""
-    alphas = _parse_grid(alpha_grid, "--alpha-grid")
-    sigmas = _parse_grid(sigma_grid, "--sigma-grid")
     files = _resolve_inputs(inputs)
-    truth = load_truth(truth_path) if truth_path else load_bundled_truth()
+    truth_table = _load_truth_table(truth)
 
     t0 = time.perf_counter()
-    cells = [(a, sigma) for a in alphas] + [(alpha, s) for s in sigmas]
+    cells = [(a, sigma) for a in alpha_grid] + [(alpha, s) for s in sigma_grid]
     configs = [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
                for a, s_val in cells]
     groups, _ = _map_models(
         files, label_col, jobs, seed,
         lambda ds, model_seed: score_model(
-            ds, metric_names, configs, energy=pca_energy, rank=pca_rank,
+            ds, metrics, configs, energy=pca_energy, rank=pca_rank,
             seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
     # each model's records come in (cell, metric) order
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for group in groups:
         for i, rec in enumerate(group):
-            by_cell.setdefault((i // len(metric_names), rec.metric), []).append(rec)
+            by_cell.setdefault((i // len(metrics), rec.metric), []).append(rec)
     rows = []
     for cell, (cell_alpha, cell_sigma) in enumerate(cells):
-        for metric in metric_names:
+        for metric in metrics:
             rep = rank_and_report(
-                by_cell[(cell, metric)], truth, dataset, regime, pool,
+                by_cell[(cell, metric)], truth_table, dataset, regime, pool,
                 weighting=weighting,
             )
             rows.append((cell_alpha, cell_sigma, metric, rep.tau_w))
@@ -643,24 +636,8 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
     ]
     if out is not None:
         out.write_text(_csv_text(csv_rows), newline="")
-        manifest = _manifest(
-            "sweep",
-            {
-                "label_col": label_col,
-                "alpha_grid": alphas, "sigma_grid": sigmas,
-                "alpha_fixed": alpha, "sigma_fixed": sigma,
-                "attract_dir": attract_dir, "metrics": list(metric_names),
-                "pca_energy": pca_energy, "pca_rank": pca_rank,
-                "nleep_k": nleep_k, "lda_eps": lda_eps,
-                "truth": str(truth_path) if truth_path else "bundled",
-                "dataset": dataset, "regime": regime, "pool": pool,
-                "weighting": weighting, "seed": seed,
-            },
-            files + ([truth_path] if truth_path else []),
-        )
-        manifest["runtime"] = {
-            "jobs": jobs, "timings": {"total_s": time.perf_counter() - t0},
-        }
+        manifest = _manifest(files + ([truth] if truth else []), jobs=jobs,
+                             timings={"total_s": time.perf_counter() - t0})
         Path(str(out) + ".manifest.json").write_text(_json_text(manifest))
 
     _emit(
@@ -680,7 +657,7 @@ def sweep(inputs, label_col, metric_names, alpha, sigma, attract_dir,
               help="Write the timing CSV here.")
 @_common_options
 @_handle_errors
-def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
+def bench(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Wall-time comparison per metric: raw features (no reduction, no
     perturbation) against each requested pipeline mode."""
@@ -692,12 +669,12 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
         # raw metrics, then the pipeline, on the same loaded set, so both
         # are timed under the same concurrency
         cells = []
-        for name in metric_names:
+        for name in metrics:
             t0 = time.perf_counter()
             score_metric(ds, MetricId(name), seed=model_seed,
                          nleep_components=nleep_k, eps_scale=lda_eps)
             cells.append(((name, "raw"), time.perf_counter() - t0))
-        records = score_model(ds, metric_names, configs, energy=pca_energy,
+        records = score_model(ds, metrics, configs, energy=pca_energy,
                               rank=pca_rank, seed=model_seed,
                               nleep_components=nleep_k, eps_scale=lda_eps)
         return cells + [((rec.metric, rec.mode), rec.wall_time_s) for rec in records]
@@ -708,7 +685,7 @@ def bench(inputs, label_col, metric_names, modes, alpha, sigma, attract_dir,
             timings[key] = timings.get(key, 0.0) + t
 
     rows = []
-    for name in metric_names:
+    for name in metrics:
         raw_t = timings[(name, "raw")]
         for mode in ("raw", *modes):
             t = timings[(name, mode)]

@@ -3,6 +3,7 @@ per-run reports, and before/after improvement summaries."""
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 REGIMES = ("vanilla", "lbft", "lft", "synthetic")
 POOLS = ("supervised", "self_supervised", "synthetic")
-WEIGHTINGS = ("truth_ranks", "symmetric")
+WEIGHTINGS = ("symmetric", "truth_ranks")
+# the header of a truth CSV, in the order write_truth writes it
+TRUTH_COLUMNS = ("model", "dataset", "regime", "pool", "accuracy")
 
 _BUNDLED = [
     ("supervised", "vanilla"),
@@ -65,23 +68,37 @@ def _check_key(key: tuple[str, str, str, str]) -> None:
 
 
 def load_truth(path: str | Path) -> TruthTable:
-    """Parse a truth CSV with columns model,dataset,regime,pool,accuracy."""
+    """Parse a truth CSV with the columns of TRUTH_COLUMNS."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        return _parse_truth([(csv.DictReader(fh), str(path))])
+    try:
+        text = path.read_bytes().decode("utf-8")
+        return _parse_truth([(csv.DictReader(io.StringIO(text, newline="")),
+                              str(path))])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+
+
+def write_truth(table: TruthTable, path: str | Path) -> None:
+    """Write `table` as a truth CSV that load_truth reads back exactly:
+    rows in key order, accuracies as their repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(TRUTH_COLUMNS)
+    writer.writerows([*key, repr(acc)] for key, acc in sorted(table.records.items()))
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 def _parse_truth(sources: Iterable[tuple[Iterable[dict], str]]) -> TruthTable:
     """One TruthTable from the rows of each `(reader, origin)` source; a
     key given twice, in one source or across two, is a data error."""
-    needed = {"model", "dataset", "regime", "pool", "accuracy"}
+    needed = set(TRUTH_COLUMNS)
     records: dict[tuple[str, str, str, str], float] = {}
     for reader, origin in sources:
         for lineno, row in enumerate(reader, start=2):
             if not needed <= set(row):
-                raise DataError(
-                    f"{origin}: columns {sorted(needed)} required, got {sorted(row)}"
-                )
+                # a row longer than the header holds its extra cells under None
+                raise DataError(f"{origin}: columns {sorted(needed)} required, "
+                                f"got {sorted(k for k in row if k is not None)}")
             key = (row["model"], row["dataset"], row["regime"], row["pool"])
             try:
                 acc = float(row["accuracy"])

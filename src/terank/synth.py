@@ -6,6 +6,7 @@ on any platform.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,17 +159,23 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     return ds, 100.0 * acc
 
 
+def zoo_truth(accuracies: Iterable[tuple[str, float]]) -> TruthTable:
+    """The oracle truth table of a zoo's `(model id, accuracy)` pairs under
+    the synthetic dataset, regime and pool. An accuracy outside (0, 100]
+    is a data error that names its model."""
+    return TruthTable(records={
+        (model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL): acc
+        for model_id, acc in accuracies
+    })
+
+
 def gen_model_zoo(cfg: ZooConfig) -> tuple[list[EmbeddingSet], TruthTable]:
     """Generate every model of the zoo in order with `gen_zoo_model`, and
-    the oracle truth table of their accuracies under the synthetic
-    regime/pool.
+    its truth table from `zoo_truth`.
 
     All the sets are held at once; `terank synth` instead writes each
     model's file as soon as it is generated.
     """
     results = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
-    records = {
-        (ds.model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL): acc
-        for ds, acc in results
-    }
-    return [ds for ds, _ in results], TruthTable(records=records)
+    truth = zoo_truth((ds.model_id, acc) for ds, acc in results)
+    return [ds for ds, _ in results], truth

@@ -724,3 +724,140 @@ def test_csv_embedding_input(zoo_dir, tmp_path):
                      "--format", "json"])
     payload = json.loads(result.output)
     assert payload["records"][0]["model"] == "model-00"
+
+
+def test_synth_truth_csv_bytes():
+    # zoobench digests truth.csv: its header, row order, CRLF line ends and
+    # repr accuracies are pinned
+    with CliRunner().isolated_filesystem():
+        run_ok(["synth", "--models", "3", "--classes", "3", "--per-class", "7",
+                "--dim", "2", "--rho-range", "0.5:2", "--seed", "7",
+                "--out", "zoo"])
+        assert Path("zoo/truth.csv").read_bytes() == (
+            b"model,dataset,regime,pool,accuracy\r\n"
+            b"model-00,synthetic,synthetic,synthetic,38.095238095238095\r\n"
+            b"model-01,synthetic,synthetic,synthetic,100.0\r\n"
+            b"model-02,synthetic,synthetic,synthetic,100.0\r\n")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_synth_zero_accuracy_is_one_line_data_error(tmp_path, existing):
+    # synth's truth table obeys the (0, 100] rule that evaluate reads it by,
+    # so it never writes a zoo its own evaluate rejects
+    out = tmp_path / "zoo"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "2", "--classes", "2", "--per-class", "2",
+        "--dim", "2", "--rho-range", "0.05:0.05", "--seed", "5",
+        "--out", str(out)])
+    line = assert_one_data_error_line(result)
+    assert "model-00" in line and "outside (0, 100]" in line, line
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def zoo_scores(zoo_dir, tmp_path_factory):
+    scores = tmp_path_factory.mktemp("scores") / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc",
+            "--out", str(scores)])
+    return scores
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("content", [
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"model-00,synthetic,synthetic,synthetic,5\xff0\n", id="not-utf8"),
+    pytest.param(b"model,dataset\nmodel-00,synthetic,synthetic\n", id="ragged"),
+])
+def test_unreadable_truth_is_one_line_data_error(zoo_dir, zoo_scores, tmp_path,
+                                                 command, content):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(content)
+    args = {"evaluate": ["evaluate", "--scores", str(zoo_scores)],
+            "sweep": ["sweep", "--input", str(zoo_dir), "--metric", "gbc",
+                      "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}[command]
+    result = CliRunner().invoke(main, args + ["--truth", str(truth)])
+    assert str(truth) in assert_one_data_error_line(result)
+
+
+def test_evaluate_without_score_records_is_a_data_error(zoo_scores, tmp_path):
+    payload = json.loads(zoo_scores.read_text())
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({**payload, "records": []}))
+    out = tmp_path / "reports"
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores),
+                                       "--out", str(out)])
+    assert assert_one_data_error_line(result) == (
+        f"data error: no score records in {scores}")
+    assert not out.exists()
+
+
+# the parameters that say how or where a command runs, not what it computes
+RUN_PARAMS = {"inputs", "out", "jobs", "fmt"}
+
+
+def written_manifest(command, zoo_dir, zoo_scores, out):
+    """Run `command` with --out `out` and return the manifest it wrote."""
+    truth = str(zoo_dir / "truth.csv")
+    if command == "synth":
+        run_ok(["synth", "--models", "2", "--classes", "2", "--per-class", "4",
+                "--dim", "2", "--out", str(out)])
+        return json.loads((out / "manifest.json").read_text())
+    if command == "score":
+        run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc",
+                "--out", str(out)])
+        return json.loads(out.read_text())["manifest"]
+    if command == "evaluate":
+        run_ok(["evaluate", "--scores", str(zoo_scores), "--truth", truth,
+                "--out", str(out)])
+        return json.loads((out / "report_gbc_sa.json").read_text())["manifest"]
+    run_ok(["sweep", "--input", str(zoo_dir), "--truth", truth, "--metric", "gbc",
+            "--alpha-grid", "0.005", "--sigma-grid", "0.6", "--out", str(out)])
+    return json.loads(Path(str(out) + ".manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["synth", "score", "evaluate", "sweep"])
+def test_manifest_config_holds_every_computing_parameter(zoo_dir, zoo_scores,
+                                                         tmp_path, command):
+    manifest = written_manifest(command, zoo_dir, zoo_scores, tmp_path / "out")
+    params = {p.name for p in main.commands[command].params}
+    assert manifest["command"] == command
+    assert set(manifest["config"]) == params - RUN_PARAMS
+    if "jobs" in params:
+        assert manifest["runtime"]["jobs"] == 1
+
+
+def test_default_score_and_evaluate_configs(zoo_dir, zoo_scores, tmp_path):
+    score = written_manifest("score", zoo_dir, zoo_scores, tmp_path / "s.json")
+    assert score["config"] == {
+        "label_col": "label", "metrics": ["gbc"], "modes": ["sa"],
+        "alpha": 0.005, "sigma": 0.6, "attract_dir": "toward",
+        "pca_energy": None, "pca_rank": None, "nleep_k": None, "lda_eps": 1e-4,
+        "seed": 0,
+    }
+    evaluate = written_manifest("evaluate", zoo_dir, zoo_scores, tmp_path / "r")
+    assert evaluate["config"] == {
+        "scores": str(zoo_scores), "truth": str(zoo_dir / "truth.csv"),
+        "dataset": "synthetic", "regime": "synthetic", "pool": "synthetic",
+        "weighting": "symmetric", "seed": 0,
+    }
+    # the bundled tables stand in for an absent --truth
+    payload = json.loads(zoo_scores.read_text())
+    resnets = ["ResNet-34", "ResNet-50", "ResNet-101", "ResNet-152"]
+    for rec in payload["records"]:
+        rec.update(model=resnets[int(rec["model"][-2:])], dataset="Pets")
+    pets = tmp_path / "pets.json"
+    pets.write_text(json.dumps(payload))
+    result = run_ok(["evaluate", "--scores", str(pets), "--dataset", "Pets",
+                     "--regime", "vanilla", "--pool", "supervised",
+                     "--format", "json"])
+    assert json.loads(result.stdout)["manifest"]["config"] == {
+        "scores": str(pets), "truth": "bundled", "dataset": "Pets",
+        "regime": "vanilla", "pool": "supervised", "weighting": "symmetric",
+        "seed": 0,
+    }

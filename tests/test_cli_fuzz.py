@@ -1,7 +1,9 @@
-"""Property test of the CLI surface: malformed EMB1, CSV and score-JSON
-bytes and bad flag values always end in a documented exit code (0 ok,
+"""Property test of the CLI surface: malformed EMB1, CSV, score-JSON and
+truth-CSV bytes and bad flag values always end in a documented exit code (0 ok,
 2 usage, 3 data, 4 numeric), never in a traceback, and `--format json`
 output always parses as strict JSON (no NaN or Infinity tokens)."""
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -55,6 +57,9 @@ SYNTH_FLAGS = [
 ]
 SYNTH_BASE = ["synth", "--models", "2", "--classes", "2", "--per-class", "3",
               "--dim", "2"]
+# the inputs each command reads, of which one at a time is malformed
+KINDS = {"score": ["emb1", "csv"], "bench": ["emb1", "csv"],
+         "evaluate": ["json", "truth"], "sweep": ["emb1", "csv", "truth"]}
 # a sweep runs two cells of one metric, and a bench times one metric,
 # unless drawn flags override them
 BASE_ARGS = {"score": [], "evaluate": [], "sweep": [
@@ -96,6 +101,8 @@ def valid(tmp_path_factory):
         "emb1": (zoo / "model-00.emb1").read_bytes(),
         "csv": ("\n".join(lines) + "\n").encode(),
         "json": scores.read_bytes(),
+        "truth": (zoo / "truth.csv").read_bytes(),
+        "scores": scores,
     }
 
 
@@ -110,7 +117,8 @@ json_values = st.recursive(
 @st.composite
 def malformed(draw, base: bytes, kind: str):
     """`base` cut short, overwritten in places, or replaced outright; for
-    score JSON also one field of the document replaced by any JSON value."""
+    score JSON also one field of the document replaced by any JSON value,
+    and for a truth CSV one cell replaced by none, one or two cells."""
     how = draw(st.sampled_from(["valid", "cut", "overwrite", "random", "field"]))
     if how == "valid":
         return base
@@ -130,13 +138,21 @@ def malformed(draw, base: bytes, kind: str):
                   "record": doc["records"][0]}[target]
         holder[draw(st.sampled_from(sorted(holder)))] = draw(json_values)
         return json.dumps(doc).encode()
+    if how == "field" and kind == "truth":
+        rows = list(csv.reader(io.StringIO(base.decode(), newline="")))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        at = draw(st.integers(0, len(row) - 1))
+        row[at:at + 1] = draw(st.lists(st.text(max_size=6), max_size=2))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue().encode()
     return draw(st.binary(max_size=64))
 
 
 @st.composite
-def invocations(draw, valid, commands, formats=(None, "json", "csv")):
+def invocations(draw, valid, commands, formats=(None, "json", "csv"), kinds=KINDS):
     command = draw(st.sampled_from(commands))
-    kind = "json" if command == "evaluate" else draw(st.sampled_from(["emb1", "csv"]))
+    kind = draw(st.sampled_from(kinds[command]))
     content = draw(malformed(valid[kind], kind))
     flags = draw(st.lists(st.sampled_from(FLAGS[command]), max_size=3))
     args = [command, *BASE_ARGS[command]]
@@ -149,19 +165,23 @@ def invocations(draw, valid, commands, formats=(None, "json", "csv")):
 
 
 def check_invocation(valid, kind, content, args, fmt):
-    truth = str(valid["zoo"] / "truth.csv")
+    zoo = valid["zoo"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"model-00.{kind}"
+        # `content` is the input of `kind`; every other input is valid
+        path = Path(tmp) / ("truth.csv" if kind == "truth" else f"model-00.{kind}")
         path.write_bytes(content)
-        if kind == "json":
-            args += ["--scores", str(path), "--truth", truth, "--out", f"{tmp}/out"]
+        truth = path if kind == "truth" else zoo / "truth.csv"
+        if args[0] == "evaluate":
+            scores = path if kind == "json" else valid["scores"]
+            args += ["--scores", str(scores), "--truth", str(truth),
+                     "--out", f"{tmp}/out"]
         else:
-            # the malformed model joins two valid ones
-            args += ["--input", str(path),
-                     "--input", str(valid["zoo"] / "model-01.emb1"),
-                     "--input", str(valid["zoo"] / "model-02.emb1")]
+            model = path if kind in ("emb1", "csv") else zoo / "model-00.emb1"
+            args += ["--input", str(model),
+                     "--input", str(zoo / "model-01.emb1"),
+                     "--input", str(zoo / "model-02.emb1")]
             if args[0] == "sweep":
-                args += ["--truth", truth]
+                args += ["--truth", str(truth)]
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3, 4), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
@@ -175,6 +195,15 @@ def check_invocation(valid, kind, content, args, fmt):
 def test_cli_exits_with_a_documented_code(valid, data):
     commands = ["score", "evaluate", "sweep"]
     check_invocation(valid, *data.draw(invocations(valid, commands)))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_truth_csv_exits_with_a_documented_code(valid, data):
+    # every example hands evaluate or sweep a malformed --truth file
+    commands = ["evaluate", "sweep"]
+    kinds = {command: ["truth"] for command in commands}
+    check_invocation(valid, *data.draw(invocations(valid, commands, kinds=kinds)))
 
 
 @given(data=st.data())

@@ -194,6 +194,37 @@ def test_one_seed_rule_in_the_cli_model_map():
     assert sites == ["_map_models"]
 
 
+MANIFEST_FIELDS = {"version", "command", "config", "inputs", "runtime"}
+
+
+def test_one_manifest_builder_in_the_cli():
+    # cli._manifest records a command's own parameters; a manifest field
+    # written anywhere else, or a config dict handed to _manifest, is a
+    # second record of the flags that can drift from them
+    sites = []
+
+    def visit(node, where):  # where: the enclosing module-level function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not where:
+            where = node.name
+        keys = []
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        if any(isinstance(k, ast.Constant) and k.value in MANIFEST_FIELDS
+               for k in keys):
+            sites.append(where)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_manifest"
+                and any(isinstance(arg, ast.Dict) for arg in node.args)):
+            sites.append(f"{where}: config dict")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
+    assert sites == ["_manifest"]
+
+
 # numpy picks SIMD code for these per CPU, so their bits can differ from
 # libm's from one machine to the next
 NUMPY_TRANSCENDENTALS = {"log", "log1p", "exp", "expm1", "sin", "cos", "tan", "power"}

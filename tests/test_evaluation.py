@@ -1,5 +1,6 @@
 """Truth tables, weighted Kendall correlation, reports, improvement math."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from terank import (
     ZooConfig,
 )
 from terank.errors import DataError
-from terank.evaluation import bundled_truth_text
+from terank.evaluation import bundled_truth_text, write_truth
 
 # sha256 of the bundled accuracy tables; these files are transcription,
 # not computation, so any drift is an error
@@ -97,6 +98,31 @@ def test_out_of_range_accuracy_rejected(tmp_path):
         )
         with pytest.raises(DataError, match=r"outside \(0, 100\]"):
             load_truth(path)
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"m\xff,A,vanilla,supervised,50\n", id="not-utf8"),
+    # a field beyond the csv module's default limit of 131,072 characters
+    pytest.param(b"model,dataset,regime,pool,accuracy\n" + b"m" * 200_000
+                 + b",A,vanilla,supervised,50\n", id="field-too-large"),
+    pytest.param(b"model,dataset\nm,A,vanilla\n", id="row-longer-than-header"),
+])
+def test_unreadable_truth_names_the_file(tmp_path, content):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_truth(path)
+
+
+def test_write_truth_reads_back(tmp_path):
+    table = load_truth_from_rows([("m1", 100 / 3), ("m0", 50.0), ("m2", 1e-9)])
+    path = tmp_path / "t.csv"
+    write_truth(table, path)
+    assert path.read_bytes().splitlines()[:2] == [
+        b"model,dataset,regime,pool,accuracy",
+        b"m0,synthetic,synthetic,synthetic,50.0"]
+    assert load_truth(path) == table
 
 
 def test_missing_model_names_the_model(tmp_path):
