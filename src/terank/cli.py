@@ -16,6 +16,7 @@ import shutil
 import sys
 import tempfile
 import time
+from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -333,8 +334,10 @@ def _pool_map(count: int, jobs: int, task) -> list:
     time, and return the results in index order.
 
     This is the one pool of the commands. A task keeps only what it
-    returns, so at most `jobs` models' data are alive at once. The first
-    failing index raises its error, after every started task has ended.
+    returns, so at most `jobs` models' data are alive at once. An index
+    is submitted only once fewer than `jobs` results wait to be read, so
+    the first failing index raises its error, after every started task
+    has ended, and at most `jobs - 1` indices after it have started.
     """
     def run(index: int):
         # np.errstate is per thread: pool workers do not inherit the
@@ -342,8 +345,14 @@ def _pool_map(count: int, jobs: int, task) -> list:
         with np.errstate(all="ignore"):
             return task(index)
 
+    results, started = [], deque()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, range(count)))
+        for index in range(count):
+            if len(started) == jobs:
+                results.append(started.popleft().result())
+            started.append(pool.submit(run, index))
+        results.extend(future.result() for future in started)
+    return results
 
 
 def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
@@ -427,6 +436,8 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         def task(m: int) -> tuple[str, float]:
             # the set is freed when the task returns: only its accuracy stays
             ds, acc = gen_zoo_model(cfg, m)
+            # a bad accuracy stops the zoo here, not after every model
+            zoo_truth([(ds.model_id, acc)])
             save_emb1(ds, stage / f"{ds.model_id}.emb1")
             return ds.model_id, acc
 

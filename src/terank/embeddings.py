@@ -101,13 +101,11 @@ class EmbeddingSet:
 
 def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
     """Write the canonical EMB1 layout (features stored as float32)."""
-    path = Path(path)
-    header = MAGIC + _HEADER.pack(ds.sample_count, ds.feature_dim, ds.class_count, 0)
-    body = (
-        np.ascontiguousarray(ds.features, dtype="<f4").tobytes()
-        + ds.labels.astype("<u4").tobytes()
-    )
-    path.write_bytes(header + body)
+    # the parts are written one after another: no joined copy of the file
+    with Path(path).open("wb") as f:
+        f.write(MAGIC + _HEADER.pack(ds.sample_count, ds.feature_dim, ds.class_count, 0))
+        f.write(np.ascontiguousarray(ds.features, dtype="<f4"))
+        f.write(ds.labels.astype("<u4"))
 
 
 def load_emb1(path: str | Path) -> EmbeddingSet:

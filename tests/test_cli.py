@@ -760,6 +760,28 @@ def test_synth_zero_accuracy_is_one_line_data_error(tmp_path, existing):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
+    # each pool task checks its model's accuracy, and the pool starts at
+    # most jobs - 1 models past a failing one, so a bad model-00 stops the
+    # zoo before the other models are drawn
+    calls = []
+
+    def counted(cfg, m):
+        calls.append(m)
+        return gen_zoo_model(cfg, m)
+
+    gen_zoo_model = cli.gen_zoo_model
+    monkeypatch.setattr(cli, "gen_zoo_model", counted)
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "6", "--classes", "2", "--per-class", "2",
+        "--dim", "2", "--rho-range", "0.05:0.05", "--seed", "5",
+        "--jobs", str(jobs), "--out", str(tmp_path / "zoo")])
+    line = assert_one_data_error_line(result)
+    assert "model-00" in line and "outside (0, 100]" in line, line
+    assert sorted(calls) == list(range(jobs))
+
+
 @pytest.fixture(scope="module")
 def zoo_scores(zoo_dir, tmp_path_factory):
     scores = tmp_path_factory.mktemp("scores") / "scores.json"

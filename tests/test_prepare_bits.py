@@ -134,10 +134,11 @@ def test_spread_on_centroid_sample_matches_old_formula():
 
 
 def old_draw_points(rng, centroids, per_class, noise):
-    """_draw_points before it formed the sum inside the draw."""
+    """_draw_points before it formed the sum inside the draw, with the
+    float32 cast its callers made; it now draws one class at a time."""
     classes, dim = centroids.shape
     g = rng.gaussians(classes * per_class * dim).reshape(classes * per_class, dim)
-    return np.repeat(centroids, per_class, axis=0) + noise * g
+    return (np.repeat(centroids, per_class, axis=0) + noise * g).astype(np.float32)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,12 @@
 """Synthetic generation: stream order, blob statistics, zoo oracle truth."""
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from terank import (
     SplitMix64,
@@ -10,8 +16,9 @@ from terank import (
     nearest_centroid_accuracy,
     save_emb1,
 )
+from terank import synth
 from terank.errors import DataError
-from terank.synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME
+from terank.synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, gen_zoo_model
 
 
 def zoo_config(**overrides):
@@ -155,3 +162,113 @@ def test_config_rejects_a_model_no_float64_array_holds():
     zoo_config(classes=3, per_class=2, dim=limit // 15)
     with pytest.raises(DataError, match="needs .* draws; a float64 array holds"):
         zoo_config(classes=3, per_class=2, dim=limit // 15 + 1)
+
+
+# The formulas the memory-bounded generator replaced, kept as the bit
+# reference: one float64 draw of every point, cast to float32 at the end,
+# and whole-set float64 copies for the oracle's distances.
+def reference_points(rng, centroids, per_class, noise):
+    classes, dim = centroids.shape
+    g = rng.gaussians(classes * per_class * dim)
+    g *= noise
+    points = g.reshape(classes, per_class, dim)
+    points += centroids[:, None, :]
+    return points.reshape(classes * per_class, dim).astype(np.float32)
+
+
+def reference_predictions(train, train_labels, test, class_count):
+    tr = np.asarray(train, dtype=np.float64)
+    te = np.asarray(test, dtype=np.float64)
+    centroids = np.stack(
+        [tr[train_labels == c].mean(axis=0) for c in range(class_count)]
+    )
+    d2 = (
+        np.sum(te * te, axis=1)[:, None]
+        - 2.0 * te @ centroids.T
+        + np.sum(centroids * centroids, axis=1)
+    )
+    return np.argmin(d2, axis=1)
+
+
+sizes = dict(classes=st.integers(2, 4), per_class=st.integers(2, 5),
+             dim=st.integers(2, 5), rho=st.floats(0.01, 100.0),
+             noise=st.floats(0.01, 100.0), seed=st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 1), **sizes)
+def test_zoo_model_keeps_the_reference_bits(m, classes, per_class, dim, rho,
+                                            noise, seed):
+    # odd per_class * dim carries a Box-Muller spare from class to class
+    cfg = ZooConfig(models=2, classes=classes, per_class=per_class, dim=dim,
+                    rhos=(rho, rho), noises=(noise, noise), seed=seed)
+    rng = SplitMix64(seed ^ m)
+    cents = rho * rng.gaussians(classes * dim).reshape(classes, dim)
+    train = reference_points(rng, cents, per_class, noise)
+    test = reference_points(rng, cents, per_class, noise)
+    labels = np.repeat(np.arange(classes), per_class)
+    acc = np.mean(reference_predictions(train, labels, test, classes) == labels)
+
+    ds, got = gen_zoo_model(cfg, m)
+    assert ds.features.dtype == np.float32
+    assert ds.features.tobytes() == train.tobytes()
+    assert got == 100.0 * acc
+    solo = gen_class_gaussians(classes, per_class, dim, rho, noise, seed ^ m)
+    assert solo.features.tobytes() == train.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(classes=st.integers(2, 4), per_class=st.integers(1, 5),
+       dim=st.integers(1, 4), rows=st.integers(1, 12), block=st.integers(1, 9),
+       dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_nearest_centroid_accuracy_keeps_the_reference_bits(
+        classes, per_class, dim, rows, block, dtype, data):
+    # few distinct values make exact ties common, and midpoints of two
+    # centroids make near ties that rounding decides; either goes the
+    # reference's way only if every distance keeps its bits. A small norm
+    # block splits the held-out rows into several blocks.
+    values = st.sampled_from([-3.0, -1.5, -1.0, -0.1, 0.0, 0.1, 1.0, 2.5])
+    train = data.draw(arrays(dtype, (classes * per_class, dim), elements=values))
+    train_labels = np.repeat(np.arange(classes), per_class)
+    cents = np.stack([train[train_labels == c].astype(np.float64).mean(axis=0)
+                      for c in range(classes)])
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, classes - 1),
+                                         st.integers(0, classes - 1)), max_size=4))
+    mids = np.array([(cents[a] + cents[b]) / 2 for a, b in pairs]).reshape(-1, dim)
+    test = np.vstack([data.draw(arrays(dtype, (rows, dim), elements=values)),
+                      mids.astype(dtype)])
+    test_labels = data.draw(arrays(np.int64, len(test),
+                                   elements=st.integers(0, classes - 1)))
+    pred = reference_predictions(train, train_labels, test, classes)
+    before = train.tobytes(), test.tobytes()
+
+    with mock.patch.object(synth, "_NORM_BLOCK", block, create=True):
+        assert nearest_centroid_accuracy(
+            train, train_labels, test, pred, classes) == 1.0
+        assert nearest_centroid_accuracy(
+            train, train_labels, test, test_labels, classes
+        ) == np.mean(pred == test_labels)
+    assert (train.tobytes(), test.tobytes()) == before
+
+
+def test_zoo_model_working_set_is_under_five_training_sets(tmp_path):
+    # zoobench's shape: N = 10 classes x 200 = 2000 rows, D = 128 dims, so
+    # the float32 training set is N*D*4 = 1,024,000 bytes. At the peak a
+    # model holds its float32 training and held-out sets (2x) and the
+    # float64 doubled held-out set of nearest_centroid_accuracy (2x), plus
+    # one class of draws and the N x classes distances: 4.5x. Drawing each
+    # set whole in float64, copying both sets to float64 for the oracle and
+    # joining the EMB1 file from two copies peaked at 8.2x.
+    cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
+                    rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
+    budget = 5 * cfg.classes * cfg.per_class * cfg.dim * 4
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds, _ = gen_zoo_model(cfg, 0)
+        save_emb1(ds, tmp_path / "model-00.emb1")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, f"{peak} bytes, {peak / (budget / 5):.2f}x N*D*4"
