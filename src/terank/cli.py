@@ -16,7 +16,6 @@ import shutil
 import sys
 import tempfile
 import time
-from collections import deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -334,10 +333,9 @@ def _pool_map(count: int, jobs: int, task) -> list:
     time, and return the results in index order.
 
     This is the one pool of the commands. A task keeps only what it
-    returns, so at most `jobs` models' data are alive at once. An index
-    is submitted only once fewer than `jobs` results wait to be read, so
-    the first failing index raises its error, after every started task
-    has ended, and at most `jobs - 1` indices after it have started.
+    returns, so at most `jobs` models' data are alive at once. The first
+    failing index raises its error, after every started task has ended;
+    the tasks that have not started are cancelled.
     """
     def run(index: int):
         # np.errstate is per thread: pool workers do not inherit the
@@ -345,14 +343,12 @@ def _pool_map(count: int, jobs: int, task) -> list:
         with np.errstate(all="ignore"):
             return task(index)
 
-    results, started = [], deque()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for index in range(count):
-            if len(started) == jobs:
-                results.append(started.popleft().result())
-            started.append(pool.submit(run, index))
-        results.extend(future.result() for future in started)
-    return results
+        try:
+            return list(pool.map(run, range(count)))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):

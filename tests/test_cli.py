@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import shutil
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -762,13 +763,15 @@ def test_synth_zero_accuracy_is_one_line_data_error(tmp_path, existing):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
-    # each pool task checks its model's accuracy, and the pool starts at
-    # most jobs - 1 models past a failing one, so a bad model-00 stops the
-    # zoo before the other models are drawn
+    # each pool task checks its model's accuracy, and the pool cancels the
+    # models not yet started, so a bad model-00 stops the zoo before all of
+    # them are drawn; the later models wait, so the check comes first
     calls = []
 
     def counted(cfg, m):
         calls.append(m)
+        if m:
+            time.sleep(0.05)
         return gen_zoo_model(cfg, m)
 
     gen_zoo_model = cli.gen_zoo_model
@@ -779,7 +782,7 @@ def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
         "--jobs", str(jobs), "--out", str(tmp_path / "zoo")])
     line = assert_one_data_error_line(result)
     assert "model-00" in line and "outside (0, 100]" in line, line
-    assert sorted(calls) == list(range(jobs))
+    assert 0 in calls and len(calls) < 6, calls
 
 
 @pytest.fixture(scope="module")

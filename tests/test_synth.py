@@ -1,6 +1,5 @@
 """Synthetic generation: stream order, blob statistics, zoo oracle truth."""
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +15,9 @@ from terank import (
     nearest_centroid_accuracy,
     save_emb1,
 )
-from terank import synth
 from terank.errors import DataError
 from terank.synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, gen_zoo_model
+from test_prepare_bits import old_draw_points
 
 
 def zoo_config(**overrides):
@@ -164,18 +163,9 @@ def test_config_rejects_a_model_no_float64_array_holds():
         zoo_config(classes=3, per_class=2, dim=limit // 15 + 1)
 
 
-# The formulas the memory-bounded generator replaced, kept as the bit
-# reference: one float64 draw of every point, cast to float32 at the end,
-# and whole-set float64 copies for the oracle's distances.
-def reference_points(rng, centroids, per_class, noise):
-    classes, dim = centroids.shape
-    g = rng.gaussians(classes * per_class * dim)
-    g *= noise
-    points = g.reshape(classes, per_class, dim)
-    points += centroids[:, None, :]
-    return points.reshape(classes * per_class, dim).astype(np.float32)
-
-
+# The oracle formula the memory-bounded one replaced, kept as the bit
+# reference: whole-set float64 copies for the distances. old_draw_points
+# is the draw formula's reference.
 def reference_predictions(train, train_labels, test, class_count):
     tr = np.asarray(train, dtype=np.float64)
     te = np.asarray(test, dtype=np.float64)
@@ -204,8 +194,8 @@ def test_zoo_model_keeps_the_reference_bits(m, classes, per_class, dim, rho,
                     rhos=(rho, rho), noises=(noise, noise), seed=seed)
     rng = SplitMix64(seed ^ m)
     cents = rho * rng.gaussians(classes * dim).reshape(classes, dim)
-    train = reference_points(rng, cents, per_class, noise)
-    test = reference_points(rng, cents, per_class, noise)
+    train = old_draw_points(rng, cents, per_class, noise)
+    test = old_draw_points(rng, cents, per_class, noise)
     labels = np.repeat(np.arange(classes), per_class)
     acc = np.mean(reference_predictions(train, labels, test, classes) == labels)
 
@@ -219,14 +209,13 @@ def test_zoo_model_keeps_the_reference_bits(m, classes, per_class, dim, rho,
 
 @settings(max_examples=100, deadline=None)
 @given(classes=st.integers(2, 4), per_class=st.integers(1, 5),
-       dim=st.integers(1, 4), rows=st.integers(1, 12), block=st.integers(1, 9),
+       dim=st.integers(1, 4), rows=st.integers(1, 12),
        dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
 def test_nearest_centroid_accuracy_keeps_the_reference_bits(
-        classes, per_class, dim, rows, block, dtype, data):
+        classes, per_class, dim, rows, dtype, data):
     # few distinct values make exact ties common, and midpoints of two
     # centroids make near ties that rounding decides; either goes the
-    # reference's way only if every distance keeps its bits. A small norm
-    # block splits the held-out rows into several blocks.
+    # reference's way only if every distance keeps its bits
     values = st.sampled_from([-3.0, -1.5, -1.0, -0.1, 0.0, 0.1, 1.0, 2.5])
     train = data.draw(arrays(dtype, (classes * per_class, dim), elements=values))
     train_labels = np.repeat(np.arange(classes), per_class)
@@ -242,12 +231,11 @@ def test_nearest_centroid_accuracy_keeps_the_reference_bits(
     pred = reference_predictions(train, train_labels, test, classes)
     before = train.tobytes(), test.tobytes()
 
-    with mock.patch.object(synth, "_NORM_BLOCK", block, create=True):
-        assert nearest_centroid_accuracy(
-            train, train_labels, test, pred, classes) == 1.0
-        assert nearest_centroid_accuracy(
-            train, train_labels, test, test_labels, classes
-        ) == np.mean(pred == test_labels)
+    assert nearest_centroid_accuracy(
+        train, train_labels, test, pred, classes) == 1.0
+    assert nearest_centroid_accuracy(
+        train, train_labels, test, test_labels, classes
+    ) == np.mean(pred == test_labels)
     assert (train.tobytes(), test.tobytes()) == before
 
 
@@ -256,7 +244,7 @@ def test_zoo_model_working_set_is_under_five_training_sets(tmp_path):
     # the float32 training set is N*D*4 = 1,024,000 bytes. At the peak a
     # model holds its float32 training and held-out sets (2x) and the
     # float64 doubled held-out set of nearest_centroid_accuracy (2x), plus
-    # one class of draws and the N x classes distances: 4.5x. Drawing each
+    # one class of draws and the N x classes distances: 4.4x. Drawing each
     # set whole in float64, copying both sets to float64 for the oracle and
     # joining the EMB1 file from two copies peaked at 8.2x.
     cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
