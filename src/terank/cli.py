@@ -107,7 +107,7 @@ def _handle_errors(fn):
             detail = f": {exc}" if str(exc) else ""
             click.echo(f"data error: out of memory{detail}", err=True)
             sys.exit(EXIT_DATA)
-        except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (NumericError, np.linalg.LinAlgError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)
 
@@ -356,12 +356,19 @@ def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
     `_pool_map`; return the results in input order and the summed
     per-model load seconds. `model_seed` is `seed` XOR the input's index,
     so the results are independent of the job count. Each task loads its
-    own set, so a corrupt input is found when its turn comes."""
+    own set, so a corrupt input is found when its turn comes; a data or
+    numeric error of a model is re-raised with its input path in front."""
     def task(index: int):
-        start = time.perf_counter()
-        ds = _load_set(files[index], label_col)
-        load_s = time.perf_counter() - start
-        return load_s, fn(ds, seed ^ index)
+        path = files[index]
+        try:
+            start = time.perf_counter()
+            ds = _load_set(path, label_col)
+            load_s = time.perf_counter() - start
+            return load_s, fn(ds, seed ^ index)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        except (NumericError, np.linalg.LinAlgError) as exc:
+            raise NumericError(f"{path}: {exc}") from None
 
     done = _pool_map(len(files), jobs, task)
     return [result for _, result in done], sum(load_s for load_s, _ in done)
@@ -562,9 +569,9 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
         out_files[f"improvement_{mode}.json"] = _json_text(
             {"manifest": manifest, "mode": mode, "rows": [r.to_dict() for r in rows]})
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in out_files.items():
-            (out / name).write_text(text, newline="")
+        with _all_or_nothing(out) as stage:
+            for name, text in out_files.items():
+                (stage / name).write_text(text, newline="")
 
     notes = []
     for mode, rows in summaries.items():

@@ -113,25 +113,20 @@ def load_emb1(path: str | Path) -> EmbeddingSet:
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
-        raise DataError(f"{path}: expected magic {MAGIC!r}, got {raw[:4]!r}")
+        raise DataError(f"expected magic {MAGIC!r}, got {raw[:4]!r}")
     if len(raw) < 4 + _HEADER.size:
-        raise DataError(f"{path}: header truncated at {len(raw)} bytes")
+        raise DataError(f"header truncated at {len(raw)} bytes")
     n, d, c, reserved = _HEADER.unpack_from(raw, 4)
     if reserved != 0:
-        raise DataError(f"{path}: reserved header field is {reserved}, not 0")
+        raise DataError(f"reserved header field is {reserved}, not 0")
     expected = 4 + _HEADER.size + n * d * 4 + n * 4
     if len(raw) < expected:
-        raise DataError(
-            f"{path}: payload is {len(raw)} bytes, header promises {expected}"
-        )
+        raise DataError(f"payload is {len(raw)} bytes, header promises {expected}")
     if len(raw) > expected:
-        raise DataError(f"{path}: {len(raw) - expected} trailing bytes after payload")
+        raise DataError(f"{len(raw) - expected} trailing bytes after payload")
     offset = 4 + _HEADER.size
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset)
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=offset + n * d * 4)
-    if (labels >= c).any():
-        bad = int(labels[labels >= c][0])
-        raise DataError(f"{path}: label {bad} >= class count {c}")
     return EmbeddingSet(
         features=feats.reshape(n, d).copy(),
         labels=labels.astype(np.int64),
@@ -148,26 +143,23 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
         text = path.read_bytes().decode("utf-8")
         lines = list(csv.reader(io.StringIO(text, newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+        raise DataError(f"not a readable UTF-8 CSV file ({exc})") from None
     if not lines:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
     header = lines[0]
     if label_column not in header:
-        raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+        raise DataError(f"no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
-    feat_names = [h for i, h in enumerate(header) if i != label_idx]
     rows: list[list[float]] = []
     raw_labels: list[int] = []
     for lineno, row in enumerate(lines[1:], start=2):
         if len(row) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: {len(row)} cells, expected {len(header)}"
-            )
+            raise DataError(f"line {lineno}: {len(row)} cells, expected {len(header)}")
         try:
             raw_labels.append(int(row[label_idx]))
         except ValueError:
             raise DataError(
-                f"{path}:{lineno}: label {row[label_idx]!r} is not an integer"
+                f"line {lineno}: label {row[label_idx]!r} is not an integer"
             ) from None
         vals = []
         for i, cell in enumerate(row):
@@ -177,18 +169,13 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
                 vals.append(float(cell))
             except ValueError:
                 raise DataError(
-                    f"{path}:{lineno}: column {header[i]!r} cell {cell!r} "
-                    "is not numeric"
+                    f"line {lineno}: column {header[i]!r} cell {cell!r} is not numeric"
                 ) from None
         rows.append(vals)
-    if not feat_names:
-        raise DataError(f"{path}: no feature columns besides {label_column!r}")
     uniq = sorted(set(raw_labels))
-    if len(uniq) < 2:
-        raise DataError(f"{path}: only one class present ({uniq})")
     remap = {orig: dense for dense, orig in enumerate(uniq)}
     return EmbeddingSet(
-        features=np.asarray(rows, dtype=np.float32),
+        features=np.asarray(rows, dtype=np.float32).reshape(len(rows), len(header) - 1),
         labels=np.asarray([remap[v] for v in raw_labels], dtype=np.int64),
         class_count=len(uniq),
         model_id=path.stem,

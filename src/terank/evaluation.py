@@ -40,9 +40,7 @@ class TruthTable:
 
     def __post_init__(self):
         for key, acc in self.records.items():
-            _check_key(key)
-            if not 0.0 < acc <= 100.0:
-                raise DataError(f"{key}: accuracy {acc} outside (0, 100]")
+            _check_record(key, acc)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -57,7 +55,9 @@ class TruthTable:
             ) from None
 
 
-def _check_key(key: tuple[str, str, str, str]) -> None:
+def _check_record(key: tuple[str, str, str, str], acc: float) -> None:
+    """The rule every truth record obeys: a known regime and pool, a
+    non-empty model and dataset, and an accuracy in (0, 100]."""
     model, dataset, regime, pool = key
     if not model or not dataset:
         raise DataError(f"empty model or dataset in key {key}")
@@ -65,6 +65,8 @@ def _check_key(key: tuple[str, str, str, str]) -> None:
         raise DataError(f"unknown regime {regime!r} (allowed: {REGIMES})")
     if pool not in POOLS:
         raise DataError(f"unknown pool {pool!r} (allowed: {POOLS})")
+    if not 0.0 < acc <= 100.0:
+        raise DataError(f"{key}: accuracy {acc} outside (0, 100]")
 
 
 def load_truth(path: str | Path) -> TruthTable:
@@ -106,6 +108,10 @@ def _parse_truth(sources: Iterable[tuple[Iterable[dict], str]]) -> TruthTable:
                 raise DataError(
                     f"{origin}:{lineno}: accuracy {row['accuracy']!r} is not a number"
                 ) from None
+            try:
+                _check_record(key, acc)
+            except DataError as exc:
+                raise DataError(f"{origin}:{lineno}: {exc}") from None
             if key in records:
                 raise DataError(f"{origin}:{lineno}: duplicate key {key}")
             records[key] = acc

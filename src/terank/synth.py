@@ -87,8 +87,6 @@ def gen_class_gaussians(
     rho: float,
     noise: float,
     seed: int,
-    model_id: str = "synthetic",
-    dataset_id: str = SYNTH_DATASET,
 ) -> EmbeddingSet:
     """Isotropic Gaussian blobs: centroids from N(0, rho^2 I), then
     per_class points per class from N(centroid, noise^2 I).
@@ -102,8 +100,8 @@ def gen_class_gaussians(
         features=_draw_points(rng, centroids, per_class, noise),
         labels=np.repeat(np.arange(classes, dtype=np.int64), per_class),
         class_count=classes,
-        model_id=model_id,
-        dataset_id=dataset_id,
+        model_id="synthetic",
+        dataset_id=SYNTH_DATASET,
     )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import shutil
+import struct
 import time
 import warnings
 from collections import Counter
@@ -368,7 +369,8 @@ def test_csv_feature_beyond_float32_is_one_line_data_error(tmp_path):
         warnings.simplefilter("error", RuntimeWarning)
         result = CliRunner().invoke(main, ["score", "--input", str(path)])
     assert result.exit_code == 3, result.output
-    assert result.stderr == "data error: non-finite feature value at flat index 1\n"
+    assert result.stderr == (
+        f"data error: {path}: non-finite feature value at flat index 1\n")
 
 
 def test_evaluate_improvement_zero_for_identical_modes(zoo_dir, tmp_path):
@@ -798,6 +800,10 @@ def zoo_scores(zoo_dir, tmp_path_factory):
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
                  b"model-00,synthetic,synthetic,synthetic,5\xff0\n", id="not-utf8"),
     pytest.param(b"model,dataset\nmodel-00,synthetic,synthetic\n", id="ragged"),
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"model-00,synthetic,foo,synthetic,50\n", id="unknown-regime"),
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"model-00,synthetic,synthetic,synthetic,150\n", id="accuracy"),
 ])
 def test_unreadable_truth_is_one_line_data_error(zoo_dir, zoo_scores, tmp_path,
                                                  command, content):
@@ -886,3 +892,87 @@ def test_default_score_and_evaluate_configs(zoo_dir, zoo_scores, tmp_path):
         "regime": "vanilla", "pool": "supervised", "weighting": "symmetric",
         "seed": 0,
     }
+
+
+def emb1_with(src: Path, dst: Path, *, feature=None, label=None) -> Path:
+    """Copy EMB1 file `src` to `dst` with its first feature value or its
+    last label replaced."""
+    raw = bytearray(src.read_bytes())
+    if feature is not None:
+        raw[20:24] = struct.pack("<f", feature)
+    if label is not None:
+        raw[-4:] = struct.pack("<I", label)
+    dst.write_bytes(bytes(raw))
+    return dst
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+@pytest.mark.parametrize("case", ["nan-feature", "label-too-large", "header-only-csv",
+                                  "alpha-overflow"])
+def test_model_failure_names_its_input(zoo_dir, tmp_path, command, jobs, case):
+    # a data or numeric failure of one model in a pool says which input
+    # file it came from, at every --jobs, with the exit code unchanged
+    first = zoo_dir / "model-00.emb1"
+    if case == "nan-feature":
+        bad = emb1_with(first, tmp_path / "bad.emb1", feature=float("nan"))
+        code, line = 3, f"data error: {bad}: non-finite feature value at flat index 0"
+    elif case == "label-too-large":
+        bad = emb1_with(first, tmp_path / "bad.emb1", label=7)
+        code, line = 3, (f"data error: {bad}: labels must lie in [0, 3), "
+                         "got range [0, 7]")
+    elif case == "header-only-csv":
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,label\n")
+        code, line = 3, f"data error: {bad}: need at least 2 samples, got 0"
+    else:
+        bad = None
+        code, line = 4, f"numeric failure: {first}: logme score is not finite (nan)"
+    args = [command, "--input", str(zoo_dir), "--jobs", jobs]
+    if bad is None:
+        args += ["--alpha", "1e300", "--metric", "logme"]
+    else:
+        args += ["--input", str(bad), "--metric", "gbc"]
+    if command == "sweep":
+        args += ["--truth", str(zoo_dir / "truth.csv"), "--alpha-grid", "0.005",
+                 "--sigma-grid", "0.6"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == code, result.output
+    # logme's fixed-point warnings go through logging; the error is one line
+    errors = [text for text in result.stderr.splitlines()
+              if text.startswith(("data error: ", "numeric failure: "))]
+    assert errors == [line]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_evaluate_leaves_out_as_it_found_it(zoo_dir, tmp_path, monkeypatch,
+                                                   existing):
+    scores = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc", "--mode", "none",
+            "--mode", "sa", "--out", str(scores)])
+    out = tmp_path / "reports"
+    if existing:
+        out.mkdir()
+        (out / "report_gbc_none.json").write_text("old")
+    write_text = Path.write_text
+    calls = []
+
+    def full_disk(self, *args, **kwargs):
+        # the third file of the report set finds the disk full
+        calls.append(self)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores),
+                                       "--truth", str(zoo_dir / "truth.csv"),
+                                       "--out", str(out)])
+    monkeypatch.undo()
+    assert result.exit_code == 3, result.output
+    assert len(calls) == 3
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["report_gbc_none.json"]
+        assert (out / "report_gbc_none.json").read_text() == "old"
+    else:
+        assert not out.exists()

@@ -1,10 +1,12 @@
 """Property test of the CLI surface: malformed EMB1, CSV, score-JSON and
 truth-CSV bytes and bad flag values always end in a documented exit code (0 ok,
-2 usage, 3 data, 4 numeric), never in a traceback, and `--format json`
-output always parses as strict JSON (no NaN or Infinity tokens)."""
+2 usage, 3 data, 4 numeric), never in a traceback, a data or numeric
+failure of a model names its input file, and `--format json` output
+always parses as strict JSON (no NaN or Infinity tokens)."""
 import csv
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -118,7 +120,9 @@ json_values = st.recursive(
 def malformed(draw, base: bytes, kind: str):
     """`base` cut short, overwritten in places, or replaced outright; for
     score JSON also one field of the document replaced by any JSON value,
-    and for a truth CSV one cell replaced by none, one or two cells."""
+    for an EMB1 file one feature or label replaced by any value of its
+    type, and for a truth or embedding CSV one cell replaced by none, one
+    or two cells."""
     how = draw(st.sampled_from(["valid", "cut", "overwrite", "random", "field"]))
     if how == "valid":
         return base
@@ -138,7 +142,16 @@ def malformed(draw, base: bytes, kind: str):
                   "record": doc["records"][0]}[target]
         holder[draw(st.sampled_from(sorted(holder)))] = draw(json_values)
         return json.dumps(doc).encode()
-    if how == "field" and kind == "truth":
+    if how == "field" and kind == "emb1":
+        # the header stays valid, so the value reaches the set's own checks
+        n, d = struct.unpack_from("<2I", base, 4)
+        index = draw(st.integers(0, n * d + n - 1))
+        value = (struct.pack("<f", draw(st.floats(width=32))) if index < n * d
+                 else struct.pack("<I", draw(st.integers(0, 4))))
+        out = bytearray(base)
+        out[20 + 4 * index:24 + 4 * index] = value
+        return bytes(out)
+    if how == "field" and kind in ("truth", "csv"):
         rows = list(csv.reader(io.StringIO(base.decode(), newline="")))
         row = rows[draw(st.integers(0, len(rows) - 1))]
         at = draw(st.integers(0, len(row) - 1))
@@ -177,15 +190,21 @@ def check_invocation(valid, kind, content, args, fmt):
                      "--out", f"{tmp}/out"]
         else:
             model = path if kind in ("emb1", "csv") else zoo / "model-00.emb1"
-            args += ["--input", str(model),
-                     "--input", str(zoo / "model-01.emb1"),
-                     "--input", str(zoo / "model-02.emb1")]
+            inputs = [model, zoo / "model-01.emb1", zoo / "model-02.emb1"]
+            for item in inputs:
+                args += ["--input", str(item)]
             if args[0] == "sweep":
                 args += ["--truth", str(truth)]
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3, 4), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
+    if (kind in ("emb1", "csv") and result.exit_code in (3, 4)
+            and not result.stderr.startswith("data error: no ground truth")):
+        # a failure of a model names its input file; only a sweep's truth
+        # lookup, made after every model has scored, names a model id instead
+        assert any(str(item) in result.stderr for item in inputs), (
+            args, result.stderr)
     if result.exit_code == 0 and fmt == "json":
         strict_json(result.stdout)
 

@@ -1,4 +1,5 @@
 """EmbeddingSet validation, EMB1 byte layout, CSV ingestion."""
+import re
 import struct
 
 import numpy as np
@@ -65,7 +66,8 @@ def test_truncated_payload(tmp_path):
 def test_label_out_of_range(tmp_path):
     path = tmp_path / "lab.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 5]))
-    with pytest.raises(DataError, match="label 5 >= class count 2"):
+    with pytest.raises(DataError, match=re.escape("labels must lie in [0, 2), "
+                                                  "got range [0, 5]")):
         load_emb1(path)
 
 
@@ -126,7 +128,7 @@ def test_csv_dense_remap(tmp_path):
 def test_csv_single_row_rejected(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("f0,label\n1.0,0\n")
-    with pytest.raises(DataError, match="only one class present"):
+    with pytest.raises(DataError, match="need at least 2 samples, got 1"):
         load_csv(path)
 
 
@@ -163,7 +165,20 @@ def test_csv_non_numeric_cell(tmp_path):
 def test_csv_single_class(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("f0,label\n1.0,3\n2.0,3\n")
-    with pytest.raises(DataError, match="only one class present"):
+    with pytest.raises(DataError, match="need 2 to 2 classes for 2 samples, got 1"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("f0,label\n", "need at least 2 samples, got 0"),
+    ("label\n0\n1\n", "need at least 1 feature dimension"),
+], ids=["header-only", "label-only"])
+def test_csv_shapes_are_checked_by_the_set(tmp_path, text, message):
+    # the features keep their (rows, columns) shape, so an empty CSV is
+    # refused for its sample count and a label-only CSV for its width
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=re.escape(message)):
         load_csv(path)
 
 

@@ -107,6 +107,11 @@ def test_out_of_range_accuracy_rejected(tmp_path):
     pytest.param(b"model,dataset,regime,pool,accuracy\n" + b"m" * 200_000
                  + b",A,vanilla,supervised,50\n", id="field-too-large"),
     pytest.param(b"model,dataset\nm,A,vanilla\n", id="row-longer-than-header"),
+    # a row that breaks the record rule of every truth table
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"m,A,foo,supervised,50\n", id="unknown-regime"),
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"m,A,vanilla,supervised,150\n", id="accuracy"),
 ])
 def test_unreadable_truth_names_the_file(tmp_path, content):
     path = tmp_path / "t.csv"
