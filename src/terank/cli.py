@@ -625,11 +625,16 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
     cells = [(a, sigma) for a in alpha_grid] + [(alpha, s) for s in sigma_grid]
     configs = [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
                for a, s_val in cells]
-    groups, _ = _map_models(
-        files, label_col, jobs, seed,
-        lambda ds, model_seed: score_model(
-            ds, metrics, configs, energy=pca_energy, rank=pca_rank,
-            seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
+
+    def run(ds: EmbeddingSet, model_seed: int) -> list[ScoreRecord]:
+        # a model without a truth row under the slice fails once it loads,
+        # before it is scored; a corrupt input still fails on its load
+        truth_table.accuracy(ds.model_id, dataset, regime, pool)
+        return score_model(ds, metrics, configs, energy=pca_energy, rank=pca_rank,
+                           seed=model_seed, nleep_components=nleep_k,
+                           eps_scale=lda_eps)
+
+    groups, _ = _map_models(files, label_col, jobs, seed, run)
     # each model's records come in (cell, metric) order
     by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
     for group in groups:

@@ -6,7 +6,7 @@ on any platform.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,25 +58,38 @@ class ZooConfig:
             raise DataError("rho and noise values must be > 0")
 
 
-def _draw_points(
+def _class_draws(
     rng: SplitMix64, centroids: np.ndarray, per_class: int, noise: float
-) -> np.ndarray:
-    """per_class points around each centroid, noise * g + centroid, as
-    float32 rows in class order.
+) -> Iterator[np.ndarray]:
+    """per_class points around each centroid, noise * g + centroid, as one
+    float32 block per class, in class order, each drawn when it is taken.
 
-    The draws come one class at a time, each formed in its own float64
-    buffer and rounded once to float32, so only one class of float64
-    draws is alive. The stream order, and the spare an odd draw carries
-    into the next class, are those of one draw of every point, so the
-    bits equal (repeat(centroids) + noise * g).astype(float32).
+    Each block is formed in its own float64 buffer, freed once it is
+    rounded to float32, so at most one class of float64 draws is alive.
+    The stream order, and the spare an odd draw carries into the next
+    class, are those of one draw of every point, so the stacked blocks
+    equal (repeat(centroids) + noise * g).astype(float32) bit for bit.
     """
-    classes, dim = centroids.shape
-    points = np.empty((classes * per_class, dim), dtype=np.float32)
-    for c, centroid in enumerate(centroids):
+    dim = centroids.shape[1]
+
+    def draw(centroid: np.ndarray) -> np.ndarray:
         g = rng.gaussians(per_class * dim).reshape(per_class, dim)
         g *= noise
         g += centroid  # the sum is commutative: centroid + noise * g
-        points[c * per_class:(c + 1) * per_class] = g
+        return g.astype(np.float32)
+
+    return map(draw, centroids)
+
+
+def _draw_points(
+    rng: SplitMix64, centroids: np.ndarray, per_class: int, noise: float
+) -> np.ndarray:
+    """The blocks of `_class_draws` as one float32 array of rows in class
+    order."""
+    classes, dim = centroids.shape
+    points = np.empty((classes * per_class, dim), dtype=np.float32)
+    for c, block in enumerate(_class_draws(rng, centroids, per_class, noise)):
+        points[c * per_class:(c + 1) * per_class] = block
     return points
 
 
@@ -105,36 +118,49 @@ def gen_class_gaussians(
     )
 
 
+def _sq_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared float64 distances of each row of `features` to each
+    centroid, as ||t||^2 - 2 t.mu + ||mu||^2. A row's distances do not
+    depend on which other rows share its call."""
+    features = np.asarray(features)
+    te_sq = np.sum(np.square(features, dtype=np.float64), axis=1)
+    # doubling is exact, so these are the bits of 2.0 * features in float64
+    te2 = np.multiply(features, 2.0, dtype=np.float64)
+    return te_sq[:, None] - te2 @ centroids.T + np.sum(centroids * centroids, axis=1)
+
+
 def nearest_centroid_accuracy(
     train_features: np.ndarray,
     train_labels: np.ndarray,
-    test_features: np.ndarray,
-    test_labels: np.ndarray,
+    held_out: Iterable[tuple[np.ndarray, np.ndarray | int]],
     class_count: int,
 ) -> float:
     """Fraction of held-out points whose nearest training-class centroid
     matches their label. Ties go to the lowest class index.
 
-    Distances are computed in float64. Besides the inputs, one
-    full-size float64 array is alive at a time: the squared test set
-    while its row norms are summed, then twice the test set. Each
-    centroid is the mean of its class's rows cast on their own.
+    `held_out` yields `(features, labels)` blocks, where labels may be
+    one class index for the whole block; a caller with whole arrays
+    passes one block. Each block is reduced to its hit count before the
+    next is taken, so a generator of blocks never has the whole held-out
+    set alive: besides the training set, one block and its block-sized
+    float64 double are. Distances are computed in float64 by
+    `_sq_distances`, whose rows do not depend on the other rows of their
+    block, so any split into blocks gives the same bits. Each centroid
+    is the mean of its class's rows cast on their own.
     """
     train_features = np.asarray(train_features)
-    test_features = np.asarray(test_features)
     centroids = np.stack([
         np.asarray(train_features[train_labels == c], dtype=np.float64).mean(axis=0)
         for c in range(class_count)
     ])
-    te_sq = np.sum(np.square(test_features, dtype=np.float64), axis=1)
-    # doubling is exact, so these are the bits of 2.0 * test in float64
-    te2 = np.multiply(test_features, 2.0, dtype=np.float64)
-    d2 = (
-        te_sq[:, None]
-        - te2 @ centroids.T
-        + np.sum(centroids * centroids, axis=1)
-    )
-    return float(np.mean(np.argmin(d2, axis=1) == test_labels))
+    hits = total = 0
+    for features, labels in held_out:
+        nearest = np.argmin(_sq_distances(features, centroids), axis=1)
+        hits += int(np.count_nonzero(nearest == labels))
+        total += len(nearest)
+    if not total:
+        raise DataError("no held-out points")
+    return hits / total
 
 
 def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
@@ -148,34 +174,41 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     concurrently with identical output. Raises NumericError when the
     draws or their float32 cast overflow.
 
-    Both draws go straight into float32 sets one class at a time, so
-    beside the two float32 sets a model holds one class of float64 draws
-    and, while its accuracy is measured, the float64 doubled held-out
-    set: about 4.4 times the training set's float32 bytes.
+    The training set is drawn into float32 one class at a time. The
+    held-out set is drawn class by class while its accuracy is measured,
+    each class checked, counted and dropped before the next is drawn, so
+    it never exists whole. Beside the float32 training set a model holds
+    one class of draws and their distances: a traced peak, save_emb1
+    included, of about 1.8 times the training set's float32 bytes.
     """
+    model_id = f"model-{m:02d}"
+
+    def finite(points: np.ndarray) -> np.ndarray:
+        # finite flags can still overflow the draws or their float32 cast
+        if not np.isfinite(points).all():
+            raise NumericError(
+                f"{model_id}: generated features are not finite in float32 "
+                f"(rho {cfg.rhos[m]:g}, noise {cfg.noises[m]:g})"
+            )
+        return points
+
     rng = SplitMix64(cfg.seed ^ m)
     centroids = cfg.rhos[m] * rng.gaussians(cfg.classes * cfg.dim).reshape(
         cfg.classes, cfg.dim
     )
-    train = _draw_points(rng, centroids, cfg.per_class, cfg.noises[m])
-    test = _draw_points(rng, centroids, cfg.per_class, cfg.noises[m])
-    # finite flags can still overflow the draws or their float32 cast
-    if not (np.isfinite(train).all() and np.isfinite(test).all()):
-        raise NumericError(
-            f"model-{m:02d}: generated features are not finite in float32 "
-            f"(rho {cfg.rhos[m]:g}, noise {cfg.noises[m]:g})"
-        )
-    labels = np.repeat(np.arange(cfg.classes, dtype=np.int64), cfg.per_class)
     ds = EmbeddingSet(
-        features=train,
-        labels=labels,
+        features=finite(_draw_points(rng, centroids, cfg.per_class, cfg.noises[m])),
+        labels=np.repeat(np.arange(cfg.classes, dtype=np.int64), cfg.per_class),
         class_count=cfg.classes,
-        model_id=f"model-{m:02d}",
+        model_id=model_id,
         dataset_id=SYNTH_DATASET,
     )
-    acc = nearest_centroid_accuracy(
-        ds.features, labels, test, labels, cfg.classes
+    held_out = (
+        (finite(block), c)
+        for c, block in enumerate(
+            _class_draws(rng, centroids, cfg.per_class, cfg.noises[m]))
     )
+    acc = nearest_centroid_accuracy(ds.features, ds.labels, held_out, cfg.classes)
     return ds, 100.0 * acc
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from terank import cli
+from terank import cli, synth
 from terank.cli import main
 from terank.errors import NumericError
+from test_synth import held_out_overflow
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,33 @@ def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):
         lines = stderr["1"].splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("numeric failure: model-00: "), lines
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_synth_held_out_overflow_is_one_numeric_failure_line(tmp_path, monkeypatch,
+                                                             existing, jobs):
+    # the held-out set is checked class by class as the oracle draws it; a
+    # class that overflows float32 fails the run like a training overflow
+    monkeypatch.setattr(synth, "SplitMix64",
+                        held_out_overflow(held_out_class=0, classes=2))
+    out = tmp_path / "zoo"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "2", "--classes", "2", "--per-class", "3",
+        "--dim", "2", "--jobs", jobs, "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("numeric failure: model-00: generated features "
+                               "are not finite in float32"), lines
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not out.exists()
 
 
 def assert_one_data_error_line(result):
@@ -814,6 +842,21 @@ def test_unreadable_truth_is_one_line_data_error(zoo_dir, zoo_scores, tmp_path,
                       "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}[command]
     result = CliRunner().invoke(main, args + ["--truth", str(truth)])
     assert str(truth) in assert_one_data_error_line(result)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_checks_the_truth_table_before_scoring(zoo_dir, monkeypatch, jobs):
+    # a --dataset with no truth row for the pool's models fails as the
+    # first model loads, before any model is scored
+    calls = []
+    monkeypatch.setattr(cli, "score_model", lambda *args, **kwargs: calls.append(args))
+    result = CliRunner().invoke(main, [
+        "sweep", "--input", str(zoo_dir), "--truth", str(zoo_dir / "truth.csv"),
+        "--dataset", "Pets", "--metric", "gbc", "--jobs", jobs])
+    assert assert_one_data_error_line(result) == (
+        f"data error: {zoo_dir / 'model-00.emb1'}: no ground truth for model "
+        "'model-00' under (dataset=Pets, regime=synthetic, pool=synthetic)")
+    assert calls == []
 
 
 def test_evaluate_without_score_records_is_a_data_error(zoo_scores, tmp_path):

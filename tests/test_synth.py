@@ -14,9 +14,16 @@ from terank import (
     gen_model_zoo,
     nearest_centroid_accuracy,
     save_emb1,
+    synth,
 )
-from terank.errors import DataError
-from terank.synth import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, gen_zoo_model
+from terank.errors import DataError, NumericError
+from terank.synth import (
+    SYNTH_DATASET,
+    SYNTH_POOL,
+    SYNTH_REGIME,
+    _sq_distances,
+    gen_zoo_model,
+)
 from test_prepare_bits import old_draw_points
 
 
@@ -131,9 +138,16 @@ def test_accuracy_monotone_in_separation_at_fixed_seed():
         train = draw(rng)
         test = draw(rng)
         accs.append(
-            nearest_centroid_accuracy(train, labels, test, labels, classes)
+            nearest_centroid_accuracy(train, labels, [(test, labels)], classes)
         )
     assert all(b >= a for a, b in zip(accs, accs[1:]))
+
+
+def test_oracle_without_held_out_points_is_a_data_error():
+    train = np.eye(2, dtype=np.float32)
+    for held_out in ([], [(np.empty((0, 2), np.float32), np.empty(0, np.int64))]):
+        with pytest.raises(DataError, match="no held-out points"):
+            nearest_centroid_accuracy(train, np.arange(2), held_out, 2)
 
 
 def test_oracle_accuracy_bounded_by_chance_and_one():
@@ -232,24 +246,19 @@ def test_nearest_centroid_accuracy_keeps_the_reference_bits(
     before = train.tobytes(), test.tobytes()
 
     assert nearest_centroid_accuracy(
-        train, train_labels, test, pred, classes) == 1.0
+        train, train_labels, [(test, pred)], classes) == 1.0
     assert nearest_centroid_accuracy(
-        train, train_labels, test, test_labels, classes
+        train, train_labels, [(test, test_labels)], classes
     ) == np.mean(pred == test_labels)
     assert (train.tobytes(), test.tobytes()) == before
 
 
-def test_zoo_model_working_set_is_under_five_training_sets(tmp_path):
-    # zoobench's shape: N = 10 classes x 200 = 2000 rows, D = 128 dims, so
-    # the float32 training set is N*D*4 = 1,024,000 bytes. At the peak a
-    # model holds its float32 training and held-out sets (2x) and the
-    # float64 doubled held-out set of nearest_centroid_accuracy (2x), plus
-    # one class of draws and the N x classes distances: 4.4x. Drawing each
-    # set whole in float64, copying both sets to float64 for the oracle and
-    # joining the EMB1 file from two copies peaked at 8.2x.
+def traced_model_peak(tmp_path) -> float:
+    """tracemalloc's peak while model 0 of a zoo at zoobench's shape is
+    generated and saved, in units of its float32 training set: N = 10
+    classes x 200 = 2000 rows of D = 128 dims, N*D*4 = 1,024,000 bytes."""
     cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
                     rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
-    budget = 5 * cfg.classes * cfg.per_class * cfg.dim * 4
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -259,4 +268,79 @@ def test_zoo_model_working_set_is_under_five_training_sets(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= budget, f"{peak} bytes, {peak / (budget / 5):.2f}x N*D*4"
+    return peak / (cfg.classes * cfg.per_class * cfg.dim * 4)
+
+
+def test_zoo_model_working_set_is_under_five_training_sets(tmp_path):
+    # At the peak a model holds its float32 training set, one class of
+    # float64 draws with the RNG's temporaries, and one held-out class
+    # with its distances: 1.8x N*D*4. Holding the whole held-out set in
+    # float32 and its float64 doubled copy peaked at 4.4x; drawing each
+    # set whole in float64, copying both sets to float64 for the oracle
+    # and joining the EMB1 file from two copies peaked at 8.2x.
+    ratio = traced_model_peak(tmp_path)
+    assert ratio <= 5, f"{ratio:.2f}x N*D*4"
+
+
+def test_held_out_set_is_never_whole(tmp_path):
+    # the whole held-out set in float32 beside the training set would
+    # already be 2x, before any draw or distance; with its float64 doubled
+    # copy it was 4.4x
+    ratio = traced_model_peak(tmp_path)
+    assert ratio <= 2.5, f"{ratio:.2f}x N*D*4"
+
+
+@pytest.mark.parametrize("classes,per_class,dim", [(10, 200, 128), (20, 100, 1024)])
+def test_distance_rows_do_not_depend_on_their_block(classes, per_class, dim):
+    # the oracle takes the held-out set one class at a time, so its
+    # predictions keep their bits only if the BLAS gives a row the same
+    # ||t||^2 and 2 t @ mu.T whichever other rows share its call
+    ds = gen_class_gaussians(classes, per_class, dim, rho=1.0, noise=1.0, seed=0)
+    x = ds.features
+    cents = np.stack([x[ds.labels == c].astype(np.float64).mean(axis=0)
+                      for c in range(classes)])
+    whole_sq = np.sum(np.square(x, dtype=np.float64), axis=1)
+    whole_gemm = np.multiply(x, 2.0, dtype=np.float64) @ cents.T
+    whole_d2 = _sq_distances(x, cents)
+    for c in range(classes):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        block = x[rows]
+        sq = np.sum(np.square(block, dtype=np.float64), axis=1)
+        gemm = np.multiply(block, 2.0, dtype=np.float64) @ cents.T
+        assert sq.tobytes() == whole_sq[rows].tobytes(), f"||t||^2, class {c}"
+        assert gemm.tobytes() == whole_gemm[rows].tobytes(), f"2 t @ mu.T, class {c}"
+        assert _sq_distances(block, cents).tobytes() == whole_d2[rows].tobytes()
+
+
+def held_out_overflow(held_out_class: int, classes: int):
+    """A SplitMix64 whose draws for one held-out class are 1e39, past
+    float32's range. A model draws its centroids, then `classes` training
+    classes, then the held-out classes, one gaussians call each."""
+    poisoned = 2 + classes + held_out_class
+
+    class Stream(SplitMix64):
+        __slots__ = ("calls",)
+
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.calls = 0
+
+        def gaussians(self, count):
+            self.calls += 1
+            g = super().gaussians(count)
+            if self.calls == poisoned:
+                g[:] = 1e39
+            return g
+
+    return Stream
+
+
+def test_held_out_overflow_names_its_model(monkeypatch):
+    # a held-out class that overflows float32 is found while it is drawn,
+    # after a finite training set, and fails like a training overflow
+    cfg = zoo_config()
+    monkeypatch.setattr(synth, "SplitMix64",
+                        held_out_overflow(held_out_class=1, classes=cfg.classes))
+    message = r"^model-01: generated features are not finite in float32 \(rho 2, "
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=message):
+        gen_zoo_model(cfg, 1)
