@@ -115,8 +115,11 @@ def _handle_errors(fn):
 
 
 def _common_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Base seed; per-model seeds are seed XOR model index.")(fn)
+    # SplitMix64 keeps 64 bits of a seed, so a wider one would alias
+    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
+                      show_default=True,
+                      help="Base seed in [0, 2^64); per-model seeds are "
+                           "seed XOR model index.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                       default=None,
                       help="Machine format on stdout instead of a table.")(fn)

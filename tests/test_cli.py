@@ -133,6 +133,9 @@ def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     ["sweep", "--sigma-grid", "0.5,nan"],
     ["synth", "--rho-range", "nan:1"],
     ["synth", "--noise-range", "1:inf"],
+    ["score", "--seed=-1"],
+    ["sweep", "--seed=-1"],
+    ["bench", "--seed=-1"],
 ], ids=" ".join)
 def test_non_finite_or_negative_values_are_usage_errors(zoo_dir, tmp_path, args):
     where = ["--out", str(tmp_path / "zoo")] if args[0] == "synth" else [
@@ -276,6 +279,24 @@ def test_synth_size_exit_codes(tmp_path, flag, value, code):
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,code", [("-1", 2), (str(2**64), 2),
+                                       (str(2**64 - 1), 0)])
+def test_synth_seed_is_one_64_bit_state(tmp_path, seed, code):
+    # SplitMix64 keeps a seed's low 64 bits, so -1 and 2^64 would write
+    # the zoos of 2^64 - 1 and 0 under a manifest naming another seed
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, ["synth", "--models", "2", "--classes", "2",
+                                       "--per-class", "3", "--dim", "2",
+                                       "--seed", seed, "--out", str(out)])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "--seed" in result.output
+        assert not out.exists()
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 2**64 - 1
 
 
 def test_synth_overflow_prints_one_line_at_every_job_count(tmp_path):

@@ -1,7 +1,8 @@
 """SplitMix64 stream contract: reference vectors, Box-Muller consumption,
-bit-equality of the bulk numpy fills with the scalar draws, and the libm
-calls the bulk fill makes."""
-import cmath
+bit-equality of the bulk numpy fills with the scalar draws, the bits of
+numpy's complex exp (the C library's cexp) against math.cos and math.sin,
+and the calls the bulk fill makes: one math.log per pair and one np.exp
+per block."""
 import math
 from collections import Counter
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from terank import SplitMix64
 from terank import rng as rng_module
+from test_cold_start import NUMPY_TRANSCENDENTALS
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -168,42 +170,69 @@ def with_edge_examples(test):
     return test
 
 
+def complex_exp_parts(theta):
+    """np.exp of `0 + i*theta` on a complex128 array, as the bulk fill takes
+    it, and math.cos and math.sin of the same angles, both as
+    [cos, sin, cos, sin, ...]."""
+    w = np.zeros(theta.shape[0], dtype=np.complex128)
+    w.imag = theta
+    got = np.exp(w).view(np.float64)
+    want = np.array([f(t) for t in theta.tolist() for f in (math.cos, math.sin)])
+    return got, want
+
+
 @settings(max_examples=2000, deadline=None)
 @given(k=st.integers(0, 2**53 - 1))
 @with_edge_examples
-def test_cmath_exp_parts_have_the_bits_of_cos_and_sin(k):
-    # the bulk fill takes each pair's cos and sin from one cmath.exp call;
-    # its angles are _TWO_PI * k * 2^-53 for a 53-bit k, as in gaussian()
-    theta = rng_module._TWO_PI * (k * 2.0**-53)
-    w = cmath.exp(complex(0.0, theta))
-    assert (w.real.hex(), w.imag.hex()) == (math.cos(theta).hex(),
-                                            math.sin(theta).hex())
+def test_complex_exp_parts_have_the_bits_of_cos_and_sin(k):
+    # the bulk fill takes each pair's cos and sin from np.exp of a complex128
+    # array, which numpy hands to the C library's cexp; its angles are
+    # _TWO_PI * k * 2^-53 for a 53-bit k, as in gaussian()
+    theta = np.array([rng_module._TWO_PI * (k * 2.0**-53)])
+    got, want = complex_exp_parts(theta)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_complex_exp_of_a_million_stream_angles_has_the_bits_of_cos_and_sin():
+    # 2^20 angles of one SplitMix64 stream, spread over the whole 53-bit
+    # draw range, through one vectorised np.exp call as the fill makes it
+    theta = rng_module._TWO_PI * SplitMix64(0x5EED).uniforms(2**20)
+    got, want = complex_exp_parts(theta)
+    mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert mismatched.size == 0, (
+        f"{mismatched.size} of {got.size} parts differ from libm, the first at "
+        f"theta = {theta[mismatched[0] // 2]!r}")
 
 
 class CountingModule:
     """Stands in for a module and counts the calls of each function taken
-    from it."""
+    from it, or only of the functions named in `names`."""
 
-    def __init__(self, module, counts):
-        self._module, self._counts = module, counts
+    def __init__(self, module, counts, names=None):
+        self._module, self._counts, self._names = module, counts, names
 
     def __getattr__(self, name):
         fn = getattr(self._module, name)
+        if self._names is not None and name not in self._names:
+            return fn
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             self._counts[f"{self._module.__name__}.{name}"] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return counted
 
 
-def test_bulk_fill_makes_one_log_and_one_exp_call_per_pair(monkeypatch):
+def test_bulk_fill_makes_one_log_call_per_pair_and_one_exp_per_block(monkeypatch):
     # 16,385 draws are two full blocks of 4,096 pairs and one pair for the
-    # odd last draw
+    # odd last draw: a math.log call per pair, one np.exp call per block,
+    # and no per-element cmath, cos or sin call
     expected = SplitMix64(41).gaussians(16385)
     counts = Counter()
     monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
-    monkeypatch.setattr(rng_module, "cmath", CountingModule(cmath, counts))
+    monkeypatch.setattr(rng_module, "np",
+                        CountingModule(np, counts, NUMPY_TRANSCENDENTALS))
     got = SplitMix64(41).gaussians(16385)
     assert got.tobytes() == expected.tobytes()
-    assert counts == {"math.log": 8193, "cmath.exp": 8193}
+    assert counts == {"math.log": 8193, "numpy.exp": 3}
+    assert "cmath" not in vars(rng_module)
