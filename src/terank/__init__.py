@@ -2,7 +2,9 @@
 their feature embeddings, with spread/attract feature perturbation."""
 
 __version__ = "0.1.0"
-# the one bulk stream-fill implementation (terank.rng), for environment reports
+# the one bulk stream-fill implementation (terank.rng). Nothing in the
+# package reads it, but the benchmark's environment report does on every
+# run (zoobench/bench.py), so it stays while that report names it
 RNG_BACKEND = "numpy"
 
 from .embeddings import (  # noqa: F401
@@ -51,7 +53,6 @@ from .rng import SplitMix64  # noqa: F401
 from .synth import (  # noqa: F401
     ZooConfig,
     gen_class_gaussians,
-    gen_model_zoo,
     gen_zoo_model,
     nearest_centroid_accuracy,
 )

@@ -1,4 +1,4 @@
-"""Command-line front end: synth, score, evaluate, sweep, bench.
+"""Command-line front end: synth, score, evaluate, sweep.
 
 JSON files are the canonical machine output; stdout tables are cosmetic.
 Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
@@ -36,7 +36,7 @@ from .evaluation import (
     rank_and_report,
     write_truth,
 )
-from .metrics import MetricId, ScoreRecord, score_metric, score_model
+from .metrics import MetricId, ScoreRecord, score_model
 from .perturbation import AttractDirection, PerturbConfig, PerturbMode
 from .synth import (
     SYNTH_DATASET,
@@ -470,7 +470,10 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 @main.command()
 @_scoring_options
 @click.option("--mode", "modes", multiple=True, type=click.Choice(MODE_CHOICES),
-              callback=_unique, default=("sa",), show_default=True)
+              callback=_unique, default=("sa",), show_default=True,
+              help="Feature preparation. Repeatable. raw: the metric on the "
+                   "input features, with no PCA and no perturbation; none: "
+                   "PCA only; spread, attract, sa: PCA, then perturbation.")
 @click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Write the score JSON here.")
 @_common_options
@@ -527,8 +530,8 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
 @_common_options
 @_handle_errors
 def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
-    """Rank scored models against ground truth; emit reports and, when a
-    baseline mode is present, an improvement summary."""
+    """Rank scored models against ground truth; emit reports and, for
+    each perturbed mode scored with mode none, an improvement summary."""
     t0 = time.perf_counter()
     score_payload, score_manifest, records = _load_score_payload(scores)
     truth_table = _load_truth_table(truth)
@@ -551,7 +554,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     manifest["score_manifest"] = score_manifest
 
     summaries = {}
-    for mode in sorted({m for _, m in reports} - {"none"}):
+    for mode in sorted({m for _, m in reports if PerturbMode(m).perturbed}):
         paired = [met for met, m in reports if m == mode and (met, "none") in reports]
         if paired:
             summaries[mode] = improvement_summary(
@@ -668,67 +671,6 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
         csv_rows,
         [header]
         + [[f"{a:g}", f"{s_val:g}", m, f"{tau:+.4f}"] for a, s_val, m, tau in rows],
-    )
-
-
-@main.command()
-@_scoring_options
-@click.option("--mode", "modes", multiple=True, type=click.Choice(MODE_CHOICES),
-              callback=_unique, default=("none", "sa"), show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Write the timing CSV here.")
-@_common_options
-@_handle_errors
-def bench(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
-          pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
-    """Wall-time comparison per metric: raw features (no reduction, no
-    perturbation) against each requested pipeline mode."""
-    files = _resolve_inputs(inputs)
-    configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
-                             attract_direction=attract_dir) for mode in modes]
-
-    def run(ds: EmbeddingSet, model_seed: int) -> list[tuple[tuple[str, str], float]]:
-        # raw metrics, then the pipeline, on the same loaded set, so both
-        # are timed under the same concurrency
-        cells = []
-        for name in metrics:
-            t0 = time.perf_counter()
-            score_metric(ds, MetricId(name), seed=model_seed,
-                         nleep_components=nleep_k, eps_scale=lda_eps)
-            cells.append(((name, "raw"), time.perf_counter() - t0))
-        records = score_model(ds, metrics, configs, energy=pca_energy,
-                              rank=pca_rank, seed=model_seed,
-                              nleep_components=nleep_k, eps_scale=lda_eps)
-        return cells + [((rec.metric, rec.mode), rec.wall_time_s) for rec in records]
-
-    timings: dict[tuple[str, str], float] = {}
-    for cells in _map_models(files, label_col, jobs, seed, run)[0]:
-        for key, t in cells:
-            timings[key] = timings.get(key, 0.0) + t
-
-    rows = []
-    for name in metrics:
-        raw_t = timings[(name, "raw")]
-        for mode in ("raw", *modes):
-            t = timings[(name, mode)]
-            # undefined (JSON null, n/a in text) when the raw run took no time
-            rows.append((name, mode, t, t / raw_t if raw_t > 0 else None))
-
-    def ratio_text(ratio, spec):
-        return "n/a" if ratio is None else format(ratio, spec)
-
-    header = ["metric", "mode", "wall_time_s", "ratio_vs_raw"]
-    csv_rows = [header] + [
-        [name, mode, f"{t:.6f}", ratio_text(ratio, ".4f")]
-        for name, mode, t, ratio in rows
-    ]
-    if out is not None:
-        out.write_text(_csv_text(csv_rows), newline="")
-    _emit(
-        fmt,
-        {"rows": [dict(zip(header, row)) for row in rows]},
-        csv_rows,
-        [header] + [[n, m, f"{t:.4f}", ratio_text(r, ".3f")] for n, m, t, r in rows],
     )
 
 

@@ -2,7 +2,8 @@
 
 Every metric consumes (features, labels) and returns one scalar; higher
 means the features fit the labels better. In the scoring pipeline the
-input has already been PCA-reduced and perturbed.
+input is a model's own features (mode raw) or their PCA reduction,
+perturbed or not.
 """
 from __future__ import annotations
 
@@ -99,13 +100,17 @@ def _evidence_fixed_point(
     for _ in range(_LOGME_MAX_ITER):
         ev, gamma, msq, res = state(a, b)
         trace.append(ev)
-        # a NaN state fails both guards, so its updates are NaN and stop below
+        # a NaN state fails both guards, so its updates are NaN and stop
+        # below; features that fit y exactly (N <= k) drive b up until
+        # N - g rounds to 0, so its update is not positive
         a_new = a if msq <= 1e-300 else gamma / msq
         b_new = b if res <= 1e-300 else (n - gamma) / res
-        if not (math.isfinite(a_new) and math.isfinite(b_new)):
+        why = ("not finite" if not (math.isfinite(a_new) and math.isfinite(b_new))
+               else "not positive" if min(a_new, b_new) <= 0 else None)
+        if why:
             log.warning(
                 "logme fixed point stopped at update %d: the new precisions "
-                "are not finite", len(trace),
+                "are %s", len(trace), why,
             )
             break
         rel = max(abs(a_new - a) / a, abs(b_new - b) / b)
@@ -481,7 +486,7 @@ def score_metric(
     nleep_components: int | None = None,
     eps_scale: float = 1e-4,
 ) -> float:
-    """Apply one metric to an (already reduced/perturbed) embedding set."""
+    """Apply one metric to an embedding set, as given."""
     metric = MetricId(metric)
     if metric is MetricId.LOGME:
         return score_logme(ds)
@@ -532,7 +537,7 @@ def score_model(
                     dataset_id=raw.dataset_id,
                     metric=metric.value,
                     mode=cfg.mode.value,
-                    perturbed=cfg.mode is not PerturbMode.NONE,
+                    perturbed=cfg.mode.perturbed,
                     score=float(value),
                     wall_time_s=prepare_s + time.perf_counter() - start,
                 )

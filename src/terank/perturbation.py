@@ -25,10 +25,17 @@ _DEGENERATE_NORM = 1e-12
 
 
 class PerturbMode(str, Enum):
+    RAW = "raw"
     NONE = "none"
     SPREAD = "spread"
     ATTRACT = "attract"
     SA = "sa"
+
+    @property
+    def perturbed(self) -> bool:
+        """The one baseline rule: raw (the input features) and none (their
+        PCA reduction) move no feature; every other mode does."""
+        return self not in (PerturbMode.RAW, PerturbMode.NONE)
 
 
 _SPREADING = frozenset({PerturbMode.SPREAD, PerturbMode.SA})
@@ -155,6 +162,28 @@ def _timed(fn, *args):
     return out, time.perf_counter() - start
 
 
+def _shared_stages(raw: EmbeddingSet, modes: set[PerturbMode],
+                   energy: float | None, rank: int | None) -> tuple[dict, dict]:
+    """Run and time once each stage that `modes` (none of them raw) share.
+    Returns the base sets and the class geometries of the base sets a mode
+    attracts with, as `(value, seconds)` pairs keyed by whether the mode
+    spreads."""
+    reduced, reduce_s = _timed(
+        lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw)
+    )
+    bases = {False: (reduced, reduce_s)}
+    geometries = {}
+    if any(mode.perturbed for mode in modes):
+        geometries[False] = _timed(class_geometry, reduced)
+    if modes & _SPREADING:
+        geom, geom_s = geometries[False]
+        spread_set, spread_s = _timed(spread, reduced, geom)
+        bases[True] = (spread_set, reduce_s + geom_s + spread_s)
+    if PerturbMode.SA in modes:
+        geometries[True] = _timed(class_geometry, bases[True][0])
+    return bases, geometries
+
+
 def sa_perturb(
     raw: EmbeddingSet,
     configs: Sequence[PerturbConfig],
@@ -164,32 +193,27 @@ def sa_perturb(
     """The one preprocessing chain: PCA, then spread, then attract.
 
     Yields a `(set, seconds)` pair per config, in order and lazily, so
-    one attracted copy is alive at a time. mode=none yields the reduced
-    set; mode=sa attracts with the geometry of the spread set. Stages
-    the configs share run once: PCA fit and transform, spread, and the
-    class geometry of each base set. `seconds` sums the stages the set
-    depends on, each timed once.
+    one attracted copy is alive at a time. mode=raw yields `raw` itself
+    with 0 seconds; mode=none yields the reduced set; mode=sa attracts
+    with the geometry of the spread set. Stages the configs share run
+    once, when the first config that is not raw is reached: PCA fit and
+    transform, spread, and the class geometry of each base set. A
+    raw-only run fits no PCA. `seconds` sums the stages the set depends
+    on, each timed once.
 
     Memory per model: the caller's `raw` set, the reduced set, the spread
     set when a config spreads, and one attracted copy. The CLI streams
     its pool, so at most `--jobs` models hold these at once.
     """
-    modes = {cfg.mode for cfg in configs}
-    reduced, reduce_s = _timed(
-        lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw)
-    )
-    # base set and its seconds, keyed by whether the config spreads
-    bases = {False: (reduced, reduce_s)}
-    geometries = {}
-    if modes - {PerturbMode.NONE}:
-        geometries[False] = _timed(class_geometry, reduced)
-    if modes & _SPREADING:
-        geom, geom_s = geometries[False]
-        spread_set, spread_s = _timed(spread, reduced, geom)
-        bases[True] = (spread_set, reduce_s + geom_s + spread_s)
-    if PerturbMode.SA in modes:
-        geometries[True] = _timed(class_geometry, bases[True][0])
+    modes = {cfg.mode for cfg in configs} - {PerturbMode.RAW}
+    shared = None
     for cfg in configs:
+        if cfg.mode is PerturbMode.RAW:
+            yield raw, 0.0
+            continue
+        if shared is None:
+            shared = _shared_stages(raw, modes, energy, rank)
+        bases, geometries = shared
         spreads = cfg.mode in _SPREADING
         base, seconds = bases[spreads]
         if cfg.mode in (PerturbMode.ATTRACT, PerturbMode.SA):

@@ -221,14 +221,3 @@ def zoo_truth(accuracies: Iterable[tuple[str, float]]) -> TruthTable:
         for model_id, acc in accuracies
     })
 
-
-def gen_model_zoo(cfg: ZooConfig) -> tuple[list[EmbeddingSet], TruthTable]:
-    """Generate every model of the zoo in order with `gen_zoo_model`, and
-    its truth table from `zoo_truth`.
-
-    All the sets are held at once; `terank synth` instead writes each
-    model's file as soon as it is generated.
-    """
-    results = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
-    truth = zoo_truth((ds.model_id, acc) for ds, acc in results)
-    return [ds for ds, _ in results], truth

@@ -23,7 +23,7 @@ from terank import (
     class_geometry,
     class_radius,
     gen_class_gaussians,
-    gen_model_zoo,
+    gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
     rank_and_report,
@@ -37,6 +37,7 @@ from terank import (
 from terank.cli import main
 from terank.evaluation import RankingReport, bundled_truth_text
 from terank.metrics import maximize_evidence
+from terank.synth import zoo_truth
 
 
 @contextmanager
@@ -319,7 +320,9 @@ def test_criterion_09_end_to_end_desk_experiment():
             models=8, classes=4, per_class=100, dim=16,
             rhos=tuple(np.linspace(0.25, 1.0, 8)), noises=(1.0,) * 8, seed=7,
         )
-        sets, truth = gen_model_zoo(cfg)
+        zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+        sets = [ds for ds, _ in zoo]
+        truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
         for metric in MetricId:
             baseline, perturbed = [], []
             for index, ds in enumerate(sets):

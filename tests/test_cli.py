@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: subcommands, exit codes, machine output."""
 import csv
-import dataclasses
 import itertools
 import json
 import shutil
@@ -13,10 +12,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from terank import cli, synth
+from terank import cli, load_emb1, metrics, score_metric, synth
 from terank.cli import main
 from terank.errors import NumericError
 from test_synth import held_out_overflow
+
+METRICS = ("logme", "gbc", "nleep", "lda")
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,13 @@ def strip_timing(doc):
     if isinstance(doc, list):
         return [strip_timing(v) for v in doc]
     return doc
+
+
+def test_commands_are_synth_score_evaluate_sweep():
+    assert sorted(main.commands) == ["evaluate", "score", "sweep", "synth"]
+    result = CliRunner().invoke(main, ["bench", "--input", "."])
+    assert result.exit_code == 2
+    assert "No such command 'bench'" in result.output
 
 
 def test_synth_writes_zoo(zoo_dir):
@@ -113,7 +121,7 @@ def test_score_rejects_negative_alpha(zoo_dir):
     assert "--alpha" in result.output
 
 
-@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+@pytest.mark.parametrize("command", ["score", "sweep"])
 def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     result = CliRunner().invoke(
         main,
@@ -135,7 +143,6 @@ def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     ["synth", "--noise-range", "1:inf"],
     ["score", "--seed=-1"],
     ["sweep", "--seed=-1"],
-    ["bench", "--seed=-1"],
 ], ids=" ".join)
 def test_non_finite_or_negative_values_are_usage_errors(zoo_dir, tmp_path, args):
     where = ["--out", str(tmp_path / "zoo")] if args[0] == "synth" else [
@@ -176,6 +183,30 @@ def test_evaluate_produces_reports_and_improvement(zoo_dir, tmp_path):
     assert set(plot_rows[0]) == {"score", "accuracy", "model"}
     imp = json.loads((reports / "improvement_sa.json").read_text())
     assert {row["metric"] for row in imp["rows"]} == {"logme", "gbc", "nleep", "lda"}
+
+
+def test_evaluate_ranks_raw_records_without_an_improvement(zoo_dir, tmp_path):
+    # raw is a baseline: it gets its reports and table rows, and the sa
+    # improvement over none is the same with or without it
+    reports = {}
+    for name, modes in (("without", ["none", "sa"]), ("with", ["raw", "none", "sa"])):
+        scores = tmp_path / f"scores_{name}.json"
+        run_ok(["score", "--input", str(zoo_dir), "--seed", "5", "--out", str(scores)]
+               + [arg for mode in modes for arg in ("--mode", mode)])
+        reports[name] = tmp_path / f"reports_{name}"
+        result = run_ok(["evaluate", "--scores", str(scores),
+                         "--truth", str(zoo_dir / "truth.csv"),
+                         "--out", str(reports[name])])
+    table = {tuple(line.split()[:2]) for line in result.stdout.splitlines()}
+    names = {p.name for p in reports["with"].iterdir()}
+    for metric in METRICS:
+        assert {f"report_{metric}_raw.json", f"plot_{metric}_raw.csv"} <= names
+        assert (metric, "raw") in table
+    assert sorted(n for n in names if n.startswith("improvement_")) == [
+        "improvement_sa.json"]
+    rows = {name: json.loads((out / "improvement_sa.json").read_text())["rows"]
+            for name, out in reports.items()}
+    assert rows["with"] == rows["without"]
 
 
 def test_evaluate_missing_model_exits_3(zoo_dir, tmp_path):
@@ -243,22 +274,6 @@ def test_json_output_rejects_non_finite_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NumericError, match="not finite"):
             cli._json_text({"rows": [{"x": bad}]})
-
-
-def test_bench_ratio_is_null_when_raw_time_is_zero(zoo_dir, tmp_path, monkeypatch):
-    # a clock that never advances in cli makes every raw time 0; the
-    # pipeline records keep their own wall times
-    monkeypatch.setattr(cli, "time", type("Clock", (), {"perf_counter": lambda: 0.0}))
-    args = ["bench", "--input", str(zoo_dir), "--metric", "gbc",
-            "--mode", "none"]
-    rows = json.loads(run_ok(args + ["--format", "json"]).stdout)["rows"]
-    assert [(r["mode"], r["ratio_vs_raw"]) for r in rows] == [
-        ("raw", None), ("none", None)]
-    out = tmp_path / "bench.csv"
-    run_ok(args + ["--out", str(out)])
-    assert [r["ratio_vs_raw"] for r in read_csv(out)] == ["n/a", "n/a"]
-    table = run_ok(args).stdout.splitlines()
-    assert [line.split()[-1] for line in table[2:]] == ["n/a", "n/a"]
 
 
 @pytest.mark.parametrize("count,code", [("-2", 2), ("0", 3), ("1", 3)])
@@ -493,7 +508,8 @@ def test_evaluate_rerun_is_byte_identical_after_timing_strip(zoo_dir, tmp_path):
 
 def test_jobs_do_not_change_scores(zoo_dir, tmp_path):
     out_a, out_b = tmp_path / "j1.json", tmp_path / "j8.json"
-    base = ["score", "--input", str(zoo_dir), "--seed", "13"]
+    base = ["score", "--input", str(zoo_dir), "--seed", "13",
+            "--mode", "raw", "--mode", "sa"]
     run_ok(base + ["--jobs", "1", "--out", str(out_a)])
     run_ok(base + ["--jobs", "8", "--out", str(out_b)])
     a = strip_timing(json.loads(out_a.read_text()))
@@ -595,10 +611,11 @@ def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):
             assert rep["tau_w"] == float(row["tau_w"]), row
 
 
-@pytest.mark.parametrize("command", ["score", "sweep"])
+@pytest.mark.parametrize("command", ["score", "sweep", "raw"])
 def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
     # score with 4 metrics x every mode, or sweep over its 9 default cells:
-    # one PCA fit, one spread and two class geometries per model suffice
+    # one PCA fit, one spread and two class geometries per model suffice.
+    # A raw-only score runs none of them
     import terank.perturbation as perturbation
 
     calls = Counter()
@@ -610,11 +627,15 @@ def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
 
         monkeypatch.setattr(perturbation, name, counted)
     args = {
-        "score": ["score", "--mode", "none", "--mode", "spread",
+        "score": ["score", "--mode", "raw", "--mode", "none", "--mode", "spread",
                   "--mode", "attract", "--mode", "sa"],
         "sweep": ["sweep", "--truth", str(zoo_dir / "truth.csv")],
+        "raw": ["score", "--mode", "raw"],
     }[command]
     run_ok(args + ["--input", str(zoo_dir)])
+    if command == "raw":
+        assert not calls
+        return
     models = [p.stem for p in sorted(zoo_dir.glob("*.emb1"))]
     for model in models:
         assert calls[("fit_pca", model)] == 1
@@ -622,29 +643,38 @@ def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
         assert calls[("class_geometry", model)] <= 2
 
 
-def test_bench_rows_and_ratio(zoo_dir, tmp_path):
-    out = tmp_path / "bench.csv"
-    run_ok(["bench", "--input", str(zoo_dir), "--metric", "gbc",
-            "--metric", "nleep", "--mode", "none", "--mode", "sa",
-            "--seed", "4", "--out", str(out)])
-    rows = read_csv(out)
-    cells = {(r["metric"], r["mode"]) for r in rows}
-    assert cells == {
-        ("gbc", "raw"), ("gbc", "none"), ("gbc", "sa"),
-        ("nleep", "raw"), ("nleep", "none"), ("nleep", "sa"),
-    }
-    for row in rows:
-        assert float(row["wall_time_s"]) >= 0
-        if row["mode"] == "raw":
-            assert float(row["ratio_vs_raw"]) == 1.0
+def test_raw_records_are_the_metric_on_the_input_features(zoo_dir, tmp_path):
+    # mode raw scores each loaded set as it is, with the model's seed
+    seed = 2**63 + 9
+    out = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir), "--mode", "raw", "--seed", str(seed),
+            "--out", str(out)])
+    records = json.loads(out.read_text())["records"]
+    files = sorted(zoo_dir.glob("*.emb1"))
+    assert [(r["model"], r["metric"], r["score"]) for r in records] == [
+        (path.stem, metric, score_metric(load_emb1(path), metric, seed=seed ^ i))
+        for i, path in enumerate(files) for metric in METRICS]
+    assert all(r["mode"] == "raw" and r["perturbed"] is False for r in records)
+
+
+def test_raw_score_that_is_not_finite_names_its_input(zoo_dir, monkeypatch):
+    # every metric stays finite on float32 inputs, so a gbc that returns
+    # NaN stands in for one that does not
+    monkeypatch.setattr(metrics, "score_gbc", lambda ds: float("nan"))
+    result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir),
+                                       "--mode", "raw", "--metric", "gbc"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr.splitlines() == [
+        f"numeric failure: {zoo_dir / 'model-00.emb1'}: gbc score is not finite (nan)"]
 
 
 def test_score_repeated_metric_and_mode_match_single_flags(zoo_dir):
     base = ["score", "--input", str(zoo_dir), "--format", "json"]
     repeated = run_ok(base + ["--metric", "lda", "--metric", "gbc", "--metric", "lda",
-                              "--mode", "sa", "--mode", "none", "--mode", "sa"])
+                              "--mode", "sa", "--mode", "none", "--mode", "sa",
+                              "--mode", "raw", "--mode", "raw"])
     single = run_ok(base + ["--metric", "lda", "--metric", "gbc",
-                            "--mode", "sa", "--mode", "none"])
+                            "--mode", "sa", "--mode", "none", "--mode", "raw"])
     a, b = (strip_timing(json.loads(r.stdout)) for r in (repeated, single))
     assert [(r["metric"], r["mode"]) for r in a["records"][:4]] == [
         ("lda", "sa"), ("gbc", "sa"), ("lda", "none"), ("gbc", "none")]
@@ -658,26 +688,6 @@ def test_sweep_repeated_metric_matches_single_flag(zoo_dir):
     single = run_ok(base + ["--metric", "gbc"])
     assert json.loads(repeated.stdout) == json.loads(single.stdout)
     assert len(json.loads(single.stdout)["rows"]) == 2
-
-
-def test_bench_repeated_metric_and_mode_are_timed_once(zoo_dir, monkeypatch):
-    # each model's raw pass takes one tick of a fake clock and each
-    # pipeline record 2 s, so over 4 models raw sums 4 s and sa one record
-    # per model, 8 s: ratio 2. A cell timed twice would double its row
-    ticks = itertools.count()
-    monkeypatch.setattr(cli, "time",
-                        type("Clock", (), {"perf_counter": lambda: float(next(ticks))}))
-    score_model = cli.score_model
-    monkeypatch.setattr(cli, "score_model", lambda *args, **kwargs: [
-        dataclasses.replace(rec, wall_time_s=2.0)
-        for rec in score_model(*args, **kwargs)])
-    rows = json.loads(run_ok(["bench", "--input", str(zoo_dir), "--metric", "gbc",
-                              "--metric", "gbc", "--mode", "sa", "--mode", "sa",
-                              "--format", "json"]).stdout)["rows"]
-    assert rows == [
-        {"metric": "gbc", "mode": "raw", "wall_time_s": 4.0, "ratio_vs_raw": 1.0},
-        {"metric": "gbc", "mode": "sa", "wall_time_s": 8.0, "ratio_vs_raw": 2.0},
-    ]
 
 
 def test_sweep_default_grids(zoo_dir, tmp_path):
@@ -695,19 +705,21 @@ def test_sweep_default_grids(zoo_dir, tmp_path):
     assert {float(r["alpha"]) for r in rows[4:]} == {0.005}
 
 
-def test_bench_nleep_reduced_is_faster_than_full_dimension(tmp_path):
+def test_nleep_reduced_is_faster_than_full_dimension(tmp_path):
     # high-dimensional inputs: the mixture fit dominates nleep, so the
-    # reduced space must not be slower than the raw one
+    # reduced space must not be slower than the raw one, over the pool
     zoo = tmp_path / "wide_zoo"
     run_ok(["synth", "--models", "2", "--classes", "3", "--per-class", "500",
             "--dim", "256", "--rho-range", "1:2", "--noise-range", "1:1",
             "--seed", "6", "--out", str(zoo)])
-    out = tmp_path / "bench.csv"
-    run_ok(["bench", "--input", str(zoo), "--metric", "nleep",
-            "--mode", "none", "--pca-rank", "8", "--nleep-k", "16",
-            "--seed", "2", "--out", str(out)])
-    rows = {r["mode"]: float(r["wall_time_s"]) for r in read_csv(out)}
-    assert rows["none"] <= rows["raw"]
+    out = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo), "--metric", "nleep",
+            "--mode", "raw", "--mode", "none", "--pca-rank", "8",
+            "--nleep-k", "16", "--seed", "2", "--out", str(out)])
+    seconds = Counter()
+    for rec in json.loads(out.read_text())["records"]:
+        seconds[rec["mode"]] += rec["wall_time_s"]
+    assert seconds["none"] <= seconds["raw"]
 
 
 def test_score_stdout_formats(zoo_dir):
@@ -971,7 +983,7 @@ def emb1_with(src: Path, dst: Path, *, feature=None, label=None) -> Path:
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+@pytest.mark.parametrize("command", ["score", "sweep"])
 @pytest.mark.parametrize("case", ["nan-feature", "label-too-large", "header-only-csv",
                                   "alpha-overflow"])
 def test_model_failure_names_its_input(zoo_dir, tmp_path, command, jobs, case):

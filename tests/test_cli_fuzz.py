@@ -32,14 +32,13 @@ SCORING_FLAGS = [
     ("--label-col", ["nope", "label"]),
 ]
 FLAGS = {
-    "score": SCORING_FLAGS + [("--mode", ["none", "spread", "attract", "zap"])],
+    "score": SCORING_FLAGS + [("--mode", ["raw", "none", "spread", "attract", "zap"])],
     "sweep": SCORING_FLAGS + [
         ("--alpha-grid", ["", ",", "nan", "-1", "0.1,abc", "1e400", "0,0.5"]),
         ("--sigma-grid", ["inf", "-0.1", "0.6", "1e300"]),
         ("--weighting", ["truth_ranks", "x"]),
         ("--dataset", ["Pets"]),
     ],
-    "bench": SCORING_FLAGS + [("--mode", ["none", "spread", "attract", "zap"])],
     "evaluate": [
         ("--weighting", ["truth_ranks", "x"]),
         ("--dataset", ["Pets", "synthetic"]),
@@ -60,13 +59,11 @@ SYNTH_FLAGS = [
 SYNTH_BASE = ["synth", "--models", "2", "--classes", "2", "--per-class", "3",
               "--dim", "2"]
 # the inputs each command reads, of which one at a time is malformed
-KINDS = {"score": ["emb1", "csv"], "bench": ["emb1", "csv"],
-         "evaluate": ["json", "truth"], "sweep": ["emb1", "csv", "truth"]}
-# a sweep runs two cells of one metric, and a bench times one metric,
-# unless drawn flags override them
+KINDS = {"score": ["emb1", "csv"], "evaluate": ["json", "truth"],
+         "sweep": ["emb1", "csv", "truth"]}
+# a sweep runs two cells of one metric unless drawn flags override them
 BASE_ARGS = {"score": [], "evaluate": [], "sweep": [
-    "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"],
-    "bench": ["--metric", "gbc"]}
+    "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}
 
 
 def strict_json(text):
@@ -223,13 +220,6 @@ def test_truth_csv_exits_with_a_documented_code(valid, data):
     commands = ["evaluate", "sweep"]
     kinds = {command: ["truth"] for command in commands}
     check_invocation(valid, *data.draw(invocations(valid, commands, kinds=kinds)))
-
-
-@given(data=st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_bench_exits_with_a_documented_code(valid, data):
-    # every example asks for JSON, the one bench output with a validity rule
-    check_invocation(valid, *data.draw(invocations(valid, ["bench"], ["json"])))
 
 
 @given(flags=st.lists(st.sampled_from(SYNTH_FLAGS), max_size=3), data=st.data())

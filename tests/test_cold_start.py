@@ -93,11 +93,12 @@ def scores(path):
 def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     args = ["score", "--input", str(zoo), "--metric", "logme", "--metric", "gbc",
-            "--metric", "nleep", "--metric", "lda", "--mode", "none", "--mode", "sa"]
+            "--metric", "nleep", "--metric", "lda", "--mode", "raw", "--mode", "none",
+            "--mode", "sa"]
     assert scipy_modules_after(args + ["--out", str(fresh)]) == []
     run_ok(args + ["--out", str(here)])
     assert scores(fresh) == scores(here)
-    assert len(scores(here)) == 3 * 4 * 2
+    assert len(scores(here)) == 3 * 4 * 3
 
 
 def test_sweep_loads_no_scipy(zoo, tmp_path):
@@ -107,12 +108,6 @@ def test_sweep_loads_no_scipy(zoo, tmp_path):
                                 "--alpha-grid", "0.005", "--sigma-grid", "0.6",
                                 "--out", str(out)]) == []
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
-
-
-def test_bench_loads_no_scipy(zoo, tmp_path):
-    out = tmp_path / "bench.csv"
-    assert scipy_modules_after(["bench", "--input", str(zoo), "--out", str(out)]) == []
-    assert len(out.read_text().splitlines()) == 1 + 4 * 3
 
 
 def test_no_module_imports_scipy():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from terank import (
     RankingReport,
     ScoreRecord,
-    gen_model_zoo,
+    gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
     load_truth,
@@ -20,6 +20,7 @@ from terank import (
 )
 from terank.errors import DataError
 from terank.evaluation import bundled_truth_text, write_truth
+from terank.synth import zoo_truth
 
 # sha256 of the bundled accuracy tables; these files are transcription,
 # not computation, so any drift is an error
@@ -255,7 +256,9 @@ def test_report_tau_matches_direct_call():
         noises=(1.0,) * 11,
         seed=5,
     )
-    sets, truth = gen_model_zoo(cfg)
+    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    sets = [ds for ds, _ in zoo]
+    truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     rng = np.random.default_rng(6)
     records = [make_record(s.model_id, float(v)) for s, v in zip(sets, rng.normal(size=11))]
     rep = rank_and_report(records, truth, "synthetic", "synthetic", "synthetic")

@@ -11,7 +11,7 @@ from terank import (
     PerturbConfig,
     PerturbMode,
     gen_class_gaussians,
-    gen_model_zoo,
+    gen_zoo_model,
     score_gbc,
     score_logme,
     score_model,
@@ -159,6 +159,18 @@ def test_logme_nan_state_is_logged_not_converged(caplog):
     assert math.isnan(ev) and len(trace) == 2
 
 
+def test_logme_exact_fit_stops_at_a_non_positive_update(caplog):
+    # y = F m exactly with N = 2 <= k = 3: the noise precision grows about
+    # 50-fold per update until N - g rounds to 0; that update would take
+    # the log of 0, so the fit stops before it with a finite evidence
+    s2, z = np.array([1e4, 1.0]), np.array([1.0, 1e-3])
+    with caplog.at_level("WARNING", logger="terank.metrics"):
+        ev, trace = metrics._evidence_fixed_point(s2, z, float(z @ z), 2, 3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "logme fixed point stopped at update 10: the new precisions are not positive"]
+    assert math.isfinite(ev) and trace == sorted(trace)
+
+
 # --- gbc ---------------------------------------------------------------------
 
 def test_gbc_identically_drawn_classes_score_near_minus_one():
@@ -265,8 +277,8 @@ def test_sa_lowers_gbc_on_separated_zoo():
         noises=(0.5, 0.5, 0.5, 0.5),
         seed=100,
     )
-    sets, _ = gen_model_zoo(cfg)
-    for ds in sets:
+    for m in range(cfg.models):
+        ds, _ = gen_zoo_model(cfg, m)
         plain, perturbed = score_model(
             ds, [MetricId.GBC], [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig()]
         )

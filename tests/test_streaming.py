@@ -1,11 +1,9 @@
-"""The model pool is streamed: score, sweep and bench load each model
+"""The model pool is streamed: score and sweep load each model
 inside its own task, and synth writes each model's file inside the task
 that generates it, so at most `--jobs` embedding sets are alive at once;
 inputs are checked for repeated model ids before any file loads, a
 corrupt input is reported when its turn comes, and a failed synth leaves
 no partial zoo."""
-import json
-import math
 import shutil
 import threading
 import weakref
@@ -35,7 +33,6 @@ def command_args(command, zoo):
         "score": ["score", "--metric", "gbc", "--mode", "none", "--mode", "sa"],
         "sweep": ["sweep", "--metric", "gbc", "--truth", str(zoo / "truth.csv"),
                   "--alpha-grid", "0.005", "--sigma-grid", "0.6"],
-        "bench": ["bench", "--metric", "gbc", "--mode", "none"],
     }[command]
 
 
@@ -71,7 +68,7 @@ def live_sets(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+@pytest.mark.parametrize("command", ["score", "sweep"])
 def test_at_most_jobs_sets_are_alive(zoo, live_sets, command, jobs):
     result = CliRunner().invoke(main, command_args(command, zoo) + [
         "--input", str(zoo), "--jobs", str(jobs), "--format", "json"])
@@ -144,7 +141,7 @@ def test_failed_synth_keeps_a_previous_zoo(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("command", ["score", "sweep", "bench"])
+@pytest.mark.parametrize("command", ["score", "sweep"])
 def test_corrupt_last_input_is_a_data_error(zoo, tmp_path, command, jobs):
     corrupt = tmp_path / "zz-corrupt.emb1"
     corrupt.write_bytes(b"EMB1" + bytes(7))
@@ -163,7 +160,7 @@ def test_corrupt_last_input_is_a_data_error(zoo, tmp_path, command, jobs):
 @pytest.mark.parametrize("command,inputs", [
     ("score", ["model-00.emb1", "model-00.emb1"]),
     ("sweep", ["model-00.emb1", "."]),
-    ("bench", [".", "model-00.emb1"]),
+    ("score", [".", "model-00.emb1"]),
 ])
 def test_repeated_model_id_is_rejected_before_loading(zoo, tmp_path, live_sets,
                                                       command, inputs):
@@ -190,19 +187,3 @@ def test_same_stem_in_two_formats_is_a_repeated_model_id(zoo, tmp_path):
     assert result.exit_code == 3, result.output
     assert "model id 'model-01' given twice" in result.stderr
 
-
-def test_bench_rows_are_independent_of_jobs(zoo):
-    rows = {}
-    for jobs in ("1", "3"):
-        result = CliRunner().invoke(main, [
-            "bench", "--input", str(zoo), "--metric", "gbc", "--metric", "lda",
-            "--mode", "none", "--mode", "sa", "--jobs", jobs, "--format", "json"])
-        assert result.exit_code == 0, result.output
-        rows[jobs] = json.loads(result.stdout)["rows"]
-    cells = [(r["metric"], r["mode"]) for r in rows["1"]]
-    assert cells == [(m, mode) for m in ("gbc", "lda")
-                     for mode in ("raw", "none", "sa")]
-    assert [(r["metric"], r["mode"]) for r in rows["3"]] == cells
-    for row in rows["1"] + rows["3"]:
-        ratio = row["ratio_vs_raw"]
-        assert isinstance(ratio, float) and math.isfinite(ratio) and ratio > 0, row

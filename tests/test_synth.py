@@ -11,18 +11,15 @@ from terank import (
     SplitMix64,
     ZooConfig,
     gen_class_gaussians,
-    gen_model_zoo,
     nearest_centroid_accuracy,
     save_emb1,
     synth,
 )
 from terank.errors import DataError, NumericError
 from terank.synth import (
-    SYNTH_DATASET,
-    SYNTH_POOL,
-    SYNTH_REGIME,
     _sq_distances,
     gen_zoo_model,
+    zoo_truth,
 )
 from test_prepare_bits import old_draw_points
 
@@ -84,10 +81,13 @@ def test_same_seed_byte_identical_emb1(tmp_path):
 
 
 def test_zoo_is_deterministic():
-    sets_a, truth_a = gen_model_zoo(zoo_config())
-    sets_b, truth_b = gen_model_zoo(zoo_config())
-    for a, b in zip(sets_a, sets_b):
+    cfg = zoo_config()
+    zoo_a = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    zoo_b = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    for (a, _), (b, _) in zip(zoo_a, zoo_b):
         assert a.features.tobytes() == b.features.tobytes()
+    truth_a = zoo_truth((ds.model_id, acc) for ds, acc in zoo_a)
+    truth_b = zoo_truth((ds.model_id, acc) for ds, acc in zoo_b)
     assert truth_a.records == truth_b.records
 
 
@@ -95,8 +95,8 @@ def test_zoo_training_set_matches_standalone_generator():
     # the zoo's training draw is the prefix of the per-model stream, so it
     # equals gen_class_gaussians for the same parameters
     cfg = zoo_config()
-    sets, _ = gen_model_zoo(cfg)
-    for m, ds in enumerate(sets):
+    for m in range(cfg.models):
+        ds, _ = gen_zoo_model(cfg, m)
         solo = gen_class_gaussians(
             cfg.classes, cfg.per_class, cfg.dim, cfg.rhos[m], cfg.noises[m],
             cfg.seed ^ m,
@@ -106,18 +106,19 @@ def test_zoo_training_set_matches_standalone_generator():
 
 def test_high_separation_model_scores_above_99():
     cfg = zoo_config(rhos=(100.0, 100.0, 1.0, 1.0), noises=(1.0, 1.0, 1.0, 1.0))
-    _, truth = gen_model_zoo(cfg)
-    acc = truth.accuracy("model-00", SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL)
+    _, acc = gen_zoo_model(cfg, 0)
     assert acc > 99.0
 
 
 def test_identical_geometry_identical_accuracy():
     cfg = zoo_config(rhos=(2.0, 2.0, 2.0, 2.0))
-    _, truth = gen_model_zoo(cfg)
+    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     # models share geometry parameters but not seeds, so accuracies are
     # close yet generally distinct; rerunning the same config must
     # reproduce them exactly
-    _, truth2 = gen_model_zoo(cfg)
+    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    truth2 = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     assert truth.records == truth2.records
 
 
@@ -153,7 +154,8 @@ def test_oracle_without_held_out_points_is_a_data_error():
 def test_oracle_accuracy_bounded_by_chance_and_one():
     for seed in range(5):
         cfg = zoo_config(seed=seed, rhos=(0.01, 0.5, 1.0, 10.0))
-        _, truth = gen_model_zoo(cfg)
+        zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+        truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
         for acc in truth.records.values():
             assert 100.0 / cfg.classes * 0.5 <= acc <= 100.0
 
