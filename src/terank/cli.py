@@ -11,6 +11,7 @@ import functools
 import hashlib
 import io
 import json
+import logging
 import math
 import shutil
 import sys
@@ -88,11 +89,34 @@ def _unique(ctx, param, value):
     return tuple(dict.fromkeys(value))
 
 
+class _WarnOnce(logging.Handler):
+    """Writes each distinct warning of a command once, as one
+    `warning: <message>` line on the sys.stderr of the moment (as
+    logging.lastResort does), so a runner that swaps it captures it."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self._seen: set[str] = set()
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # handle() holds the handler's lock, so pool workers see one set
+        message = record.getMessage()
+        if message not in self._seen:
+            self._seen.add(message)
+            click.echo(f"warning: {message}", err=True)
+
+
 def _handle_errors(fn):
     # numpy's floating-point warnings are silenced: a non-finite result ends
-    # in NumericError or DataError, which is reported below as one line
+    # in NumericError or DataError, which is reported below as one line.
+    # The package's logged warnings go through one _WarnOnce for the
+    # length of the command; it is removed afterwards, so commands run one
+    # after another in a process do not pile handlers up
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        logger = logging.getLogger(__package__)
+        handler = _WarnOnce()
+        logger.addHandler(handler)
         try:
             with np.errstate(all="ignore"):
                 return fn(*args, **kwargs)
@@ -110,6 +134,8 @@ def _handle_errors(fn):
         except (NumericError, np.linalg.LinAlgError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)
+        finally:
+            logger.removeHandler(handler)
 
     return wrapper
 

@@ -10,21 +10,28 @@ Integer mixing, the 53-bit conversion, products and sqrt run in numpy
 uint64/float64 arithmetic, which is exact or correctly rounded. The
 transcendental functions come from the C library (libm), because
 numpy's real-float versions depend on the SIMD code it picks for the
-CPU. Each pair's cos and sin come from one `np.exp` of a complex128
-array `0 + i*theta`: numpy has no SIMD loop for complex exp and hands
-each element to the C library's `cexp`, which forms the result as
-`exp(0.0) * cos(theta)` and `exp(0.0) * sin(theta)` with libm's cos
-and sin. exp(0.0) is exactly 1, so its parts have the bits of
-`math.cos(theta)` and `math.sin(theta)`. The log stays a per-element
-`math.log` map: numpy's real `np.log` is one of the CPU-dispatched
-functions (on an AVX512F machine it differed from libm in about 7,000
-of 2,000,000 draws), and its complex log is numpy's own code, not the
-C library's. The Gaussian stream therefore depends on the C library's log,
-cos and sin, exactly as the scalar `gaussian()` does. Fills work in
-blocks of `_BLOCK` draws to keep the temporaries small.
+CPU (on an AVX-512 machine a contiguous `np.log` differed from libm in
+about 3,600 of 2^20 stream draws). A block's log is one `np.log` whose
+output lies one slot behind its input in a single buffer. numpy's SIMD
+log loops refuse operands that partly overlap, and numpy makes no copy
+for an overlap that is safe to run forward, so it runs its scalar loop,
+which calls the C library's `log` on each element. That choice of loop
+is numpy's implementation detail, so the first bulk fill of a process
+checks the shifted log bit for bit against `math.log` on one fixed
+block of draws, and a process where it differs takes each log from a
+per-element `math.log` map instead. Each pair's cos and sin come from
+one `np.exp` of a complex128 array `0 + i*theta`: numpy has no SIMD
+loop for complex exp and hands each element to the C library's `cexp`,
+which forms the result as `exp(0.0) * cos(theta)` and
+`exp(0.0) * sin(theta)` with libm's cos and sin. exp(0.0) is exactly 1,
+so its parts have the bits of `math.cos(theta)` and `math.sin(theta)`.
+The Gaussian stream therefore depends on the C library's log, cos and
+sin, exactly as the scalar `gaussian()` does. Fills work in blocks of
+`_BLOCK` draws to keep the temporaries small.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +62,37 @@ def _fill_uniform(out: np.ndarray, state: int) -> int:
     return (state + n * _GOLDEN) & _MASK
 
 
+def _shifted_log(u1: np.ndarray) -> np.ndarray:
+    """The C library's log of each element of `u1`, from one np.log call.
+
+    The call's output lies one slot behind its input in one buffer, a
+    partial overlap that numpy's SIMD log loops refuse. numpy makes no
+    copy for it, since a forward pass reads each element before it is
+    overwritten, so its scalar loop calls libm's `log` element by element.
+    A trailing 1.0 keeps input and output overlapping when `u1` holds a
+    single element."""
+    buf = np.empty(u1.shape[0] + 2, dtype=np.float64)
+    buf[1:-1] = u1
+    buf[-1] = 1.0
+    return np.log(buf[1:], out=buf[:-1])[:-1]
+
+
+def _map_log(u1: np.ndarray) -> np.ndarray:
+    """`math.log` of each element of `u1`, one Python call each."""
+    return np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=u1.shape[0])
+
+
+@functools.cache
+def _shifted_log_is_libm() -> bool:
+    """Whether `_shifted_log` gives `math.log`'s bits on one fixed block
+    of clamped stream draws; checked once per process, by its first bulk
+    Gaussian fill."""
+    u1 = np.empty(_BLOCK, dtype=np.float64)
+    _fill_uniform(u1, 0)
+    np.maximum(u1, _TWO_NEG53, out=u1)
+    return _shifted_log(u1).tobytes() == _map_log(u1).tobytes()
+
+
 def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
     """The next `pairs` Box-Muller pairs as [cos, sin, cos, sin, ...], and
     the advanced state."""
@@ -62,7 +100,9 @@ def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
     state = _fill_uniform(z, state)
     # draws are multiples of 2^-53, so this is gaussian()'s u1 <= 0 clamp
     u1 = np.maximum(z[0::2], _TWO_NEG53)
-    r = np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=pairs)
+    # libm's log from one C loop, or from a math.log map in a process
+    # whose numpy runs that loop with other bits
+    r = _shifted_log(u1) if _shifted_log_is_libm() else _map_log(u1)
     r *= -2.0
     np.sqrt(r, out=r)
     # i*theta with a +0.0 real part, theta rounded as in gaussian()

@@ -2,6 +2,7 @@
 import csv
 import itertools
 import json
+import logging
 import shutil
 import struct
 import time
@@ -248,13 +249,19 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
     assert "not a score JSON file" in result.output
 
 
+LOGME_NOT_FINITE = ("warning: logme fixed point stopped at update 1: the new "
+                    "precisions are not finite")
+
+
 @pytest.mark.parametrize("metric", ["logme", "gbc", "nleep", "lda"])
 def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
     # --alpha 1e300 leaves finite features whose scatter overflows; a 1e308
     # attract step or radius scale overflows the perturbed features
     # themselves. numpy's overflow warnings are silenced in the command and
-    # in every --jobs worker thread: stderr is one line, and a warning
-    # turned into an error would change the exit code
+    # in every --jobs worker thread: stderr is one error line, and a warning
+    # turned into an error would change the exit code. Before it may come
+    # the one warning line of logme's stopped fixed point, which a second
+    # --jobs worker can reach while the first model fails
     for flags, jobs in itertools.product(
             (["--alpha", "1e300"], ["--alpha", "1e308"], ["--sigma", "1e308"]),
             ("1", "2")):
@@ -266,7 +273,8 @@ def test_overflowing_features_are_numeric_failures(zoo_dir, metric):
         assert result.exit_code == 4, (flags, result.output)
         assert result.stdout == ""
         lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numeric failure: "), lines
+        assert lines[-1].startswith("numeric failure: "), lines
+        assert lines[:-1] in ([], [LOGME_NOT_FINITE]), lines
 
 
 def test_json_output_rejects_non_finite_values():
@@ -1018,6 +1026,26 @@ def test_model_failure_names_its_input(zoo_dir, tmp_path, command, jobs, case):
     errors = [text for text in result.stderr.splitlines()
               if text.startswith(("data error: ", "numeric failure: "))]
     assert errors == [line]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_repeated_warning_is_one_stderr_line(zoo_dir, jobs):
+    # every class of every model stops logme's fixed point alike at
+    # --alpha 1e300; the warning is printed once, and the handler that
+    # printed it is gone when the command ends, so a second run in the
+    # same process prints the same two lines
+    logger = logging.getLogger("terank")
+    handlers = list(logger.handlers)
+    args = ["score", "--input", str(zoo_dir), "--metric", "logme", "--alpha", "1e300",
+            "--mode", "sa", "--jobs", jobs]
+    for _ in range(2):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.stderr.splitlines() == [
+            LOGME_NOT_FINITE,
+            f"numeric failure: {zoo_dir / 'model-00.emb1'}: logme score is not "
+            "finite (nan)"]
+        assert logger.handlers == handlers
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -223,9 +223,18 @@ def test_one_manifest_builder_in_the_cli():
 # numpy picks SIMD code per CPU for these functions on real floats, so
 # their bits can differ from libm's from one machine to the next. Its
 # complex exp has no SIMD loop: numpy hands each complex128 element to the
-# C library's cexp, whose parts at 0 + i*theta are libm's cos and sin. So
+# C library's cexp, whose parts at 0 + i*theta are libm's cos and sin. Its
+# SIMD log loops refuse operands that partly overlap, and numpy makes no
+# copy when the output sits one slot behind the input in the same buffer
+# (a forward pass reads each element before overwriting it), so
+# np.log(buf[1:], out=buf[:-1]) runs numpy's scalar loop over libm's log.
+# A contiguous log, one written in place, a fresh output or the opposite
+# shift (which numpy copies first) would take the SIMD loop again. So
 # rng.py may hold one np.exp, inside _box_muller, on the complex128 angle
-# array that function builds, and no other numpy transcendental.
+# array that function builds; one np.log of that shifted form, inside
+# _box_muller or a function it calls, on a buffer bound once there; and
+# no other numpy transcendental. rng.py checks the shifted log's bits at
+# run time too, since which loop numpy picks is its implementation detail.
 NUMPY_TRANSCENDENTALS = {"log", "log1p", "exp", "expm1", "sin", "cos", "tan", "power"}
 RNG_SOURCE = (SRC / "terank" / "rng.py").read_text()
 
@@ -233,6 +242,14 @@ RNG_SOURCE = (SRC / "terank" / "rng.py").read_text()
 def is_numpy_attribute(node, names):
     return (isinstance(node, ast.Attribute) and node.attr in names
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def binding_count(fn, name):
+    """How often `fn` binds `name`: as a parameter or an assignment target."""
+    params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+    return sum(arg.arg == name for arg in params) + sum(
+        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(fn))
 
 
 def complex_angle_exp(tree):
@@ -262,12 +279,42 @@ def complex_angle_exp(tree):
     return None
 
 
+def shifted_log(tree):
+    """The func node of the one np.log call in _box_muller or in a
+    module-level function it calls, when that call is exactly
+    `np.log(buf[1:], out=buf[:-1])` for a name `buf` bound once in its
+    function; else None."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    if "_box_muller" not in functions:
+        return None
+    called = {node.func.id for node in ast.walk(functions["_box_muller"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    hosts = [fn for name, fn in functions.items()
+             if name == "_box_muller" or name in called]
+    calls = [(fn, node) for fn in hosts for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and is_numpy_attribute(node.func, {"log"})]
+    if len(calls) != 1:
+        return None
+    fn, call = calls[0]
+    if (len(call.args) != 1 or len(call.keywords) != 1 or call.keywords[0].arg != "out"
+            or not isinstance(call.args[0], ast.Subscript)
+            or not isinstance(call.args[0].value, ast.Name)):
+        return None
+    buf = call.args[0].value.id
+    if (ast.unparse(call.args[0]) != f"{buf}[1:]"
+            or ast.unparse(call.keywords[0].value) != f"{buf}[:-1]"
+            or binding_count(fn, buf) != 1):
+        return None
+    return call.func
+
+
 def numpy_transcendental_uses(source):
     tree = ast.parse(source)
-    allowed = complex_angle_exp(tree)
+    allowed = {complex_angle_exp(tree), shifted_log(tree)} - {None}
     uses = []
     for node in ast.walk(tree):
-        if is_numpy_attribute(node, NUMPY_TRANSCENDENTALS) and node is not allowed:
+        if is_numpy_attribute(node, NUMPY_TRANSCENDENTALS) and node not in allowed:
             uses.append(f"{node.lineno}: {node.value.id}.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
             uses += [f"{node.lineno}: from numpy import {alias.name}"
@@ -282,6 +329,7 @@ def test_rng_uses_no_numpy_transcendental():
 
 
 FILL_EXP = "z = np.exp(w, out=w).view(np.float64)"
+SHIFTED_LOG = "np.log(buf[1:], out=buf[:-1])"
 
 
 @pytest.mark.parametrize("old,new", [
@@ -297,8 +345,26 @@ FILL_EXP = "z = np.exp(w, out=w).view(np.float64)"
     ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    r = np.log(u1)"),
     ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    c = np.cos(u1)"),
     ("import numpy as np\n", "import numpy as np\nfrom numpy import sin\n"),
+    # the log without its one-slot shift: contiguous, in place, into a
+    # fresh array, shifted the other way, or into another buffer
+    ("r = _shifted_log(u1)", "r = np.log(u1)"),
+    (SHIFTED_LOG, "np.log(buf[1:])"),
+    (SHIFTED_LOG, "np.log(buf[1:], out=buf[1:])"),
+    (SHIFTED_LOG, "np.log(buf[1:], out=np.empty(buf.size - 1))"),
+    (SHIFTED_LOG, "np.log(buf[:-1], out=buf[1:])"),
+    (SHIFTED_LOG, "np.log(buf[1:], out=other[:-1])"),
+    # the buffer rebound, a second shifted log, one in a function that
+    # _box_muller does not call, a module-level log, or log1p
+    ("    return " + SHIFTED_LOG, "    buf = np.array(buf)\n    return " + SHIFTED_LOG),
+    ("    return " + SHIFTED_LOG, "    " + SHIFTED_LOG + "\n    return " + SHIFTED_LOG),
+    ("r = _shifted_log(u1)", "r = _fill_log(u1)"),
+    ("    return z, state\n", "    return z, state\n\n\nLOG = np.log\n"),
+    (SHIFTED_LOG, "np.log1p(buf[1:], out=buf[:-1])"),
 ], ids=["real-arg", "second-exp", "second-exp-in-place", "module-level",
-        "float-angles", "rebound-angles", "log", "cos", "import"])
+        "float-angles", "rebound-angles", "log", "cos", "import",
+        "contiguous-log", "unshifted-log", "in-place-log", "fresh-out-log",
+        "swapped-log", "other-buffer-log", "rebound-log-buffer", "second-shifted-log",
+        "uncalled-log-helper", "module-level-log", "log1p"])
 def test_rng_transcendental_rule_allows_only_the_complex_angle_exp(old, new):
     assert old in RNG_SOURCE
     assert numpy_transcendental_uses(RNG_SOURCE.replace(old, new, 1)) != []

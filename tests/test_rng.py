@@ -1,8 +1,10 @@
 """SplitMix64 stream contract: reference vectors, Box-Muller consumption,
 bit-equality of the bulk numpy fills with the scalar draws, the bits of
 numpy's complex exp (the C library's cexp) against math.cos and math.sin,
-and the calls the bulk fill makes: one math.log per pair and one np.exp
-per block."""
+the bits of the shifted np.log (numpy's scalar loop over the C library's
+log) against math.log, the run-time check that guards that log and its
+math.log fallback, and the calls the bulk fill makes: one np.log and one
+np.exp per block."""
 import math
 from collections import Counter
 
@@ -157,9 +159,10 @@ def k_nearest(angle):
     return round(angle / rng_module._TWO_PI * 2**53)
 
 
-# the ends of the draw range, and the draws around pi/2, pi and 3pi/2,
-# where cos or sin crosses zero
-EDGE_KS = [0, 1, 2**53 - 1] + [
+# the ends of the draw range, the draws around 0.5, and the draws around
+# pi/2, pi and 3pi/2, where cos or sin crosses zero; 1 - 2^-52, whose log
+# numpy's AVX-512 log rounds the other way from libm's
+EDGE_KS = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1] + [
     k_nearest(angle) + step
     for angle in (math.pi / 2, math.pi, 3 * math.pi / 2) for step in (-1, 0, 1)]
 
@@ -223,10 +226,69 @@ class CountingModule:
         return counted
 
 
-def test_bulk_fill_makes_one_log_call_per_pair_and_one_exp_per_block(monkeypatch):
+def shifted_log_of(u1):
+    """The bulk fill's log of the clamped draws `u1`, through one call as
+    the fill makes it, and math.log of the same draws."""
+    got = rng_module._shifted_log(u1)
+    want = np.array([math.log(u) for u in u1.tolist()])
+    return got, want
+
+
+@settings(max_examples=2000, deadline=None)
+@given(k=st.integers(0, 2**53 - 1))
+@with_edge_examples
+def test_shifted_log_has_the_bits_of_math_log(k):
+    # the bulk fill takes each pair's log from np.log with its output one
+    # slot behind its input, which numpy runs as its scalar loop over the C
+    # library's log; its inputs are max(k * 2^-53, 2^-53) for a 53-bit k.
+    # One draw is a fill's last pair when the fill ends a block early
+    got, want = shifted_log_of(np.array([max(k * 2.0**-53, 2.0**-53)]))
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_shifted_log_of_a_million_stream_draws_has_the_bits_of_math_log():
+    # 2^20 clamped uniforms of one SplitMix64 stream through one call; a
+    # contiguous np.log, which takes numpy's SIMD loop on AVX-512, differs
+    # from libm in about 3,600 of them
+    u1 = np.maximum(SplitMix64(0x5EED).uniforms(2**20), 2.0**-53)
+    got, want = shifted_log_of(u1)
+    mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert mismatched.size == 0, (
+        f"{mismatched.size} of {got.size} logs differ from libm, the first at "
+        f"u1 = {u1[mismatched[0]]!r}")
+
+
+def test_failed_log_check_falls_back_to_the_math_log_map(monkeypatch):
+    # a process whose shifted log fails the check takes a math.log call per
+    # pair, and draws the same bits
+    expected = SplitMix64(41).gaussians(16385)
+    monkeypatch.setattr(rng_module, "_shifted_log_is_libm", lambda: False)
+    counts = Counter()
+    monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
+    got = SplitMix64(41).gaussians(16385)
+    assert got.tobytes() == expected.tobytes()
+    assert counts == {"math.log": 8193}
+
+
+def test_log_check_fails_on_a_log_one_ulp_off_at_one_point(monkeypatch):
+    shifted_log = rng_module._shifted_log
+
+    def one_ulp_off(u1):
+        r = shifted_log(u1)
+        r[1234] = np.nextafter(r[1234], 0.0)
+        return r
+
+    check = rng_module._shifted_log_is_libm.__wrapped__
+    assert check()
+    monkeypatch.setattr(rng_module, "_shifted_log", one_ulp_off)
+    assert not check()
+
+
+def test_bulk_fill_makes_one_log_and_one_exp_call_per_block(monkeypatch):
     # 16,385 draws are two full blocks of 4,096 pairs and one pair for the
-    # odd last draw: a math.log call per pair, one np.exp call per block,
-    # and no per-element cmath, cos or sin call
+    # odd last draw: one np.log and one np.exp call per block, and no
+    # per-element math.log, cmath, cos or sin call. The uncounted fill
+    # below runs the once-per-process log check if no fill has yet
     expected = SplitMix64(41).gaussians(16385)
     counts = Counter()
     monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
@@ -234,5 +296,5 @@ def test_bulk_fill_makes_one_log_call_per_pair_and_one_exp_per_block(monkeypatch
                         CountingModule(np, counts, NUMPY_TRANSCENDENTALS))
     got = SplitMix64(41).gaussians(16385)
     assert got.tobytes() == expected.tobytes()
-    assert counts == {"math.log": 8193, "numpy.exp": 3}
+    assert counts == {"numpy.log": 3, "numpy.exp": 3}
     assert "cmath" not in vars(rng_module)
