@@ -533,10 +533,18 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
     )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number, refusing NaN, Infinity and numbers that overflow."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{text} is not a finite number")
+
+
 def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
     """Parse a score JSON file once: the payload, its manifest, its records."""
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8-sig"),
+                             parse_float=_finite_float, parse_constant=_finite_float)
         manifest = payload["manifest"]
         records = [ScoreRecord.from_dict(d) for d in payload["records"]]
     except (ValueError, KeyError, TypeError, OverflowError) as exc:

@@ -140,7 +140,7 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
     order is preserved; labels are remapped to a dense [0, C) range."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
         lines = list(csv.reader(io.StringIO(text, newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"not a readable UTF-8 CSV file ({exc})") from None

@@ -73,7 +73,7 @@ def load_truth(path: str | Path) -> TruthTable:
     """Parse a truth CSV with the columns of TRUTH_COLUMNS."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
         return _parse_truth([(csv.DictReader(io.StringIO(text, newline="")),
                               str(path))])
     except (UnicodeDecodeError, csv.Error) as exc:

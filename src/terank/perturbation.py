@@ -32,13 +32,20 @@ class PerturbMode(str, Enum):
     SA = "sa"
 
     @property
+    def spreads(self) -> bool:
+        """spread and sa push each sample out from its class centroid."""
+        return self in (PerturbMode.SPREAD, PerturbMode.SA)
+
+    @property
+    def attracts(self) -> bool:
+        """attract and sa move each class by its gaps to the others."""
+        return self in (PerturbMode.ATTRACT, PerturbMode.SA)
+
+    @property
     def perturbed(self) -> bool:
         """The one baseline rule: raw (the input features) and none (their
         PCA reduction) move no feature; every other mode does."""
-        return self not in (PerturbMode.RAW, PerturbMode.NONE)
-
-
-_SPREADING = frozenset({PerturbMode.SPREAD, PerturbMode.SA})
+        return self.spreads or self.attracts
 
 
 class AttractDirection(str, Enum):
@@ -162,28 +169,6 @@ def _timed(fn, *args):
     return out, time.perf_counter() - start
 
 
-def _shared_stages(raw: EmbeddingSet, modes: set[PerturbMode],
-                   energy: float | None, rank: int | None) -> tuple[dict, dict]:
-    """Run and time once each stage that `modes` (none of them raw) share.
-    Returns the base sets and the class geometries of the base sets a mode
-    attracts with, as `(value, seconds)` pairs keyed by whether the mode
-    spreads."""
-    reduced, reduce_s = _timed(
-        lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw)
-    )
-    bases = {False: (reduced, reduce_s)}
-    geometries = {}
-    if any(mode.perturbed for mode in modes):
-        geometries[False] = _timed(class_geometry, reduced)
-    if modes & _SPREADING:
-        geom, geom_s = geometries[False]
-        spread_set, spread_s = _timed(spread, reduced, geom)
-        bases[True] = (spread_set, reduce_s + geom_s + spread_s)
-    if PerturbMode.SA in modes:
-        geometries[True] = _timed(class_geometry, bases[True][0])
-    return bases, geometries
-
-
 def sa_perturb(
     raw: EmbeddingSet,
     configs: Sequence[PerturbConfig],
@@ -194,30 +179,36 @@ def sa_perturb(
 
     Yields a `(set, seconds)` pair per config, in order and lazily, so
     one attracted copy is alive at a time. mode=raw yields `raw` itself
-    with 0 seconds; mode=none yields the reduced set; mode=sa attracts
-    with the geometry of the spread set. Stages the configs share run
-    once, when the first config that is not raw is reached: PCA fit and
-    transform, spread, and the class geometry of each base set. A
-    raw-only run fits no PCA. `seconds` sums the stages the set depends
-    on, each timed once.
+    with 0 seconds; any other mode takes the spread set if it spreads,
+    else the reduced set, and attracts it with its class geometry if it
+    attracts. Each stage that some config needs runs once, in pipeline
+    order, when the first config that is not raw is reached. A raw-only
+    run fits no PCA. `seconds` sums the stages the set depends on, each
+    timed once.
 
     Memory per model: the caller's `raw` set, the reduced set, the spread
     set when a config spreads, and one attracted copy. The CLI streams
     its pool, so at most `--jobs` models hold these at once.
     """
-    modes = {cfg.mode for cfg in configs} - {PerturbMode.RAW}
-    shared = None
+    stages = {}  # stage -> (output, seconds); a set's seconds sum the stages to it
     for cfg in configs:
         if cfg.mode is PerturbMode.RAW:
             yield raw, 0.0
             continue
-        if shared is None:
-            shared = _shared_stages(raw, modes, energy, rank)
-        bases, geometries = shared
-        spreads = cfg.mode in _SPREADING
-        base, seconds = bases[spreads]
-        if cfg.mode in (PerturbMode.ATTRACT, PerturbMode.SA):
-            geom, geom_s = geometries[spreads]
-            base, attract_s = _timed(attract, base, geom, cfg)
+        if not stages:
+            reduced, reduce_s = stages["pca"] = _timed(
+                lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw))
+            if any(c.mode.perturbed for c in configs):
+                geom, geom_s = stages["pca geometry"] = _timed(class_geometry, reduced)
+            if any(c.mode.spreads for c in configs):
+                spread_set, spread_s = _timed(spread, reduced, geom)
+                stages["spread"] = (spread_set, reduce_s + geom_s + spread_s)
+            if any(c.mode.spreads and c.mode.attracts for c in configs):
+                stages["spread geometry"] = _timed(class_geometry, spread_set)
+        base = "spread" if cfg.mode.spreads else "pca"
+        features, seconds = stages[base]
+        if cfg.mode.attracts:
+            geom, geom_s = stages[f"{base} geometry"]
+            features, attract_s = _timed(attract, features, geom, cfg)
             seconds += geom_s + attract_s
-        yield base, seconds
+        yield features, seconds

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: subcommands, exit codes, machine output."""
+import codecs
 import csv
 import itertools
 import json
@@ -247,6 +248,26 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
                                        "--out", str(tmp_path / "reports")])
     assert result.exit_code == 3, result.output
     assert "not a score JSON file" in result.output
+
+
+@pytest.mark.parametrize("field,token", [
+    pytest.param("seed", "NaN", id="nan-manifest"),
+    pytest.param("wall_time_s", "Infinity", id="infinity-time"),
+    pytest.param("wall_time_s", "1e400", id="overflow-time"),
+    pytest.param("score", "NaN", id="nan-score"),
+    pytest.param("score", "-Infinity", id="minus-infinity-score"),
+    pytest.param("score", "-1e400", id="overflow-score"),
+])
+def test_evaluate_scores_with_non_finite_numbers_are_not_json(tmp_path, field, token):
+    # json.loads takes NaN/Infinity tokens and numbers that overflow to
+    # +-inf; none of them is JSON, so the score file is unreadable
+    doc = {"manifest": {"seed": 0}, "records": [dict(RECORD)]}
+    (doc["manifest"] if field == "seed" else doc["records"][0])[field] = "@"
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps(doc).replace('"@"', token))
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores)])
+    assert assert_one_data_error_line(result).startswith(
+        f"data error: {scores}: not a score JSON file (")
 
 
 LOGME_NOT_FINITE = ("warning: logme fixed point stopped at update 1: the new "
@@ -619,11 +640,23 @@ def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):
             assert rep["tau_w"] == float(row["tau_w"]), row
 
 
-@pytest.mark.parametrize("command", ["score", "sweep", "raw"])
-def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
+ALL_MODES = ["--mode", "raw", "--mode", "none", "--mode", "spread",
+             "--mode", "attract", "--mode", "sa"]
+
+
+@pytest.mark.parametrize("args,fit_pca,spread,class_geometry", [
     # score with 4 metrics x every mode, or sweep over its 9 default cells:
-    # one PCA fit, one spread and two class geometries per model suffice.
-    # A raw-only score runs none of them
+    # one PCA fit, one spread and a class geometry of the reduced and of
+    # the spread set per model. A raw-only score runs none of them
+    pytest.param(["score", *ALL_MODES], 1, 1, 2, id="score"),
+    pytest.param(["sweep"], 1, 1, 2, id="sweep"),
+    pytest.param(["score", "--mode", "none"], 1, 0, 0, id="none"),
+    pytest.param(["score", "--mode", "spread"], 1, 1, 1, id="spread"),
+    pytest.param(["score", "--mode", "attract"], 1, 0, 1, id="attract"),
+    pytest.param(["score", "--mode", "raw"], 0, 0, 0, id="raw"),
+])
+def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, args, fit_pca,
+                                          spread, class_geometry):
     import terank.perturbation as perturbation
 
     calls = Counter()
@@ -634,21 +667,13 @@ def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, command):
             return _fn(ds, *args, **kwargs)
 
         monkeypatch.setattr(perturbation, name, counted)
-    args = {
-        "score": ["score", "--mode", "raw", "--mode", "none", "--mode", "spread",
-                  "--mode", "attract", "--mode", "sa"],
-        "sweep": ["sweep", "--truth", str(zoo_dir / "truth.csv")],
-        "raw": ["score", "--mode", "raw"],
-    }[command]
+    if args[0] == "sweep":
+        args = args + ["--truth", str(zoo_dir / "truth.csv")]
     run_ok(args + ["--input", str(zoo_dir)])
-    if command == "raw":
-        assert not calls
-        return
-    models = [p.stem for p in sorted(zoo_dir.glob("*.emb1"))]
-    for model in models:
-        assert calls[("fit_pca", model)] == 1
-        assert calls[("spread", model)] <= 1
-        assert calls[("class_geometry", model)] <= 2
+    expect = {"fit_pca": fit_pca, "spread": spread, "class_geometry": class_geometry}
+    assert calls == Counter({(name, path.stem): count
+                             for path in sorted(zoo_dir.glob("*.emb1"))
+                             for name, count in expect.items() if count})
 
 
 def test_raw_records_are_the_metric_on_the_input_features(zoo_dir, tmp_path):
@@ -796,6 +821,33 @@ def test_csv_embedding_input(zoo_dir, tmp_path):
                      "--format", "json"])
     payload = json.loads(result.output)
     assert payload["records"][0]["model"] == "model-00"
+
+
+@pytest.mark.parametrize("kind", ["truth", "scores", "csv"])
+def test_utf8_bom_reads_as_its_twin_without_one(zoo_dir, zoo_scores, tmp_path, kind):
+    # a truth CSV, a score JSON or an embedding CSV (label first) that
+    # starts with a UTF-8 byte-order mark gives the same output as its
+    # twin without one; manifests differ by the input's digest
+    ds = load_emb1(zoo_dir / "model-00.emb1")
+    emb_csv = tmp_path / "model-00.csv"
+    emb_csv.write_text("label," + ",".join(f"f{i}" for i in range(ds.feature_dim))
+                       + "".join(f"\n{lab}," + ",".join(repr(float(v)) for v in row)
+                                 for row, lab in zip(ds.features, ds.labels)) + "\n")
+    plain = {"truth": zoo_dir / "truth.csv", "scores": zoo_scores, "csv": emb_csv}[kind]
+    bom = tmp_path / "bom" / plain.name
+    bom.parent.mkdir()
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        inputs = {"truth": zoo_dir / "truth.csv", "scores": zoo_scores, kind: path}
+        args = (["score", "--input", str(path), "--metric", "gbc", "--mode", "none"]
+                if kind == "csv" else
+                ["evaluate", "--scores", str(inputs["scores"]),
+                 "--truth", str(inputs["truth"])])
+        payload = json.loads(run_ok(args + ["--format", "json"]).stdout)
+        outputs.append(strip_timing({k: v for k, v in payload.items()
+                                     if k != "manifest"}))
+    assert outputs[0] == outputs[1]
 
 
 def test_synth_truth_csv_bytes():

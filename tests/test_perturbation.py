@@ -200,6 +200,38 @@ def test_mode_sa_equals_manual_composition():
     assert np.array_equal(out.features, expect.features)
 
 
+def test_each_mode_says_which_stages_it_runs():
+    rows = {mode: (mode.spreads, mode.attracts, mode.perturbed) for mode in PerturbMode}
+    assert rows == {
+        PerturbMode.RAW: (False, False, False),
+        PerturbMode.NONE: (False, False, False),
+        PerturbMode.SPREAD: (True, False, True),
+        PerturbMode.ATTRACT: (False, True, True),
+        PerturbMode.SA: (True, True, True),
+    }
+
+
+def test_shared_stages_all_run_before_the_first_set_is_yielded(monkeypatch):
+    # stages run in pipeline order, all at the first config that is not
+    # raw: none's set comes out after sa's spread and spread geometry
+    import terank.perturbation as perturbation
+
+    calls = []
+    for name in ("fit_pca", "spread", "class_geometry"):
+        def logged(*args, _fn=getattr(perturbation, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(perturbation, name, logged)
+    ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=28)
+    sets = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig()],
+                      energy=0.9)
+    next(sets)
+    assert calls == ["fit_pca", "class_geometry", "spread", "class_geometry"]
+    next(sets)
+    assert len(calls) == 4
+
+
 def test_default_config_values():
     cfg = PerturbConfig()
     assert cfg.alpha == 0.005
