@@ -334,17 +334,22 @@ def _parse_grid(ctx, param, text):
 @contextlib.contextmanager
 def _all_or_nothing(out: Path):
     """Create directory `out` and yield a fresh staging directory inside
-    it for the block to write into. When the block succeeds, move each
-    staged file into `out`, replacing any file of the same name. When it
-    raises, remove the staging directory, then `out` and each parent this
-    call created while they are empty, and re-raise: a failed command
-    leaves `out` as it found it."""
+    it for the block to write into. When the block succeeds, check that
+    no staged name is a directory in `out`, then move each staged file
+    into `out`, replacing any file of the same name. When the block or
+    the check raises, remove the staging directory, then `out` and each
+    parent this call created while they are empty, and re-raise: a
+    failed command leaves `out` as it found it."""
     created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     try:
         yield stage
-        for path in stage.iterdir():
+        staged = list(stage.iterdir())
+        for path in staged:  # a file cannot replace a directory: check first
+            if (target := out / path.name).is_dir() and not target.is_symlink():
+                raise IsADirectoryError(f"{target} is a directory")
+        for path in staged:
             path.replace(out / path.name)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
@@ -355,6 +360,15 @@ def _all_or_nothing(out: Path):
                 break
         raise
     stage.rmdir()
+
+
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each named text into directory `out_dir` through
+    _all_or_nothing, so either every file lands or `out_dir` is left
+    as it was found. The one file writer of score, evaluate and sweep."""
+    with _all_or_nothing(out_dir) as stage:
+        for name, text in files.items():
+            (stage / name).write_text(text, newline="")
 
 
 def _pool_map(count: int, jobs: int, task) -> list:
@@ -403,19 +417,23 @@ def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
     return [result for _, result in done], sum(load_s for load_s, _ in done)
 
 
-def _emit(fmt: str | None, doc: dict, csv_rows: list[list],
-          table_rows: list[list[str]], notes: Sequence[str] = ()) -> None:
-    """Print a command's result on stdout: the JSON document, the CSV
-    rows, or an aligned table (header row first) followed by notes."""
+def _emit(fmt: str | None, doc: dict, header: list[str], rows: Sequence[Sequence],
+          notes: Sequence[str] = ()) -> None:
+    """Print a command's result on stdout. JSON prints the document `doc`;
+    CSV and the table print the one row table, `header` over `rows` of
+    strings, ints and floats. CSV writes each float in full (its repr);
+    the aligned table shows it to 6 significant digits and is followed
+    by `notes`."""
     if fmt == "json":
         sys.stdout.write(_json_text(doc))
         return
     if fmt == "csv":
-        sys.stdout.write(_csv_text(csv_rows))
+        sys.stdout.write(_csv_text([header, *rows]))
         return
-    widths = [max(len(row[i]) for row in table_rows)
-              for i in range(len(table_rows[0]))]
-    lines = [[c.ljust(w) for c, w in zip(row, widths)] for row in table_rows]
+    cells = [header] + [[f"{c:.6g}" if isinstance(c, float) else str(c) for c in row]
+                        for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    lines = [[c.ljust(w) for c, w in zip(row, widths)] for row in cells]
     lines.insert(1, ["-" * w for w in widths])
     for line in lines:
         click.echo("  ".join(line))
@@ -484,11 +502,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     _emit(
         fmt,
         {"manifest": manifest, "models": [dict(zip(header, row)) for row in rows]},
-        [header] + [[m, repr(rho), repr(noise), repr(acc)]
-                    for m, rho, noise, acc in rows],
-        [["model", "rho", "noise", "oracle_acc_%"]]
-        + [[m, f"{rho:.3f}", f"{noise:.3f}", f"{acc:.2f}"]
-           for m, rho, noise, acc in rows],
+        header, rows,
         notes=(f"wrote {len(rows)} embedding sets + truth.csv to {out}",),
     )
 
@@ -500,8 +514,8 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
               help="Feature preparation. Repeatable. raw: the metric on the "
                    "input features, with no PCA and no perturbation; none: "
                    "PCA only; spread, attract, sa: PCA, then perturbation.")
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Write the score JSON here.")
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
+              default=None, help="Write the score JSON here.")
 @_common_options
 @_handle_errors
 def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
@@ -521,15 +535,12 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
         "load_s": load_s, "total_s": time.perf_counter() - t0})
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
     if out is not None:
-        out.write_text(_json_text(payload))
+        _write_files(out.parent, {out.name: _json_text(payload)})
     _emit(
         fmt,
         payload,
-        [["model", "metric", "mode", "score", "wall_time_s"]]
-        + [[r.model_id, r.metric, r.mode, repr(r.score), f"{r.wall_time_s:.6f}"]
-           for r in records],
-        [["model", "metric", "mode", "score"]]
-        + [[r.model_id, r.metric, r.mode, f"{r.score:.6f}"] for r in records],
+        ["model", "metric", "mode", "score", "wall_time_s"],
+        [[r.model_id, r.metric, r.mode, r.score, r.wall_time_s] for r in records],
     )
 
 
@@ -602,16 +613,12 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
         out_files[f"report_{metric}_{mode}.json"] = _json_text(
             {**rep.to_dict(), "manifest": manifest})
         out_files[f"plot_{metric}_{mode}.csv"] = _csv_text(
-            [["score", "accuracy", "model"]]
-            + [[repr(s_val), repr(acc), model] for s_val, acc, model in rep.plot_rows()]
-        )
+            [["score", "accuracy", "model"], *rep.plot_rows()])
     for mode, rows in summaries.items():
         out_files[f"improvement_{mode}.json"] = _json_text(
             {"manifest": manifest, "mode": mode, "rows": [r.to_dict() for r in rows]})
     if out is not None:
-        with _all_or_nothing(out) as stage:
-            for name, text in out_files.items():
-                (stage / name).write_text(text, newline="")
+        _write_files(out, out_files)
 
     notes = []
     for mode, rows in summaries.items():
@@ -632,10 +639,8 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
                 for mode, rows in summaries.items()
             },
         },
-        [["metric", "mode", "tau_w"]]
-        + [[m, md, repr(rep.tau_w)] for (m, md), rep in reports.items()],
-        [["metric", "mode", "tau_w"]]
-        + [[m, md, f"{rep.tau_w:+.4f}"] for (m, md), rep in reports.items()],
+        ["metric", "mode", "tau_w"],
+        [[m, md, rep.tau_w] for (m, md), rep in reports.items()],
         notes,
     )
     if out is not None and out_files:
@@ -649,8 +654,8 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
               callback=_parse_grid)
 @click.option("--sigma-grid", default="0.5,0.6,0.7,0.8,0.9", show_default=True,
               callback=_parse_grid)
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Write the sweep CSV here.")
+@click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
+              default=None, help="Write the sweep CSV here.")
 @_common_options
 @_handle_errors
 def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
@@ -690,22 +695,12 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
             rows.append((cell_alpha, cell_sigma, metric, rep.tau_w))
 
     header = ["alpha", "sigma", "metric", "tau_w"]
-    csv_rows = [header] + [
-        [repr(a), repr(s_val), metric, repr(tau)] for a, s_val, metric, tau in rows
-    ]
     if out is not None:
-        out.write_text(_csv_text(csv_rows), newline="")
         manifest = _manifest(files + ([truth] if truth else []), jobs=jobs,
                              timings={"total_s": time.perf_counter() - t0})
-        Path(str(out) + ".manifest.json").write_text(_json_text(manifest))
-
-    _emit(
-        fmt,
-        {"rows": [dict(zip(header, row)) for row in rows]},
-        csv_rows,
-        [header]
-        + [[f"{a:g}", f"{s_val:g}", m, f"{tau:+.4f}"] for a, s_val, m, tau in rows],
-    )
+        _write_files(out.parent, {out.name: _csv_text([header, *rows]),
+                                  f"{out.name}.manifest.json": _json_text(manifest)})
+    _emit(fmt, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows)
 
 
 if __name__ == "__main__":

@@ -1132,3 +1132,122 @@ def test_failed_evaluate_leaves_out_as_it_found_it(zoo_dir, tmp_path, monkeypatc
         assert (out / "report_gbc_none.json").read_text() == "old"
     else:
         assert not out.exists()
+
+
+def test_a_directory_at_any_report_name_fails_before_any_move(zoo_dir, tmp_path):
+    # a report set of 9 files; with a directory at any one of its names,
+    # evaluate exits 3 and the 8 old files under the other names are kept
+    scores = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc", "--metric", "lda",
+            "--mode", "none", "--mode", "sa", "--out", str(scores)])
+    args = ["evaluate", "--scores", str(scores), "--truth", str(zoo_dir / "truth.csv")]
+    run_ok(args + ["--out", str(tmp_path / "fresh")])
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert len(names) == 9
+    for i, blocked in enumerate(names):
+        out = tmp_path / f"reports-{i}"
+        out.mkdir()
+        for name in names:
+            (out / name).write_text("old")
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert {n: (out / n).read_text() for n in names if n != blocked} == {
+            n: "old" for n in names if n != blocked}, blocked
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert (out / blocked).is_dir() and not any((out / blocked).iterdir())
+        assert result.stderr == f"i/o error: {out / blocked} is a directory\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_sweep_with_a_directory_at_its_manifest_name_writes_no_csv(zoo_dir, tmp_path,
+                                                                   existing):
+    out = tmp_path / "sw.csv"
+    if existing:
+        out.write_text("old")
+    (tmp_path / "sw.csv.manifest.json").mkdir()
+    result = CliRunner().invoke(main, [
+        "sweep", "--input", str(zoo_dir), "--truth", str(zoo_dir / "truth.csv"),
+        "--metric", "gbc", "--alpha-grid", "0.005", "--sigma-grid", "0.6",
+        "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["sw.csv"] * existing + ["sw.csv.manifest.json"])
+    if existing:
+        assert out.read_text() == "old"
+
+
+SWEEP_ONE_CELL = ["--alpha-grid", "0.005", "--sigma-grid", "0.6"]
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_score_and_sweep_out_in_a_missing_directory_is_created(zoo_dir, tmp_path,
+                                                                command):
+    out = tmp_path / "nested" / "dir" / "out.file"
+    extra = SWEEP_ONE_CELL + ["--truth", str(zoo_dir / "truth.csv")]
+    run_ok([command, "--input", str(zoo_dir), "--metric", "gbc", "--out", str(out),
+            *(extra if command == "sweep" else [])])
+    written = sorted(p.name for p in out.parent.iterdir())
+    assert written == (["out.file"] if command == "score"
+                       else ["out.file", "out.file.manifest.json"])
+
+
+@pytest.mark.parametrize("command", ["score", "sweep"])
+def test_score_and_sweep_out_at_a_directory_is_a_usage_error(zoo_dir, tmp_path,
+                                                              monkeypatch, command):
+    loaded = []
+    load_set = cli._load_set
+    monkeypatch.setattr(cli, "_load_set",
+                        lambda *args: loaded.append(args) or load_set(*args))
+    extra = SWEEP_ONE_CELL + ["--truth", str(zoo_dir / "truth.csv")]
+    result = CliRunner().invoke(main, [command, "--input", str(zoo_dir), "--metric",
+                                       "gbc", "--out", str(tmp_path),
+                                       *(extra if command == "sweep" else [])])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.stderr
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def assert_csv_cells_are_reprs(csv_text, docs):
+    # each CSV cell is its JSON value as text, a float written in full
+    rows = list(csv.DictReader(csv_text.splitlines()))
+    assert len(rows) == len(docs) > 0
+    for row, doc in zip(rows, docs):
+        for key, cell in row.items():
+            value = doc[key]
+            assert cell == (value if isinstance(value, str) else repr(value)), key
+
+
+def test_csv_cells_are_the_reprs_of_the_json_values(zoo_dir, zoo_scores, tmp_path):
+    synth_args = ["synth", "--models", "3", "--classes", "2", "--per-class", "4",
+                  "--dim", "2", "--rho-range", "0.3:2.9", "--noise-range", "0.7:1.3"]
+    csv_out = run_ok(synth_args + ["--out", str(tmp_path / "a"), "--format", "csv"])
+    json_out = run_ok(synth_args + ["--out", str(tmp_path / "b"), "--format", "json"])
+    assert_csv_cells_are_reprs(csv_out.stdout, json.loads(json_out.stdout)["models"])
+
+    # score's wall_time_s differs between runs: compare with the file of the
+    # same run, which the JSON stdout equals
+    scores = tmp_path / "scores.json"
+    score_args = ["score", "--input", str(zoo_dir), "--mode", "none", "--mode", "sa"]
+    csv_out = run_ok(score_args + ["--out", str(scores), "--format", "csv"])
+    assert_csv_cells_are_reprs(csv_out.stdout, json.loads(scores.read_text())["records"])
+    json_out = run_ok(score_args + ["--out", str(scores), "--format", "json"])
+    assert json_out.stdout == scores.read_text()
+
+    evaluate_args = ["evaluate", "--scores", str(zoo_scores),
+                     "--truth", str(zoo_dir / "truth.csv")]
+    csv_out = run_ok(evaluate_args + ["--format", "csv"])
+    reports = json.loads(run_ok(evaluate_args + ["--format", "json"]).stdout)["reports"]
+    assert_csv_cells_are_reprs(csv_out.stdout, [
+        {"metric": key.split("/")[0], "mode": key.split("/")[1], "tau_w": r["tau_w"]}
+        for key, r in reports.items()])
+
+    sweep_args = ["sweep", "--input", str(zoo_dir), "--truth", str(zoo_dir / "truth.csv"),
+                  "--metric", "gbc", "--alpha-grid", "0.001,0.03", "--sigma-grid", "0.55"]
+    out = tmp_path / "sweep.csv"
+    csv_out = run_ok(sweep_args + ["--out", str(out), "--format", "csv"])
+    assert csv_out.stdout_bytes == out.read_bytes()
+    rows = json.loads(run_ok(sweep_args + ["--format", "json"]).stdout)["rows"]
+    assert_csv_cells_are_reprs(csv_out.stdout, rows)

@@ -1,8 +1,9 @@
 """Cold start: no terank command loads scipy, which is a test-only
 dependency. Source scans also keep scipy imports, error classes beyond
 the two exit-code families, any thread pool but the CLI's one, any
-per-model seed rule but the CLI's one, and numpy's transcendental
-functions in the random stream out of the package.
+per-model seed rule but the CLI's one, any output path but the CLI's
+one, and numpy's transcendental functions in the random stream out of
+the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy into this process.
@@ -218,6 +219,35 @@ def test_one_manifest_builder_in_the_cli():
 
     visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
     assert sites == ["_manifest"]
+
+
+def test_one_output_path_in_the_cli():
+    # _emit formats every stdout cell and _write_files writes every --out
+    # file of score, evaluate and sweep, all-or-nothing; synth stages its
+    # own files, since its workers write EMB1 files into the staging
+    # directory. A repr or a write_text anywhere else is a second path
+    reprs, writes = [], []
+
+    def visit(node, where, staged):  # where: the enclosing module-level function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not where:
+            where = node.name
+        if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call)
+                and isinstance(item.context_expr.func, ast.Name)
+                and item.context_expr.func.id == "_all_or_nothing"
+                for item in node.items):
+            staged = True
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "repr":
+                reprs.append(f"{where}:{node.lineno}")
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "write_text":
+                writes.append(f"{where} in _all_or_nothing" if staged else where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, staged)
+
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None, False)
+    assert reprs == []
+    assert writes == ["_write_files in _all_or_nothing", "synth in _all_or_nothing"]
 
 
 # numpy picks SIMD code per CPU for these functions on real floats, so
