@@ -196,7 +196,8 @@ def _scoring_options(command):
 
 
 def _truth_options(fn):
-    fn = click.option("--truth", type=click.Path(exists=True, path_type=Path),
+    fn = click.option("--truth",
+                      type=click.Path(exists=True, dir_okay=False, path_type=Path),
                       default=None,
                       help="Truth CSV (default: bundled accuracy tables).")(fn)
     fn = click.option("--dataset", default=SYNTH_DATASET, show_default=True)(fn)
@@ -463,7 +464,7 @@ def main():
               help="Centroid scale a:b, linearly spaced across models.")
 @click.option("--noise-range", default="1:1", show_default=True,
               help="Intra-class std a:b, linearly spaced across models.")
-@click.option("--out", type=click.Path(path_type=Path), required=True)
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 @_jobs_option
 @_common_options
 @_handle_errors
@@ -567,10 +568,10 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
 
 @main.command()
 @click.option("--scores", required=True,
-              type=click.Path(exists=True, path_type=Path),
+              type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Score JSON produced by `terank score`.")
 @_truth_options
-@click.option("--out", type=click.Path(path_type=Path), default=None,
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Directory for report JSON/CSV files.")
 @_common_options
 @_handle_errors

@@ -266,10 +266,15 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     features overflowed) raises NumericError. The same seed yields
     bit-identical parameters, and the fit does not depend on the row
     order of `features`: seeding and accumulation both run over a
-    canonical (lexicographically sorted) view of the data. That order
-    and the order of every floating-point operation are kept bit for bit
-    (`_canonical_order`, `_logsumexp_rows`), so a faster kernel here
-    never moves a score.
+    canonical (lexicographically sorted) view of the data. That row order
+    and the numpy-side reductions (`_canonical_order`, `_logsumexp_rows`,
+    the column sums) are pinned. The four matrix products, two in the
+    E-step's `_log_gaussian_prob` and two in the M-step, take their bits
+    from the kernel and blocking the BLAS picks for their shapes and
+    thread count: `resp.T @ xs` differs between one and two OpenBLAS
+    threads. So a faster kernel here can move a score; ROADMAP items 1-3
+    set the tolerance such a change must meet and the thread-invariant
+    products.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]

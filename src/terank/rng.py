@@ -11,23 +11,19 @@ uint64/float64 arithmetic, which is exact or correctly rounded. The
 transcendental functions come from the C library (libm), because
 numpy's real-float versions depend on the SIMD code it picks for the
 CPU (on an AVX-512 machine a contiguous `np.log` differed from libm in
-about 3,600 of 2^20 stream draws). A block's log is one `np.log` whose
-output lies one slot behind its input in a single buffer. numpy's SIMD
-log loops refuse operands that partly overlap, and numpy makes no copy
-for an overlap that is safe to run forward, so it runs its scalar loop,
-which calls the C library's `log` on each element. That choice of loop
-is numpy's implementation detail, so the first bulk fill of a process
-checks the shifted log bit for bit against `math.log` on one fixed
-block of draws, and a process where it differs takes each log from a
-per-element `math.log` map instead. Each pair's cos and sin come from
-one `np.exp` of a complex128 array `0 + i*theta`: numpy has no SIMD
-loop for complex exp and hands each element to the C library's `cexp`,
-which forms the result as `exp(0.0) * cos(theta)` and
-`exp(0.0) * sin(theta)` with libm's cos and sin. exp(0.0) is exactly 1,
-so its parts have the bits of `math.cos(theta)` and `math.sin(theta)`.
-The Gaussian stream therefore depends on the C library's log, cos and
-sin, exactly as the scalar `gaussian()` does. Fills work in blocks of
-`_BLOCK` draws to keep the temporaries small.
+about 3,600 of 2^20 stream draws). A block's logs, cosines and sines
+come from one numpy call each, whose output lies one slot behind its
+input in one row of a shared buffer. numpy's SIMD loops refuse operands
+that partly overlap, and numpy makes no copy for an overlap that is
+safe to run forward, so it runs its scalar loop, which calls the C
+library's `log`, `cos` or `sin` on each element. That choice of loop is
+numpy's implementation detail, so the first bulk fill of a process
+checks all three bit for bit against `math.log`, `math.cos` and
+`math.sin` on one fixed block of pairs, and a process where any of them
+differs takes all three from per-element `math` maps instead. The
+Gaussian stream therefore depends on the C library's log, cos and sin
+and nothing else, exactly as the scalar `gaussian()` does. Fills work
+in blocks of `_BLOCK` draws to keep the temporaries small.
 """
 from __future__ import annotations
 
@@ -62,35 +58,51 @@ def _fill_uniform(out: np.ndarray, state: int) -> int:
     return (state + n * _GOLDEN) & _MASK
 
 
-def _shifted_log(u1: np.ndarray) -> np.ndarray:
-    """The C library's log of each element of `u1`, from one np.log call.
+def _libm_rows(z: np.ndarray) -> np.ndarray:
+    """The inputs of a block's log, cos and sin, from its uniforms `z`
+    (an even count), as rows of one (3, pairs + 2) buffer: the clamped
+    draws, the angles and the angles again. Each row's inputs start one
+    slot in; its trailing 1.0 keeps input and output overlapping when the
+    block holds a single pair."""
+    rows = np.empty((3, z.shape[0] // 2 + 2), dtype=np.float64)
+    # draws are multiples of 2^-53, so this is gaussian()'s u1 <= 0 clamp
+    np.maximum(z[0::2], _TWO_NEG53, out=rows[0, 1:-1])
+    # theta rounded as in gaussian()
+    np.multiply(_TWO_PI, z[1::2], out=rows[1, 1:-1])
+    rows[2, 1:-1] = rows[1, 1:-1]
+    rows[:, -1] = 1.0
+    return rows
 
-    The call's output lies one slot behind its input in one buffer, a
-    partial overlap that numpy's SIMD log loops refuse. numpy makes no
-    copy for it, since a forward pass reads each element before it is
-    overwritten, so its scalar loop calls libm's `log` element by element.
-    A trailing 1.0 keeps input and output overlapping when `u1` holds a
-    single element."""
-    buf = np.empty(u1.shape[0] + 2, dtype=np.float64)
-    buf[1:-1] = u1
-    buf[-1] = 1.0
-    return np.log(buf[1:], out=buf[:-1])[:-1]
+
+def _shifted_libm(rows: np.ndarray) -> np.ndarray:
+    """The C library's log, cos and sin of `_libm_rows`' inputs, in place,
+    from one numpy call per row. Each call's output lies one slot behind
+    its input, a partial overlap that numpy's SIMD loops refuse; numpy
+    makes no copy for it, since a forward pass reads each element before
+    it is overwritten, so its scalar loop calls libm element by element."""
+    log_row, cos_row, sin_row = rows
+    np.log(log_row[1:], out=log_row[:-1])
+    np.cos(cos_row[1:], out=cos_row[:-1])
+    np.sin(sin_row[1:], out=sin_row[:-1])
+    return rows[:, :-2]
 
 
-def _map_log(u1: np.ndarray) -> np.ndarray:
-    """`math.log` of each element of `u1`, one Python call each."""
-    return np.fromiter(map(math.log, u1.tolist()), dtype=np.float64, count=u1.shape[0])
+def _mapped_libm(rows: np.ndarray) -> np.ndarray:
+    """`_shifted_libm`'s values, from one `math.log`, `math.cos` or
+    `math.sin` call per input."""
+    for row, f in zip(rows, (math.log, math.cos, math.sin)):
+        row[:-2] = list(map(f, row[1:-1].tolist()))
+    return rows[:, :-2]
 
 
 @functools.cache
-def _shifted_log_is_libm() -> bool:
-    """Whether `_shifted_log` gives `math.log`'s bits on one fixed block
-    of clamped stream draws; checked once per process, by its first bulk
-    Gaussian fill."""
-    u1 = np.empty(_BLOCK, dtype=np.float64)
-    _fill_uniform(u1, 0)
-    np.maximum(u1, _TWO_NEG53, out=u1)
-    return _shifted_log(u1).tobytes() == _map_log(u1).tobytes()
+def _shifted_libm_is_exact() -> bool:
+    """Whether `_shifted_libm` gives the `math` functions' bits on one
+    fixed block of stream pairs; checked once per process, by its first
+    bulk Gaussian fill."""
+    z = np.empty(_BLOCK, dtype=np.float64)
+    _fill_uniform(z, 0)
+    return _shifted_libm(_libm_rows(z)).tobytes() == _mapped_libm(_libm_rows(z)).tobytes()
 
 
 def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
@@ -98,21 +110,14 @@ def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
     the advanced state."""
     z = np.empty(2 * pairs, dtype=np.float64)
     state = _fill_uniform(z, state)
-    # draws are multiples of 2^-53, so this is gaussian()'s u1 <= 0 clamp
-    u1 = np.maximum(z[0::2], _TWO_NEG53)
-    # libm's log from one C loop, or from a math.log map in a process
-    # whose numpy runs that loop with other bits
-    r = _shifted_log(u1) if _shifted_log_is_libm() else _map_log(u1)
+    rows = _libm_rows(z)
+    # libm's log, cos and sin from one C loop each, or from math maps in a
+    # process whose numpy runs those loops with other bits
+    r, cos, sin = _shifted_libm(rows) if _shifted_libm_is_exact() else _mapped_libm(rows)
     r *= -2.0
     np.sqrt(r, out=r)
-    # i*theta with a +0.0 real part, theta rounded as in gaussian()
-    w = np.zeros(pairs, dtype=np.complex128)
-    np.multiply(_TWO_PI, z[1::2], out=w.imag)
-    # libm's cexp, in place; complex128 viewed as float64 is
-    # [cos, sin, cos, sin, ...]
-    z = np.exp(w, out=w).view(np.float64)
-    z[0::2] *= r
-    z[1::2] *= r
+    np.multiply(cos, r, out=z[0::2])
+    np.multiply(sin, r, out=z[1::2])
     return z, state
 
 

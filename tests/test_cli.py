@@ -1210,6 +1210,38 @@ def test_score_and_sweep_out_at_a_directory_is_a_usage_error(zoo_dir, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,option,kind", [
+    ("evaluate", "--scores", "directory"),
+    ("evaluate", "--truth", "directory"),
+    ("sweep", "--truth", "directory"),
+    ("evaluate", "--out", "file"),
+    ("synth", "--out", "file"),
+])
+def test_a_path_of_the_wrong_kind_is_a_usage_error(zoo_dir, zoo_scores, tmp_path,
+                                                   monkeypatch, command, option, kind):
+    # found by the option itself, before any input loads or any model is
+    # ranked, and nothing is written
+    calls = []
+    monkeypatch.setattr(cli, "_load_set", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "rank_and_report", lambda *args: calls.append(args))
+    wrong = tmp_path / "wrong"
+    if kind == "directory":
+        wrong.mkdir()
+    else:
+        wrong.write_text("old")
+    args = {"evaluate": ["evaluate", "--scores", str(zoo_scores),
+                         "--truth", str(zoo_dir / "truth.csv")],
+            "sweep": ["sweep", "--input", str(zoo_dir), "--metric", "gbc",
+                      *SWEEP_ONE_CELL, "--truth", str(zoo_dir / "truth.csv")],
+            "synth": ["synth", "--models", "2"]}[command]
+    result = CliRunner().invoke(main, args + [option, str(wrong)])
+    assert result.exit_code == 2, result.output
+    assert f"is a {kind}" in result.stderr
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wrong"]
+    assert kind == "directory" or wrong.read_text() == "old"
+
+
 def assert_csv_cells_are_reprs(csv_text, docs):
     # each CSV cell is its JSON value as text, a float written in full
     rows = list(csv.DictReader(csv_text.splitlines()))

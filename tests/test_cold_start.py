@@ -251,19 +251,17 @@ def test_one_output_path_in_the_cli():
 
 
 # numpy picks SIMD code per CPU for these functions on real floats, so
-# their bits can differ from libm's from one machine to the next. Its
-# complex exp has no SIMD loop: numpy hands each complex128 element to the
-# C library's cexp, whose parts at 0 + i*theta are libm's cos and sin. Its
-# SIMD log loops refuse operands that partly overlap, and numpy makes no
-# copy when the output sits one slot behind the input in the same buffer
-# (a forward pass reads each element before overwriting it), so
-# np.log(buf[1:], out=buf[:-1]) runs numpy's scalar loop over libm's log.
-# A contiguous log, one written in place, a fresh output or the opposite
-# shift (which numpy copies first) would take the SIMD loop again. So
-# rng.py may hold one np.exp, inside _box_muller, on the complex128 angle
-# array that function builds; one np.log of that shifted form, inside
-# _box_muller or a function it calls, on a buffer bound once there; and
-# no other numpy transcendental. rng.py checks the shifted log's bits at
+# their bits can differ from libm's from one machine to the next. Its SIMD
+# loops refuse operands that partly overlap, and numpy makes no copy when
+# the output sits one slot behind the input in the same buffer (a forward
+# pass reads each element before overwriting it), so
+# np.log(buf[1:], out=buf[:-1]) runs numpy's scalar loop over libm's log,
+# and the same holds for cos and sin. A contiguous call, one written in
+# place, a fresh output or the opposite shift (which numpy copies first)
+# would take the SIMD loop again. So rng.py may hold one np.log, one
+# np.cos and one np.sin, each in that shifted form, inside _box_muller or
+# a function it calls, on a buffer bound once there; and no other numpy
+# transcendental, exp included. rng.py checks the shifted calls' bits at
 # run time too, since which loop numpy picks is its implementation detail.
 NUMPY_TRANSCENDENTALS = {"log", "log1p", "exp", "expm1", "sin", "cos", "tan", "power"}
 RNG_SOURCE = (SRC / "terank" / "rng.py").read_text()
@@ -282,66 +280,47 @@ def binding_count(fn, name):
         for node in ast.walk(fn))
 
 
-def complex_angle_exp(tree):
-    """The func node of the one np.exp call in _box_muller whose argument is
-    a name bound once there, to a complex128 np.zeros or np.empty; else None."""
-    box_muller = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                  and node.name == "_box_muller"]
-    if len(box_muller) != 1:
-        return None
-    calls = [node for node in ast.walk(box_muller[0])
-             if isinstance(node, ast.Call) and is_numpy_attribute(node.func, {"exp"})]
-    if len(calls) != 1 or not calls[0].args or not isinstance(calls[0].args[0], ast.Name):
-        return None
-    angle = calls[0].args[0].id
-    stores = [node for node in ast.walk(box_muller[0]) if isinstance(node, ast.Name)
-              and node.id == angle and isinstance(node.ctx, ast.Store)]
-    bindings = [node.value for node in ast.walk(box_muller[0])
-                if isinstance(node, ast.Assign) and len(node.targets) == 1
-                and node.targets[0] in stores]
-    if len(stores) != 1 or len(bindings) != 1:
-        return None
-    made = bindings[0]
-    if (isinstance(made, ast.Call) and is_numpy_attribute(made.func, {"zeros", "empty"})
-            and any(kw.arg == "dtype" and is_numpy_attribute(kw.value, {"complex128"})
-                    for kw in made.keywords)):
-        return calls[0].func
-    return None
+SHIFTED_LIBM = {"log", "cos", "sin"}
 
 
-def shifted_log(tree):
-    """The func node of the one np.log call in _box_muller or in a
-    module-level function it calls, when that call is exactly
-    `np.log(buf[1:], out=buf[:-1])` for a name `buf` bound once in its
-    function; else None."""
+def is_shifted_call(fn, call):
+    """Whether `call` is exactly `np.f(buf[1:], out=buf[:-1])` for a name
+    `buf` bound once in `fn`."""
+    if (len(call.args) != 1 or len(call.keywords) != 1 or call.keywords[0].arg != "out"
+            or not isinstance(call.args[0], ast.Subscript)
+            or not isinstance(call.args[0].value, ast.Name)):
+        return False
+    buf = call.args[0].value.id
+    return (ast.unparse(call.args[0]) == f"{buf}[1:]"
+            and ast.unparse(call.keywords[0].value) == f"{buf}[:-1]"
+            and binding_count(fn, buf) == 1)
+
+
+def shifted_libm_calls(tree):
+    """The func nodes of the np.log, np.cos and np.sin calls in _box_muller
+    or in a module-level function it calls, each where it is the one call
+    of its function there and is in the shifted form."""
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
     if "_box_muller" not in functions:
-        return None
+        return set()
     called = {node.func.id for node in ast.walk(functions["_box_muller"])
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     hosts = [fn for name, fn in functions.items()
              if name == "_box_muller" or name in called]
     calls = [(fn, node) for fn in hosts for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and is_numpy_attribute(node.func, {"log"})]
-    if len(calls) != 1:
-        return None
-    fn, call = calls[0]
-    if (len(call.args) != 1 or len(call.keywords) != 1 or call.keywords[0].arg != "out"
-            or not isinstance(call.args[0], ast.Subscript)
-            or not isinstance(call.args[0].value, ast.Name)):
-        return None
-    buf = call.args[0].value.id
-    if (ast.unparse(call.args[0]) != f"{buf}[1:]"
-            or ast.unparse(call.keywords[0].value) != f"{buf}[:-1]"
-            or binding_count(fn, buf) != 1):
-        return None
-    return call.func
+             if isinstance(node, ast.Call) and is_numpy_attribute(node.func, SHIFTED_LIBM)]
+    allowed = set()
+    for name in SHIFTED_LIBM:
+        of_name = [(fn, call) for fn, call in calls if call.func.attr == name]
+        if len(of_name) == 1 and is_shifted_call(*of_name[0]):
+            allowed.add(of_name[0][1].func)
+    return allowed
 
 
 def numpy_transcendental_uses(source):
     tree = ast.parse(source)
-    allowed = {complex_angle_exp(tree), shifted_log(tree)} - {None}
+    allowed = shifted_libm_calls(tree)
     uses = []
     for node in ast.walk(tree):
         if is_numpy_attribute(node, NUMPY_TRANSCENDENTALS) and node not in allowed:
@@ -358,43 +337,53 @@ def test_rng_uses_no_numpy_transcendental():
     assert numpy_transcendental_uses(RNG_SOURCE) == []
 
 
-FILL_EXP = "z = np.exp(w, out=w).view(np.float64)"
-SHIFTED_LOG = "np.log(buf[1:], out=buf[:-1])"
+SHIFTED_LOG = "np.log(log_row[1:], out=log_row[:-1])"
+SHIFTED_COS = "np.cos(cos_row[1:], out=cos_row[:-1])"
+SHIFTED_SIN = "np.sin(sin_row[1:], out=sin_row[:-1])"
+FILL_COS = "np.multiply(cos, r, out=z[0::2])"
 
 
 @pytest.mark.parametrize("old,new", [
-    # the exp of a real array, or a second exp, or one outside _box_muller
-    (FILL_EXP, "z = np.exp(z[1::2]).view(np.float64)"),
-    (FILL_EXP, FILL_EXP + "\n    w = np.exp(w)"),
-    (FILL_EXP, FILL_EXP + "\n    np.exp(w, out=w)"),
+    # an exp in any form: of a real array, in the shifted form, in place on
+    # a complex128 array (libm's cexp), or at module level
+    (FILL_COS, FILL_COS + "\n    np.exp(z, out=z)"),
+    (SHIFTED_SIN, SHIFTED_SIN + "\n    np.exp(sin_row[1:], out=sin_row[:-1])"),
+    (FILL_COS, "w = np.zeros(pairs, dtype=np.complex128)\n    np.exp(w, out=w)\n    "
+     + FILL_COS),
     ("    return z, state\n", "    return z, state\n\n\nEXP = np.exp\n"),
-    # the angle array made real, or rebound before the exp
-    ("np.zeros(pairs, dtype=np.complex128)", "np.zeros(pairs, dtype=np.float64)"),
-    (FILL_EXP, "w = w + 0\n    " + FILL_EXP),
-    # any other numpy transcendental
-    ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    r = np.log(u1)"),
-    ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    c = np.cos(u1)"),
+    # cos of the float angles without the shift, or on a row rebound first
+    (FILL_COS, "cos = np.cos(_TWO_PI * z[1::2])\n    " + FILL_COS),
+    (SHIFTED_COS, "cos_row = cos_row.copy()\n    " + SHIFTED_COS),
+    # any other numpy transcendental, or one not in the shifted form
+    ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    r = np.log(r)"),
+    ("np.sqrt(r, out=r)", "np.sqrt(r, out=r)\n    c = np.cos(r)"),
     ("import numpy as np\n", "import numpy as np\nfrom numpy import sin\n"),
     # the log without its one-slot shift: contiguous, in place, into a
     # fresh array, shifted the other way, or into another buffer
-    ("r = _shifted_log(u1)", "r = np.log(u1)"),
-    (SHIFTED_LOG, "np.log(buf[1:])"),
-    (SHIFTED_LOG, "np.log(buf[1:], out=buf[1:])"),
-    (SHIFTED_LOG, "np.log(buf[1:], out=np.empty(buf.size - 1))"),
-    (SHIFTED_LOG, "np.log(buf[:-1], out=buf[1:])"),
-    (SHIFTED_LOG, "np.log(buf[1:], out=other[:-1])"),
-    # the buffer rebound, a second shifted log, one in a function that
-    # _box_muller does not call, a module-level log, or log1p
-    ("    return " + SHIFTED_LOG, "    buf = np.array(buf)\n    return " + SHIFTED_LOG),
-    ("    return " + SHIFTED_LOG, "    " + SHIFTED_LOG + "\n    return " + SHIFTED_LOG),
-    ("r = _shifted_log(u1)", "r = _fill_log(u1)"),
+    ("_shifted_libm(rows) if", "np.log(rows) if"),
+    (SHIFTED_LOG, "np.log(log_row[1:])"),
+    (SHIFTED_LOG, "np.log(log_row[1:], out=log_row[1:])"),
+    (SHIFTED_LOG, "np.log(log_row[1:], out=np.empty(log_row.size - 1))"),
+    (SHIFTED_LOG, "np.log(log_row[:-1], out=log_row[1:])"),
+    (SHIFTED_LOG, "np.log(log_row[1:], out=rows[0, :-1])"),
+    # the buffer rebound, a second shifted log, the shifted calls in a
+    # function that _box_muller does not call, a module-level log, or log1p
+    (SHIFTED_LOG, "log_row = np.array(log_row)\n    " + SHIFTED_LOG),
+    (SHIFTED_LOG, SHIFTED_LOG + "\n    " + SHIFTED_LOG),
+    ("_shifted_libm(rows) if", "_fill_libm(rows) if"),
     ("    return z, state\n", "    return z, state\n\n\nLOG = np.log\n"),
-    (SHIFTED_LOG, "np.log1p(buf[1:], out=buf[:-1])"),
+    (SHIFTED_LOG, "np.log1p(log_row[1:], out=log_row[:-1])"),
+    # cos and sin hold to the same form as the log
+    (SHIFTED_COS, "np.cos(cos_row[1:])"),
+    (SHIFTED_SIN, "np.sin(sin_row[:-1], out=sin_row[1:])"),
+    (SHIFTED_SIN, SHIFTED_SIN + "\n    " + SHIFTED_SIN),
+    (SHIFTED_COS, "np.tan(cos_row[1:], out=cos_row[:-1])"),
 ], ids=["real-arg", "second-exp", "second-exp-in-place", "module-level",
         "float-angles", "rebound-angles", "log", "cos", "import",
         "contiguous-log", "unshifted-log", "in-place-log", "fresh-out-log",
         "swapped-log", "other-buffer-log", "rebound-log-buffer", "second-shifted-log",
-        "uncalled-log-helper", "module-level-log", "log1p"])
+        "uncalled-log-helper", "module-level-log", "log1p",
+        "unshifted-cos", "swapped-sin", "second-shifted-sin", "shifted-tan"])
 def test_rng_transcendental_rule_allows_only_the_complex_angle_exp(old, new):
     assert old in RNG_SOURCE
     assert numpy_transcendental_uses(RNG_SOURCE.replace(old, new, 1)) != []

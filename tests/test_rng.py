@@ -1,10 +1,9 @@
 """SplitMix64 stream contract: reference vectors, Box-Muller consumption,
 bit-equality of the bulk numpy fills with the scalar draws, the bits of
-numpy's complex exp (the C library's cexp) against math.cos and math.sin,
-the bits of the shifted np.log (numpy's scalar loop over the C library's
-log) against math.log, the run-time check that guards that log and its
-math.log fallback, and the calls the bulk fill makes: one np.log and one
-np.exp per block."""
+the shifted np.log, np.cos and np.sin (numpy's scalar loops over the C
+library's log, cos and sin) against math.log, math.cos and math.sin, the
+run-time check that guards them and its math fallback, and the calls the
+bulk fill makes: one np.log, one np.cos and one np.sin per block."""
 import math
 from collections import Counter
 
@@ -173,38 +172,70 @@ def with_edge_examples(test):
     return test
 
 
-def complex_exp_parts(theta):
-    """np.exp of `0 + i*theta` on a complex128 array, as the bulk fill takes
-    it, and math.cos and math.sin of the same angles, both as
-    [cos, sin, cos, sin, ...]."""
-    w = np.zeros(theta.shape[0], dtype=np.complex128)
-    w.imag = theta
-    got = np.exp(w).view(np.float64)
-    want = np.array([f(t) for t in theta.tolist() for f in (math.cos, math.sin)])
+def libm_rows_of(z):
+    """The bulk fill's rows for the uniforms `z` (u1, u2 pairs): the log of
+    each clamped u1 and the cos and sin of each angle, from one shifted
+    numpy call per function as the fill makes them, and the same rows from
+    math.log, math.cos and math.sin."""
+    got = rng_module._shifted_libm(rng_module._libm_rows(z))
+    u1 = np.maximum(z[0::2], 2.0**-53).tolist()
+    theta = (rng_module._TWO_PI * z[1::2]).tolist()
+    want = np.array([np.fromiter(map(f, x), dtype=np.float64, count=len(x))
+                     for f, x in ((math.log, u1), (math.cos, theta), (math.sin, theta))])
     return got, want
+
+
+def hex_rows(rows):
+    return [[x.hex() for x in row] for row in rows.tolist()]
+
+
+# one pair, the block a fill ends with when it ends a block early; its
+# angle is _TWO_PI * k * 2^-53 for a 53-bit k, as in gaussian(), and its
+# u1 is the same draw, clamped to max(k * 2^-53, 2^-53)
+@settings(max_examples=2000, deadline=None)
+@given(k=st.integers(0, 2**53 - 1))
+@with_edge_examples
+def test_shifted_log_has_the_bits_of_math_log(k):
+    got, want = libm_rows_of(np.full(2, k * 2.0**-53))
+    assert hex_rows(got[:1]) == hex_rows(want[:1])
 
 
 @settings(max_examples=2000, deadline=None)
 @given(k=st.integers(0, 2**53 - 1))
 @with_edge_examples
-def test_complex_exp_parts_have_the_bits_of_cos_and_sin(k):
-    # the bulk fill takes each pair's cos and sin from np.exp of a complex128
-    # array, which numpy hands to the C library's cexp; its angles are
-    # _TWO_PI * k * 2^-53 for a 53-bit k, as in gaussian()
-    theta = np.array([rng_module._TWO_PI * (k * 2.0**-53)])
-    got, want = complex_exp_parts(theta)
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+def test_shifted_cos_and_sin_have_the_bits_of_math_cos_and_sin(k):
+    got, want = libm_rows_of(np.full(2, k * 2.0**-53))
+    assert hex_rows(got[1:]) == hex_rows(want[1:])
 
 
-def test_complex_exp_of_a_million_stream_angles_has_the_bits_of_cos_and_sin():
-    # 2^20 angles of one SplitMix64 stream, spread over the whole 53-bit
-    # draw range, through one vectorised np.exp call as the fill makes it
-    theta = rng_module._TWO_PI * SplitMix64(0x5EED).uniforms(2**20)
-    got, want = complex_exp_parts(theta)
+@pytest.fixture(scope="module")
+def million_stream_rows():
+    # 2^20 draws of one SplitMix64 stream, spread over the whole 53-bit
+    # range, each taken as a u1 and as a u2 through one call per function;
+    # a contiguous np.log, which takes numpy's SIMD loop on AVX-512,
+    # differs from libm in about 3,600 of them
+    u = SplitMix64(0x5EED).uniforms(2**20)
+    got, want = libm_rows_of(np.repeat(u, 2))
+    return u, got, want
+
+
+def assert_libm_bits(name, got, want, inputs):
     mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
     assert mismatched.size == 0, (
-        f"{mismatched.size} of {got.size} parts differ from libm, the first at "
-        f"theta = {theta[mismatched[0] // 2]!r}")
+        f"{mismatched.size} of {got.size} {name} values differ from libm, the first "
+        f"at {inputs[mismatched[0]]!r}")
+
+
+def test_shifted_log_of_a_million_stream_draws_has_the_bits_of_math_log(million_stream_rows):
+    u, got, want = million_stream_rows
+    assert_libm_bits("log", got[0], want[0], np.maximum(u, 2.0**-53))
+
+
+def test_shifted_cos_and_sin_of_a_million_stream_angles_have_the_bits_of_math_cos_and_sin(
+        million_stream_rows):
+    u, got, want = million_stream_rows
+    for row, name in ((1, "cos"), (2, "sin")):
+        assert_libm_bits(name, got[row], want[row], rng_module._TWO_PI * u)
 
 
 class CountingModule:
@@ -226,69 +257,48 @@ class CountingModule:
         return counted
 
 
-def shifted_log_of(u1):
-    """The bulk fill's log of the clamped draws `u1`, through one call as
-    the fill makes it, and math.log of the same draws."""
-    got = rng_module._shifted_log(u1)
-    want = np.array([math.log(u) for u in u1.tolist()])
-    return got, want
-
-
-@settings(max_examples=2000, deadline=None)
-@given(k=st.integers(0, 2**53 - 1))
-@with_edge_examples
-def test_shifted_log_has_the_bits_of_math_log(k):
-    # the bulk fill takes each pair's log from np.log with its output one
-    # slot behind its input, which numpy runs as its scalar loop over the C
-    # library's log; its inputs are max(k * 2^-53, 2^-53) for a 53-bit k.
-    # One draw is a fill's last pair when the fill ends a block early
-    got, want = shifted_log_of(np.array([max(k * 2.0**-53, 2.0**-53)]))
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
-
-
-def test_shifted_log_of_a_million_stream_draws_has_the_bits_of_math_log():
-    # 2^20 clamped uniforms of one SplitMix64 stream through one call; a
-    # contiguous np.log, which takes numpy's SIMD loop on AVX-512, differs
-    # from libm in about 3,600 of them
-    u1 = np.maximum(SplitMix64(0x5EED).uniforms(2**20), 2.0**-53)
-    got, want = shifted_log_of(u1)
-    mismatched = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
-    assert mismatched.size == 0, (
-        f"{mismatched.size} of {got.size} logs differ from libm, the first at "
-        f"u1 = {u1[mismatched[0]]!r}")
-
-
-def test_failed_log_check_falls_back_to_the_math_log_map(monkeypatch):
-    # a process whose shifted log fails the check takes a math.log call per
-    # pair, and draws the same bits
+def test_failed_libm_check_falls_back_to_the_math_maps(monkeypatch):
+    # a process whose shifted calls fail the check takes a math.log,
+    # math.cos and math.sin call per pair, and draws the same bits
     expected = SplitMix64(41).gaussians(16385)
-    monkeypatch.setattr(rng_module, "_shifted_log_is_libm", lambda: False)
+    monkeypatch.setattr(rng_module, "_shifted_libm_is_exact", lambda: False)
     counts = Counter()
     monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
     got = SplitMix64(41).gaussians(16385)
     assert got.tobytes() == expected.tobytes()
-    assert counts == {"math.log": 8193}
+    assert counts == {"math.log": 8193, "math.cos": 8193, "math.sin": 8193}
+
+
+def check_with_one_value_one_ulp_off(monkeypatch, row):
+    """The libm check's verdict, run again with one value of `row` (0 log,
+    1 cos, 2 sin) of the shifted calls moved one ulp towards zero."""
+    shifted_libm = rng_module._shifted_libm
+
+    def one_ulp_off(rows):
+        out = shifted_libm(rows)
+        out[row, 1234] = np.nextafter(out[row, 1234], 0.0)
+        return out
+
+    check = rng_module._shifted_libm_is_exact.__wrapped__
+    assert check()
+    monkeypatch.setattr(rng_module, "_shifted_libm", one_ulp_off)
+    return check()
 
 
 def test_log_check_fails_on_a_log_one_ulp_off_at_one_point(monkeypatch):
-    shifted_log = rng_module._shifted_log
-
-    def one_ulp_off(u1):
-        r = shifted_log(u1)
-        r[1234] = np.nextafter(r[1234], 0.0)
-        return r
-
-    check = rng_module._shifted_log_is_libm.__wrapped__
-    assert check()
-    monkeypatch.setattr(rng_module, "_shifted_log", one_ulp_off)
-    assert not check()
+    assert not check_with_one_value_one_ulp_off(monkeypatch, 0)
 
 
-def test_bulk_fill_makes_one_log_and_one_exp_call_per_block(monkeypatch):
+@pytest.mark.parametrize("row", [1, 2], ids=["cos", "sin"])
+def test_libm_check_fails_on_a_cos_or_sin_one_ulp_off_at_one_point(monkeypatch, row):
+    assert not check_with_one_value_one_ulp_off(monkeypatch, row)
+
+
+def test_bulk_fill_makes_one_log_one_cos_and_one_sin_call_per_block(monkeypatch):
     # 16,385 draws are two full blocks of 4,096 pairs and one pair for the
-    # odd last draw: one np.log and one np.exp call per block, and no
-    # per-element math.log, cmath, cos or sin call. The uncounted fill
-    # below runs the once-per-process log check if no fill has yet
+    # odd last draw: one np.log, np.cos and np.sin call per block, and no
+    # np.exp or per-element math call. The uncounted fill below runs the
+    # once-per-process libm check if no fill has yet
     expected = SplitMix64(41).gaussians(16385)
     counts = Counter()
     monkeypatch.setattr(rng_module, "math", CountingModule(math, counts))
@@ -296,5 +306,5 @@ def test_bulk_fill_makes_one_log_and_one_exp_call_per_block(monkeypatch):
                         CountingModule(np, counts, NUMPY_TRANSCENDENTALS))
     got = SplitMix64(41).gaussians(16385)
     assert got.tobytes() == expected.tobytes()
-    assert counts == {"numpy.log": 3, "numpy.exp": 3}
+    assert counts == {"numpy.log": 3, "numpy.cos": 3, "numpy.sin": 3}
     assert "cmath" not in vars(rng_module)
