@@ -1,5 +1,10 @@
 """terank: score and rank pre-trained models for a target dataset from
-their feature embeddings, with spread/attract feature perturbation."""
+their feature embeddings, with spread/attract feature perturbation.
+
+The exported names load their module on first use (PEP 562), so
+importing the package, as `import terank.cli` does, loads none of them.
+"""
+import importlib
 
 __version__ = "0.1.0"
 # the one bulk stream-fill implementation (terank.rng). Nothing in the
@@ -7,52 +12,34 @@ __version__ = "0.1.0"
 # run (zoobench/bench.py), so it stays while that report names it
 RNG_BACKEND = "numpy"
 
-from .embeddings import (  # noqa: F401
-    EmbeddingSet,
-    load_csv,
-    load_emb1,
-    save_emb1,
-)
-from .evaluation import (  # noqa: F401
-    ImprovementRow,
-    ModelRow,
-    RankingReport,
-    TruthTable,
-    improvement_summary,
-    load_bundled_truth,
-    load_truth,
-    rank_and_report,
-    weighted_kendall_tau,
-)
-from .metrics import (  # noqa: F401
-    GmmModel,
-    MetricId,
-    ScoreRecord,
-    fit_gmm,
-    maximize_evidence,
-    score_gbc,
-    score_lda,
-    score_logme,
-    score_metric,
-    score_model,
-    score_nleep,
-)
-from .perturbation import (  # noqa: F401
-    AttractDirection,
-    ClassGeometry,
-    PerturbConfig,
-    PerturbMode,
-    attract,
-    class_geometry,
-    class_radius,
-    sa_perturb,
-    spread,
-)
-from .reduction import PcaModel, fit_pca, transform  # noqa: F401
-from .rng import SplitMix64  # noqa: F401
-from .synth import (  # noqa: F401
-    ZooConfig,
-    gen_class_gaussians,
-    gen_zoo_model,
-    nearest_centroid_accuracy,
-)
+# exported name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
+                    "embeddings"),
+    **dict.fromkeys(["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
+                     "improvement_summary", "load_bundled_truth", "load_truth",
+                     "rank_and_report", "weighted_kendall_tau"], "evaluation"),
+    **dict.fromkeys(["GmmModel", "ScoreRecord", "fit_gmm", "maximize_evidence",
+                     "score_gbc", "score_lda", "score_logme", "score_metric",
+                     "score_model", "score_nleep"], "metrics"),
+    **dict.fromkeys(["ClassGeometry", "PerturbConfig", "attract", "class_geometry",
+                     "class_radius", "sa_perturb", "spread"], "perturbation"),
+    **dict.fromkeys(["PcaModel", "fit_pca", "transform"], "reduction"),
+    "SplitMix64": "rng",
+    **dict.fromkeys(["ZooConfig", "gen_class_gaussians", "gen_zoo_model",
+                     "nearest_centroid_accuracy"], "synth"),
+    **dict.fromkeys(["AttractDirection", "MetricId", "PerturbMode"], "vocabulary"),
+}
+
+__all__ = ["RNG_BACKEND", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -20,6 +20,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
@@ -37,8 +38,6 @@ from .evaluation import (
     rank_and_report,
     write_truth,
 )
-from .metrics import MetricId, ScoreRecord, score_model
-from .perturbation import AttractDirection, PerturbConfig, PerturbMode
 from .synth import (
     SYNTH_DATASET,
     SYNTH_POOL,
@@ -47,6 +46,12 @@ from .synth import (
     gen_zoo_model,
     zoo_truth,
 )
+from .vocabulary import AttractDirection, MetricId, PerturbMode
+
+# the scoring stack (metrics, perturbation, reduction) is imported inside
+# the commands that score, so that synth does not load it
+if TYPE_CHECKING:  # pragma: no cover
+    from .metrics import ScoreRecord
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -522,6 +527,9 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Score models: one record per (model, metric, mode)."""
+    from .metrics import score_model
+    from .perturbation import PerturbConfig
+
     files = _resolve_inputs(inputs)
     t0 = time.perf_counter()
     configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
@@ -554,6 +562,8 @@ def _finite_float(text: str) -> float:
 
 def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
     """Parse a score JSON file once: the payload, its manifest, its records."""
+    from .metrics import ScoreRecord
+
     try:
         payload = json.loads(path.read_text(encoding="utf-8-sig"),
                              parse_float=_finite_float, parse_constant=_finite_float)
@@ -664,6 +674,9 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
           alpha_grid, sigma_grid, out, seed, jobs, fmt):
     """Hyper-parameter sensitivity: vary alpha with sigma fixed, then sigma
     with alpha fixed, reporting tau_w per cell."""
+    from .metrics import score_model
+    from .perturbation import PerturbConfig
+
     files = _resolve_inputs(inputs)
     truth_table = _load_truth_table(truth)
 

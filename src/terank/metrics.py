@@ -12,14 +12,14 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError
-from .perturbation import PerturbConfig, PerturbMode, sa_perturb
+from .perturbation import PerturbConfig, sa_perturb
 from .rng import SplitMix64
+from .vocabulary import MetricId, PerturbMode
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +29,6 @@ _EM_MAX_ITER = 200
 _EM_TOL = 1e-4
 _LOGME_MAX_ITER = 100
 _LOGME_TOL = 1e-3
-
-
-class MetricId(str, Enum):
-    LOGME = "logme"
-    GBC = "gbc"
-    NLEEP = "nleep"
-    LDA = "lda"
 
 
 # ---------------------------------------------------------------------------

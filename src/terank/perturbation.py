@@ -11,50 +11,17 @@ import logging
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
 from .reduction import fit_pca, transform
+from .vocabulary import AttractDirection, PerturbMode
 
 log = logging.getLogger(__name__)
 
 _DEGENERATE_NORM = 1e-12
-
-
-class PerturbMode(str, Enum):
-    RAW = "raw"
-    NONE = "none"
-    SPREAD = "spread"
-    ATTRACT = "attract"
-    SA = "sa"
-
-    @property
-    def spreads(self) -> bool:
-        """spread and sa push each sample out from its class centroid."""
-        return self in (PerturbMode.SPREAD, PerturbMode.SA)
-
-    @property
-    def attracts(self) -> bool:
-        """attract and sa move each class by its gaps to the others."""
-        return self in (PerturbMode.ATTRACT, PerturbMode.SA)
-
-    @property
-    def perturbed(self) -> bool:
-        """The one baseline rule: raw (the input features) and none (their
-        PCA reduction) move no feature; every other mode does."""
-        return self.spreads or self.attracts
-
-
-class AttractDirection(str, Enum):
-    # TOWARD moves a class toward its neighbours whenever their centroid
-    # gap exceeds the equilibrium separation (and away when they overlap),
-    # shrinking inter-class margins. LITERAL keeps the opposite sign
-    # convention for strict textual fidelity with the printed update rule.
-    TOWARD = "toward"
-    LITERAL = "literal"
 
 
 @dataclass(frozen=True)

@@ -439,7 +439,7 @@ def test_score_out_of_memory_is_one_line_data_error(zoo_dir, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB for an array")
 
-    monkeypatch.setattr(cli, "score_model", exhausted)
+    monkeypatch.setattr(metrics, "score_model", exhausted)
     result = CliRunner().invoke(main, ["score", "--input", str(zoo_dir)])
     assert assert_one_data_error_line(result) == (
         "data error: out of memory: Unable to allocate 1.00 TiB for an array")
@@ -942,7 +942,8 @@ def test_sweep_checks_the_truth_table_before_scoring(zoo_dir, monkeypatch, jobs)
     # a --dataset with no truth row for the pool's models fails as the
     # first model loads, before any model is scored
     calls = []
-    monkeypatch.setattr(cli, "score_model", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(metrics, "score_model",
+                        lambda *args, **kwargs: calls.append(args))
     result = CliRunner().invoke(main, [
         "sweep", "--input", str(zoo_dir), "--truth", str(zoo_dir / "truth.csv"),
         "--dataset", "Pets", "--metric", "gbc", "--jobs", jobs])

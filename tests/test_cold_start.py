@@ -1,15 +1,18 @@
 """Cold start: no terank command loads scipy, which is a test-only
-dependency. Source scans also keep scipy imports, error classes beyond
-the two exit-code families, any thread pool but the CLI's one, any
-per-model seed rule but the CLI's one, any output path but the CLI's
-one, and numpy's transcendental functions in the random stream out of
-the package.
+dependency, and neither `import terank.cli` nor `synth` loads the scoring
+stack (metrics, perturbation, reduction); the package's exports resolve
+lazily to their modules' objects. Source scans also keep scipy imports,
+error classes beyond the two exit-code families, any thread pool but the
+CLI's one, any per-model seed rule but the CLI's one, any output path but
+the CLI's one, and numpy's transcendental functions in the random stream
+out of the package.
 
 Each command check runs in a fresh interpreter, because other test
-modules import scipy into this process.
+modules import scipy and the scoring stack into this process.
 """
 import ast
 import builtins
+import importlib
 import json
 import os
 import subprocess
@@ -19,29 +22,38 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import terank
 from terank.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs the CLI with the arguments given, then prints the loaded scipy
-# modules as the last stdout line
+# runs the CLI with the arguments given, then prints the loaded modules
+# as the last stdout line
 _PROBE = """
 import json, sys
 from terank.cli import main
 if sys.argv[1:]:
     main(sys.argv[1:], standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
+SCORING_STACK = {"terank.metrics", "terank.perturbation", "terank.reduction"}
 
-def scipy_modules_after(args):
+
+def modules_after(args):
+    """The modules a fresh interpreter holds after `import terank.cli` and
+    the CLI run with `args` (none: the import alone)."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
                                                        os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _PROBE, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def scipy_in(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "scipy")
 
 
 def run_ok(args):
@@ -61,28 +73,36 @@ def zoo(tmp_path_factory):
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after([]) == []
+    loaded = modules_after([])
+    assert scipy_in(loaded) == []
+    assert loaded & SCORING_STACK == set()
 
 
 def test_synth_loads_no_scipy(tmp_path):
-    assert scipy_modules_after(["synth", "--models", "2", "--classes", "2",
-                                "--per-class", "5", "--dim", "3",
-                                "--out", str(tmp_path / "zoo")]) == []
+    # synth runs no reduction, perturbation or metric, so it loads none
+    loaded = modules_after(["synth", "--models", "2", "--classes", "2",
+                            "--per-class", "5", "--dim", "3",
+                            "--out", str(tmp_path / "zoo")])
+    assert scipy_in(loaded) == []
+    assert loaded & SCORING_STACK == set()
     assert (tmp_path / "zoo" / "truth.csv").exists()
 
 
 def test_evaluate_loads_no_scipy(zoo, tmp_path):
-    assert scipy_modules_after(["evaluate", "--scores", str(zoo / "scores.json"),
-                                "--truth", str(zoo / "truth.csv"),
-                                "--out", str(tmp_path / "reports")]) == []
+    assert scipy_in(modules_after(["evaluate", "--scores", str(zoo / "scores.json"),
+                                   "--truth", str(zoo / "truth.csv"),
+                                   "--out", str(tmp_path / "reports")])) == []
     assert (tmp_path / "reports" / "improvement_sa.json").exists()
 
 
 def test_score_without_lda_loads_no_scipy(zoo, tmp_path):
+    # the scoring stack does load here, which shows the probe sees it
     out = tmp_path / "scores.json"
-    assert scipy_modules_after(["score", "--input", str(zoo), "--metric", "logme",
-                                "--metric", "gbc", "--metric", "nleep",
-                                "--out", str(out)]) == []
+    loaded = modules_after(["score", "--input", str(zoo), "--metric", "logme",
+                            "--metric", "gbc", "--metric", "nleep",
+                            "--out", str(out)])
+    assert scipy_in(loaded) == []
+    assert SCORING_STACK <= loaded
     assert len(json.loads(out.read_text())["records"]) == 3 * 3
 
 
@@ -96,7 +116,9 @@ def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
     args = ["score", "--input", str(zoo), "--metric", "logme", "--metric", "gbc",
             "--metric", "nleep", "--metric", "lda", "--mode", "raw", "--mode", "none",
             "--mode", "sa"]
-    assert scipy_modules_after(args + ["--out", str(fresh)]) == []
+    loaded = modules_after(args + ["--out", str(fresh)])
+    assert scipy_in(loaded) == []
+    assert SCORING_STACK <= loaded
     run_ok(args + ["--out", str(here)])
     assert scores(fresh) == scores(here)
     assert len(scores(here)) == 3 * 4 * 3
@@ -104,11 +126,60 @@ def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
 
 def test_sweep_loads_no_scipy(zoo, tmp_path):
     out = tmp_path / "sweep.csv"
-    assert scipy_modules_after(["sweep", "--input", str(zoo),
-                                "--truth", str(zoo / "truth.csv"),
-                                "--alpha-grid", "0.005", "--sigma-grid", "0.6",
-                                "--out", str(out)]) == []
+    loaded = modules_after(["sweep", "--input", str(zoo),
+                            "--truth", str(zoo / "truth.csv"),
+                            "--alpha-grid", "0.005", "--sigma-grid", "0.6",
+                            "--out", str(out)])
+    assert scipy_in(loaded) == []
+    assert SCORING_STACK <= loaded
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
+
+# the package's 41 exports, each under the module it has always been
+# importable from; the three enums are defined in terank.vocabulary, and
+# these paths must still resolve to them
+PACKAGE_EXPORTS = {
+    "embeddings": ["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
+    "evaluation": ["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
+                   "improvement_summary", "load_bundled_truth", "load_truth",
+                   "rank_and_report", "weighted_kendall_tau"],
+    "metrics": ["GmmModel", "MetricId", "ScoreRecord", "fit_gmm", "maximize_evidence",
+                "score_gbc", "score_lda", "score_logme", "score_metric", "score_model",
+                "score_nleep"],
+    "perturbation": ["AttractDirection", "ClassGeometry", "PerturbConfig", "PerturbMode",
+                     "attract", "class_geometry", "class_radius", "sa_perturb", "spread"],
+    "reduction": ["PcaModel", "fit_pca", "transform"],
+    "rng": ["SplitMix64"],
+    "synth": ["ZooConfig", "gen_class_gaussians", "gen_zoo_model",
+              "nearest_centroid_accuracy"],
+}
+
+
+def test_package_exports_resolve_to_their_module_objects():
+    names = [name for names in PACKAGE_EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == 41
+    wrong = []
+    for module, exported in PACKAGE_EXPORTS.items():
+        source = importlib.import_module(f"terank.{module}")
+        for name in exported:
+            namespace = {}
+            exec(f"from terank import {name}", namespace)
+            if namespace[name] is not getattr(source, name):
+                wrong.append(f"{module}.{name}")
+    assert wrong == []
+    assert set(names) <= set(dir(terank))
+    assert set(terank.__all__) == {"RNG_BACKEND", *names}
+    for name in ("MetricId", "PerturbMode", "AttractDirection"):
+        assert getattr(terank, name).__module__ == "terank.vocabulary"
+
+
+def test_package_keeps_its_plain_attributes_and_refuses_unknown_names():
+    assert terank.RNG_BACKEND == "numpy"
+    assert terank.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        terank.no_such_name
+    with pytest.raises(ImportError):
+        exec("from terank import no_such_name", {})
 
 
 def test_no_module_imports_scipy():
