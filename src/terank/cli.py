@@ -63,30 +63,19 @@ MODE_CHOICES = [m.value for m in PerturbMode]
 # ---------------------------------------------------------------------------
 # option plumbing
 
-def _check_finite(value: float, flag: str, minimum: float | None = None) -> float:
-    """The one value rule of numeric flags and of range and grid entries:
-    finite, and at least `minimum` when one is given."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{flag} must be finite, got {value}")
-    if minimum is not None and value < minimum:
-        raise click.BadParameter(f"{flag} must be >= {minimum:g}, got {value}")
-    return value
+class _FiniteRange(click.FloatRange):
+    """The one value rule of the float flags and of range and grid
+    entries: a click.FloatRange that also refuses NaN, which passes every
+    bound, and infinity, which passes a lower one."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not finite", param, ctx)
+        return value
 
 
-def _check_nonneg(ctx, param, value):
-    return value if value is None else _check_finite(value, param.opts[0], 0)
-
-
-def _check_positive(ctx, param, value):
-    if value is not None and not _check_finite(value, param.opts[0]) > 0:
-        raise click.BadParameter(f"{param.opts[0]} must be > 0, got {value}")
-    return value
-
-
-def _check_energy(ctx, param, value):
-    if value is not None and not 0.0 < value <= 1.0:
-        raise click.BadParameter(f"{param.opts[0]} must lie in (0, 1], got {value}")
-    return value
+_NONNEG = _FiniteRange(min=0)
 
 
 def _unique(ctx, param, value):
@@ -179,22 +168,22 @@ def _scoring_options(command):
     fn = click.option("--metric", "metrics", multiple=True,
                       type=click.Choice(METRIC_CHOICES), callback=_unique,
                       default=tuple(METRIC_CHOICES), show_default=True)(fn)
-    fn = click.option("--alpha", type=float, default=0.005, show_default=True,
-                      callback=_check_nonneg, help="Attract step scale.")(fn)
-    fn = click.option("--sigma", type=float, default=0.6, show_default=True,
-                      callback=_check_nonneg, help="Radius sensitivity.")(fn)
+    fn = click.option("--alpha", type=_NONNEG, default=0.005, show_default=True,
+                      help="Attract step scale.")(fn)
+    fn = click.option("--sigma", type=_NONNEG, default=0.6, show_default=True,
+                      help="Radius sensitivity.")(fn)
     fn = click.option("--attract-dir",
                       type=click.Choice([d.value for d in AttractDirection]),
                       default="toward", show_default=True)(fn)
-    fn = click.option("--pca-energy", type=float, default=None,
-                      callback=_check_energy,
+    fn = click.option("--pca-energy", type=_FiniteRange(0, 1, min_open=True),
+                      default=None,
                       help="Retained-variance target (default 0.8).")(fn)
     fn = click.option("--pca-rank", type=click.IntRange(min=1), default=None,
                       help="Explicit PCA rank; excludes --pca-energy.")(fn)
     fn = click.option("--nleep-k", type=click.IntRange(min=1), default=None,
                       help="GMM components for nleep (default: class count).")(fn)
-    fn = click.option("--lda-eps", type=float, default=1e-4, show_default=True,
-                      callback=_check_positive,
+    fn = click.option("--lda-eps", type=_FiniteRange(0, min_open=True),
+                      default=1e-4, show_default=True,
                       help="LDA ridge as a fraction of the mean within-class "
                            "variance.")(fn)
     return _jobs_option(fn)
@@ -253,8 +242,6 @@ def _resolve_inputs(inputs: tuple[Path, ...]) -> list[Path]:
             files.extend(found)
         else:
             files.append(item)
-    if not files:
-        raise DataError("no embedding inputs given")
     seen: dict[str, Path] = {}
     for path in files:
         if path.stem in seen:
@@ -319,22 +306,18 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise click.BadParameter(f"{flag} expects 'a:b', got {text!r}")
     try:
-        low, high = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise click.BadParameter(f"{flag} expects numbers, got {text!r}") from None
-    return _check_finite(low, flag), _check_finite(high, flag)
+        low, high = [_FiniteRange().convert(part, None, None) for part in parts]
+    except click.BadParameter as exc:
+        raise click.BadParameter(exc.message, param_hint=flag) from None
+    return low, high
 
 
 def _parse_grid(ctx, param, text):
-    # a comma-separated --alpha-grid or --sigma-grid, as a list of floats
-    flag = param.opts[0]
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise click.BadParameter(f"{flag} expects comma-separated numbers") from None
+    # a comma-separated --alpha-grid or --sigma-grid, as a list of floats >= 0
+    values = [_NONNEG.convert(v, param, ctx) for v in text.split(",") if v.strip()]
     if not values:
-        raise click.BadParameter(f"{flag} is empty")
-    return [_check_finite(v, flag, 0) for v in values]
+        raise click.BadParameter(f"{param.opts[0]} is empty")
+    return values
 
 
 @contextlib.contextmanager

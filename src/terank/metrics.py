@@ -442,9 +442,13 @@ class ScoreRecord:
     dataset_id: str
     metric: str
     mode: str
-    perturbed: bool
     score: float
     wall_time_s: float
+
+    @property
+    def perturbed(self) -> bool:
+        """Whether the record's mode moves features (PerturbMode.perturbed)."""
+        return PerturbMode(self.mode).perturbed
 
     def to_dict(self) -> dict:
         return {
@@ -460,21 +464,23 @@ class ScoreRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "ScoreRecord":
         """Parse one record of a score JSON file. A missing field, an
-        unknown metric or mode, or a value of the wrong type raises
-        KeyError, ValueError or TypeError."""
+        unknown metric or mode, a `perturbed` that contradicts the mode, or
+        a value of the wrong type raises KeyError, ValueError or TypeError."""
         if not (isinstance(d["model"], str) and isinstance(d["dataset"], str)
                 and isinstance(d["perturbed"], bool)
                 and all(type(d[k]) in (int, float) for k in ("score", "wall_time_s"))):
             raise TypeError("a score record field has the wrong type")
-        return cls(
+        record = cls(
             model_id=d["model"],
             dataset_id=d["dataset"],
             metric=MetricId(d["metric"]).value,
             mode=PerturbMode(d["mode"]).value,
-            perturbed=d["perturbed"],
             score=float(d["score"]),
             wall_time_s=float(d["wall_time_s"]),
         )
+        if d["perturbed"] != record.perturbed:
+            raise ValueError(f"perturbed is {d['perturbed']} in mode {record.mode}")
+        return record
 
 
 def score_metric(
@@ -535,7 +541,6 @@ def score_model(
                     dataset_id=raw.dataset_id,
                     metric=metric.value,
                     mode=cfg.mode.value,
-                    perturbed=cfg.mode.perturbed,
                     score=float(value),
                     wall_time_s=prepare_s + time.perf_counter() - start,
                 )

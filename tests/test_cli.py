@@ -138,11 +138,16 @@ def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     ["score", "--alpha", "nan"],
     ["score", "--sigma", "inf"],
     ["score", "--lda-eps", "inf"],
+    ["score", "--lda-eps", "0"],
+    ["score", "--pca-energy", "nan"],
+    ["score", "--pca-energy", "0"],
+    ["sweep", "--pca-energy", "1.5"],
     ["sweep", "--alpha-grid=-1"],
     ["sweep", "--alpha-grid", "inf"],
     ["sweep", "--sigma-grid", "0.5,nan"],
     ["synth", "--rho-range", "nan:1"],
     ["synth", "--noise-range", "1:inf"],
+    ["synth", "--rho-range", "1"],
     ["score", "--seed=-1"],
     ["sweep", "--seed=-1"],
 ], ids=" ".join)
@@ -232,7 +237,9 @@ RECORD = {"model": "m", "dataset": "d", "metric": "gbc", "mode": "sa",
 
 
 BAD_FIELDS = {"text-score": {"score": "high"}, "unknown-metric": {"metric": "../gbc"},
-              "numeric-model": {"model": 7}, "huge-time": {"wall_time_s": 10**400}}
+              "numeric-model": {"model": 7}, "huge-time": {"wall_time_s": 10**400},
+              # `perturbed` must agree with the mode's own rule
+              "unperturbed-sa": {"perturbed": False}, "perturbed-none": {"mode": "none"}}
 
 
 @pytest.mark.parametrize("content", [
@@ -248,6 +255,15 @@ def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
                                        "--out", str(tmp_path / "reports")])
     assert result.exit_code == 3, result.output
     assert "not a score JSON file" in result.output
+
+
+def test_evaluate_model_scored_twice_in_a_cell_is_a_data_error(zoo_scores, tmp_path):
+    payload = json.loads(zoo_scores.read_text())
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({**payload, "records": payload["records"] * 2}))
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores)])
+    assert assert_one_data_error_line(result) == (
+        "data error: duplicate model ids in score records")
 
 
 @pytest.mark.parametrize("field,token", [
@@ -917,24 +933,30 @@ def zoo_scores(zoo_dir, tmp_path_factory):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-@pytest.mark.parametrize("content", [
+@pytest.mark.parametrize("content,where", [
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,synthetic,synthetic,5\xff0\n", id="not-utf8"),
-    pytest.param(b"model,dataset\nmodel-00,synthetic,synthetic\n", id="ragged"),
+                 b"model-00,synthetic,synthetic,synthetic,5\xff0\n", "", id="not-utf8"),
+    pytest.param(b"model,dataset\nmodel-00,synthetic,synthetic\n", "", id="ragged"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,foo,synthetic,50\n", id="unknown-regime"),
+                 b"model-00,synthetic,foo,synthetic,50\n", ":2", id="unknown-regime"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,synthetic,synthetic,150\n", id="accuracy"),
+                 b"model-00,synthetic,synthetic,synthetic,150\n", ":2", id="accuracy"),
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"model-00,synthetic,synthetic,synthetic,50\n"
+                 b",synthetic,synthetic,synthetic,50\n", ":3", id="empty-model"),
+    pytest.param(b"model,dataset,regime,pool,accuracy\n"
+                 b"model-00,synthetic,synthetic,foo,50\n", ":2", id="unknown-pool"),
 ])
 def test_unreadable_truth_is_one_line_data_error(zoo_dir, zoo_scores, tmp_path,
-                                                 command, content):
+                                                 command, content, where):
+    # a row that breaks a table rule is named by its file and line
     truth = tmp_path / "truth.csv"
     truth.write_bytes(content)
     args = {"evaluate": ["evaluate", "--scores", str(zoo_scores)],
             "sweep": ["sweep", "--input", str(zoo_dir), "--metric", "gbc",
                       "--alpha-grid", "0.005", "--sigma-grid", "0.6"]}[command]
     result = CliRunner().invoke(main, args + ["--truth", str(truth)])
-    assert str(truth) in assert_one_data_error_line(result)
+    assert f"{truth}{where}" in assert_one_data_error_line(result)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1046,6 +1068,7 @@ def emb1_with(src: Path, dst: Path, *, feature=None, label=None) -> Path:
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", ["score", "sweep"])
 @pytest.mark.parametrize("case", ["nan-feature", "label-too-large", "header-only-csv",
+                                  "empty-csv", "short-row", "text-label",
                                   "alpha-overflow"])
 def test_model_failure_names_its_input(zoo_dir, tmp_path, command, jobs, case):
     # a data or numeric failure of one model in a pool says which input
@@ -1062,6 +1085,13 @@ def test_model_failure_names_its_input(zoo_dir, tmp_path, command, jobs, case):
         bad = tmp_path / "bad.csv"
         bad.write_text("f0,f1,label\n")
         code, line = 3, f"data error: {bad}: need at least 2 samples, got 0"
+    elif case in ("empty-csv", "short-row", "text-label"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text({"empty-csv": "", "short-row": "f0,f1,label\n1,2,0\n3,4\n",
+                        "text-label": "f0,f1,label\n1,2,0\n3,4,b\n"}[case])
+        code, line = 3, f"data error: {bad}: " + {
+            "empty-csv": "empty file", "short-row": "line 3: 2 cells, expected 3",
+            "text-label": "line 3: label 'b' is not an integer"}[case]
     else:
         bad = None
         code, line = 4, f"numeric failure: {first}: logme score is not finite (nan)"

@@ -1,15 +1,18 @@
 """Property test of the CLI surface: malformed EMB1, CSV, score-JSON and
 truth-CSV bytes and bad flag values always end in a documented exit code (0 ok,
 2 usage, 3 data, 4 numeric), never in a traceback, a data or numeric
-failure of a model names its input file, and `--format json` output
-always parses as strict JSON (no NaN or Infinity tokens)."""
+failure of a model names its input file, `--format json` output
+always parses as strict JSON (no NaN or Infinity tokens), and each float
+flag takes exactly the finite values inside its documented bounds."""
 import csv
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -236,3 +239,55 @@ def test_synth_exits_with_a_documented_code(flags, data):
         args, result.exc_info)
     if result.exit_code == 0:
         strict_json(result.stdout)
+
+
+# each float option's bounds as README documents them, (low, low_open,
+# high); a grid option is held to them entry by entry
+FLOAT_BOUNDS = {"alpha": (0, False, None), "sigma": (0, False, None),
+                "lda_eps": (0, True, None), "pca_energy": (0, True, 1),
+                "alpha_grid": (0, False, None), "sigma_grid": (0, False, None)}
+FLOAT_PARAMS = [(command, param) for command in main.commands.values()
+                for param in command.params
+                if isinstance(param.type, click.types.FloatParamType)
+                or param.name.endswith("_grid")]
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(-2, 2).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "0", "-0",
+                     "0.0", "-0.0", "1", "1.0", "5e-324", "-5e-324",
+                     "2.2250738585072014e-308", "0.9999999999999999",
+                     "1.0000000000000002", "1e308", " 0.5 ", "1_0"]),
+    st.text(max_size=8),
+)
+
+
+def documented_value(bounds, text):
+    """The float that a flag with `bounds` takes for `text`, or None when
+    it must refuse it."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    low, low_open, high = bounds
+    inside = (value > low if low_open else value >= low) and (
+        high is None or value <= high)
+    return value if math.isfinite(value) and inside else None
+
+
+@given(text=FLOAT_TEXT)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_float_flags_take_exactly_the_finite_values_in_their_bounds(text):
+    assert {param.name for _, param in FLOAT_PARAMS} == set(FLOAT_BOUNDS)
+    for command, param in FLOAT_PARAMS:
+        grid = param.name.endswith("_grid")
+        if grid and "," in text:
+            continue
+        expected = documented_value(FLOAT_BOUNDS[param.name], text)
+        ctx = click.Context(command)
+        if expected is None:
+            with pytest.raises(click.BadParameter):
+                param.process_value(ctx, text)
+        else:
+            got = param.process_value(ctx, text)
+            # repr tells -0.0 from 0.0
+            assert repr(got) == repr([expected] if grid else expected), (param.name, text)

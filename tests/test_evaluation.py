@@ -59,7 +59,6 @@ def make_record(model, score, metric="gbc", mode="sa"):
         dataset_id="synthetic",
         metric=metric,
         mode=mode,
-        perturbed=mode != "none",
         score=score,
         wall_time_s=0.0,
     )
