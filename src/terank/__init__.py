@@ -24,7 +24,7 @@ _EXPORTS = {
                      "score_model", "score_nleep"], "metrics"),
     **dict.fromkeys(["ClassGeometry", "PerturbConfig", "attract", "class_geometry",
                      "class_radius", "sa_perturb", "spread"], "perturbation"),
-    **dict.fromkeys(["PcaModel", "fit_pca", "transform"], "reduction"),
+    **dict.fromkeys(["PcaModel", "fit_pca"], "reduction"),
     "SplitMix64": "rng",
     **dict.fromkeys(["ZooConfig", "gen_class_gaussians", "gen_zoo_model",
                      "nearest_centroid_accuracy"], "synth"),

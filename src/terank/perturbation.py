@@ -16,7 +16,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError
-from .reduction import fit_pca, transform
+from .reduction import fit_pca
 from .vocabulary import AttractDirection, PerturbMode
 
 log = logging.getLogger(__name__)
@@ -154,8 +154,9 @@ def sa_perturb(
     timed once.
 
     Memory per model: the caller's `raw` set, the reduced set, the spread
-    set when a config spreads, and one attracted copy. The CLI streams
-    its pool, so at most `--jobs` models hold these at once.
+    set when a config spreads, and one attracted copy; while the PCA
+    stage runs, also `fit_pca`'s one float64 copy of `raw`. The CLI
+    streams its pool, so at most `--jobs` models hold these at once.
     """
     stages = {}  # stage -> (output, seconds); a set's seconds sum the stages to it
     for cfg in configs:
@@ -164,7 +165,7 @@ def sa_perturb(
             continue
         if not stages:
             reduced, reduce_s = stages["pca"] = _timed(
-                lambda: transform(fit_pca(raw, energy=energy, rank=rank), raw))
+                lambda: fit_pca(raw, energy=energy, rank=rank).reduced)
             if any(c.mode.perturbed for c in configs):
                 geom, geom_s = stages["pca geometry"] = _timed(class_geometry, reduced)
             if any(c.mode.spreads for c in configs):

@@ -18,12 +18,14 @@ DEFAULT_ENERGY = 0.8
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Mean vector, orthonormal component rows, eigenvalue spectrum."""
+    """Mean vector, orthonormal component rows, eigenvalue spectrum, and
+    the fitted set itself projected onto the components."""
 
     mean: np.ndarray  # (D,)
     components: np.ndarray  # (k, D), rows orthonormal
     eigenvalues: np.ndarray  # (k,), non-increasing, >= 0
     energy_retained: float
+    reduced: EmbeddingSet  # (N, k) float64 features, the fit's labels
 
     def __post_init__(self):
         k, d = self.components.shape
@@ -47,12 +49,16 @@ def fit_pca(
     energy: float | None = None,
     rank: int | None = None,
 ) -> PcaModel:
-    """Fit the top principal directions of the mean-centered features.
+    """Fit the top principal directions of the mean-centered features,
+    and project `ds` onto them as `reduced`.
 
     Exactly one of `energy` (cumulative eigenvalue fraction target) or
     `rank` may be given; with neither, energy defaults to 0.8. The rank
     is always capped at min(N-1, D) and at the effective rank of the
-    data. Eigenvalues use the population (1/N) convention.
+    data. Eigenvalues use the population (1/N) convention. `reduced` is
+    one float64 copy of the features, centered in place and projected:
+    downstream displacement and rigidity contracts are tighter than
+    float32 resolution.
     """
     if energy is not None and rank is not None:
         raise DataError("give either an energy target or a rank, not both")
@@ -63,34 +69,38 @@ def fit_pca(
     if rank is not None and rank < 1:
         raise DataError(f"rank must be >= 1, got {rank}")
 
-    x = np.asarray(ds.features, dtype=np.float64)
+    x = np.array(ds.features, dtype=np.float64)  # a copy: centered in place
     n, d = x.shape
+    # each row's squares, summed a block of rows at a time for the
+    # no-variance check below; a block holds no more values than the
+    # covariance (or Gram) matrix formed next, or than there are rows
+    step = max(1, max(min(n, d) ** 2, n) // d)
+    row_sq = np.empty(n)
+    for i in range(0, n, step):
+        block = x[i:i + step]
+        row_sq[i:i + step] = np.sum(block * block, axis=1)
+    scale_ref = float(np.mean(row_sq))
     mean = x.mean(axis=0)
-    xc = x - mean
+    x -= mean
     max_rank = min(n - 1, d)
 
     # Eigendecompose whichever of covariance / Gram is smaller; same
     # spectrum either way.
+    evals, evecs = np.linalg.eigh((x.T @ x) / n if d <= n else (x @ x.T) / n)
+    evals = evals[::-1][:max_rank]
+    evecs = evecs[:, ::-1][:, :max_rank]
     if d <= n:
-        cov = (xc.T @ xc) / n
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1][:max_rank]
-        comps = evecs[:, ::-1][:, :max_rank].T
+        comps = evecs.T
     else:
-        gram = (xc @ xc.T) / n
-        evals, evecs = np.linalg.eigh(gram)
-        evals = evals[::-1][:max_rank]
-        u = evecs[:, ::-1][:, :max_rank]
         comps = np.zeros((max_rank, d))
         pos = evals > 0
         if pos.any():
             scale = np.sqrt(n * evals[pos])
-            comps[pos] = (xc.T @ u[:, pos] / scale).T
-    del xc  # before the x * x temporary below
+            comps[pos] = (x.T @ evecs[:, pos] / scale).T
+    del evecs  # the full basis goes with `comps` once the kept rows are copied
 
     evals = np.maximum(evals, 0.0)
     total = float(evals.sum())
-    scale_ref = float(np.mean(np.sum(x * x, axis=1)))
     if total <= max(scale_ref, 1.0) * 1e-18:
         raise DataError("features carry no variance (all rows identical)")
 
@@ -115,20 +125,5 @@ def fit_pca(
         components=comps,
         eigenvalues=evals[:k].copy(),
         energy_retained=min(float(ratios[k - 1]), 1.0),
+        reduced=ds.with_features(x @ comps.T),
     )
-
-
-def transform(model: PcaModel, ds: EmbeddingSet) -> EmbeddingSet:
-    """Project onto the component basis; labels are untouched.
-
-    Output features are float64: downstream displacement and rigidity
-    contracts are tighter than float32 resolution.
-    """
-    if ds.feature_dim != model.components.shape[1]:
-        raise DataError(
-            f"feature dimension {ds.feature_dim} does not match "
-            f"model dimension {model.components.shape[1]}"
-        )
-    x = np.array(ds.features, dtype=np.float64)  # a copy: centered in place
-    x -= model.mean
-    return ds.with_features(x @ model.components.T)

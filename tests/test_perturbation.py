@@ -16,7 +16,6 @@ from terank import (
     gen_class_gaussians,
     sa_perturb,
     spread,
-    transform,
 )
 from terank.errors import DataError
 
@@ -186,7 +185,7 @@ def test_attract_warns_on_coincident_centroids(caplog):
 def test_mode_none_is_reduction_only():
     ds = gen_class_gaussians(3, 50, 10, rho=3.0, noise=1.0, seed=22)
     [(out, _)] = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE)], energy=0.9)
-    expect = transform(fit_pca(ds, energy=0.9), ds)
+    expect = fit_pca(ds, energy=0.9).reduced
     assert np.array_equal(out.features, expect.features)
 
 
@@ -194,7 +193,7 @@ def test_mode_sa_equals_manual_composition():
     ds = gen_class_gaussians(3, 50, 10, rho=3.0, noise=1.0, seed=24)
     cfg = PerturbConfig(alpha=0.01, sigma=0.7)
     [(out, _)] = sa_perturb(ds, [cfg], energy=0.9)
-    reduced = transform(fit_pca(ds, energy=0.9), ds)
+    reduced = fit_pca(ds, energy=0.9).reduced
     spread_set = spread(reduced, class_geometry(reduced))
     expect = attract(spread_set, class_geometry(spread_set), cfg)
     assert np.array_equal(out.features, expect.features)

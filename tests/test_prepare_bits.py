@@ -1,14 +1,15 @@
 """The prepare stages and the zoo draw allocate less than their first
-formulas did, but must give the same bits: `transform` centers a copy in
-place, `fit_pca` frees the centered copy early, `spread` forms its output
-inside the displacement array and copies the unmoved rows back, and `synth`'s
-`_draw_points` adds the centroids inside the Gaussian draw. Each is
-compared byte for byte with the formula it replaced."""
+formulas did, but must give the same bits: `fit_pca` centers one copy in
+place, sums its row squares a block at a time and projects that copy onto
+the kept components, `spread` forms its output inside the displacement
+array and copies the unmoved rows back, and `synth`'s `_draw_points` adds
+the centroids inside the Gaussian draw. Each is compared byte for byte
+with the formula it replaced."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet, SplitMix64, class_geometry, fit_pca, spread, transform
+from terank import EmbeddingSet, SplitMix64, class_geometry, fit_pca, spread
 from terank.reduction import DEFAULT_ENERGY
 from terank.synth import _draw_points
 
@@ -44,7 +45,7 @@ def on_centroid_set(dtype):
 
 
 def old_fit_pca(ds, energy=None, rank=None):
-    """fit_pca's body before it freed the centered copy early."""
+    """fit_pca's body before it centered its copy in place."""
     if energy is None and rank is None:
         energy = DEFAULT_ENERGY
     x = np.asarray(ds.features, dtype=np.float64)
@@ -96,7 +97,9 @@ def assert_same_bits(new, old):
 
 
 def check_stages(ds, pca_kwargs):
+    before = ds.features.tobytes()
     model = fit_pca(ds, **pca_kwargs)
+    assert ds.features.tobytes() == before  # centered a copy, not the input
     mean, comps, evals, energy = old_fit_pca(ds, **pca_kwargs)
     for new, old in ((model.mean, mean), (model.components, comps),
                      (model.eigenvalues, evals)):
@@ -104,8 +107,9 @@ def check_stages(ds, pca_kwargs):
     assert model.energy_retained == energy
 
     x = np.asarray(ds.features, dtype=np.float64)
-    reduced = transform(model, ds)
+    reduced = model.reduced
     assert_same_bits(reduced.features, (x - model.mean) @ model.components.T)
+    assert reduced.labels.tobytes() == ds.labels.tobytes()
 
     for base in (ds, reduced):
         geom = class_geometry(base)

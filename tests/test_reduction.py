@@ -1,8 +1,10 @@
 """PCA fitting and projection contracts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from terank import EmbeddingSet, fit_pca, gen_class_gaussians, transform
+from terank import EmbeddingSet, fit_pca, gen_class_gaussians
 from terank.errors import DataError
 
 
@@ -50,14 +52,14 @@ def test_reconstruction_error_with_all_components():
 
 def test_transform_centers_columns():
     ds = gaussian_cloud(50, 8, 3, scale=[1, 5, 0.2, 2, 1, 1, 3, 1])
-    out = transform(fit_pca(ds, energy=0.9), ds)
+    out = fit_pca(ds, energy=0.9).reduced
     assert np.abs(out.features.mean(axis=0)).max() < 1e-5
     assert out.labels.tolist() == ds.labels.tolist()
 
 
 def test_full_rank_transform_is_isometric():
     ds = gaussian_cloud(30, 4, 11)
-    out = transform(fit_pca(ds, energy=1.0), ds)
+    out = fit_pca(ds, energy=1.0).reduced
     assert out.feature_dim == 4
     x = ds.features.astype(np.float64)
     y = out.features
@@ -69,7 +71,7 @@ def test_full_rank_transform_is_isometric():
 def test_output_column_variance_matches_eigenvalue():
     ds = gaussian_cloud(200, 6, 13, scale=[3, 2, 1.5, 1, 0.5, 0.1])
     model = fit_pca(ds, energy=1.0)
-    out = transform(model, ds)
+    out = model.reduced
     variances = out.features.var(axis=0)  # population, matching fit
     np.testing.assert_allclose(variances, model.eigenvalues, rtol=1e-4)
 
@@ -93,7 +95,7 @@ def test_variance_never_increases():
     ds = gaussian_cloud(60, 7, 19)
     x = ds.features.astype(np.float64)
     for energy in (0.3, 0.7, 1.0):
-        out = transform(fit_pca(ds, energy=energy), ds)
+        out = fit_pca(ds, energy=energy).reduced
         assert out.features.var(axis=0).sum() <= x.var(axis=0).sum() + 1e-6
 
 
@@ -147,14 +149,23 @@ def test_energy_and_rank_are_exclusive():
         fit_pca(ds, energy=0.5, rank=2)
 
 
-def test_dimension_mismatch():
-    model = fit_pca(gaussian_cloud(10, 4, 41))
-    with pytest.raises(DataError, match="feature dimension 5 does not match"):
-        transform(model, gaussian_cloud(10, 5, 41))
-
-
 def test_default_energy_is_080():
     ds = gen_class_gaussians(3, 40, 12, rho=4.0, noise=1.0, seed=43)
     assert fit_pca(ds).energy_retained >= 0.8
     expect = fit_pca(ds, energy=0.8)
     assert fit_pca(ds).rank == expect.rank
+
+
+def test_fit_and_projection_hold_one_float64_copy_of_the_input():
+    # the fit centers one float64 copy in place and projects it; a
+    # separate projection pass, or an N x D temporary for the row squares,
+    # would hold a second copy at once
+    ds = gaussian_cloud(4000, 64, 47)
+    copy_bytes = ds.features.size * 8
+    tracemalloc.start()
+    try:
+        fit_pca(ds, rank=2).reduced
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * copy_bytes
