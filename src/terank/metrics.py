@@ -24,6 +24,7 @@ from .vocabulary import MetricId, PerturbMode
 log = logging.getLogger(__name__)
 
 _VAR_FLOOR = 1e-6
+_EMPTY_MASS = 1e-12  # a mixture component of at most this mass is empty
 _LOG_2PI = math.log(2.0 * math.pi)
 _EM_MAX_ITER = 200
 _EM_TOL = 1e-4
@@ -302,7 +303,7 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
         # M-step; components that lost all responsibility keep their
         # previous parameters
         nk = resp_sorted.sum(axis=0)
-        alive = nk > 1e-12
+        alive = nk > _EMPTY_MASS
         weights = nk / n
         new_means = means.copy()
         new_vars = variances.copy()
@@ -332,11 +333,11 @@ def nleep_from_responsibilities(
 ) -> float:
     """Mean log expected empirical prediction given mixture posteriors.
 
-    Components with total responsibility below 1e-12 are dropped (logged)
-    before the empirical conditional P(y | component) is formed.
+    Components with total responsibility of at most 1e-12 (empty to EM
+    too) are dropped (logged) before P(y | component) is formed.
     """
     col_total = resp.sum(axis=0)
-    keep = col_total >= 1e-12
+    keep = col_total > _EMPTY_MASS
     if not keep.all():
         log.info("dropping %d empty mixture components", int((~keep).sum()))
         resp = resp[:, keep]

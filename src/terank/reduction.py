@@ -44,6 +44,13 @@ class PcaModel:
         return self.components.shape[0]
 
 
+def _positive_peaks(rows: np.ndarray) -> np.ndarray:
+    """Negate in place each row whose first largest-magnitude entry is < 0."""
+    peak = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    rows[peak < 0] *= -1.0
+    return rows
+
+
 def fit_pca(
     ds: EmbeddingSet,
     energy: float | None = None,
@@ -58,7 +65,8 @@ def fit_pca(
     data. Eigenvalues use the population (1/N) convention. `reduced` is
     one float64 copy of the features, centered in place and projected:
     downstream displacement and rigidity contracts are tighter than
-    float32 resolution.
+    float32 resolution. DataError marks a spectrum summing to at most
+    1e-18 of max(1, tr(cov) + |mean|^2), the mean squared row norm.
     """
     if energy is not None and rank is not None:
         raise DataError("give either an energy target or a rank, not both")
@@ -71,22 +79,16 @@ def fit_pca(
 
     x = np.array(ds.features, dtype=np.float64)  # a copy: centered in place
     n, d = x.shape
-    # each row's squares, summed a block of rows at a time for the
-    # no-variance check below; a block holds no more values than the
-    # covariance (or Gram) matrix formed next, or than there are rows
-    step = max(1, max(min(n, d) ** 2, n) // d)
-    row_sq = np.empty(n)
-    for i in range(0, n, step):
-        block = x[i:i + step]
-        row_sq[i:i + step] = np.sum(block * block, axis=1)
-    scale_ref = float(np.mean(row_sq))
     mean = x.mean(axis=0)
     x -= mean
     max_rank = min(n - 1, d)
 
     # Eigendecompose whichever of covariance / Gram is smaller; same
-    # spectrum either way.
-    evals, evecs = np.linalg.eigh((x.T @ x) / n if d <= n else (x @ x.T) / n)
+    # spectrum, so the same trace, either way.
+    m = (x.T @ x) / n if d <= n else (x @ x.T) / n
+    scale_ref = float(np.trace(m) + mean @ mean)
+    evals, evecs = np.linalg.eigh(m)
+    del m
     evals = evals[::-1][:max_rank]
     evecs = evecs[:, ::-1][:, :max_rank]
     if d <= n:
@@ -114,12 +116,7 @@ def fit_pca(
         k = int(np.searchsorted(ratios, energy - 1e-12, side="left")) + 1
         k = min(k, n_eff)
 
-    comps = comps[:k].copy()
-    # fix each component's sign so its largest-magnitude entry is positive
-    for row in comps:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    comps = _positive_peaks(comps[:k].copy())
     return PcaModel(
         mean=mean,
         components=comps,

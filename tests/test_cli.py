@@ -656,6 +656,38 @@ def test_sweep_single_cell_matches_score_evaluate(zoo_dir, tmp_path):
             assert rep["tau_w"] == float(row["tau_w"]), row
 
 
+def test_every_sweep_row_is_score_then_evaluate_at_its_cell(tmp_path):
+    # 4 metrics x 4 cells on a graded 5-model zoo: each row's tau_w is the
+    # one `score --mode sa` at that row's (alpha, sigma) and `evaluate` give
+    zoo = tmp_path / "zoo"
+    run_ok(["synth", "--models", "5", "--classes", "4", "--per-class", "30",
+            "--dim", "8", "--rho-range", "0.05:0.3", "--seed", "7", "--out", str(zoo)])
+    truth = str(zoo / "truth.csv")
+    sweep_csv = tmp_path / "sweep.csv"
+    run_ok(["sweep", "--input", str(zoo), "--truth", truth,
+            "--alpha-grid", "0.001,0.05", "--sigma-grid", "0.5,0.9",
+            "--seed", "3", "--out", str(sweep_csv)])
+    rows = read_csv(sweep_csv)
+    cells = sorted({(row["alpha"], row["sigma"]) for row in rows})
+    assert len(cells) == 4 and len(rows) == 4 * len(METRICS)
+    tau_w = {}
+    for alpha, sigma in cells:
+        scores, reports = tmp_path / f"{alpha}-{sigma}.json", tmp_path / f"{alpha}-{sigma}"
+        run_ok(["score", "--input", str(zoo), "--mode", "sa", "--alpha", alpha,
+                "--sigma", sigma, "--seed", "3", "--out", str(scores)])
+        run_ok(["evaluate", "--scores", str(scores), "--truth", truth,
+                "--out", str(reports)])
+        for metric in METRICS:
+            report = json.loads((reports / f"report_{metric}_sa.json").read_text())
+            tau_w[(metric, alpha, sigma)] = report["tau_w"]
+    assert {(row["metric"], row["alpha"], row["sigma"]): float(row["tau_w"])
+            for row in rows} == tau_w
+    # each metric ranks the zoo differently in some two cells, so a row
+    # paired with another cell's record would show
+    assert all(len({tau_w[(metric, *cell)] for cell in cells}) > 1
+               for metric in METRICS)
+
+
 ALL_MODES = ["--mode", "raw", "--mode", "none", "--mode", "spread",
              "--mode", "attract", "--mode", "sa"]
 

@@ -247,3 +247,14 @@ def test_empty_components_are_dropped_and_logged(caplog):
         val = nleep_from_responsibilities(resp, labels, 2)
     assert "dropping" in caplog.text
     assert val == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_component_of_exactly_the_empty_mass_is_dropped():
+    # fit_gmm's M-step counts a component of mass 1e-12 as empty, so nleep
+    # must score the posteriors as if that column were not there
+    resp = np.array([[0.7, 0.3, 1e-12], [0.4, 0.6, 0.0],
+                     [0.2, 0.8, 0.0], [0.9, 0.1, 0.0]])
+    assert resp[:, 2].sum() == 1e-12
+    labels = np.array([0, 0, 1, 1])
+    assert nleep_from_responsibilities(resp, labels, 2) == \
+        nleep_from_responsibilities(resp[:, :2], labels, 2)

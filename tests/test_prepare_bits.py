@@ -1,10 +1,9 @@
 """The prepare stages and the zoo draw allocate less than their first
 formulas did, but must give the same bits: `fit_pca` centers one copy in
-place, sums its row squares a block at a time and projects that copy onto
-the kept components, `spread` forms its output inside the displacement
-array and copies the unmoved rows back, and `synth`'s `_draw_points` adds
-the centroids inside the Gaussian draw. Each is compared byte for byte
-with the formula it replaced."""
+place and projects that copy onto the kept components, `spread` forms its
+output inside the displacement array and copies the unmoved rows back,
+and `synth`'s `_draw_points` adds the centroids inside the Gaussian draw.
+Each is compared byte for byte with the formula it replaced."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terank import EmbeddingSet, fit_pca, gen_class_gaussians
 from terank.errors import DataError
+from terank.reduction import _positive_peaks
 
 
 def make_set(features, labels=None, classes=2):
@@ -99,10 +102,36 @@ def test_variance_never_increases():
         assert out.features.var(axis=0).sum() <= x.var(axis=0).sum() + 1e-6
 
 
-def test_identical_rows_are_degenerate():
-    ds = make_set(np.ones((5, 3)))
+def rows_around(offset, n, d, dtype, step=0.0):
+    """n copies of the row (offset + 0.1) * (1, 1.1, 1.2, ...), the first
+    entry of the second row moved by `step`."""
+    x = np.tile((offset + 0.1) * (1 + np.arange(d) / 10), (n, 1))
+    x[1, 0] += step
+    return EmbeddingSet(features=x.astype(dtype), labels=np.arange(n) % 2,
+                        class_count=2)
+
+
+SHAPES = [pytest.param(7, 3, id="covariance"), pytest.param(3, 9, id="gram")]
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e15])
+def test_identical_rows_are_degenerate(offset, dtype, n, d):
+    # in float64 the mean of these equal rows rounds off the row, so the
+    # centered copy is not all zero: the check is relative to the rows' norm
     with pytest.raises(DataError, match="features carry no variance"):
-        fit_pca(ds)
+        fit_pca(rows_around(offset, n, d, dtype))
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e15])
+def test_small_real_variance_still_fits(offset, n, d):
+    # one entry moved by 1e-7 of the scale: a variance 120 to 2,200 times
+    # the no-variance threshold, 1e-18 of the mean squared row norm
+    model = fit_pca(rows_around(offset, n, d, np.float64, 1e-7 * max(offset, 1.0)))
+    assert model.rank == 1
+    assert np.abs(model.components[0]).argmax() == 0
 
 
 def test_component_sign_convention():
@@ -110,6 +139,30 @@ def test_component_sign_convention():
         model = fit_pca(gaussian_cloud(30, 6, seed), energy=1.0)
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0
+
+
+def loop_positive_peaks(rows):
+    """The per-row sign rule that `_positive_peaks` vectorises."""
+    for row in rows:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1.0
+    return rows
+
+
+# entries with repeated magnitudes of both signs, zeros of both signs, so
+# that drawn rows have ties for the peak, zero rows and -0.0 entries
+ENTRIES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(ENTRIES | st.floats(-3, 3, width=64), min_size=d, max_size=d),
+    min_size=1, max_size=6)))
+def test_vectorised_sign_rule_equals_the_row_loop(rows):
+    rows = np.array(rows, dtype=np.float64)
+    assert _positive_peaks(rows.copy()).tobytes() == \
+        loop_positive_peaks(rows.copy()).tobytes()
 
 
 def test_gram_path_matches_covariance_path():
@@ -158,8 +211,8 @@ def test_default_energy_is_080():
 
 def test_fit_and_projection_hold_one_float64_copy_of_the_input():
     # the fit centers one float64 copy in place and projects it; a
-    # separate projection pass, or an N x D temporary for the row squares,
-    # would hold a second copy at once
+    # separate projection pass, or any N x D temporary, would hold a
+    # second copy at once
     ds = gaussian_cloud(4000, 64, 47)
     copy_bytes = ds.features.size * 8
     tracemalloc.start()
