@@ -29,6 +29,8 @@ from . import __version__
 from .embeddings import EmbeddingSet, load_csv, load_emb1, save_emb1
 from .errors import DataError, NumericError
 from .evaluation import (
+    POOLS,
+    REGIMES,
     WEIGHTINGS,
     RankingReport,
     TruthTable,
@@ -78,9 +80,39 @@ class _FiniteRange(click.FloatRange):
 _NONNEG = _FiniteRange(min=0)
 
 
+class _FloatList(click.ParamType):
+    """Floats split on `sep`, each held to `entry`; the name is the metavar."""
+
+    def __init__(self, sep: str, entry: _FiniteRange, pair: bool = False):
+        self.sep, self.entry, self.pair = sep, entry, pair
+        self.name = f"a{sep}b" if pair else f"a{sep}b{sep}..."
+
+    def convert(self, value, param, ctx):
+        parts = value.split(self.sep)
+        if self.pair:  # exactly two entries, an empty one included
+            bad_shape = len(parts) != 2
+        else:  # one or more entries, empty ones skipped
+            parts = [part for part in parts if part.strip()]
+            bad_shape = not parts
+        if bad_shape:
+            self.fail(f"expects '{self.name}', got {value!r}", param, ctx)
+        return [self.entry.convert(part, param, ctx) for part in parts]
+
+
+_POSITIVE_PAIR = _FloatList(":", _FiniteRange(0, min_open=True), pair=True)
+
+
 def _unique(ctx, param, value):
     # a repeated --metric or --mode value would score and time its cells twice
     return tuple(dict.fromkeys(value))
+
+
+def _one_pca_rule(ctx, param, value):
+    # whichever of --pca-energy and --pca-rank is processed second sees both
+    other = "pca_rank" if param.name == "pca_energy" else "pca_energy"
+    if value is not None and ctx.params.get(other) is not None:
+        raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
+    return value
 
 
 class _WarnOnce(logging.Handler):
@@ -141,7 +173,6 @@ def _common_options(fn):
                       help="Base seed in [0, 2^64); per-model seeds are "
                            "seed XOR model index.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default=None,
                       help="Machine format on stdout instead of a table.")(fn)
     return fn
 
@@ -151,14 +182,7 @@ _jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
                             help="Max models loaded and scored at once.")
 
 
-def _scoring_options(command):
-    # the --pca-energy/--pca-rank exclusivity check for every scoring command
-    @functools.wraps(command)
-    def fn(*args, pca_energy, pca_rank, **kwargs):
-        if pca_energy is not None and pca_rank is not None:
-            raise click.UsageError("--pca-energy and --pca-rank are mutually exclusive")
-        return command(*args, pca_energy=pca_energy, pca_rank=pca_rank, **kwargs)
-
+def _scoring_options(fn):
     fn = click.option("--input", "inputs", multiple=True, required=True,
                       type=click.Path(exists=True, path_type=Path),
                       help="EMB1/CSV embedding file, or a directory of .emb1 files. "
@@ -176,11 +200,11 @@ def _scoring_options(command):
                       type=click.Choice([d.value for d in AttractDirection]),
                       default="toward", show_default=True)(fn)
     fn = click.option("--pca-energy", type=_FiniteRange(0, 1, min_open=True),
-                      default=None,
+                      callback=_one_pca_rule,
                       help="Retained-variance target (default 0.8).")(fn)
-    fn = click.option("--pca-rank", type=click.IntRange(min=1), default=None,
+    fn = click.option("--pca-rank", type=click.IntRange(min=1), callback=_one_pca_rule,
                       help="Explicit PCA rank; excludes --pca-energy.")(fn)
-    fn = click.option("--nleep-k", type=click.IntRange(min=1), default=None,
+    fn = click.option("--nleep-k", type=click.IntRange(min=1),
                       help="GMM components for nleep (default: class count).")(fn)
     fn = click.option("--lda-eps", type=_FiniteRange(0, min_open=True),
                       default=1e-4, show_default=True,
@@ -192,11 +216,12 @@ def _scoring_options(command):
 def _truth_options(fn):
     fn = click.option("--truth",
                       type=click.Path(exists=True, dir_okay=False, path_type=Path),
-                      default=None,
                       help="Truth CSV (default: bundled accuracy tables).")(fn)
     fn = click.option("--dataset", default=SYNTH_DATASET, show_default=True)(fn)
-    fn = click.option("--regime", default=SYNTH_REGIME, show_default=True)(fn)
-    fn = click.option("--pool", default=SYNTH_POOL, show_default=True)(fn)
+    fn = click.option("--regime", type=click.Choice(REGIMES), default=SYNTH_REGIME,
+                      show_default=True)(fn)
+    fn = click.option("--pool", type=click.Choice(POOLS), default=SYNTH_POOL,
+                      show_default=True)(fn)
     fn = click.option("--weighting", type=click.Choice(WEIGHTINGS),
                       default="symmetric", show_default=True)(fn)
     return fn
@@ -299,25 +324,6 @@ def _csv_text(rows: list[list]) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
-
-
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise click.BadParameter(f"{flag} expects 'a:b', got {text!r}")
-    try:
-        low, high = [_FiniteRange().convert(part, None, None) for part in parts]
-    except click.BadParameter as exc:
-        raise click.BadParameter(exc.message, param_hint=flag) from None
-    return low, high
-
-
-def _parse_grid(ctx, param, text):
-    # a comma-separated --alpha-grid or --sigma-grid, as a list of floats >= 0
-    values = [_NONNEG.convert(v, param, ctx) for v in text.split(",") if v.strip()]
-    if not values:
-        raise click.BadParameter(f"{param.opts[0]} is empty")
-    return values
 
 
 @contextlib.contextmanager
@@ -440,17 +446,13 @@ def main():
 
 
 @main.command()
-@click.option("--models", type=click.IntRange(min=0), default=8,
-              show_default=True)
-@click.option("--classes", type=click.IntRange(min=0), default=4,
-              show_default=True)
-@click.option("--per-class", type=click.IntRange(min=0), default=100,
-              show_default=True)
-@click.option("--dim", type=click.IntRange(min=0), default=16,
-              show_default=True)
-@click.option("--rho-range", default="2:10", show_default=True,
+@click.option("--models", type=click.IntRange(min=2), default=8, show_default=True)
+@click.option("--classes", type=click.IntRange(min=2), default=4, show_default=True)
+@click.option("--per-class", type=click.IntRange(min=2), default=100, show_default=True)
+@click.option("--dim", type=click.IntRange(min=2), default=16, show_default=True)
+@click.option("--rho-range", type=_POSITIVE_PAIR, default="0.25:1.0", show_default=True,
               help="Centroid scale a:b, linearly spaced across models.")
-@click.option("--noise-range", default="1:1", show_default=True,
+@click.option("--noise-range", type=_POSITIVE_PAIR, default="1:1", show_default=True,
               help="Intra-class std a:b, linearly spaced across models.")
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 @_jobs_option
@@ -459,15 +461,13 @@ def main():
 def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
           jobs, fmt):
     """Generate a synthetic model zoo: EMB1 files plus an oracle truth CSV."""
-    rho_a, rho_b = _parse_range(rho_range, "--rho-range")
-    noise_a, noise_b = _parse_range(noise_range, "--noise-range")
     cfg = ZooConfig(
         models=models,
         classes=classes,
         per_class=per_class,
         dim=dim,
-        rhos=tuple(np.linspace(rho_a, rho_b, models).tolist()),
-        noises=tuple(np.linspace(noise_a, noise_b, models).tolist()),
+        rhos=tuple(np.linspace(*rho_range, models).tolist()),
+        noises=tuple(np.linspace(*noise_range, models).tolist()),
         seed=seed,
     )
     t0 = time.perf_counter()
@@ -504,7 +504,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
                    "input features, with no PCA and no perturbation; none: "
                    "PCA only; spread, attract, sa: PCA, then perturbation.")
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, help="Write the score JSON here.")
+              help="Write the score JSON here.")
 @_common_options
 @_handle_errors
 def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
@@ -564,7 +564,7 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Score JSON produced by `terank score`.")
 @_truth_options
-@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
+@click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               help="Directory for report JSON/CSV files.")
 @_common_options
 @_handle_errors
@@ -644,12 +644,12 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
 @main.command()
 @_scoring_options
 @_truth_options
-@click.option("--alpha-grid", default="0.001,0.005,0.01,0.05", show_default=True,
-              callback=_parse_grid)
-@click.option("--sigma-grid", default="0.5,0.6,0.7,0.8,0.9", show_default=True,
-              callback=_parse_grid)
+@click.option("--alpha-grid", type=_FloatList(",", _NONNEG),
+              default="0.001,0.005,0.01,0.05", show_default=True)
+@click.option("--sigma-grid", type=_FloatList(",", _NONNEG),
+              default="0.5,0.6,0.7,0.8,0.9", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, help="Write the sweep CSV here.")
+              help="Write the sweep CSV here.")
 @_common_options
 @_handle_errors
 def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,

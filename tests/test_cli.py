@@ -125,13 +125,12 @@ def test_score_rejects_negative_alpha(zoo_dir):
 
 @pytest.mark.parametrize("command", ["score", "sweep"])
 def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
-    result = CliRunner().invoke(
-        main,
-        [command, "--input", str(zoo_dir), "--pca-energy", "0.8",
-         "--pca-rank", "4"],
-    )
-    assert result.exit_code == 2
-    assert "mutually exclusive" in result.output
+    # the rule holds whichever of the two flags comes first
+    for pair in (["--pca-energy", "0.8", "--pca-rank", "4"],
+                 ["--pca-rank", "4", "--pca-energy", "0.8"]):
+        result = CliRunner().invoke(main, [command, "--input", str(zoo_dir), *pair])
+        assert result.exit_code == 2, (pair, result.output)
+        assert "--pca-energy and --pca-rank are mutually exclusive" in result.output
 
 
 @pytest.mark.parametrize("args", [
@@ -148,6 +147,12 @@ def test_score_rejects_conflicting_pca_flags(zoo_dir, command):
     ["synth", "--rho-range", "nan:1"],
     ["synth", "--noise-range", "1:inf"],
     ["synth", "--rho-range", "1"],
+    ["synth", "--rho-range", "0:1"],
+    ["synth", "--rho-range", "1:nan"],
+    ["synth", "--rho-range", "1:2:3"],
+    ["synth", "--noise-range", "1"],
+    ["synth", "--noise-range", "-1:2"],
+    ["sweep", "--alpha-grid", ","],
     ["score", "--seed=-1"],
     ["sweep", "--seed=-1"],
 ], ids=" ".join)
@@ -157,6 +162,7 @@ def test_non_finite_or_negative_values_are_usage_errors(zoo_dir, tmp_path, args)
     result = CliRunner().invoke(main, args + where)
     assert result.exit_code == 2, result.output
     assert args[1].partition("=")[0] in result.output
+    assert not (tmp_path / "zoo").exists()
 
 
 def test_score_missing_input_is_data_error(tmp_path):
@@ -321,24 +327,36 @@ def test_json_output_rejects_non_finite_values():
             cli._json_text({"rows": [{"x": bad}]})
 
 
-@pytest.mark.parametrize("count,code", [("-2", 2), ("0", 3), ("1", 3)])
+@pytest.mark.parametrize("count,code", [("-2", 2), ("0", 2), ("1", 2)])
 def test_synth_model_count_exit_codes(tmp_path, count, code):
-    # a negative count is a usage error; 0 and 1 reach ZooConfig's check
-    result = CliRunner().invoke(main, ["synth", "--models", count,
-                                       "--out", str(tmp_path / "zoo")])
+    # ZooConfig's rule, a count of at least 2, is --models' own type
+    out = tmp_path / "zoo"
+    result = CliRunner().invoke(main, ["synth", "--models", count, "--out", str(out)])
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "--models" in result.output
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("value,code", [("-2", 2), ("0", 3), ("1", 3)])
+@pytest.mark.parametrize("value,code", [("-2", 2), ("0", 2), ("1", 2)])
 @pytest.mark.parametrize("flag", ["--classes", "--per-class", "--dim"])
 def test_synth_size_exit_codes(tmp_path, flag, value, code):
-    # a negative size is a usage error; 0 and 1 reach ZooConfig's check
+    # ZooConfig's rule, a size of at least 2, is each size flag's own type
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, ["synth", flag, value, "--out", str(out)])
     assert result.exit_code == code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert flag in result.output
     assert not out.exists()
+
+
+def test_synth_default_zoo_can_be_ranked(tmp_path):
+    # the default shape and ranges give models of differing accuracy, so
+    # its truth ranks them
+    result = run_ok(["synth", "--out", str(tmp_path / "zoo"), "--format", "json"])
+    accuracies = [m["oracle_accuracy"] for m in json.loads(result.stdout)["models"]]
+    assert len(accuracies) == 8
+    assert len(set(accuracies)) > 1, accuracies
 
 
 @pytest.mark.parametrize("seed,code", [("-1", 2), (str(2**64), 2),
@@ -962,6 +980,16 @@ def zoo_scores(zoo_dir, tmp_path_factory):
     run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc",
             "--out", str(scores)])
     return scores
+
+
+@pytest.mark.parametrize("flag", ["--regime", "--pool"])
+def test_evaluate_unknown_regime_or_pool_is_a_usage_error(zoo_scores, tmp_path, flag):
+    out = tmp_path / "reports"
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(zoo_scores),
+                                       flag, "bogus", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{flag}'" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import load_emb1
-from terank.cli import main
+from terank.cli import _FloatList, main
 
 SCORING_FLAGS = [
     ("--alpha", ["-1", "nan", "inf", "1e300", "abc", "0", "0.01"]),
@@ -56,6 +56,8 @@ SYNTH_FLAGS = [
     ("--classes", ["-3", "0", "1", "2", "3"]),
     ("--per-class", ["-1", "0", "1", "2", "5"]),
     ("--dim", ["-2", "0", "1", "2", "4"]),
+    ("--rho-range", ["0:1", "-1:2", "1", "1:2:3", "1:nan", "a:b", "0.5:2"]),
+    ("--noise-range", ["0:1", "-1:2", "1", "1:2:3", "1:nan", "a:b", "0.5:2"]),
     ("--jobs", ["-1", "0", "1", "2"]),
     ("--seed", ["-1", "0", "18446744073709551617", "x"]),
 ]
@@ -242,14 +244,14 @@ def test_synth_exits_with_a_documented_code(flags, data):
 
 
 # each float option's bounds as README documents them, (low, low_open,
-# high); a grid option is held to them entry by entry
+# high); a range or grid option is held to them entry by entry
 FLOAT_BOUNDS = {"alpha": (0, False, None), "sigma": (0, False, None),
                 "lda_eps": (0, True, None), "pca_energy": (0, True, 1),
-                "alpha_grid": (0, False, None), "sigma_grid": (0, False, None)}
+                "alpha_grid": (0, False, None), "sigma_grid": (0, False, None),
+                "rho_range": (0, True, None), "noise_range": (0, True, None)}
 FLOAT_PARAMS = [(command, param) for command in main.commands.values()
                 for param in command.params
-                if isinstance(param.type, click.types.FloatParamType)
-                or param.name.endswith("_grid")]
+                if isinstance(param.type, (click.types.FloatParamType, _FloatList))]
 FLOAT_TEXT = st.one_of(
     st.floats().map(repr),
     st.floats(-2, 2).map(repr),
@@ -279,15 +281,20 @@ def documented_value(bounds, text):
 def test_float_flags_take_exactly_the_finite_values_in_their_bounds(text):
     assert {param.name for _, param in FLOAT_PARAMS} == set(FLOAT_BOUNDS)
     for command, param in FLOAT_PARAMS:
-        grid = param.name.endswith("_grid")
-        if grid and "," in text:
-            continue
+        flag_text, entries = text, None
+        if isinstance(param.type, _FloatList):
+            if param.type.sep in text:
+                continue
+            # a range takes the drawn entry as both bounds, a grid once
+            entries = 2 if param.type.pair else 1
+            flag_text = param.type.sep.join([text] * entries)
         expected = documented_value(FLOAT_BOUNDS[param.name], text)
         ctx = click.Context(command)
         if expected is None:
             with pytest.raises(click.BadParameter):
-                param.process_value(ctx, text)
+                param.process_value(ctx, flag_text)
         else:
-            got = param.process_value(ctx, text)
+            got = param.process_value(ctx, flag_text)
             # repr tells -0.0 from 0.0
-            assert repr(got) == repr([expected] if grid else expected), (param.name, text)
+            assert repr(got) == repr(expected if entries is None
+                                     else [expected] * entries), (param.name, text)

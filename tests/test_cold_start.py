@@ -455,6 +455,6 @@ FILL_COS = "np.multiply(cos, r, out=z[0::2])"
         "swapped-log", "other-buffer-log", "rebound-log-buffer", "second-shifted-log",
         "uncalled-log-helper", "module-level-log", "log1p",
         "unshifted-cos", "swapped-sin", "second-shifted-sin", "shifted-tan"])
-def test_rng_transcendental_rule_allows_only_the_complex_angle_exp(old, new):
+def test_rng_transcendental_rule_allows_only_the_shifted_libm_calls(old, new):
     assert old in RNG_SOURCE
     assert numpy_transcendental_uses(RNG_SOURCE.replace(old, new, 1)) != []

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,6 +188,18 @@ def test_tau_matches_pair_sum_oracle():
                 assert abs(
                     weighted_kendall_tau(t, s, w) - oracle_tau(t, s, w)
                 ) < 1e-12
+
+
+@given(n=st.integers(2, 12), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tau_equals_scipy_weightedtau_without_ties(n, data):
+    # without ties, tau_w is Vigna's weighted tau as scipy computes it by
+    # default: hyperbolic weights 1/(1+r), additive pair weights, and the
+    # average over the truth-ranked and the score-ranked orders
+    distinct = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True)
+    truth, scores = data.draw(distinct), data.draw(distinct)
+    expected = scipy.stats.weightedtau(truth, scores).statistic
+    assert abs(weighted_kendall_tau(truth, scores) - expected) <= 1e-12
 
 
 def test_tau_rejects_degenerate_input():
