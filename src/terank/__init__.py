@@ -18,7 +18,7 @@ _EXPORTS = {
                     "embeddings"),
     **dict.fromkeys(["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
                      "improvement_summary", "load_bundled_truth", "load_truth",
-                     "rank_and_report", "weighted_kendall_tau"], "evaluation"),
+                     "rank_cells", "weighted_kendall_tau"], "evaluation"),
     **dict.fromkeys(["GmmModel", "ScoreRecord", "fit_gmm", "maximize_evidence",
                      "score_gbc", "score_lda", "score_logme", "score_metric",
                      "score_model", "score_nleep"], "metrics"),

@@ -32,12 +32,11 @@ from .evaluation import (
     POOLS,
     REGIMES,
     WEIGHTINGS,
-    RankingReport,
     TruthTable,
     improvement_summary,
     load_bundled_truth,
     load_truth,
-    rank_and_report,
+    rank_cells,
     write_truth,
 )
 from .synth import (
@@ -569,22 +568,14 @@ def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
 @_common_options
 @_handle_errors
 def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
-    """Rank scored models against ground truth; emit reports and, for
-    each perturbed mode scored with mode none, an improvement summary."""
+    """Rank scored models against ground truth: one report per (metric,
+    mode) cell and, per perturbed mode, an improvement summary that pairs
+    each metric's cell with its mode-none cell (no row without one)."""
     t0 = time.perf_counter()
     score_payload, score_manifest, records = _load_score_payload(scores)
-    truth_table = _load_truth_table(truth)
-
-    groups: dict[tuple[str, str], list[ScoreRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.metric, rec.mode), []).append(rec)
-
-    reports: dict[tuple[str, str], RankingReport] = {}
-    for (metric, mode) in sorted(groups):
-        reports[(metric, mode)] = rank_and_report(
-            groups[(metric, mode)], truth_table, dataset, regime, pool,
-            weighting=weighting,
-        )
+    reports = rank_cells(records, _load_truth_table(truth), dataset, regime, pool,
+                         weighting)
+    summaries = improvement_summary(reports)
     manifest = _manifest([truth] if truth else [],
                          timings={"total_s": time.perf_counter() - t0})
     # hash the score file's content net of timings, so re-scoring the same
@@ -592,21 +583,13 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     manifest["inputs"][str(scores)] = _semantic_digest(score_payload)
     manifest["score_manifest"] = score_manifest
 
-    summaries = {}
-    for mode in sorted({m for _, m in reports if PerturbMode(m).perturbed}):
-        paired = [met for met, m in reports if m == mode and (met, "none") in reports]
-        if paired:
-            summaries[mode] = improvement_summary(
-                [reports[(met, "none")] for met in paired],
-                [reports[(met, mode)] for met in paired],
-            )
-
     # file name -> text, written under --out
     out_files = {}
-    for (metric, mode), rep in reports.items():
-        out_files[f"report_{metric}_{mode}.json"] = _json_text(
+    for rep in reports:
+        cell = f"{rep.metric}_{rep.perturb_mode}"
+        out_files[f"report_{cell}.json"] = _json_text(
             {**rep.to_dict(), "manifest": manifest})
-        out_files[f"plot_{metric}_{mode}.csv"] = _csv_text(
+        out_files[f"plot_{cell}.csv"] = _csv_text(
             [["score", "accuracy", "model"], *rep.plot_rows()])
     for mode, rows in summaries.items():
         out_files[f"improvement_{mode}.json"] = _json_text(
@@ -627,14 +610,14 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
         fmt,
         {
             "manifest": manifest,
-            "reports": {f"{m}/{md}": r.to_dict() for (m, md), r in reports.items()},
+            "reports": {f"{r.metric}/{r.perturb_mode}": r.to_dict() for r in reports},
             "improvement": {
                 mode: [r.to_dict() for r in rows]
                 for mode, rows in summaries.items()
             },
         },
         ["metric", "mode", "tau_w"],
-        [[m, md, rep.tau_w] for (m, md), rep in reports.items()],
+        [[r.metric, r.perturb_mode, r.tau_w] for r in reports],
         notes,
     )
     if out is not None and out_files:
@@ -677,19 +660,14 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
                            eps_scale=lda_eps)
 
     groups, _ = _map_models(files, label_col, jobs, seed, run)
-    # each model's records come in (cell, metric) order
-    by_cell: dict[tuple[int, str], list[ScoreRecord]] = {}
-    for group in groups:
-        for i, rec in enumerate(group):
-            by_cell.setdefault((i // len(metrics), rec.metric), []).append(rec)
     rows = []
     for cell, (cell_alpha, cell_sigma) in enumerate(cells):
-        for metric in metrics:
-            rep = rank_and_report(
-                by_cell[(cell, metric)], truth_table, dataset, regime, pool,
-                weighting=weighting,
-            )
-            rows.append((cell_alpha, cell_sigma, metric, rep.tau_w))
+        # each model's records come in (cell, metric) order
+        records = [rec for group in groups
+                   for rec in group[cell * len(metrics):(cell + 1) * len(metrics)]]
+        taus = {rep.metric: rep.tau_w for rep in rank_cells(
+            records, truth_table, dataset, regime, pool, weighting)}
+        rows += [(cell_alpha, cell_sigma, metric, taus[metric]) for metric in metrics]
 
     header = ["alpha", "sigma", "metric", "tau_w"]
     if out is not None:

@@ -1,5 +1,5 @@
 """Ranking evaluation: ground-truth tables, weighted Kendall correlation,
-per-run reports, and before/after improvement summaries."""
+per-cell reports, and perturbed-versus-baseline improvement summaries."""
 from __future__ import annotations
 
 import csv
@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .vocabulary import PerturbMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import ScoreRecord
@@ -215,56 +216,54 @@ class RankingReport:
         return [(m.score, m.accuracy, m.id) for m in self.models]
 
 
-def rank_and_report(
-    scores: Sequence["ScoreRecord"],
+def rank_cells(
+    records: Sequence["ScoreRecord"],
     truth: TruthTable,
     dataset: str,
     regime: str,
     pool: str,
     weighting: str = "symmetric",
-) -> RankingReport:
-    """Join score records with ground truth and correlate the rankings.
+) -> list[RankingReport]:
+    """Join score records with ground truth and correlate the rankings of
+    each (metric, mode) cell: one report per cell, in sorted cell order,
+    its models in record order.
 
-    All records must come from one (metric, mode) cell; every scored
-    model must have a truth entry for the requested key.
+    A cell needs at least two models, each once; every scored model must
+    have a truth entry for the requested key.
     """
-    if not scores:
+    if not records:
         raise DataError("no score records to rank")
-    cells = {(r.metric, r.mode) for r in scores}
-    if len(cells) != 1:
-        raise DataError(f"records span several (metric, mode) cells: {cells}")
-    ids = [r.model_id for r in scores]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate model ids in score records")
-
-    accs = np.array(
-        [truth.accuracy(r.model_id, dataset, regime, pool) for r in scores]
-    )
-    vals = np.array([r.score for r in scores], dtype=np.float64)
-    pred_rank = _ranks_desc(vals)
-    truth_rank = _ranks_desc(accs)
-    tau = weighted_kendall_tau(accs, vals, weighting=weighting)
-    metric, mode = next(iter(cells))
-    return RankingReport(
-        metric=metric,
-        dataset=dataset,
-        regime=regime,
-        pool=pool,
-        perturb_mode=mode,
-        weighting=weighting,
-        tau_w=tau,
-        models=tuple(
-            ModelRow(
-                id=r.model_id,
-                score=float(r.score),
-                accuracy=float(a),
-                pred_rank=int(pr),
-                truth_rank=int(tr),
-            )
-            for r, a, pr, tr in zip(scores, accs, pred_rank, truth_rank)
-        ),
-        wall_time_s=float(sum(r.wall_time_s for r in scores)),
-    )
+    cells: dict[tuple[str, str], list[ScoreRecord]] = {}
+    for rec in records:
+        cells.setdefault((rec.metric, rec.mode), []).append(rec)
+    reports = []
+    for (metric, mode), scores in sorted(cells.items()):
+        ids = [r.model_id for r in scores]
+        if len(set(ids)) != len(ids):
+            raise DataError("duplicate model ids in score records")
+        if len(ids) == 1:
+            raise DataError(f"cell (metric={metric}, mode={mode}) has 1 model; "
+                            f"ranking needs at least two")
+        accs = np.array([truth.accuracy(r.model_id, dataset, regime, pool)
+                         for r in scores])
+        vals = np.array([r.score for r in scores], dtype=np.float64)
+        reports.append(RankingReport(
+            metric=metric,
+            dataset=dataset,
+            regime=regime,
+            pool=pool,
+            perturb_mode=mode,
+            weighting=weighting,
+            tau_w=weighted_kendall_tau(accs, vals, weighting=weighting),
+            models=tuple(
+                ModelRow(id=r.model_id, score=float(r.score), accuracy=float(a),
+                         pred_rank=int(pr), truth_rank=int(tr))
+                for r, a, pr, tr in zip(scores, accs, _ranks_desc(vals),
+                                        _ranks_desc(accs))
+            ),
+            wall_time_s=float(sum(r.wall_time_s for r in scores)),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -280,53 +279,48 @@ class ImprovementRow:
 
 
 def improvement_summary(
-    before: Sequence[RankingReport], after: Sequence[RankingReport]
-) -> list[ImprovementRow]:
-    """Per-metric mean tau before/after and the relative change in percent.
+    reports: Sequence[RankingReport],
+) -> dict[str, list[ImprovementRow]]:
+    """Per perturbed mode, per metric: the mean tau over datasets of the
+    metric's `none` reports and of the mode's, and the relative change
+    (after - before) / |before| * 100, with modes and metrics sorted.
 
-    Reports are paired by (metric, dataset); an unpaired report is an
-    error. The relative change is (after - before) / |before| * 100. It is
+    Each perturbed cell pairs with the same metric's `none` cell, dataset
+    by dataset; a metric with no `none` report gets no row. Two reports of
+    one (metric, mode, dataset), or a perturbed and a `none` cell of one
+    metric that cover different datasets, are an error. The change is
     undefined when the mean tau before is 0; improvement_pct is then None
     (JSON null).
     """
-    before_by_key = {}
-    for rep in before:
-        key = (rep.metric, rep.dataset)
-        if key in before_by_key:
-            raise DataError(f"duplicate before-report for {key}")
-        before_by_key[key] = rep
-    after_keys = set()
-    pairs: dict[str, list[tuple[float, float]]] = {}
-    for rep in after:
-        key = (rep.metric, rep.dataset)
-        if key in after_keys:
-            raise DataError(f"duplicate after-report for {key}")
-        after_keys.add(key)
-        if key not in before_by_key:
-            raise DataError(f"after-report {key} has no before-report")
-        pairs.setdefault(rep.metric, []).append(
-            (before_by_key[key].tau_w, rep.tau_w)
-        )
-    unpaired = set(before_by_key) - after_keys
-    if unpaired:
-        raise DataError(f"before-reports without after-reports: {unpaired}")
-
-    rows = []
-    for metric in sorted(pairs):
-        taus = pairs[metric]
-        mean_before = float(np.mean([b for b, _ in taus]))
-        mean_after = float(np.mean([a for _, a in taus]))
+    taus: dict[tuple[str, str], dict[str, float]] = {}  # cell -> dataset -> tau
+    for rep in reports:
+        cell = taus.setdefault((rep.metric, rep.perturb_mode), {})
+        if rep.dataset in cell:
+            raise DataError(f"duplicate report for "
+                            f"{(rep.metric, rep.perturb_mode, rep.dataset)}")
+        cell[rep.dataset] = rep.tau_w
+    summary: dict[str, list[ImprovementRow]] = {}
+    for mode, metric in sorted((mode, metric) for metric, mode in taus):
+        before, after = taus.get((metric, "none")), taus[(metric, mode)]
+        if before is None or not PerturbMode(mode).perturbed:
+            continue
+        if before.keys() != after.keys():
+            raise DataError(f"{metric} reports of mode {mode} cover datasets "
+                            f"{sorted(after)}, of mode none {sorted(before)}")
+        # summed in report order
+        mean_before = float(np.mean([before[d] for d in after]))
+        mean_after = float(np.mean(list(after.values())))
         pct = (
             (mean_after - mean_before) / abs(mean_before) * 100.0
             if mean_before != 0.0 else None
         )
-        rows.append(
+        summary.setdefault(mode, []).append(
             ImprovementRow(
                 metric=metric,
                 mean_tau_before=mean_before,
                 mean_tau_after=mean_after,
                 improvement_pct=pct,
-                dataset_count=len(taus),
+                dataset_count=len(after),
             )
         )
-    return rows
+    return summary

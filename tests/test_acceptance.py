@@ -26,7 +26,7 @@ from terank import (
     gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
-    rank_and_report,
+    rank_cells,
     score_gbc,
     score_lda,
     score_model,
@@ -305,9 +305,9 @@ def test_criterion_08_improvement_summary_arithmetic():
 
         datasets = [f"d{i}" for i in range(11)]
         rows = improvement_summary(
-            [rep(t, d, "none") for t, d in zip(before_taus, datasets)],
-            [rep(t, d, "sa") for t, d in zip(after_taus, datasets)],
-        )
+            [rep(t, d, "none") for t, d in zip(before_taus, datasets)]
+            + [rep(t, d, "sa") for t, d in zip(after_taus, datasets)]
+        )["sa"]
         assert abs(rows[0].improvement_pct - 28.84) <= 0.5
 
 
@@ -336,12 +336,12 @@ def test_criterion_09_end_to_end_desk_experiment():
             # defaults are the published optimum
             assert PerturbConfig().alpha == 0.005
             assert PerturbConfig().sigma == 0.6
-            tau_none = rank_and_report(
+            tau_none = rank_cells(
                 baseline, truth, "synthetic", "synthetic", "synthetic"
-            ).tau_w
-            tau_sa = rank_and_report(
+            )[0].tau_w
+            tau_sa = rank_cells(
                 perturbed, truth, "synthetic", "synthetic", "synthetic"
-            ).tau_w
+            )[0].tau_w
             assert tau_none >= 0.8, (metric, tau_none)
             assert tau_sa >= 0.8, (metric, tau_sa)
             for b, p in zip(baseline, perturbed):

@@ -222,6 +222,44 @@ def test_evaluate_ranks_raw_records_without_an_improvement(zoo_dir, tmp_path):
     assert rows["with"] == rows["without"]
 
 
+def test_evaluate_writes_one_improvement_per_perturbed_mode(zoo_dir, tmp_path):
+    # each perturbed mode pairs with none, its rows sorted by metric
+    scores = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir), "--seed", "5", "--out", str(scores)]
+           + [arg for mode in ("sa", "none", "attract", "spread")
+              for arg in ("--mode", mode)])
+    reports = tmp_path / "reports"
+    run_ok(["evaluate", "--scores", str(scores), "--truth", str(zoo_dir / "truth.csv"),
+            "--out", str(reports)])
+    names = sorted(p.name for p in reports.glob("improvement_*"))
+    assert names == ["improvement_attract.json", "improvement_sa.json",
+                     "improvement_spread.json"]
+    for name in names:
+        doc = json.loads((reports / name).read_text())
+        assert doc["mode"] == name[len("improvement_"):-len(".json")]
+        assert [row["metric"] for row in doc["rows"]] == sorted(METRICS)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_cell_with_one_model_is_a_data_error_naming_it(zoo_dir, tmp_path, command):
+    model = str(zoo_dir / "model-00.emb1")
+    truth = ["--truth", str(zoo_dir / "truth.csv")]
+    out = tmp_path / "out"
+    if command == "evaluate":
+        scores = tmp_path / "scores.json"
+        run_ok(["score", "--input", model, "--metric", "gbc", "--mode", "none",
+                "--mode", "sa", "--out", str(scores)])
+        args, cell = ["evaluate", "--scores", str(scores), *truth], "mode=none"
+    else:
+        args, cell = ["sweep", "--input", model, "--metric", "gbc", *SWEEP_ONE_CELL,
+                      *truth], "mode=sa"
+    result = CliRunner().invoke(main, args + ["--out", str(out)])
+    assert assert_one_data_error_line(result) == (
+        f"data error: cell (metric=gbc, {cell}) has 1 model; "
+        f"ranking needs at least two")
+    assert not out.exists()
+
+
 def test_evaluate_missing_model_exits_3(zoo_dir, tmp_path):
     scores = tmp_path / "scores.json"
     run_ok(["score", "--input", str(zoo_dir), "--metric", "gbc",
@@ -1314,7 +1352,7 @@ def test_a_path_of_the_wrong_kind_is_a_usage_error(zoo_dir, zoo_scores, tmp_path
     # ranked, and nothing is written
     calls = []
     monkeypatch.setattr(cli, "_load_set", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli, "rank_and_report", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "rank_cells", lambda *args: calls.append(args))
     wrong = tmp_path / "wrong"
     if kind == "directory":
         wrong.mkdir()

@@ -4,8 +4,8 @@ stack (metrics, perturbation, reduction); the package's exports resolve
 lazily to their modules' objects. Source scans also keep scipy imports,
 error classes beyond the two exit-code families, any thread pool but the
 CLI's one, any per-model seed rule but the CLI's one, any output path but
-the CLI's one, and numpy's transcendental functions in the random stream
-out of the package.
+the CLI's one, any grouping of score records in the CLI, and numpy's
+transcendental functions in the random stream out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy and the scoring stack into this process.
@@ -142,7 +142,7 @@ PACKAGE_EXPORTS = {
     "embeddings": ["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
     "evaluation": ["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
                    "improvement_summary", "load_bundled_truth", "load_truth",
-                   "rank_and_report", "weighted_kendall_tau"],
+                   "rank_cells", "weighted_kendall_tau"],
     "metrics": ["GmmModel", "MetricId", "ScoreRecord", "fit_gmm", "maximize_evidence",
                 "score_gbc", "score_lda", "score_logme", "score_metric", "score_model",
                 "score_nleep"],
@@ -259,6 +259,14 @@ def test_one_seed_rule_in_the_cli_model_map():
 
     visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
     assert sites == ["_map_models"]
+
+
+def test_no_command_groups_records_itself():
+    # evaluation.rank_cells holds the one cell key and improvement_summary
+    # the one baseline rule; a setdefault in cli.py would be a second key
+    tree = ast.parse((SRC / "terank" / "cli.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
 
 
 MANIFEST_FIELDS = {"version", "command", "config", "inputs", "runtime"}

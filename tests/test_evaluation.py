@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import (
+    MetricId,
+    PerturbMode,
     RankingReport,
     ScoreRecord,
     gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
     load_truth,
-    rank_and_report,
+    rank_cells,
     weighted_kendall_tau,
     ZooConfig,
 )
@@ -242,7 +244,7 @@ def test_two_model_report_trivial():
     truth = load_truth_from_rows(
         [("m1", 90.0), ("m2", 80.0)]
     )
-    rep = rank_and_report(records, truth, "synthetic", "synthetic", "synthetic")
+    [rep] = rank_cells(records, truth, "synthetic", "synthetic", "synthetic")
     assert rep.tau_w == 1.0
     assert [m.pred_rank for m in rep.models] == [0, 1]
     assert [m.truth_rank for m in rep.models] == [0, 1]
@@ -273,7 +275,7 @@ def test_report_tau_matches_direct_call():
     truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     rng = np.random.default_rng(6)
     records = [make_record(s.model_id, float(v)) for s, v in zip(sets, rng.normal(size=11))]
-    rep = rank_and_report(records, truth, "synthetic", "synthetic", "synthetic")
+    [rep] = rank_cells(records, truth, "synthetic", "synthetic", "synthetic")
     accs = [
         truth.accuracy(s.model_id, "synthetic", "synthetic", "synthetic")
         for s in sets
@@ -286,7 +288,7 @@ def test_report_missing_model_is_an_error():
     records = [make_record("m1", 0.9), make_record("ghost", 0.1)]
     truth = load_truth_from_rows([("m1", 90.0)])
     with pytest.raises(DataError, match="no ground truth for model 'ghost'") as err:
-        rank_and_report(records, truth, "synthetic", "synthetic", "synthetic")
+        rank_cells(records, truth, "synthetic", "synthetic", "synthetic")
     assert "ghost" in str(err.value)
 
 
@@ -294,10 +296,39 @@ def test_report_constant_accuracy_shift_changes_nothing():
     records = [make_record(f"m{i}", float(v)) for i, v in enumerate([0.3, 0.9, 0.5])]
     truth_a = load_truth_from_rows([("m0", 50.0), ("m1", 70.0), ("m2", 60.0)])
     truth_b = load_truth_from_rows([("m0", 60.0), ("m1", 80.0), ("m2", 70.0)])
-    rep_a = rank_and_report(records, truth_a, "synthetic", "synthetic", "synthetic")
-    rep_b = rank_and_report(records, truth_b, "synthetic", "synthetic", "synthetic")
+    [rep_a] = rank_cells(records, truth_a, "synthetic", "synthetic", "synthetic")
+    [rep_b] = rank_cells(records, truth_b, "synthetic", "synthetic", "synthetic")
     assert rep_a.tau_w == rep_b.tau_w
     assert [m.truth_rank for m in rep_a.models] == [m.truth_rank for m in rep_b.models]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_cells_of_interleaved_records_rank_each_cell_alone(data):
+    # records of several (metric, mode) cells, interleaved in any order,
+    # give each cell's own report, the cells sorted and each cell's models
+    # in record order
+    models = [f"m{i}" for i in range(6)]
+    truth = load_truth_from_rows([(m, 50.0 + i) for i, m in enumerate(models)])
+    cells = data.draw(st.lists(st.tuples(st.sampled_from([m.value for m in MetricId]),
+                                         st.sampled_from([m.value for m in PerturbMode])),
+                               min_size=1, max_size=4, unique=True))
+    by_cell = {
+        cell: [make_record(m, data.draw(st.floats(-1e3, 1e3)), *cell)
+               for m in data.draw(st.lists(st.sampled_from(models), min_size=2,
+                                           unique=True))]
+        for cell in cells
+    }
+    # each pick takes its cell's next record
+    picks = data.draw(st.permutations([cell for cell in cells for _ in by_cell[cell]]))
+    queues = {cell: iter(records) for cell, records in by_cell.items()}
+    reports = rank_cells([next(queues[cell]) for cell in picks], truth,
+                         "synthetic", "synthetic", "synthetic")
+    assert [(r.metric, r.perturb_mode) for r in reports] == sorted(cells)
+    for rep in reports:
+        alone = by_cell[(rep.metric, rep.perturb_mode)]
+        assert [m.id for m in rep.models] == [r.model_id for r in alone]
+        assert [rep] == rank_cells(alone, truth, "synthetic", "synthetic", "synthetic")
 
 
 # --- improvement summary ---------------------------------------------------------
@@ -318,23 +349,23 @@ def tau_report(metric, dataset, tau, mode="none"):
 
 def test_improvement_from_rounded_means():
     rows = improvement_summary(
-        [tau_report("logme", "d", 0.542)], [tau_report("logme", "d", 0.698, "sa")]
-    )
+        [tau_report("logme", "d", 0.542), tau_report("logme", "d", 0.698, "sa")]
+    )["sa"]
     assert rows[0].improvement_pct == pytest.approx(28.78, abs=0.01)
 
 
 def test_improvement_identical_reports_is_zero():
     before = [tau_report("gbc", d, 0.5) for d in ("a", "b")]
     after = [tau_report("gbc", d, 0.5, "sa") for d in ("a", "b")]
-    rows = improvement_summary(before, after)
+    rows = improvement_summary(before + after)["sa"]
     assert rows[0].improvement_pct == 0.0
 
 
 def test_improvement_from_zero_baseline_is_undefined():
     rows = improvement_summary(
-        [tau_report("gbc", d, tau) for d, tau in (("a", 0.25), ("b", -0.25))],
-        [tau_report("gbc", d, 0.5, "sa") for d in ("a", "b")],
-    )
+        [tau_report("gbc", d, tau) for d, tau in (("a", 0.25), ("b", -0.25))]
+        + [tau_report("gbc", d, 0.5, "sa") for d in ("a", "b")]
+    )["sa"]
     assert rows[0].mean_tau_before == 0.0
     assert rows[0].mean_tau_after == 0.5
     assert rows[0].improvement_pct is None
@@ -343,15 +374,36 @@ def test_improvement_from_zero_baseline_is_undefined():
 
 def test_improvement_single_pair_equals_its_own_mean():
     rows = improvement_summary(
-        [tau_report("lda", "x", 0.4)], [tau_report("lda", "x", 0.6, "sa")]
-    )
+        [tau_report("lda", "x", 0.4), tau_report("lda", "x", 0.6, "sa")]
+    )["sa"]
     assert rows[0].mean_tau_before == 0.4
     assert rows[0].mean_tau_after == 0.6
     assert rows[0].dataset_count == 1
 
 
 def test_improvement_unpaired_report_is_an_error():
-    with pytest.raises(DataError, match="has no before-report"):
+    with pytest.raises(DataError, match="cover datasets"):
         improvement_summary(
-            [tau_report("gbc", "a", 0.5)], [tau_report("gbc", "b", 0.6, "sa")]
+            [tau_report("gbc", "a", 0.5), tau_report("gbc", "b", 0.6, "sa")]
         )
+
+
+@pytest.mark.parametrize("mode", ["none", "sa"])
+def test_improvement_duplicate_report_is_an_error(mode):
+    with pytest.raises(DataError,
+                       match=re.escape(f"duplicate report for ('gbc', '{mode}', 'a')")):
+        improvement_summary([tau_report("gbc", "a", 0.5),
+                             tau_report("gbc", "a", 0.6, "sa"),
+                             tau_report("gbc", "a", 0.7, mode)])
+
+
+def test_improvement_cell_without_a_none_cell_gets_no_row():
+    # raw is a baseline too, so it gets no summary of its own
+    rows = improvement_summary([tau_report("lda", "a", 0.6, "sa"),
+                                tau_report("gbc", "a", 0.5),
+                                tau_report("gbc", "a", 0.4, "raw"),
+                                tau_report("gbc", "a", 0.7, "sa"),
+                                tau_report("lda", "a", 0.3, "spread")])
+    assert list(rows) == ["sa"]
+    assert [row.metric for row in rows["sa"]] == ["gbc"]
+    assert improvement_summary([tau_report("lda", "a", 0.6, "sa")]) == {}
