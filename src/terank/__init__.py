@@ -16,12 +16,12 @@ RNG_BACKEND = "numpy"
 _EXPORTS = {
     **dict.fromkeys(["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
                     "embeddings"),
-    **dict.fromkeys(["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
-                     "improvement_summary", "load_bundled_truth", "load_truth",
-                     "rank_cells", "weighted_kendall_tau"], "evaluation"),
-    **dict.fromkeys(["GmmModel", "ScoreRecord", "fit_gmm", "maximize_evidence",
-                     "score_gbc", "score_lda", "score_logme", "score_metric",
-                     "score_model", "score_nleep"], "metrics"),
+    **dict.fromkeys(["ImprovementRow", "ModelRow", "RankingReport", "ScoreRecord",
+                     "TruthTable", "improvement_summary", "load_bundled_truth",
+                     "load_truth", "rank_cells", "weighted_kendall_tau"], "evaluation"),
+    **dict.fromkeys(["GmmModel", "fit_gmm", "maximize_evidence", "score_gbc",
+                     "score_lda", "score_logme", "score_metric", "score_model",
+                     "score_nleep"], "metrics"),
     **dict.fromkeys(["ClassGeometry", "PerturbConfig", "attract", "class_geometry",
                      "class_radius", "sa_perturb", "spread"], "perturbation"),
     **dict.fromkeys(["PcaModel", "fit_pca"], "reduction"),

@@ -20,7 +20,6 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 import numpy as np
@@ -32,9 +31,11 @@ from .evaluation import (
     POOLS,
     REGIMES,
     WEIGHTINGS,
+    ScoreRecord,
     TruthTable,
     improvement_summary,
     load_bundled_truth,
+    load_scores,
     load_truth,
     rank_cells,
     write_truth,
@@ -50,9 +51,7 @@ from .synth import (
 from .vocabulary import AttractDirection, MetricId, PerturbMode
 
 # the scoring stack (metrics, perturbation, reduction) is imported inside
-# the commands that score, so that synth does not load it
-if TYPE_CHECKING:  # pragma: no cover
-    from .metrics import ScoreRecord
+# score and sweep, so that synth and evaluate do not load it
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -169,8 +168,9 @@ def _common_options(fn):
     # SplitMix64 keeps 64 bits of a seed, so a wider one would alias
     fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
                       show_default=True,
-                      help="Base seed in [0, 2^64); per-model seeds are "
-                           "seed XOR model index.")(fn)
+                      help="Base seed in [0, 2^64). synth, score and sweep "
+                           "give model i the seed XOR i; evaluate only "
+                           "records it.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                       help="Machine format on stdout instead of a table.")(fn)
     return fn
@@ -228,10 +228,6 @@ def _truth_options(fn):
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
 
 def _strip_timing(doc):
     """Drop wall-clock values and execution metadata, recursively."""
@@ -301,7 +297,8 @@ def _manifest(input_files: list[Path], **runtime) -> dict:
         "version": __version__,
         "command": ctx.command.name,
         "config": config,
-        "inputs": {str(p): _sha256(p) for p in input_files},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in input_files},
         "runtime": runtime,
     }
 
@@ -535,29 +532,6 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
     )
 
 
-def _finite_float(text: str) -> float:
-    """A JSON number, refusing NaN, Infinity and numbers that overflow."""
-    if math.isfinite(value := float(text)):
-        return value
-    raise ValueError(f"{text} is not a finite number")
-
-
-def _load_score_payload(path: Path) -> tuple[dict, dict, list[ScoreRecord]]:
-    """Parse a score JSON file once: the payload, its manifest, its records."""
-    from .metrics import ScoreRecord
-
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8-sig"),
-                             parse_float=_finite_float, parse_constant=_finite_float)
-        manifest = payload["manifest"]
-        records = [ScoreRecord.from_dict(d) for d in payload["records"]]
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise DataError(f"{path}: not a score JSON file ({exc})") from None
-    if not records:
-        raise DataError(f"no score records in {path}")
-    return payload, manifest, records
-
-
 @main.command()
 @click.option("--scores", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
@@ -572,7 +546,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     mode) cell and, per perturbed mode, an improvement summary that pairs
     each metric's cell with its mode-none cell (no row without one)."""
     t0 = time.perf_counter()
-    score_payload, score_manifest, records = _load_score_payload(scores)
+    score_payload, records = load_scores(scores)
     reports = rank_cells(records, _load_truth_table(truth), dataset, regime, pool,
                          weighting)
     summaries = improvement_summary(reports)
@@ -581,7 +555,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     # hash the score file's content net of timings, so re-scoring the same
     # inputs leads to the same evaluate manifest
     manifest["inputs"][str(scores)] = _semantic_digest(score_payload)
-    manifest["score_manifest"] = score_manifest
+    manifest["score_manifest"] = score_payload["manifest"]
 
     # file name -> text, written under --out
     out_files = {}
@@ -644,6 +618,8 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
     from .perturbation import PerturbConfig
 
     files = _resolve_inputs(inputs)
+    if len(files) == 1:  # refused here, not after scoring every cell
+        raise DataError(f"--input {inputs[0]} holds 1 model; ranking needs at least two")
     truth_table = _load_truth_table(truth)
 
     t0 = time.perf_counter()

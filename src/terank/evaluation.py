@@ -1,21 +1,21 @@
-"""Ranking evaluation: ground-truth tables, weighted Kendall correlation,
-per-cell reports, and perturbed-versus-baseline improvement summaries."""
+"""Ranking evaluation: ground-truth tables, score records and the score
+file's reader, weighted Kendall correlation, per-cell reports, and
+perturbed-versus-baseline improvement summaries."""
 from __future__ import annotations
 
 import csv
 import io
+import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .vocabulary import PerturbMode
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .metrics import ScoreRecord
+from .vocabulary import MetricId, PerturbMode
 
 REGIMES = ("vanilla", "lbft", "lft", "synthetic")
 POOLS = ("supervised", "self_supervised", "synthetic")
@@ -134,6 +134,77 @@ def load_bundled_truth() -> TruthTable:
     )
 
 
+@dataclass(frozen=True)
+class ScoreRecord:
+    """One transferability score and the wall time it took to compute."""
+
+    model_id: str
+    dataset_id: str
+    metric: str
+    mode: str
+    score: float
+    wall_time_s: float
+
+    @property
+    def perturbed(self) -> bool:
+        """Whether the record's mode moves features (PerturbMode.perturbed)."""
+        return PerturbMode(self.mode).perturbed
+
+    def to_dict(self) -> dict:
+        return {
+            "model": self.model_id,
+            "dataset": self.dataset_id,
+            "metric": self.metric,
+            "mode": self.mode,
+            "perturbed": self.perturbed,
+            "score": self.score,
+            "wall_time_s": self.wall_time_s,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ScoreRecord":
+        """Parse one record of a score JSON file. A missing field, an
+        unknown metric or mode, a `perturbed` that contradicts the mode, or
+        a value of the wrong type raises KeyError, ValueError or TypeError."""
+        if not (isinstance(d["model"], str) and isinstance(d["dataset"], str)
+                and isinstance(d["perturbed"], bool)
+                and all(type(d[k]) in (int, float) for k in ("score", "wall_time_s"))):
+            raise TypeError("a score record field has the wrong type")
+        record = cls(
+            model_id=d["model"],
+            dataset_id=d["dataset"],
+            metric=MetricId(d["metric"]).value,
+            mode=PerturbMode(d["mode"]).value,
+            score=float(d["score"]),
+            wall_time_s=float(d["wall_time_s"]),
+        )
+        if d["perturbed"] != record.perturbed:
+            raise ValueError(f"perturbed is {d['perturbed']} in mode {record.mode}")
+        return record
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number, refusing NaN, Infinity and numbers that overflow."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(f"{text} is not a finite number")
+
+
+def load_scores(path: str | Path) -> tuple[dict, list[ScoreRecord]]:
+    """Parse a score JSON file: its payload, which must hold a manifest, and records."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8-sig"),
+                             parse_float=_finite_float, parse_constant=_finite_float)
+        payload["manifest"]  # evaluate copies it into its own manifest
+        records = [ScoreRecord.from_dict(d) for d in payload["records"]]
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise DataError(f"{path}: not a score JSON file ({exc})") from None
+    if not records:
+        raise DataError(f"no score records in {path}")
+    return payload, records
+
+
 # ---------------------------------------------------------------------------
 # weighted Kendall correlation
 
@@ -217,7 +288,7 @@ class RankingReport:
 
 
 def rank_cells(
-    records: Sequence["ScoreRecord"],
+    records: Sequence[ScoreRecord],
     truth: TruthTable,
     dataset: str,
     regime: str,

@@ -17,9 +17,10 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError
+from .evaluation import ScoreRecord
 from .perturbation import PerturbConfig, sa_perturb
 from .rng import SplitMix64
-from .vocabulary import MetricId, PerturbMode
+from .vocabulary import MetricId
 
 log = logging.getLogger(__name__)
 
@@ -434,55 +435,6 @@ def score_lda(ds: EmbeddingSet, eps_scale: float = 1e-4) -> float:
 
 # ---------------------------------------------------------------------------
 # uniform scoring front end
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One transferability score and the wall time it took to compute."""
-
-    model_id: str
-    dataset_id: str
-    metric: str
-    mode: str
-    score: float
-    wall_time_s: float
-
-    @property
-    def perturbed(self) -> bool:
-        """Whether the record's mode moves features (PerturbMode.perturbed)."""
-        return PerturbMode(self.mode).perturbed
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_id,
-            "dataset": self.dataset_id,
-            "metric": self.metric,
-            "mode": self.mode,
-            "perturbed": self.perturbed,
-            "score": self.score,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreRecord":
-        """Parse one record of a score JSON file. A missing field, an
-        unknown metric or mode, a `perturbed` that contradicts the mode, or
-        a value of the wrong type raises KeyError, ValueError or TypeError."""
-        if not (isinstance(d["model"], str) and isinstance(d["dataset"], str)
-                and isinstance(d["perturbed"], bool)
-                and all(type(d[k]) in (int, float) for k in ("score", "wall_time_s"))):
-            raise TypeError("a score record field has the wrong type")
-        record = cls(
-            model_id=d["model"],
-            dataset_id=d["dataset"],
-            metric=MetricId(d["metric"]).value,
-            mode=PerturbMode(d["mode"]).value,
-            score=float(d["score"]),
-            wall_time_s=float(d["wall_time_s"]),
-        )
-        if d["perturbed"] != record.perturbed:
-            raise ValueError(f"perturbed is {d['perturbed']} in mode {record.mode}")
-        return record
-
 
 def score_metric(
     ds: EmbeddingSet,

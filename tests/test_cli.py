@@ -240,23 +240,40 @@ def test_evaluate_writes_one_improvement_per_perturbed_mode(zoo_dir, tmp_path):
         assert [row["metric"] for row in doc["rows"]] == sorted(METRICS)
 
 
-@pytest.mark.parametrize("command", ["evaluate", "sweep"])
-def test_a_cell_with_one_model_is_a_data_error_naming_it(zoo_dir, tmp_path, command):
-    model = str(zoo_dir / "model-00.emb1")
-    truth = ["--truth", str(zoo_dir / "truth.csv")]
+def test_a_cell_with_one_model_is_a_data_error_naming_it(zoo_dir, tmp_path):
+    scores = tmp_path / "scores.json"
+    run_ok(["score", "--input", str(zoo_dir / "model-00.emb1"), "--metric", "gbc",
+            "--mode", "none", "--mode", "sa", "--out", str(scores)])
     out = tmp_path / "out"
-    if command == "evaluate":
-        scores = tmp_path / "scores.json"
-        run_ok(["score", "--input", model, "--metric", "gbc", "--mode", "none",
-                "--mode", "sa", "--out", str(scores)])
-        args, cell = ["evaluate", "--scores", str(scores), *truth], "mode=none"
-    else:
-        args, cell = ["sweep", "--input", model, "--metric", "gbc", *SWEEP_ONE_CELL,
-                      *truth], "mode=sa"
-    result = CliRunner().invoke(main, args + ["--out", str(out)])
+    result = CliRunner().invoke(main, ["evaluate", "--scores", str(scores),
+                                       "--truth", str(zoo_dir / "truth.csv"),
+                                       "--out", str(out)])
     assert assert_one_data_error_line(result) == (
-        f"data error: cell (metric=gbc, {cell}) has 1 model; "
-        f"ranking needs at least two")
+        "data error: cell (metric=gbc, mode=none) has 1 model; "
+        "ranking needs at least two")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_sweep_refuses_a_one_file_pool_before_loading_a_model(
+        zoo_dir, tmp_path, monkeypatch, kind):
+    # every (alpha, sigma) cell would rank one model, so the pool is
+    # refused before any model is loaded or scored
+    given = zoo_dir / "model-00.emb1"
+    if kind == "directory":
+        given = tmp_path / "pool"
+        given.mkdir()
+        shutil.copy(zoo_dir / "model-00.emb1", given)
+    calls = []
+    monkeypatch.setattr(metrics, "score_model",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--input", str(given), "--truth", str(zoo_dir / "truth.csv"),
+        "--metric", "gbc", "--out", str(out)])
+    assert assert_one_data_error_line(result) == (
+        f"data error: --input {given} holds 1 model; ranking needs at least two")
+    assert calls == []
     assert not out.exists()
 
 
@@ -291,6 +308,9 @@ BAD_FIELDS = {"text-score": {"score": "high"}, "unknown-metric": {"metric": "../
     pytest.param(b'{"records": []\xff}', id="not-utf8"),
     *(pytest.param(json.dumps({"manifest": {}, "records": [{**RECORD, **bad}]})
                    .encode(), id=name) for name, bad in BAD_FIELDS.items()),
+    # the top level must be an object holding a manifest
+    pytest.param(json.dumps({"records": [RECORD]}).encode(), id="no-manifest"),
+    pytest.param(json.dumps([RECORD]).encode(), id="top-level-list"),
 ])
 def test_evaluate_unreadable_scores_is_data_error(tmp_path, content):
     scores = tmp_path / "scores.json"

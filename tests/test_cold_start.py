@@ -1,11 +1,13 @@
 """Cold start: no terank command loads scipy, which is a test-only
-dependency, and neither `import terank.cli` nor `synth` loads the scoring
-stack (metrics, perturbation, reduction); the package's exports resolve
-lazily to their modules' objects. Source scans also keep scipy imports,
-error classes beyond the two exit-code families, any thread pool but the
-CLI's one, any per-model seed rule but the CLI's one, any output path but
-the CLI's one, any grouping of score records in the CLI, and numpy's
-transcendental functions in the random stream out of the package.
+dependency, and neither `import terank.cli`, `synth` nor `evaluate` loads
+the scoring stack (metrics, perturbation, reduction), since the score
+record and its file's reader live in evaluation.py; the package's exports
+resolve lazily to their modules' objects. Source scans also keep scipy
+imports, import-only-for-typing blocks, error classes beyond the two
+exit-code families, any thread pool but the CLI's one, any per-model seed
+rule but the CLI's one, any output path but the CLI's one, any grouping or
+parsing of score records in the CLI, and numpy's transcendental functions
+in the random stream out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy and the scoring stack into this process.
@@ -89,9 +91,12 @@ def test_synth_loads_no_scipy(tmp_path):
 
 
 def test_evaluate_loads_no_scipy(zoo, tmp_path):
-    assert scipy_in(modules_after(["evaluate", "--scores", str(zoo / "scores.json"),
-                                   "--truth", str(zoo / "truth.csv"),
-                                   "--out", str(tmp_path / "reports")])) == []
+    # evaluate ranks scores it reads from a file, so it loads no scorer
+    loaded = modules_after(["evaluate", "--scores", str(zoo / "scores.json"),
+                            "--truth", str(zoo / "truth.csv"),
+                            "--out", str(tmp_path / "reports")])
+    assert scipy_in(loaded) == []
+    assert loaded & SCORING_STACK == set()
     assert (tmp_path / "reports" / "improvement_sa.json").exists()
 
 
@@ -171,6 +176,8 @@ def test_package_exports_resolve_to_their_module_objects():
     assert set(terank.__all__) == {"RNG_BACKEND", *names}
     for name in ("MetricId", "PerturbMode", "AttractDirection"):
         assert getattr(terank, name).__module__ == "terank.vocabulary"
+    # defined beside rank_cells; terank.metrics.ScoreRecord is the same class
+    assert terank.ScoreRecord.__module__ == "terank.evaluation"
 
 
 def test_package_keeps_its_plain_attributes_and_refuses_unknown_names():
@@ -195,6 +202,13 @@ def test_no_module_imports_scipy():
             importers += [f"{path.name}:{node.lineno}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert importers == []
+
+
+def test_no_module_imports_for_typing_alone():
+    # a name a module needs only to annotate lives where the module can
+    # import it outright
+    assert [path.name for path in sorted((SRC / "terank").rglob("*.py"))
+            if "TYPE_CHECKING" in path.read_text()] == []
 
 
 def test_errors_define_exactly_two_families():
@@ -267,6 +281,14 @@ def test_no_command_groups_records_itself():
     tree = ast.parse((SRC / "terank" / "cli.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
+
+
+def test_no_command_parses_a_score_file_itself():
+    # evaluation.load_scores is the one reader of a score JSON file; a
+    # json.loads in cli.py would be a second set of checks
+    tree = ast.parse((SRC / "terank" / "cli.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "loads"]
 
 
 MANIFEST_FIELDS = {"version", "command", "config", "inputs", "runtime"}
