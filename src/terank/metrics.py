@@ -182,41 +182,48 @@ class GmmModel:
     log_likelihood_trace: tuple[float, ...]
 
 
-def _log_gaussian_prob(x, xsq, means, variances):
-    # log N(x | mu_j, diag(var_j)) for every (sample, component); xsq = x * x
+def _log_joint(xs, xsq, means, variances, weights, out, scratch):
+    """log N(x | mu_j, diag(var_j)) + log w_j into `out`, (K, N) C-order,
+    for C-order samples `xs` and `xsq = xs * xs`, with a second (K, N)
+    buffer as scratch. The products `inv @ xsq.T` and `(means * inv) @
+    xs.T` run on transposed views, the elementwise steps in place in the
+    row-major formula's order. They give that formula's bits at the zoo's
+    and the golden fits' shapes; elsewhere the BLAS may pick another
+    kernel, and tests/test_metrics_gmm.py holds them to 1e-13*max(1, |v|)."""
     inv = 1.0 / variances
-    quad = (
-        xsq @ inv.T
-        - 2.0 * (x @ (means * inv).T)
-        + np.sum(means * means * inv, axis=1)
-    )
-    return -0.5 * (x.shape[1] * _LOG_2PI + np.sum(np.log(variances), axis=1) + quad)
+    np.matmul(inv, xsq.T, out=out)
+    np.matmul(means * inv, xs.T, out=scratch)
+    scratch *= 2.0
+    out -= scratch
+    out += np.sum(means * means * inv, axis=1)[:, None]
+    out += (xs.shape[1] * _LOG_2PI + np.sum(np.log(variances), axis=1))[:, None]
+    out *= -0.5
+    out += np.log(weights)[:, None]
+    return out
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)), bit-identical to scipy.special.logsumexp:
-    the same operations in the same order, without its array-API
-    dispatch. The maxima are summed apart from the rest, and a row whose
-    result is not finite falls back to the direct formula.
-
-    The row max and the count of maxima are exact, so they are taken
-    column by column (a has few columns, one per mixture component); the
-    shifted exp keeps numpy's row sum, which fixes the summation order."""
+def _logsumexp_components(a, shifted, rows):
+    """log(sum(exp(a), axis=0)) of a (K, N) C-order array, bit-identical
+    to scipy.special.logsumexp(a.T, axis=1): the same operations in the
+    same order, without its array-API dispatch. The maxima are summed
+    apart from the rest, and a column whose result is not finite falls
+    back to the direct formula. The shifted exp goes into `shifted` and is
+    summed on its (N, K) C-order copy in `rows`, as numpy sums rows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cols = a.T
-        a_max = cols[0].copy()
-        for col in cols[1:]:
-            np.maximum(a_max, col, out=a_max)
-        is_max = a == a_max[:, None]
-        m = np.zeros_like(a_max)
-        for col in is_max.T:
-            m += col
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max[:, None]).sum(axis=1)
+        a_max = a.max(axis=0)
+        is_max = a == a_max
+        m = is_max.sum(axis=0, dtype=np.float64)
+        np.copyto(shifted, a)
+        np.copyto(shifted, -np.inf, where=is_max)
+        shifted -= a_max
+        np.exp(shifted, out=shifted)
+        np.copyto(rows, shifted.T)
+        s = rows.sum(axis=1)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
     return out
 
 
@@ -233,21 +240,27 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
     return np.lexsort(x.T[::-1])
 
 
-def _kmeanspp_centers(xs: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    # classic D^2-weighted seeding; xs must already be in canonical order
+def _kmeanspp_centers(
+    xs: np.ndarray, k: int, rng: SplitMix64, scratch: np.ndarray
+) -> np.ndarray:
+    # classic D^2-weighted seeding; xs must already be in canonical order,
+    # and scratch, an array of its shape, holds the squared differences
     n = xs.shape[0]
     centers = np.empty((k, xs.shape[1]))
-    centers[0] = xs[int(rng.uniform() * n)]
-    d2 = np.sum((xs - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(d2.sum())
+    d2 = np.full(n, np.inf)
+    total = 0.0  # the first center is drawn uniformly
+    for j in range(k):
         if total <= 0.0:
             idx = int(rng.uniform() * n)
         else:
             r = rng.uniform() * total
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centers[j] = xs[idx]
-        d2 = np.minimum(d2, np.sum((xs - centers[j]) ** 2, axis=1))
+        if j + 1 < k:  # the last center's distances are never read
+            np.subtract(xs, centers[j], out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            np.minimum(d2, np.add.reduce(scratch, axis=1), out=d2)
+            total = float(d2.sum())
     return centers
 
 
@@ -262,14 +275,14 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     bit-identical parameters, and the fit does not depend on the row
     order of `features`: seeding and accumulation both run over a
     canonical (lexicographically sorted) view of the data. That row order
-    and the numpy-side reductions (`_canonical_order`, `_logsumexp_rows`,
-    the column sums) are pinned. The four matrix products, two in the
-    E-step's `_log_gaussian_prob` and two in the M-step, take their bits
-    from the kernel and blocking the BLAS picks for their shapes and
-    thread count: `resp.T @ xs` differs between one and two OpenBLAS
-    threads. So a faster kernel here can move a score; ROADMAP items 1-3
-    set the tolerance such a change must meet and the thread-invariant
-    products.
+    and the numpy-side reductions (`_canonical_order`,
+    `_logsumexp_components`, the column sums) are pinned.
+
+    Each step's arrays are (K, N) C-order buffers allocated once per fit.
+    Its matrix products take their bits from the kernel the BLAS picks for
+    their shapes and thread count (`_log_joint` says which bits its two
+    keep): the M-step's `resp @ xs` differs between one and two OpenBLAS
+    threads. ROADMAP items 1-3 set the tolerance a faster kernel must meet.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
@@ -280,18 +293,23 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
 
     order = _canonical_order(x)
     xs = x[order]
-    xsq = xs * xs
-    means = _kmeanspp_centers(xs, components, SplitMix64(seed))
     variances = np.tile(np.maximum(xs.var(axis=0), _VAR_FLOOR), (components, 1))
+    xsq = np.empty_like(xs)  # the seeding's scratch, then xs * xs
+    means = _kmeanspp_centers(xs, components, SplitMix64(seed), xsq)
+    np.multiply(xs, xs, out=xsq)
     weights = np.full(components, 1.0 / components)
 
+    resp = np.empty((components, n))  # log-joint, then posteriors
+    shifted = np.empty_like(resp)
+    rows = np.empty((n, components))  # posteriors, sample-major
     trace: list[float] = []
-    resp_sorted = np.full((n, components), 1.0 / components)
     for _ in range(_EM_MAX_ITER):
         # E-step
-        log_joint = _log_gaussian_prob(xs, xsq, means, variances) + np.log(weights)
-        log_norm = _logsumexp_rows(log_joint)
-        resp_sorted = np.exp(log_joint - log_norm[:, None])
+        _log_joint(xs, xsq, means, variances, weights, resp, shifted)
+        log_norm = _logsumexp_components(resp, shifted, rows)
+        resp -= log_norm
+        np.exp(resp, out=resp)
+        np.copyto(rows, resp.T)
         ll = float(log_norm.sum())
         if not math.isfinite(ll):
             raise NumericError(
@@ -301,30 +319,31 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
             trace.append(ll)
             break
         trace.append(ll)
+        if len(trace) == _EM_MAX_ITER:
+            # stop before the M-step: the parameters are the posteriors'
+            log.warning(
+                "gmm EM stopped at its %d-iteration cap without reaching the "
+                "%g relative tolerance", _EM_MAX_ITER, _EM_TOL,
+            )
+            break
         # M-step; components that lost all responsibility keep their
         # previous parameters
-        nk = resp_sorted.sum(axis=0)
+        nk = rows.sum(axis=0)
         alive = nk > _EMPTY_MASS
         weights = nk / n
-        new_means = means.copy()
-        new_vars = variances.copy()
-        new_means[alive] = (resp_sorted.T[alive] @ xs) / nk[alive, None]
-        ex2 = (resp_sorted.T[alive] @ xsq) / nk[alive, None]
-        new_vars[alive] = np.maximum(ex2 - new_means[alive] ** 2, _VAR_FLOOR)
-        means, variances = new_means, new_vars
-    else:
-        log.warning(
-            "gmm EM stopped at its %d-iteration cap without reaching the "
-            "%g relative tolerance", _EM_MAX_ITER, _EM_TOL,
-        )
+        live = resp if alive.all() else resp[alive]
+        means[alive] = (live @ xs) / nk[alive, None]
+        ex2 = (live @ xsq) / nk[alive, None]
+        variances[alive] = np.maximum(ex2 - means[alive] ** 2, _VAR_FLOOR)
 
-    resp = np.empty_like(resp_sorted)
-    resp[order] = resp_sorted
+    del xsq, shifted  # free the fit's buffers before the output's
+    resp_out = np.empty_like(rows)
+    resp_out[order] = rows
     return GmmModel(
         weights=weights,
         means=means,
         variances=variances,
-        responsibilities=resp,
+        responsibilities=resp_out,
         log_likelihood_trace=tuple(trace),
     )
 

@@ -1,10 +1,14 @@
 """Mixture fitting and the nleep score built on its posteriors."""
 import hashlib
 import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numpy.lib.introspect import opt_func_info
 
@@ -13,10 +17,65 @@ from terank import metrics
 from terank.errors import DataError, NumericError
 from terank.metrics import (
     _canonical_order,
-    _logsumexp_rows,
+    _kmeanspp_centers,
+    _log_joint,
+    _logsumexp_components,
     nleep_from_responsibilities,
 )
 from terank.rng import SplitMix64
+
+
+def _row_major_log_joint(x, means, variances, weights):
+    """The oracle for `_log_joint`: the same E-step formula on (N, K)
+    products, `xsq @ inv.T` and `x @ (means * inv).T`."""
+    inv = 1.0 / variances
+    quad = (
+        (x * x) @ inv.T
+        - 2.0 * (x @ (means * inv).T)
+        + np.sum(means * means * inv, axis=1)
+    )
+    logp = -0.5 * (x.shape[1] * math.log(2.0 * math.pi)
+                   + np.sum(np.log(variances), axis=1) + quad)
+    return logp + np.log(weights)
+
+
+def _posteriors(x, gmm):
+    # one E-step from a fit's returned parameters, in input row order
+    log_joint = _row_major_log_joint(
+        np.asarray(x, dtype=np.float64), gmm.means, gmm.variances, gmm.weights)
+    return np.exp(log_joint - scipy.special.logsumexp(log_joint, axis=1)[:, None])
+
+
+def _row_major_fit(features, k, seed):
+    """fit_gmm's EM on the row-major oracle formula and scipy's
+    logsumexp: the posteriors in input row order and the EM step count."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    order = _canonical_order(x)
+    xs = x[order]
+    means = _kmeanspp_centers(xs, k, SplitMix64(seed), np.empty_like(xs))
+    variances = np.tile(np.maximum(xs.var(axis=0), 1e-6), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    for _ in range(metrics._EM_MAX_ITER):
+        log_joint = _row_major_log_joint(xs, means, variances, weights)
+        log_norm = scipy.special.logsumexp(log_joint, axis=1)
+        resp = np.exp(log_joint - log_norm[:, None])
+        ll = float(log_norm.sum())
+        if trace and abs(ll - trace[-1]) / max(abs(trace[-1]), 1e-12) < metrics._EM_TOL:
+            trace.append(ll)
+            break
+        trace.append(ll)
+        nk = resp.sum(axis=0)
+        alive = nk > metrics._EMPTY_MASS
+        weights = nk / n
+        means, variances = means.copy(), variances.copy()
+        means[alive] = (resp.T[alive] @ xs) / nk[alive, None]
+        ex2 = (resp.T[alive] @ (xs * xs)) / nk[alive, None]
+        variances[alive] = np.maximum(ex2 - means[alive] ** 2, 1e-6)
+    out = np.empty_like(resp)
+    out[order] = resp
+    return out, len(trace)
 
 
 def test_single_component_closed_form():
@@ -197,8 +256,10 @@ def test_logsumexp_rows_equals_scipy(case):
     a = _lse_cases()[case]
     with np.errstate(all="ignore"):
         expected = scipy.special.logsumexp(a, axis=1)
+    cols = np.ascontiguousarray(a.T)
+    got = _logsumexp_components(cols, np.empty_like(cols), np.empty_like(a))
     # NaN counts as equal
-    np.testing.assert_array_equal(_logsumexp_rows(a), expected)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_overflowing_rows_raise_instead_of_nan_responsibilities():
@@ -210,13 +271,72 @@ def test_overflowing_rows_raise_instead_of_nan_responsibilities():
 def test_em_cap_hit_is_logged(monkeypatch, caplog):
     ds = gen_class_gaussians(3, 50, 4, rho=1.0, noise=1.0, seed=3)
     with caplog.at_level(logging.WARNING, logger="terank.metrics"):
-        fit_gmm(ds.features, 3, seed=1)
-    assert "cap" not in caplog.text
-    monkeypatch.setattr(metrics, "_EM_MAX_ITER", 1)
-    with caplog.at_level(logging.WARNING, logger="terank.metrics"):
         gmm = fit_gmm(ds.features, 3, seed=1)
-    assert len(gmm.log_likelihood_trace) == 1
-    assert "1-iteration cap" in caplog.text
+    assert "cap" not in caplog.text
+    np.testing.assert_allclose(_posteriors(ds.features, gmm), gmm.responsibilities,
+                               rtol=0, atol=1e-12)
+    for cap in (1, 3):
+        monkeypatch.setattr(metrics, "_EM_MAX_ITER", cap)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="terank.metrics"):
+            gmm = fit_gmm(ds.features, 3, seed=1)
+        assert len(gmm.log_likelihood_trace) == cap
+        assert f"{cap}-iteration cap" in caplog.text
+        # the fit stops before the M-step: the returned parameters are the
+        # ones its posteriors and trace came from, not one step ahead
+        np.testing.assert_allclose(_posteriors(ds.features, gmm),
+                                   gmm.responsibilities, rtol=0, atol=1e-12)
+
+
+@given(classes=st.integers(2, 8), per_class=st.integers(2, 40),
+       dim=st.integers(1, 300), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_log_joint_is_within_1e13_of_the_row_major_formula(
+    classes, per_class, dim, data
+):
+    # the E-step products run on transposed views; where the BLAS picks
+    # another kernel for them than for the row-major products, their bits
+    # may move, by at most 1e-13 * max(1, |v|)
+    n = classes * per_class
+    k = data.draw(st.integers(1, min(5 * classes, n)), label="components")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ds = gen_class_gaussians(classes, per_class, dim, rho=2.0, noise=1.0, seed=seed)
+    x = ds.features.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    means = x[rng.choice(n, k, replace=False)]
+    variances = np.maximum(x.var(axis=0), 1e-6) * rng.uniform(0.5, 2.0, (k, dim))
+    weights = rng.dirichlet(np.ones(k))
+    got = _log_joint(x, x * x, means, variances, weights,
+                     np.empty((k, n)), np.empty((k, n)))
+    want = _row_major_log_joint(x, means, variances, weights).T
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+# shapes at which OpenBLAS picked another kernel for the transposed E-step
+# products than for the row-major ones, so the fit's last bits moved
+@pytest.mark.parametrize("n,dim,k", [(500, 33, 50), (1500, 64, 25), (2000, 64, 250)])
+def test_nleep_is_within_1e12_of_the_row_major_fit(n, dim, k):
+    ds = gen_class_gaussians(10, n // 10, dim, rho=1.0, noise=1.0, seed=k)
+    gmm = fit_gmm(ds.features, k, seed=1)
+    resp, steps = _row_major_fit(ds.features, k, seed=1)
+    assert len(gmm.log_likelihood_trace) == steps
+    got = nleep_from_responsibilities(gmm.responsibilities, ds.labels, 10)
+    want = nleep_from_responsibilities(resp, ds.labels, 10)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_fit_peaks_under_two_and_a_half_copies_of_the_input():
+    # at the zoo's prepared shape: the sorted copy and its square, which
+    # doubles as the seeding's scratch, plus the (K, N) buffers; a
+    # separate seeding temporary took the peak to 3.07 copies
+    x = SplitMix64(5).gaussians(2000 * 91).reshape(2000, 91)
+    tracemalloc.start()
+    try:
+        fit_gmm(x, 10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes
 
 
 # --- nleep -------------------------------------------------------------------
