@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ class EmbeddingSet:
     """N feature rows with integer class labels in [0, class_count).
 
     Immutable after construction; the arrays are marked read-only so a
-    set can be shared across worker threads.
+    set can be shared across worker threads. `class_counts` holds each
+    class's row count.
     """
 
     features: np.ndarray
@@ -34,6 +36,7 @@ class EmbeddingSet:
     class_count: int
     model_id: str = "unknown"
     dataset_id: str = "unknown"
+    class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features)
@@ -64,14 +67,14 @@ class EmbeddingSet:
                 f"got range [{labels.min()}, {labels.max()}]"
             )
         present = np.bincount(labels, minlength=self.class_count)
-        if (present == 0).any():
-            missing = int(np.flatnonzero(present == 0)[0])
-            raise DataError(f"class {missing} has no samples")
+        if present.min() == 0:
+            raise DataError(f"class {present.argmin()} has no samples")
         feats = np.ascontiguousarray(feats)
-        feats.setflags(write=False)
-        labels.setflags(write=False)
+        for array in (feats, labels, present):
+            array.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_counts", present)
 
     @property
     def sample_count(self) -> int:
@@ -80,6 +83,14 @@ class EmbeddingSet:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def class_rows(self, x: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Each class's rows of `x` (default: the features), class 0 first
+        and one class per step: the rows a boolean mask per class gives, in
+        input row order, taken by index from one stable argsort of the labels."""
+        x = self.features if x is None else x
+        order = np.argsort(self.labels, kind="stable")
+        return (x[rows] for rows in np.split(order, np.cumsum(self.class_counts[:-1])))
 
     def with_features(self, features: np.ndarray) -> "EmbeddingSet":
         """Same labels and identity, new feature matrix. The matrix is

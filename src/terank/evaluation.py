@@ -23,14 +23,8 @@ WEIGHTINGS = ("symmetric", "truth_ranks")
 # the header of a truth CSV, in the order write_truth writes it
 TRUTH_COLUMNS = ("model", "dataset", "regime", "pool", "accuracy")
 
-_BUNDLED = [
-    ("supervised", "vanilla"),
-    ("supervised", "lbft"),
-    ("supervised", "lft"),
-    ("self_supervised", "vanilla"),
-    ("self_supervised", "lbft"),
-    ("self_supervised", "lft"),
-]
+_BUNDLED = [(pool, regime) for pool in ("supervised", "self_supervised")
+            for regime in ("vanilla", "lbft", "lft")]
 
 
 @dataclass(frozen=True)

@@ -141,19 +141,17 @@ def score_logme(ds: EmbeddingSet) -> float:
 def score_gbc(ds: EmbeddingSet) -> float:
     """- sum over class pairs of exp(-Bhattacharyya distance).
 
-    Per-class Gaussians are diagonal with variances floored at 1e-6.
-    0 means no overlap anywhere; -C(C-1)/2 means total overlap.
+    Per-class Gaussians on `ds.class_rows` are diagonal, variances floored
+    at 1e-6. 0 means no overlap anywhere; -C(C-1)/2 means total overlap.
     """
+    if ds.class_counts.min() < 2:
+        raise DataError(f"class {ds.class_counts.argmin()} has a single sample; "
+                        "gbc needs per-class variance")
     x = np.asarray(ds.features, dtype=np.float64)
     c = ds.class_count
     means = np.empty((c, x.shape[1]))
     variances = np.empty((c, x.shape[1]))
-    for u_cls in range(c):
-        pts = x[ds.labels == u_cls]
-        if pts.shape[0] < 2:
-            raise DataError(
-                f"class {u_cls} has a single sample; gbc needs per-class variance"
-            )
+    for u_cls, pts in enumerate(ds.class_rows(x)):
         means[u_cls] = pts.mean(axis=0)
         variances[u_cls] = np.maximum(pts.var(axis=0), _VAR_FLOOR)
 
@@ -354,7 +352,8 @@ def nleep_from_responsibilities(
     """Mean log expected empirical prediction given mixture posteriors.
 
     Components with total responsibility of at most 1e-12 (empty to EM
-    too) are dropped (logged) before P(y | component) is formed.
+    too) are dropped (logged) before P(y | component) is formed. The
+    mean, not each sample's term, is capped at 0 against rounding.
     """
     col_total = resp.sum(axis=0)
     keep = col_total > _EMPTY_MASS
@@ -366,7 +365,7 @@ def nleep_from_responsibilities(
     onehot[labels, np.arange(resp.shape[0])] = 1.0
     cond = (onehot @ resp) / col_total  # P(y | v), shape (C, K')
     per_sample = np.einsum("nk,nk->n", cond[labels], resp)
-    return float(np.mean(np.log(np.maximum(per_sample, 1e-300))))
+    return min(float(np.mean(np.log(np.maximum(per_sample, 1e-300)))), 0.0)
 
 
 def score_nleep(
@@ -397,30 +396,28 @@ def score_lda(ds: EmbeddingSet, eps_scale: float = 1e-4) -> float:
     v = L'^-1 A w / sqrt(lambda), which satisfies v' (S_w + eps I) v = 1.
     Pairs with lambda <= lambda_max * C * machine eps are null directions
     of S_b: they shift every class score alike, so they are dropped.
-    The per-class score of a sample f is
-    f' U U' mu_c - mu_c' U U' mu_c / 2 + log prior. Always in [0, 1]; a
-    scatter that overflowed raises NumericError.
+    Class means and S_w are taken over `ds.class_rows`. A sample f scores
+    f' U U' mu_c - mu_c' U U' mu_c / 2 + log prior for class c. Always
+    in [0, 1]; a scatter that overflowed raises NumericError.
     """
     if not eps_scale > 0:
         raise DataError(f"eps_scale must be > 0, got {eps_scale}")
+    if ds.class_counts.min() < 2:
+        raise DataError(f"class {ds.class_counts.argmin()} has a single sample; "
+                        "lda needs per-class scatter")
     x = np.asarray(ds.features, dtype=np.float64)
     n, k = x.shape
     c = ds.class_count
 
-    counts = np.bincount(ds.labels, minlength=c).astype(np.float64)
-    if (counts < 2).any():
-        bad = int(np.flatnonzero(counts < 2)[0])
-        raise DataError(f"class {bad} has a single sample; lda needs per-class scatter")
     grand_mean = x.mean(axis=0)
     means = np.empty((c, k))
     scatter_within = np.zeros((k, k))
-    for cls in range(c):
-        pts = x[ds.labels == cls]
+    for cls, pts in enumerate(ds.class_rows(x)):
         means[cls] = pts.mean(axis=0)
         centered = pts - means[cls]
         scatter_within += centered.T @ centered
     offset = means - grand_mean
-    between_root = offset.T * np.sqrt(counts)  # S_b = B B'
+    between_root = offset.T * np.sqrt(ds.class_counts)  # S_b = B B'
 
     eps = eps_scale * float(np.trace(scatter_within)) / k
     if eps <= 0.0:
@@ -445,7 +442,7 @@ def score_lda(ds: EmbeddingSet, eps_scale: float = 1e-4) -> float:
 
     proj_means = means @ (u @ u.T)  # (C, k)
     delta = x @ proj_means.T  # f' U U' mu_c
-    delta += -0.5 * np.einsum("ck,ck->c", means, proj_means) + np.log(counts / n)
+    delta += -0.5 * np.einsum("ck,ck->c", means, proj_means) + np.log(ds.class_counts / n)
     delta -= delta.max(axis=1, keepdims=True)
     probs = np.exp(delta)
     probs /= probs.sum(axis=1, keepdims=True)

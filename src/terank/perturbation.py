@@ -62,11 +62,11 @@ def class_radius(points: np.ndarray, centroid: np.ndarray) -> float:
 
 
 def class_geometry(ds: EmbeddingSet) -> ClassGeometry:
+    """Each class's centroid and RMS radius over its `ds.class_rows`."""
     x = np.asarray(ds.features, dtype=np.float64)
     cents = np.empty((ds.class_count, x.shape[1]))
     radii = np.empty(ds.class_count)
-    for c in range(ds.class_count):
-        pts = x[ds.labels == c]
+    for c, pts in enumerate(ds.class_rows(x)):
         cents[c] = pts.mean(axis=0)
         radii[c] = class_radius(pts, cents[c])
     return ClassGeometry(centroids=cents, radii=radii)

@@ -130,13 +130,11 @@ def _sq_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def nearest_centroid_accuracy(
-    train_features: np.ndarray,
-    train_labels: np.ndarray,
+    train: EmbeddingSet,
     held_out: Iterable[tuple[np.ndarray, np.ndarray | int]],
-    class_count: int,
 ) -> float:
-    """Fraction of held-out points whose nearest training-class centroid
-    matches their label. Ties go to the lowest class index.
+    """Fraction of held-out points whose nearest centroid of a `train`
+    class matches their label. Ties go to the lowest class index.
 
     `held_out` yields `(features, labels)` blocks, where labels may be
     one class index for the whole block; a caller with whole arrays
@@ -146,13 +144,10 @@ def nearest_centroid_accuracy(
     float64 double are. Distances are computed in float64 by
     `_sq_distances`, whose rows do not depend on the other rows of their
     block, so any split into blocks gives the same bits. Each centroid
-    is the mean of its class's rows cast on their own.
+    is the mean of its `train.class_rows` block cast on its own.
     """
-    train_features = np.asarray(train_features)
-    centroids = np.stack([
-        np.asarray(train_features[train_labels == c], dtype=np.float64).mean(axis=0)
-        for c in range(class_count)
-    ])
+    centroids = np.stack([np.asarray(rows, dtype=np.float64).mean(axis=0)
+                          for rows in train.class_rows()])
     hits = total = 0
     for features, labels in held_out:
         nearest = np.argmin(_sq_distances(features, centroids), axis=1)
@@ -208,7 +203,7 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
         for c, block in enumerate(
             _class_draws(rng, centroids, cfg.per_class, cfg.noises[m]))
     )
-    acc = nearest_centroid_accuracy(ds.features, ds.labels, held_out, cfg.classes)
+    acc = nearest_centroid_accuracy(ds, held_out)
     return ds, 100.0 * acc
 
 

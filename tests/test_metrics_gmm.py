@@ -346,6 +346,10 @@ def test_nleep_never_positive():
         ds = gen_class_gaussians(3, 30, 4, rho=float(seed + 1) / 2, noise=1.0,
                                  seed=seed)
         assert score_nleep(ds, seed=seed) <= 0.0
+    # every component nearly pure: the mean log prediction rounds a few
+    # ulps above 0 unless the mean is capped
+    ds = gen_class_gaussians(10, 200, 64, rho=1.0, noise=1.0, seed=250)
+    assert score_nleep(ds, components=250, seed=1) <= 0.0
 
 
 def test_nleep_near_zero_for_tight_blobs():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from terank import (
+    EmbeddingSet,
     SplitMix64,
     ZooConfig,
     gen_class_gaussians,
@@ -136,19 +137,18 @@ def test_accuracy_monotone_in_separation_at_fixed_seed():
             g = rng_.gaussians(classes * per_class * dim)
             return np.repeat(cents, per_class, axis=0) + noise * g.reshape(-1, dim)
 
-        train = draw(rng)
+        train = EmbeddingSet(features=draw(rng), labels=labels, class_count=classes)
         test = draw(rng)
-        accs.append(
-            nearest_centroid_accuracy(train, labels, [(test, labels)], classes)
-        )
+        accs.append(nearest_centroid_accuracy(train, [(test, labels)]))
     assert all(b >= a for a, b in zip(accs, accs[1:]))
 
 
 def test_oracle_without_held_out_points_is_a_data_error():
-    train = np.eye(2, dtype=np.float32)
+    train = EmbeddingSet(features=np.eye(2, dtype=np.float32), labels=np.arange(2),
+                         class_count=2)
     for held_out in ([], [(np.empty((0, 2), np.float32), np.empty(0, np.int64))]):
         with pytest.raises(DataError, match="no held-out points"):
-            nearest_centroid_accuracy(train, np.arange(2), held_out, 2)
+            nearest_centroid_accuracy(train, held_out)
 
 
 def test_oracle_accuracy_bounded_by_chance_and_one():
@@ -246,12 +246,11 @@ def test_nearest_centroid_accuracy_keeps_the_reference_bits(
                                    elements=st.integers(0, classes - 1)))
     pred = reference_predictions(train, train_labels, test, classes)
     before = train.tobytes(), test.tobytes()
+    train_set = EmbeddingSet(features=train, labels=train_labels, class_count=classes)
 
+    assert nearest_centroid_accuracy(train_set, [(test, pred)]) == 1.0
     assert nearest_centroid_accuracy(
-        train, train_labels, [(test, pred)], classes) == 1.0
-    assert nearest_centroid_accuracy(
-        train, train_labels, [(test, test_labels)], classes
-    ) == np.mean(pred == test_labels)
+        train_set, [(test, test_labels)]) == np.mean(pred == test_labels)
     assert (train.tobytes(), test.tobytes()) == before
 
 
