@@ -1,8 +1,10 @@
 """terank: score and rank pre-trained models for a target dataset from
 their feature embeddings, with spread/attract feature perturbation.
 
-The exported names load their module on first use (PEP 562), so
-importing the package, as `import terank.cli` does, loads none of them.
+The exported names are the library API that README's "Library API"
+section lists; every other name is imported from its module. Each loads
+its module on first use (PEP 562), so importing the package, as `import
+terank.cli` does, loads none of them.
 """
 import importlib
 
@@ -14,21 +16,14 @@ RNG_BACKEND = "numpy"
 
 # exported name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
+    **dict.fromkeys(["EmbeddingSet", "load_emb1", "save_emb1", "load_csv"],
                     "embeddings"),
-    **dict.fromkeys(["ImprovementRow", "ModelRow", "RankingReport", "ScoreRecord",
-                     "TruthTable", "improvement_summary", "load_bundled_truth",
-                     "load_truth", "rank_cells", "weighted_kendall_tau"], "evaluation"),
-    **dict.fromkeys(["GmmModel", "fit_gmm", "maximize_evidence", "score_gbc",
-                     "score_lda", "score_logme", "score_metric", "score_model",
-                     "score_nleep"], "metrics"),
-    **dict.fromkeys(["ClassGeometry", "PerturbConfig", "attract", "class_geometry",
-                     "class_radius", "sa_perturb", "spread"], "perturbation"),
-    **dict.fromkeys(["PcaModel", "fit_pca"], "reduction"),
-    "SplitMix64": "rng",
-    **dict.fromkeys(["ZooConfig", "gen_class_gaussians", "gen_zoo_model",
-                     "nearest_centroid_accuracy"], "synth"),
-    **dict.fromkeys(["AttractDirection", "MetricId", "PerturbMode"], "vocabulary"),
+    **dict.fromkeys(["score_model", "score_logme", "score_gbc", "score_nleep",
+                     "score_lda"], "metrics"),
+    "PerturbConfig": "perturbation",
+    **dict.fromkeys(["rank_cells", "improvement_summary", "weighted_kendall_tau",
+                     "load_truth", "load_bundled_truth"], "evaluation"),
+    **dict.fromkeys(["gen_zoo_model", "ZooConfig"], "synth"),
 }
 
 __all__ = ["RNG_BACKEND", *_EXPORTS]

@@ -26,9 +26,11 @@ _HEADER = struct.Struct("<4I")  # N, D, C, reserved
 class EmbeddingSet:
     """N feature rows with integer class labels in [0, class_count).
 
-    Immutable after construction; the arrays are marked read-only so a
-    set can be shared across worker threads. `class_counts` holds each
-    class's row count.
+    Immutable after construction: the set holds read-only views, so it
+    can be shared across worker threads. The views share the caller's
+    memory whenever its arrays already have the set's dtype and layout;
+    the caller's own arrays stay writable, and writing them changes the
+    set. `class_counts` holds each class's row count.
     """
 
     features: np.ndarray
@@ -69,7 +71,9 @@ class EmbeddingSet:
         present = np.bincount(labels, minlength=self.class_count)
         if present.min() == 0:
             raise DataError(f"class {present.argmin()} has no samples")
-        feats = np.ascontiguousarray(feats)
+        # views, so the caller's arrays keep their own flags
+        feats = np.ascontiguousarray(feats).view()
+        labels = labels.view()
         for array in (feats, labels, present):
             array.setflags(write=False)
         object.__setattr__(self, "features", feats)

@@ -50,25 +50,17 @@ class ClassGeometry:
     radii: np.ndarray  # (C,)
 
 
-def class_radius(points: np.ndarray, centroid: np.ndarray) -> float:
-    """Root-mean-square distance to the centroid.
-
-    Equals the Euclidean norm of the per-dimension population standard
-    deviations when the centroid is the mean of the points.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    diff = points - np.asarray(centroid, dtype=np.float64)
-    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
-
-
 def class_geometry(ds: EmbeddingSet) -> ClassGeometry:
-    """Each class's centroid and RMS radius over its `ds.class_rows`."""
+    """Each class's centroid and RMS radius over its `ds.class_rows`: the
+    root-mean-square distance to the centroid, which equals the Euclidean
+    norm of the per-dimension population standard deviations."""
     x = np.asarray(ds.features, dtype=np.float64)
     cents = np.empty((ds.class_count, x.shape[1]))
     radii = np.empty(ds.class_count)
     for c, pts in enumerate(ds.class_rows(x)):
         cents[c] = pts.mean(axis=0)
-        radii[c] = class_radius(pts, cents[c])
+        diff = pts - cents[c]
+        radii[c] = np.sqrt(np.mean(np.sum(diff * diff, axis=1)))
     return ClassGeometry(centroids=cents, radii=radii)
 
 

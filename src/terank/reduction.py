@@ -18,26 +18,12 @@ DEFAULT_ENERGY = 0.8
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Mean vector, orthonormal component rows, eigenvalue spectrum, and
-    the fitted set itself projected onto the components."""
+    """Orthonormal component rows, the share of the spectrum they keep,
+    and the fitted set itself projected onto them."""
 
-    mean: np.ndarray  # (D,)
     components: np.ndarray  # (k, D), rows orthonormal
-    eigenvalues: np.ndarray  # (k,), non-increasing, >= 0
-    energy_retained: float
+    energy_retained: float  # in (0, 1]
     reduced: EmbeddingSet  # (N, k) float64 features, the fit's labels
-
-    def __post_init__(self):
-        k, d = self.components.shape
-        gram = self.components @ self.components.T
-        if not np.allclose(gram, np.eye(k), atol=1e-5):
-            raise DataError("component rows are not orthonormal")
-        ev = self.eigenvalues
-        slack = (ev[0] if ev.size else 0.0) * 1e-9 + 1e-12
-        if (np.diff(ev) > slack).any() or (ev < 0).any():
-            raise DataError("eigenvalues must be non-increasing and >= 0")
-        if not 0.0 < self.energy_retained <= 1.0 + 1e-12:
-            raise DataError("energy_retained must lie in (0, 1]")
 
     @property
     def rank(self) -> int:
@@ -118,9 +104,7 @@ def fit_pca(
 
     comps = _positive_peaks(comps[:k].copy())
     return PcaModel(
-        mean=mean,
         components=comps,
-        eigenvalues=evals[:k].copy(),
         energy_retained=min(float(ratios[k - 1]), 1.0),
         reduced=ds.with_features(x @ comps.T),
     )

@@ -15,14 +15,8 @@ from click.testing import CliRunner
 
 from terank import (
     EmbeddingSet,
-    MetricId,
     PerturbConfig,
-    PerturbMode,
     ZooConfig,
-    attract,
-    class_geometry,
-    class_radius,
-    gen_class_gaussians,
     gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
@@ -31,13 +25,15 @@ from terank import (
     score_lda,
     score_model,
     score_nleep,
-    spread,
     weighted_kendall_tau,
 )
 from terank.cli import main
 from terank.evaluation import RankingReport, bundled_truth_text
-from terank.metrics import maximize_evidence
-from terank.synth import zoo_truth
+from terank.perturbation import attract, class_geometry, spread
+from terank.synth import gen_class_gaussians, zoo_truth
+from terank.vocabulary import MetricId, PerturbMode
+from test_metrics import maximize_evidence
+from test_perturbation import rms_radius
 
 
 @contextmanager
@@ -80,7 +76,7 @@ def test_criterion_02_radius_form_equivalence():
         for _ in range(100):
             pts = rng.normal(size=(int(rng.integers(2, 60)), int(rng.integers(1, 12))))
             pts = pts * rng.uniform(0.01, 50.0) + rng.normal() * 10.0
-            rms = class_radius(pts, pts.mean(axis=0))
+            rms = rms_radius(pts)
             norm_of_stds = float(np.linalg.norm(pts.std(axis=0)))
             assert abs(rms - norm_of_stds) < 1e-6
 

@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 from terank import (
     EmbeddingSet,
     PerturbConfig,
-    PerturbMode,
     ZooConfig,
-    class_geometry,
-    class_radius,
     gen_zoo_model,
-    nearest_centroid_accuracy,
-    sa_perturb,
     score_gbc,
     score_lda,
 )
 from terank.errors import DataError
+from terank.perturbation import class_geometry, sa_perturb
+from terank.synth import nearest_centroid_accuracy
+from terank.vocabulary import PerturbMode
 
 _VAR_FLOOR = 1e-6
 
@@ -34,7 +32,8 @@ def mask_geometry(ds):
     for c in range(ds.class_count):
         pts = x[ds.labels == c]
         cents[c] = pts.mean(axis=0)
-        radii[c] = class_radius(pts, cents[c])
+        diff = pts - cents[c]
+        radii[c] = np.sqrt(np.mean(np.sum(diff * diff, axis=1)))
     return cents, radii
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from terank import cli, load_emb1, metrics, score_metric, synth
+from terank import PerturbConfig, cli, load_emb1, metrics, score_model, synth
 from terank.cli import main
 from terank.errors import NumericError
 from test_synth import held_out_overflow
@@ -808,9 +808,11 @@ def test_raw_records_are_the_metric_on_the_input_features(zoo_dir, tmp_path):
             "--out", str(out)])
     records = json.loads(out.read_text())["records"]
     files = sorted(zoo_dir.glob("*.emb1"))
+    raw = [PerturbConfig(mode="raw")]
     assert [(r["model"], r["metric"], r["score"]) for r in records] == [
-        (path.stem, metric, score_metric(load_emb1(path), metric, seed=seed ^ i))
-        for i, path in enumerate(files) for metric in METRICS]
+        (rec.model_id, rec.metric, rec.score)
+        for i, path in enumerate(files)
+        for rec in score_model(load_emb1(path), METRICS, raw, seed=seed ^ i)]
     assert all(r["mode"] == "raw" and r["perturbed"] is False for r in records)
 
 

@@ -2,7 +2,8 @@
 dependency, and neither `import terank.cli`, `synth` nor `evaluate` loads
 the scoring stack (metrics, perturbation, reduction), since the score
 record and its file's reader live in evaluation.py; the package's exports
-resolve lazily to their modules' objects. Source scans also keep scipy
+resolve lazily to their modules' objects and are the names README's
+"Library API" section lists. Source scans also keep scipy
 imports, import-only-for-typing blocks, error classes beyond the two
 exit-code families, any thread pool but the CLI's one, any per-model seed
 rule but the CLI's one, any output path but the CLI's one, any grouping or
@@ -17,6 +18,7 @@ import builtins
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +29,8 @@ from click.testing import CliRunner
 import terank
 from terank.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # runs the CLI with the arguments given, then prints the loaded modules
 # as the last stdout line
@@ -140,29 +143,35 @@ def test_sweep_loads_no_scipy(zoo, tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
 
 
-# the package's 40 exports, each under the module it has always been
-# importable from; the three enums are defined in terank.vocabulary, and
-# these paths must still resolve to them
+# the package's 17 exports, the library API that README's "Library API"
+# section lists, each under the module that defines it
 PACKAGE_EXPORTS = {
     "embeddings": ["EmbeddingSet", "load_csv", "load_emb1", "save_emb1"],
-    "evaluation": ["ImprovementRow", "ModelRow", "RankingReport", "TruthTable",
-                   "improvement_summary", "load_bundled_truth", "load_truth",
+    "evaluation": ["improvement_summary", "load_bundled_truth", "load_truth",
                    "rank_cells", "weighted_kendall_tau"],
-    "metrics": ["GmmModel", "MetricId", "ScoreRecord", "fit_gmm", "maximize_evidence",
-                "score_gbc", "score_lda", "score_logme", "score_metric", "score_model",
-                "score_nleep"],
-    "perturbation": ["AttractDirection", "ClassGeometry", "PerturbConfig", "PerturbMode",
-                     "attract", "class_geometry", "class_radius", "sa_perturb", "spread"],
-    "reduction": ["PcaModel", "fit_pca"],
-    "rng": ["SplitMix64"],
-    "synth": ["ZooConfig", "gen_class_gaussians", "gen_zoo_model",
-              "nearest_centroid_accuracy"],
+    "metrics": ["score_gbc", "score_lda", "score_logme", "score_model", "score_nleep"],
+    "perturbation": ["PerturbConfig"],
+    "synth": ["ZooConfig", "gen_zoo_model"],
 }
+
+
+def readme_library_api():
+    """README's "Library API" section: the names it lists, in its order,
+    and its example's code."""
+    section = (ROOT / "README.md").read_text().split("## Library API", 1)[1]
+    listed, example = section.split("\n## ", 1)[0].split("```python\n", 1)
+    return re.findall(r"^- `(\w+)`", listed, re.M), example.split("```", 1)[0]
 
 
 def test_package_exports_resolve_to_their_module_objects():
     names = [name for names in PACKAGE_EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 40
+    assert len(names) == len(set(names)) == 17
+    listed, example = readme_library_api()
+    assert sorted(listed) == sorted(names)
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse(example))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert {name for module, name in imported if module == "terank"} <= set(names)
+    assert all(not module.startswith("terank.") for module, _ in imported)
     wrong = []
     for module, exported in PACKAGE_EXPORTS.items():
         source = importlib.import_module(f"terank.{module}")
@@ -174,10 +183,6 @@ def test_package_exports_resolve_to_their_module_objects():
     assert wrong == []
     assert set(names) <= set(dir(terank))
     assert set(terank.__all__) == {"RNG_BACKEND", *names}
-    for name in ("MetricId", "PerturbMode", "AttractDirection"):
-        assert getattr(terank, name).__module__ == "terank.vocabulary"
-    # defined beside rank_cells; terank.metrics.ScoreRecord is the same class
-    assert terank.ScoreRecord.__module__ == "terank.evaluation"
 
 
 def test_package_keeps_its_plain_attributes_and_refuses_unknown_names():

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import (
-    EmbeddingSet,
-    gen_class_gaussians,
-    load_csv,
-    load_emb1,
-    save_emb1,
-)
+from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
 from terank.errors import DataError
+from terank.synth import gen_class_gaussians
 
 
 def emb1_bytes(n, d, c, features, labels, magic=b"EMB1", reserved=0):
@@ -208,6 +203,37 @@ def test_features_are_read_only():
     ds = small_set()
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_the_callers_arrays_stay_writable(dtype):
+    x = np.zeros((4, 2), dtype=dtype)
+    y = np.array([0, 1, 0, 1], dtype=np.int64)
+    ds = EmbeddingSet(features=x, labels=y, class_count=2)
+    assert x.flags.writeable and y.flags.writeable
+    for array in (ds.features, ds.labels, ds.class_counts):
+        assert not array.flags.writeable
+    # the set's arrays share the caller's memory wherever no cast was needed
+    assert np.shares_memory(ds.labels, y)
+    assert np.shares_memory(ds.features, x) == (dtype != np.int64)
+    x[0, 0] = 1
+    y[0] = 1
+    assert x[0, 0] == 1 and y[0] == 1
+
+
+def test_a_set_of_read_only_arrays_works():
+    x = np.arange(8, dtype=np.float64).reshape(4, 2)
+    y = np.array([0, 1, 0, 1])
+    for array in (x, y):
+        array.setflags(write=False)
+    ds = EmbeddingSet(features=x, labels=y, class_count=2)
+    derived = ds.with_features(ds.features * 2.0)
+    assert derived.labels.tolist() == [0, 1, 0, 1]
+    assert derived.class_counts.tolist() == [2, 2]
+    assert [rows.tolist() for rows in ds.class_rows()] == [[[0.0, 1.0], [4.0, 5.0]],
+                                                           [[2.0, 3.0], [6.0, 7.0]]]
+    with pytest.raises(ValueError):
+        ds.labels[0] = 1
 
 
 @given(

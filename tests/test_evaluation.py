@@ -9,10 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import (
-    MetricId,
-    PerturbMode,
-    RankingReport,
-    ScoreRecord,
     gen_zoo_model,
     improvement_summary,
     load_bundled_truth,
@@ -22,8 +18,15 @@ from terank import (
     ZooConfig,
 )
 from terank.errors import DataError
-from terank.evaluation import bundled_truth_text, write_truth
+from terank.evaluation import (
+    RankingReport,
+    ScoreRecord,
+    TruthTable,
+    bundled_truth_text,
+    write_truth,
+)
 from terank.synth import zoo_truth
+from terank.vocabulary import MetricId, PerturbMode
 
 # sha256 of the bundled accuracy tables; these files are transcription,
 # not computation, so any drift is an error
@@ -251,8 +254,6 @@ def test_two_model_report_trivial():
 
 
 def load_truth_from_rows(rows):
-    from terank import TruthTable
-
     return TruthTable(
         records={
             (m, "synthetic", "synthetic", "synthetic"): acc for m, acc in rows

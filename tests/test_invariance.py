@@ -27,7 +27,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet, MetricId, PerturbConfig, PerturbMode, score_model
+from terank import EmbeddingSet, PerturbConfig, score_model
+from terank.vocabulary import MetricId, PerturbMode
 
 BOUND = 1e-12
 MODES = [PerturbMode.RAW, PerturbMode.NONE, PerturbMode.SA]

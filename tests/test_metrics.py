@@ -7,10 +7,7 @@ import scipy.stats
 
 from terank import (
     EmbeddingSet,
-    MetricId,
     PerturbConfig,
-    PerturbMode,
-    gen_class_gaussians,
     gen_zoo_model,
     score_gbc,
     score_logme,
@@ -19,7 +16,17 @@ from terank import (
 )
 from terank import metrics
 from terank.errors import DataError
-from terank.metrics import maximize_evidence
+from terank.metrics import _evidence_basis, _evidence_fixed_point
+from terank.perturbation import sa_perturb
+from terank.synth import gen_class_gaussians
+from terank.vocabulary import MetricId, PerturbMode
+
+
+def maximize_evidence(features, targets):
+    """The log evidence of one target vector and its trace, as score_logme
+    computes it per class."""
+    u, s2, n, k = _evidence_basis(features)
+    return _evidence_fixed_point(s2, u.T @ targets, float(targets @ targets), n, k)
 
 
 def binary_set(features, labels):
@@ -246,12 +253,10 @@ def test_gbc_singleton_class_names_the_class():
 # --- scoring front end ---------------------------------------------------------
 
 def test_mode_none_reproduces_unperturbed_baseline():
-    from terank import sa_perturb, score_metric
-
     ds = gen_class_gaussians(3, 40, 8, rho=3.0, noise=1.0, seed=8)
     [rec] = score_model(ds, [MetricId.GBC], [PerturbConfig(mode=PerturbMode.NONE)])
     [(reduced, _)] = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE)])
-    baseline = score_metric(reduced, MetricId.GBC)
+    baseline = score_gbc(reduced)
     assert rec.score == baseline
     assert rec.perturbed is False
     assert rec.mode == "none"

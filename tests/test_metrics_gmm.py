@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from numpy.lib.introspect import opt_func_info
 
-from terank import EmbeddingSet, fit_gmm, gen_class_gaussians, score_nleep
+from terank import EmbeddingSet, score_nleep
 from terank import metrics
 from terank.errors import DataError, NumericError
 from terank.metrics import (
@@ -20,9 +20,11 @@ from terank.metrics import (
     _kmeanspp_centers,
     _log_joint,
     _logsumexp_components,
+    fit_gmm,
     nleep_from_responsibilities,
 )
 from terank.rng import SplitMix64
+from terank.synth import gen_class_gaussians
 
 
 def _row_major_log_joint(x, means, variances, weights):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from terank import EmbeddingSet, gen_class_gaussians
+from terank import EmbeddingSet, score_lda
 from terank.errors import DataError, NumericError
-from terank.metrics import score_lda
+from terank.synth import gen_class_gaussians
 
 
 def scipy_lda(ds, eps_scale=1e-4):

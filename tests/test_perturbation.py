@@ -4,20 +4,12 @@ import logging
 import numpy as np
 import pytest
 
-from terank import (
-    AttractDirection,
-    EmbeddingSet,
-    PerturbConfig,
-    PerturbMode,
-    attract,
-    class_geometry,
-    class_radius,
-    fit_pca,
-    gen_class_gaussians,
-    sa_perturb,
-    spread,
-)
+from terank import EmbeddingSet, PerturbConfig
 from terank.errors import DataError
+from terank.perturbation import attract, class_geometry, sa_perturb, spread
+from terank.reduction import fit_pca
+from terank.synth import gen_class_gaussians
+from terank.vocabulary import AttractDirection, PerturbMode
 
 
 def make_set(features, labels, classes):
@@ -30,9 +22,18 @@ def make_set(features, labels, classes):
 
 # --- radius ------------------------------------------------------------------
 
+def rms_radius(points):
+    """`class_geometry`'s radius of `points` as class 0 of a set whose
+    class 1 is one more row."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.r_[np.zeros(len(points), dtype=np.int64), 1]
+    ds = make_set(np.vstack([points, points[:1]]), labels, 2)
+    return float(class_geometry(ds).radii[0])
+
+
 def test_radius_examples():
-    assert class_radius([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0]) == 1.0
-    assert class_radius([[3.0, 4.0]], [3.0, 4.0]) == 0.0
+    assert rms_radius([[1.0, 0.0], [-1.0, 0.0]]) == 1.0
+    assert rms_radius([[3.0, 4.0]]) == 0.0
 
 
 def test_radius_equals_norm_of_stds():
@@ -40,8 +41,7 @@ def test_radius_equals_norm_of_stds():
     for _ in range(100):
         pts = rng.normal(size=(int(rng.integers(2, 50)), int(rng.integers(1, 9))))
         pts *= rng.uniform(0.05, 20.0)
-        c = pts.mean(axis=0)
-        rms = class_radius(pts, c)
+        rms = rms_radius(pts)
         norm_of_stds = float(np.linalg.norm(pts.std(axis=0)))
         assert abs(rms - norm_of_stds) < 1e-6
 

@@ -4,15 +4,9 @@ labels, near-duplicate points)."""
 import numpy as np
 import pytest
 
-from terank import (
-    EmbeddingSet,
-    MetricId,
-    PerturbConfig,
-    PerturbMode,
-    sa_perturb,
-    score_metric,
-    score_model,
-)
+from terank import EmbeddingSet, PerturbConfig, score_model
+from terank.perturbation import sa_perturb
+from terank.vocabulary import MetricId, PerturbMode
 
 CASES = [
     # (classes, per-class counts, dim, spread scale, noise, pca kwargs)
@@ -50,9 +44,10 @@ def test_pipeline_stays_finite(case_index, mode):
     [(out, _)] = sa_perturb(ds, [cfg], **pca)
     assert np.isfinite(out.features).all()
     assert out.labels.tolist() == ds.labels.tolist()
-    for metric in MetricId:
-        value = score_metric(out, metric, seed=case_index)
-        assert np.isfinite(value), (metric, mode, case_index)
+    # score_model raises NumericError on a score that is not finite
+    records = score_model(ds, list(MetricId), [cfg], seed=case_index, **pca)
+    for rec in records:
+        assert np.isfinite(rec.score), (rec.metric, mode, case_index)
 
 
 @pytest.mark.parametrize("case_index", range(len(CASES)))

@@ -8,8 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet, SplitMix64, class_geometry, fit_pca, spread
-from terank.reduction import DEFAULT_ENERGY
+from terank import EmbeddingSet
+from terank.perturbation import class_geometry, spread
+from terank.reduction import DEFAULT_ENERGY, fit_pca
+from terank.rng import SplitMix64
 from terank.synth import _draw_points
 
 
@@ -77,7 +79,7 @@ def old_fit_pca(ds, energy=None, rank=None):
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    return mean, comps, evals[:k].copy(), min(float(ratios[k - 1]), 1.0)
+    return mean, comps, min(float(ratios[k - 1]), 1.0)
 
 
 def old_spread(ds, geometry):
@@ -99,15 +101,13 @@ def check_stages(ds, pca_kwargs):
     before = ds.features.tobytes()
     model = fit_pca(ds, **pca_kwargs)
     assert ds.features.tobytes() == before  # centered a copy, not the input
-    mean, comps, evals, energy = old_fit_pca(ds, **pca_kwargs)
-    for new, old in ((model.mean, mean), (model.components, comps),
-                     (model.eigenvalues, evals)):
-        assert_same_bits(new, old)
+    mean, comps, energy = old_fit_pca(ds, **pca_kwargs)
+    assert_same_bits(model.components, comps)
     assert model.energy_retained == energy
 
     x = np.asarray(ds.features, dtype=np.float64)
     reduced = model.reduced
-    assert_same_bits(reduced.features, (x - model.mean) @ model.components.T)
+    assert_same_bits(reduced.features, (x - mean) @ model.components.T)
     assert reduced.labels.tobytes() == ds.labels.tobytes()
 
     for base in (ds, reduced):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet, fit_pca, gen_class_gaussians
+from terank import EmbeddingSet
 from terank.errors import DataError
-from terank.reduction import _positive_peaks
+from terank.reduction import _positive_peaks, fit_pca
+from terank.synth import gen_class_gaussians
 
 
 def make_set(features, labels=None, classes=2):
@@ -29,13 +30,25 @@ def gaussian_cloud(n, d, seed, scale=None):
     return make_set(x)
 
 
+def spectrum(ds):
+    """fit_pca's eigenvalues, largest first: the population (1/N) spectrum
+    of the centered features, from the smaller of covariance and Gram."""
+    x = ds.features.astype(np.float64)
+    x -= x.mean(axis=0)
+    n, d = x.shape
+    m = (x.T @ x) / n if d <= n else (x @ x.T) / n
+    return np.maximum(np.linalg.eigh(m)[0][::-1][:min(n - 1, d)], 0.0)
+
+
 def test_collinear_data_is_rank_one():
     t = np.linspace(-3, 3, 12)
     ds = make_set(np.stack([t, 2 * t], axis=1))
+    evals = spectrum(ds)
     for energy in (0.2, 0.8, 1.0):
         model = fit_pca(ds, energy=energy)
         assert model.rank == 1
-        assert model.eigenvalues[0] / model.eigenvalues.sum() == pytest.approx(1.0)
+        assert evals[0] / evals.sum() == pytest.approx(1.0)
+        assert model.energy_retained == pytest.approx(1.0)
 
 
 def test_energy_one_keeps_min_n1_d_components():
@@ -47,8 +60,9 @@ def test_reconstruction_error_with_all_components():
     ds = gaussian_cloud(40, 6, 7)
     model = fit_pca(ds, energy=1.0)
     x = ds.features.astype(np.float64)
-    proj = (x - model.mean) @ model.components.T
-    recon = proj @ model.components + model.mean
+    mean = x.mean(axis=0)
+    proj = (x - mean) @ model.components.T
+    recon = proj @ model.components + mean
     rel = np.linalg.norm(recon - x) / np.linalg.norm(x)
     assert rel < 1e-4
 
@@ -76,15 +90,16 @@ def test_output_column_variance_matches_eigenvalue():
     model = fit_pca(ds, energy=1.0)
     out = model.reduced
     variances = out.features.var(axis=0)  # population, matching fit
-    np.testing.assert_allclose(variances, model.eigenvalues, rtol=1e-4)
+    np.testing.assert_allclose(variances, spectrum(ds)[:model.rank], rtol=1e-4)
 
 
 def test_transform_is_affine_on_rows():
     ds = gaussian_cloud(20, 5, 17)
     model = fit_pca(ds, energy=0.9)
+    mean = ds.features.astype(np.float64).mean(axis=0)
 
     def apply(rows):
-        return (rows - model.mean) @ model.components.T
+        return (rows - mean) @ model.components.T
 
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(2, 5))
@@ -179,7 +194,9 @@ def test_gram_path_matches_covariance_path():
         j = np.argmax(np.abs(row))
         if row[j] < 0:
             row *= -1
-    np.testing.assert_allclose(model.eigenvalues, np.maximum(evals, 0), atol=1e-10)
+    # the projected columns' population variances are fit_pca's eigenvalues
+    np.testing.assert_allclose(model.reduced.features.var(axis=0), np.maximum(evals, 0),
+                               atol=1e-10)
     np.testing.assert_allclose(model.components, comps, atol=1e-8)
 
 
@@ -187,6 +204,37 @@ def test_orthonormal_components():
     model = fit_pca(gaussian_cloud(25, 8, 29), energy=1.0)
     gram = model.components @ model.components.T
     np.testing.assert_allclose(gram, np.eye(model.rank), atol=1e-5)
+
+
+@st.composite
+def pca_inputs(draw):
+    """Sets on both of fit_pca's paths (D <= N covariance, D > N Gram),
+    built from a few distinct rows repeated, in classes of 2 rows or more."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 40))
+    distinct = draw(st.integers(2, n))
+    classes = draw(st.integers(2, n // 2))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(distinct, d)) * scale + rng.normal(size=d) * scale
+    return EmbeddingSet(features=rows[np.arange(n) % distinct].astype(dtype),
+                        labels=np.arange(n) % classes, class_count=classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=pca_inputs(),
+       pca_kwargs=st.sampled_from([{}, {"energy": 0.5}, {"energy": 1.0},
+                                   {"rank": 1}, {"rank": 3}]))
+def test_fit_pca_output_invariants(ds, pca_kwargs):
+    # the checks PcaModel once ran on every fit, held here instead
+    model = fit_pca(ds, **pca_kwargs)
+    n, d = ds.features.shape
+    assert isinstance(model.rank, int) and 1 <= model.rank <= min(n - 1, d)
+    gram = model.components @ model.components.T
+    np.testing.assert_allclose(gram, np.eye(model.rank), atol=1e-5)
+    assert 0.0 < model.energy_retained <= 1.0
+    assert model.reduced.features.shape == (n, model.rank)
 
 
 def test_rank_is_clamped():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terank import SplitMix64
 from terank import rng as rng_module
+from terank.rng import SplitMix64
 from test_cold_start import NUMPY_TRANSCENDENTALS
 
 MASK = 0xFFFFFFFFFFFFFFFF

@@ -7,19 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from terank import (
-    EmbeddingSet,
-    SplitMix64,
-    ZooConfig,
-    gen_class_gaussians,
-    nearest_centroid_accuracy,
-    save_emb1,
-    synth,
-)
+from terank import EmbeddingSet, ZooConfig, save_emb1, synth
 from terank.errors import DataError, NumericError
+from terank.rng import SplitMix64
 from terank.synth import (
     _sq_distances,
+    gen_class_gaussians,
     gen_zoo_model,
+    nearest_centroid_accuracy,
     zoo_truth,
 )
 from test_prepare_bits import old_draw_points
