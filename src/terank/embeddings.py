@@ -124,7 +124,9 @@ def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
 
 
 def load_emb1(path: str | Path) -> EmbeddingSet:
-    """Parse an EMB1 file; the model id is the file stem."""
+    """Parse an EMB1 file; the model id is the file stem. The features are
+    a read-only view of the file's bytes, which stay alive with the set:
+    nothing is copied out of them."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
@@ -143,7 +145,7 @@ def load_emb1(path: str | Path) -> EmbeddingSet:
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset)
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=offset + n * d * 4)
     return EmbeddingSet(
-        features=feats.reshape(n, d).copy(),
+        features=feats.reshape(n, d),
         labels=labels.astype(np.int64),
         class_count=c,
         model_id=path.stem,

@@ -118,14 +118,57 @@ def attract(
     weights = np.where(usable, gap, 0.0)
     disp = np.einsum("uvk,uv->uk", units, weights)
 
-    x = np.asarray(ds.features, dtype=np.float64)
-    return ds.with_features(x + cfg.alpha * disp[ds.labels])
+    # formed inside the gather: alpha * disp[labels] + x has the bits of
+    # x + alpha * disp[labels], since IEEE addition is commutative
+    moved = disp[ds.labels]
+    moved *= cfg.alpha
+    moved += ds.features
+    return ds.with_features(moved)
 
 
 def _timed(fn, *args):
     start = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - start
+
+
+def _last_reads(modes: Sequence[PerturbMode]) -> dict[str, int]:
+    """Each stage that some mode reads -> the index of the last one that
+    reads it. A mode reads its base set (`spread` if it spreads, else
+    `pca`) and, if it attracts, that set's geometry; the first mode that
+    spreads also reads `pca` and `pca geometry`, which it builds from."""
+    last = {}
+    for i, mode in enumerate(modes):
+        if mode is PerturbMode.RAW:
+            continue
+        base = "spread" if mode.spreads else "pca"
+        if mode.spreads and "spread" not in last:
+            last["pca"] = last["pca geometry"] = i
+        last[base] = i
+        if mode.attracts:
+            last[f"{base} geometry"] = i
+    return last
+
+
+def _run_stage(stages, last, name, build, *inputs):
+    """Run stage `name` as `build` of its input stages' sets, then its
+    geometry if a mode reads that. A set's seconds sum the stages it is
+    built from."""
+    out, seconds = _timed(build, *(stages[stage][0] for stage in inputs))
+    stages[name] = out, seconds + sum(stages[stage][1] for stage in inputs)
+    if f"{name} geometry" in last:
+        stages[f"{name} geometry"] = _timed(class_geometry, out)
+
+
+def _prepare(cfg, stages):
+    """The set of one config that is not raw, from its stages, and its seconds."""
+    base = "spread" if cfg.mode.spreads else "pca"
+    features, seconds = stages[base]
+    if cfg.mode.attracts:
+        geom, geom_s = stages[f"{base} geometry"]
+        features, attract_s = _timed(attract, features, geom, cfg)
+        seconds += geom_s + attract_s
+    return features, seconds
 
 
 def sa_perturb(
@@ -136,39 +179,39 @@ def sa_perturb(
 ) -> Iterator[tuple[EmbeddingSet, float]]:
     """The one preprocessing chain: PCA, then spread, then attract.
 
-    Yields a `(set, seconds)` pair per config, in order and lazily, so
-    one attracted copy is alive at a time. mode=raw yields `raw` itself
-    with 0 seconds; any other mode takes the spread set if it spreads,
-    else the reduced set, and attracts it with its class geometry if it
-    attracts. Each stage that some config needs runs once, in pipeline
-    order, when the first config that is not raw is reached. A raw-only
-    run fits no PCA. `seconds` sums the stages the set depends on, each
-    timed once.
+    Yields a `(set, seconds)` pair per config, in order and lazily.
+    mode=raw yields `raw` itself with 0 seconds; any other mode takes the
+    spread set if it spreads, else the reduced set, and attracts it with
+    its class geometry if it attracts. `seconds` sums the stages the set
+    depends on, each timed once.
 
-    Memory per model: the caller's `raw` set, the reduced set, the spread
-    set when a config spreads, and one attracted copy; while the PCA
-    stage runs, also `fit_pca`'s one float64 copy of `raw`. The CLI
-    streams its pool, so at most `--jobs` models hold these at once.
+    Each stage runs once, when a config first needs it: `pca` and
+    `pca geometry` at the first config that is not raw, `spread` and
+    `spread geometry` at the first config that spreads. A raw-only run
+    fits no PCA. A stage's set is dropped after the last config that
+    reads it; `pca` stays until the spread set is built from it. The
+    generator drops the set it yielded before it builds the next one.
+
+    Memory per model, beside the caller's `raw` set: the reduced set
+    while a later config reads it, the spread set while one does, and
+    the set being built with its inputs, so at most one attracted set if
+    the caller keeps none; while the PCA stage runs, also `fit_pca`'s one
+    float64 copy of `raw`. The CLI streams its pool, so at most `--jobs`
+    models hold these at once.
     """
-    stages = {}  # stage -> (output, seconds); a set's seconds sum the stages to it
-    for cfg in configs:
+    last = _last_reads([cfg.mode for cfg in configs])
+    stages = {}  # stage -> (output, seconds), from its first reader to its last
+    for i, cfg in enumerate(configs):
         if cfg.mode is PerturbMode.RAW:
             yield raw, 0.0
             continue
-        if not stages:
-            reduced, reduce_s = stages["pca"] = _timed(
-                lambda: fit_pca(raw, energy=energy, rank=rank).reduced)
-            if any(c.mode.perturbed for c in configs):
-                geom, geom_s = stages["pca geometry"] = _timed(class_geometry, reduced)
-            if any(c.mode.spreads for c in configs):
-                spread_set, spread_s = _timed(spread, reduced, geom)
-                stages["spread"] = (spread_set, reduce_s + geom_s + spread_s)
-            if any(c.mode.spreads and c.mode.attracts for c in configs):
-                stages["spread geometry"] = _timed(class_geometry, spread_set)
-        base = "spread" if cfg.mode.spreads else "pca"
-        features, seconds = stages[base]
-        if cfg.mode.attracts:
-            geom, geom_s = stages[f"{base} geometry"]
-            features, attract_s = _timed(attract, features, geom, cfg)
-            seconds += geom_s + attract_s
-        yield features, seconds
+        if "pca" not in stages and i <= last["pca"]:  # the first config not raw
+            _run_stage(stages, last, "pca",
+                       lambda: fit_pca(raw, energy=energy, rank=rank).reduced)
+        if cfg.mode.spreads and "spread" not in stages:
+            _run_stage(stages, last, "spread", spread, "pca", "pca geometry")
+        prepared = _prepare(cfg, stages)
+        for name in [name for name in stages if last[name] == i]:
+            del stages[name]
+        yield prepared
+        del prepared  # before the next config builds its set

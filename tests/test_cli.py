@@ -778,6 +778,8 @@ ALL_MODES = ["--mode", "raw", "--mode", "none", "--mode", "spread",
     pytest.param(["score", "--mode", "spread"], 1, 1, 1, id="spread"),
     pytest.param(["score", "--mode", "attract"], 1, 0, 1, id="attract"),
     pytest.param(["score", "--mode", "raw"], 0, 0, 0, id="raw"),
+    # the reduced set outlives the spread stage built from it: no refit
+    pytest.param(["score", "--mode", "sa", "--mode", "none"], 1, 1, 2, id="sa-none"),
 ])
 def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, args, fit_pca,
                                           spread, class_geometry):

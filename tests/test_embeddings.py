@@ -1,6 +1,7 @@
 """EmbeddingSet validation, EMB1 byte layout, CSV ingestion."""
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ def test_round_trip_bit_identical(tmp_path):
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels.tolist() == ds.labels.tolist()
     assert back.class_count == ds.class_count
+
+
+def test_load_shares_the_file_buffer_and_peaks_under_one_and_a_half_files(tmp_path):
+    # zoobench's model shape, 2000 x 128: the features are a read-only view
+    # of the file's bytes; copying them out of the buffer peaked at 2.2 files
+    path = tmp_path / "z.emb1"
+    save_emb1(gen_class_gaussians(10, 200, 128, rho=1.0, noise=1.0, seed=3), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        ds = load_emb1(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size
+    assert not ds.features.flags.owndata and not ds.features.flags.writeable
+    assert ds.features.tobytes() == path.read_bytes()[20:20 + 2000 * 128 * 4]
 
 
 def test_two_saves_byte_identical(tmp_path):

@@ -1,15 +1,17 @@
 """Spread / attract displacement rules and the combined pipeline."""
 import logging
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from terank import EmbeddingSet, PerturbConfig
+from terank import EmbeddingSet, PerturbConfig, ZooConfig, gen_zoo_model, score_model
 from terank.errors import DataError
 from terank.perturbation import attract, class_geometry, sa_perturb, spread
 from terank.reduction import fit_pca
 from terank.synth import gen_class_gaussians
-from terank.vocabulary import AttractDirection, PerturbMode
+from terank.vocabulary import AttractDirection, MetricId, PerturbMode
 
 
 def make_set(features, labels, classes):
@@ -210,9 +212,8 @@ def test_each_mode_says_which_stages_it_runs():
     }
 
 
-def test_shared_stages_all_run_before_the_first_set_is_yielded(monkeypatch):
-    # stages run in pipeline order, all at the first config that is not
-    # raw: none's set comes out after sa's spread and spread geometry
+def log_stage_calls(monkeypatch) -> list[str]:
+    """The names of the stage functions `sa_perturb` calls, in call order."""
     import terank.perturbation as perturbation
 
     calls = []
@@ -222,13 +223,125 @@ def test_shared_stages_all_run_before_the_first_set_is_yielded(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(perturbation, name, logged)
+    return calls
+
+
+NONE = PerturbConfig(mode=PerturbMode.NONE)
+SA = PerturbConfig()
+
+
+@pytest.mark.parametrize("configs,calls_per_set", [
+    # the PCA stage and its geometry run at the first config that is not
+    # raw, the spread stage and its geometry at the first that spreads
+    pytest.param([NONE, SA], [["fit_pca", "class_geometry"],
+                              ["spread", "class_geometry"]], id="none-sa"),
+    pytest.param([SA, NONE], [["fit_pca", "class_geometry", "spread",
+                               "class_geometry"], []], id="sa-none"),
+    pytest.param([PerturbConfig(mode=mode) for mode in PerturbMode],
+                 [[], ["fit_pca", "class_geometry"], ["spread", "class_geometry"],
+                  [], []], id="every-mode"),
+])
+def test_each_stage_runs_when_a_config_first_needs_it(monkeypatch, configs,
+                                                       calls_per_set):
+    calls = log_stage_calls(monkeypatch)
     ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=28)
-    sets = sa_perturb(ds, [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig()],
-                      energy=0.9)
-    next(sets)
-    assert calls == ["fit_pca", "class_geometry", "spread", "class_geometry"]
-    next(sets)
-    assert len(calls) == 4
+    sets = sa_perturb(ds, configs, energy=0.9)
+    for expect in calls_per_set:
+        calls.clear()
+        next(sets)
+        assert calls == expect
+    assert next(sets, None) is None
+
+
+def track_sets(monkeypatch) -> dict[str, list[weakref.ref]]:
+    """Weak references to every reduced, spread and attracted set that
+    `sa_perturb` builds, by stage."""
+    import terank.perturbation as perturbation
+
+    refs = {"pca": [], "spread": [], "attract": []}
+    fit, spread_fn, attract_fn = (perturbation.fit_pca, perturbation.spread,
+                                  perturbation.attract)
+
+    def tracked_fit(*args, **kwargs):
+        model = fit(*args, **kwargs)
+        refs["pca"].append(weakref.ref(model.reduced))
+        return model
+
+    def tracked(fn, stage):
+        def call(*args):
+            out = fn(*args)
+            refs[stage].append(weakref.ref(out))
+            return out
+        return call
+
+    monkeypatch.setattr(perturbation, "fit_pca", tracked_fit)
+    monkeypatch.setattr(perturbation, "spread", tracked(spread_fn, "spread"))
+    monkeypatch.setattr(perturbation, "attract", tracked(attract_fn, "attract"))
+    return refs
+
+
+def alive(refs: list[weakref.ref]) -> int:
+    return sum(ref() is not None for ref in refs)
+
+
+def test_stage_sets_are_dropped_after_their_last_reader(monkeypatch):
+    refs = track_sets(monkeypatch)
+    ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=30)
+
+    sets = sa_perturb(ds, [NONE, SA], energy=0.9)
+    out, _ = next(sets)
+    del out
+    out, _ = next(sets)  # sa's set: it alone is still held
+    assert (alive(refs["pca"]), alive(refs["spread"]), alive(refs["attract"])) == (0, 0, 1)
+    del out, sets
+
+    sets = sa_perturb(ds, [SA, NONE], energy=0.9)
+    out, _ = next(sets)
+    del out
+    # none still reads the reduced set; nothing reads the spread set
+    assert (alive(refs["pca"]), alive(refs["spread"])) == (1, 0)
+    out, _ = next(sets)
+    assert out is refs["pca"][-1]()
+    del out
+    assert next(sets, None) is None
+    assert alive(refs["pca"]) == 0
+
+
+def test_a_sweep_holds_one_attracted_set_at_a_time(monkeypatch):
+    import terank.perturbation as perturbation
+
+    refs = track_sets(monkeypatch)
+    built, counts = perturbation.attract, []
+
+    def counted(*args):  # the attracted sets alive once each one is built
+        out = built(*args)
+        counts.append(alive(refs["attract"]))
+        return out
+
+    monkeypatch.setattr(perturbation, "attract", counted)
+    ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=32)
+    configs = [PerturbConfig(alpha=alpha) for alpha in (0.001, 0.005, 0.01)]
+    for out, _ in sa_perturb(ds, configs, energy=0.9):
+        del out
+    assert counts == [1, 1, 1]
+    assert alive(refs["spread"]) == 0
+
+
+def test_score_model_peaks_under_five_and_a_half_input_sets():
+    # zoo model 0 at zoobench's shape, 10 classes x 200 x 128 float32,
+    # under none and sa with every metric. Holding every stage set until
+    # the model was done, the spread set built before none was scored and
+    # a separate alpha * disp[labels] temporary peaked at 7.8 input sets
+    cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
+                    rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
+    ds, _ = gen_zoo_model(cfg, 0)
+    tracemalloc.start()
+    try:
+        score_model(ds, list(MetricId), [NONE, SA])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * ds.features.nbytes
 
 
 def test_default_config_values():

@@ -2,17 +2,20 @@
 formulas did, but must give the same bits: `fit_pca` centers one copy in
 place and projects that copy onto the kept components, `spread` forms its
 output inside the displacement array and copies the unmoved rows back,
-and `synth`'s `_draw_points` adds the centroids inside the Gaussian draw.
-Each is compared byte for byte with the formula it replaced."""
+`attract` scales the gathered class displacements in place and adds the
+features to them, and `synth`'s `_draw_points` adds the centroids inside
+the Gaussian draw. Each is compared byte for byte with the formula it
+replaced."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terank import EmbeddingSet
-from terank.perturbation import class_geometry, spread
+from terank import EmbeddingSet, PerturbConfig
+from terank.perturbation import attract, class_geometry, spread
 from terank.reduction import DEFAULT_ENERGY, fit_pca
 from terank.rng import SplitMix64
 from terank.synth import _draw_points
+from terank.vocabulary import AttractDirection
 
 
 @st.composite
@@ -92,6 +95,30 @@ def old_spread(ds, geometry):
     return out
 
 
+def old_attract(ds, geometry, cfg):
+    """attract's output before it was formed inside the gathered
+    displacements: x + alpha * disp[labels]."""
+    cents, radii = geometry.centroids, geometry.radii
+    diffs = cents[:, None, :] - cents[None, :, :]
+    dist = np.linalg.norm(diffs, axis=2)
+    usable = ~np.eye(cents.shape[0], dtype=bool) & (dist > 1e-12)
+    gap = dist - cfg.sigma * (radii[:, None] + radii[None, :])
+    units = diffs / np.where(usable, dist, 1.0)[:, :, None]
+    if cfg.attract_direction is AttractDirection.TOWARD:
+        units = -units
+    disp = np.einsum("uvk,uv->uk", units, np.where(usable, gap, 0.0))
+    x = np.asarray(ds.features, dtype=np.float64)
+    return x + cfg.alpha * disp[ds.labels]
+
+
+# both directions, at an alpha grid from 0 (where alpha * disp is a signed
+# zero) to 1, and two sigmas
+ATTRACT_CONFIGS = [PerturbConfig(alpha=alpha, sigma=sigma, attract_direction=direction)
+                   for alpha in (0.0, 0.001, 0.005, 0.05, 1.0)
+                   for sigma in (0.0, 0.6)
+                   for direction in AttractDirection]
+
+
 def assert_same_bits(new, old):
     assert new.dtype == old.dtype and new.shape == old.shape
     assert new.tobytes() == old.tobytes()
@@ -113,6 +140,9 @@ def check_stages(ds, pca_kwargs):
     for base in (ds, reduced):
         geom = class_geometry(base)
         assert_same_bits(spread(base, geom).features, old_spread(base, geom))
+        for cfg in ATTRACT_CONFIGS:
+            assert_same_bits(attract(base, geom, cfg).features,
+                             old_attract(base, geom, cfg))
 
 
 @settings(max_examples=60, deadline=None)
