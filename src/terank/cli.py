@@ -5,6 +5,7 @@ Exit codes: 0 ok, 2 usage, 3 data error, 4 numeric failure.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import functools
@@ -16,9 +17,9 @@ import math
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -366,32 +367,63 @@ def _pool_map(count: int, jobs: int, task) -> list:
     """Run `task(index)` for every index in range(count), `jobs` at a
     time, and return the results in index order.
 
-    This is the one pool of the commands. A task keeps only what it
-    returns, so at most `jobs` models' data are alive at once. The first
-    failing index raises its error, after every started task has ended;
-    the tasks that have not started are cancelled.
+    This is the one pool of the commands. The calling thread is one of
+    its `jobs` workers, beside min(jobs, count) - 1 helper threads, so
+    at `--jobs 1` every task runs on the command's own thread and no
+    thread starts. Each worker takes the next index from one shared
+    queue. A task keeps only what it returns, so at most `jobs` models'
+    data are alive at once. A failure empties the queue as it is
+    recorded, so the tasks not yet started never run; the lowest failing
+    index raises its error, after every started task has ended.
     """
-    def run(index: int):
-        # np.errstate is per thread: pool workers do not inherit the
-        # command's setting from _handle_errors
-        with np.errstate(all="ignore"):
-            return task(index)
+    results = [None] * count
+    failures: dict[int, BaseException] = {}
+    pending = collections.deque(range(count))
+    lock = threading.Lock()
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        try:
-            return list(pool.map(run, range(count)))
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    def take() -> int | None:
+        with lock:
+            return pending.popleft() if pending else None
+
+    def work() -> None:
+        # np.errstate is per thread: the calling thread holds the
+        # command's setting from _handle_errors, a helper does not
+        with np.errstate(all="ignore"):
+            while (index := take()) is not None:
+                try:
+                    results[index] = task(index)
+                except BaseException as exc:
+                    with lock:
+                        failures[index] = exc
+                        pending.clear()
+
+    helpers = []
+    try:
+        for _ in range(min(jobs, count) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        # an interrupt of the calling thread starts no further task
+        with lock:
+            pending.clear()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
     """Run `fn(ds, model_seed)` on each input file's set through
-    `_pool_map`; return the results in input order and the summed
-    per-model load seconds. `model_seed` is `seed` XOR the input's index,
-    so the results are independent of the job count. Each task loads its
-    own set, so a corrupt input is found when its turn comes; a data or
-    numeric error of a model is re-raised with its input path in front."""
+    `_pool_map`, on the command's own thread and up to `jobs` - 1
+    helpers; return the results in input order and the summed per-model
+    load seconds. `model_seed` is `seed` XOR the input's index, so the
+    results are independent of the job count and of the thread a model
+    runs on. Each task loads its own set, so a corrupt input is found
+    when its turn comes; a data or numeric error of a model is re-raised
+    with its input path in front."""
     def task(index: int):
         path = files[index]
         try:

@@ -93,31 +93,6 @@ def _draw_points(
     return points
 
 
-def gen_class_gaussians(
-    classes: int,
-    per_class: int,
-    dim: int,
-    rho: float,
-    noise: float,
-    seed: int,
-) -> EmbeddingSet:
-    """Isotropic Gaussian blobs: centroids from N(0, rho^2 I), then
-    per_class points per class from N(centroid, noise^2 I).
-
-    One stream in class-major, dimension-minor order makes the output
-    bit-deterministic.
-    """
-    rng = SplitMix64(seed)
-    centroids = rho * rng.gaussians(classes * dim).reshape(classes, dim)
-    return EmbeddingSet(
-        features=_draw_points(rng, centroids, per_class, noise),
-        labels=np.repeat(np.arange(classes, dtype=np.int64), per_class),
-        class_count=classes,
-        model_id="synthetic",
-        dataset_id=SYNTH_DATASET,
-    )
-
-
 def _sq_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared float64 distances of each row of `features` to each
     centroid, as ||t||^2 - 2 t.mu + ||mu||^2. A row's distances do not

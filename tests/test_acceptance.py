@@ -30,8 +30,9 @@ from terank import (
 from terank.cli import main
 from terank.evaluation import RankingReport, bundled_truth_text
 from terank.perturbation import attract, class_geometry, spread
-from terank.synth import gen_class_gaussians, zoo_truth
+from terank.synth import zoo_truth
 from terank.vocabulary import MetricId, PerturbMode
+from class_gaussians import gen_class_gaussians
 from test_metrics import maximize_evidence
 from test_perturbation import rms_radius
 

@@ -1,11 +1,12 @@
 """Cold start: no terank command loads scipy, which is a test-only
-dependency, and neither `import terank.cli`, `synth` nor `evaluate` loads
+dependency, neither `import terank.cli` nor `synth` loads a `concurrent`
+module, and neither `import terank.cli`, `synth` nor `evaluate` loads
 the scoring stack (metrics, perturbation, reduction), since the score
 record and its file's reader live in evaluation.py; the package's exports
 resolve lazily to their modules' objects and are the names README's
 "Library API" section lists. Source scans also keep scipy
 imports, import-only-for-typing blocks, error classes beyond the two
-exit-code families, any thread pool but the CLI's one, any per-model seed
+exit-code families, any thread but the CLI pool's helpers, any per-model seed
 rule but the CLI's one, any output path but the CLI's one, any grouping or
 parsing of score records in the CLI, and numpy's transcendental functions
 in the random stream out of the package.
@@ -91,6 +92,20 @@ def test_synth_loads_no_scipy(tmp_path):
     assert scipy_in(loaded) == []
     assert loaded & SCORING_STACK == set()
     assert (tmp_path / "zoo" / "truth.csv").exists()
+
+
+def concurrent_in(modules):
+    return sorted(m for m in modules if m.split(".")[0] == "concurrent")
+
+
+def test_import_and_synth_load_no_concurrent_module(tmp_path):
+    # the CLI's pool runs on the threading module alone
+    assert concurrent_in(modules_after([])) == []
+    loaded = modules_after(["synth", "--models", "3", "--classes", "2",
+                            "--per-class", "5", "--dim", "3", "--jobs", "2",
+                            "--out", str(tmp_path / "zoo")])
+    assert concurrent_in(loaded) == []
+    assert len(list((tmp_path / "zoo").glob("*.emb1"))) == 3
 
 
 def test_evaluate_loads_no_scipy(zoo, tmp_path):
@@ -238,9 +253,11 @@ def test_every_package_raise_names_an_error_family():
 
 
 def test_one_thread_pool_in_the_cli_helper():
-    # every command maps its models through cli._pool_map, which sets each
-    # worker's errstate; a second pool would need its own copy of that
-    sites, geterr = [], []
+    # every command maps its models through cli._pool_map, whose helper
+    # threads are the only ones the package makes and which sets each
+    # worker's errstate; a second pool, or an executor, would need its
+    # own copy of that
+    sites, executors, geterr = [], [], []
 
     def visit(node, path, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -248,8 +265,10 @@ def test_one_thread_pool_in_the_cli_helper():
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "ThreadPoolExecutor":
+            if name == "Thread":
                 sites.append(f"{path.name}:{where}")
+            elif name == "ThreadPoolExecutor":
+                executors.append(f"{path.name}:{where}")
         if (isinstance(node, ast.Attribute) and node.attr == "geterr") or (
                 isinstance(node, ast.Name) and node.id == "geterr"):
             geterr.append(f"{path.name}:{node.lineno}")
@@ -259,6 +278,7 @@ def test_one_thread_pool_in_the_cli_helper():
     for path in sorted((SRC / "terank").rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, None)
     assert sites == ["cli.py:_pool_map"]
+    assert executors == []
     assert geterr == []
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
 from terank.errors import DataError
-from terank.synth import gen_class_gaussians
+from class_gaussians import gen_class_gaussians
 
 
 def emb1_bytes(n, d, c, features, labels, magic=b"EMB1", reserved=0):

@@ -18,8 +18,8 @@ from terank import metrics
 from terank.errors import DataError
 from terank.metrics import _evidence_basis, _evidence_fixed_point
 from terank.perturbation import sa_perturb
-from terank.synth import gen_class_gaussians
 from terank.vocabulary import MetricId, PerturbMode
+from class_gaussians import gen_class_gaussians
 
 
 def maximize_evidence(features, targets):

@@ -24,7 +24,7 @@ from terank.metrics import (
     nleep_from_responsibilities,
 )
 from terank.rng import SplitMix64
-from terank.synth import gen_class_gaussians
+from class_gaussians import gen_class_gaussians
 
 
 def _row_major_log_joint(x, means, variances, weights):

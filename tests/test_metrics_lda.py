@@ -7,7 +7,7 @@ import scipy.linalg
 
 from terank import EmbeddingSet, score_lda
 from terank.errors import DataError, NumericError
-from terank.synth import gen_class_gaussians
+from class_gaussians import gen_class_gaussians
 
 
 def scipy_lda(ds, eps_scale=1e-4):

@@ -10,8 +10,8 @@ from terank import EmbeddingSet, PerturbConfig, ZooConfig, gen_zoo_model, score_
 from terank.errors import DataError
 from terank.perturbation import attract, class_geometry, sa_perturb, spread
 from terank.reduction import fit_pca
-from terank.synth import gen_class_gaussians
 from terank.vocabulary import AttractDirection, MetricId, PerturbMode
+from class_gaussians import gen_class_gaussians
 
 
 def make_set(features, labels, classes):

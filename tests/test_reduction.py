@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from terank import EmbeddingSet
 from terank.errors import DataError
 from terank.reduction import _positive_peaks, fit_pca
-from terank.synth import gen_class_gaussians
+from class_gaussians import gen_class_gaussians
 
 
 def make_set(features, labels=None, classes=2):

@@ -1,11 +1,13 @@
 """The model pool is streamed: score and sweep load each model
 inside its own task, and synth writes each model's file inside the task
 that generates it, so at most `--jobs` embedding sets are alive at once;
-inputs are checked for repeated model ids before any file loads, a
-corrupt input is reported when its turn comes, and a failed synth leaves
-no partial zoo."""
+the command's own thread is one of the `--jobs` workers, so `--jobs 1`
+starts no thread; inputs are checked for repeated model ids before any
+file loads, a corrupt input is reported when its turn comes, and a
+failed synth leaves no partial zoo."""
 import shutil
 import threading
+import time
 import weakref
 
 import pytest
@@ -91,6 +93,103 @@ def test_synth_holds_at_most_jobs_sets(tmp_path, monkeypatch, jobs):
     assert 1 <= generated["max_live"] <= jobs, generated
     assert generated["live"] == 0
     assert len(list(out.glob("*.emb1"))) == MODELS
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    original = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", ["synth", "score", "sweep"])
+def test_the_command_thread_is_one_of_jobs_workers(zoo, tmp_path, thread_starts,
+                                                   command, jobs):
+    # --jobs 1 runs every model on the command's own thread; each further
+    # job is one helper thread
+    if command == "synth":
+        args = ["synth", "--models", "3", "--classes", "2", "--per-class", "5",
+                "--dim", "3", "--out", str(tmp_path / "zoo")]
+    else:
+        args = command_args(command, zoo) + ["--input", str(zoo),
+                                             "--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, args + ["--jobs", str(jobs)])
+    assert result.exit_code == 0, result.output
+    assert len(thread_starts) == jobs - 1
+
+
+def test_the_caller_and_its_helpers_run_every_task_in_index_order():
+    # the first three tasks wait for each other, so three workers hold one
+    # each; with --jobs 3 the calling thread must be one of them
+    barrier = threading.Barrier(3, timeout=30)
+    threads, lock = {}, threading.Lock()
+    live = {"now": 0, "most": 0}
+
+    def task(index):
+        with lock:
+            threads[index] = threading.get_ident()
+            live["now"] += 1
+            live["most"] = max(live["most"], live["now"])
+        if index < 3:
+            barrier.wait()
+        with lock:
+            live["now"] -= 1
+        return index * index
+
+    assert cli._pool_map(7, 3, task) == [index * index for index in range(7)]
+    assert sorted(threads) == list(range(7))
+    assert len(set(threads.values())) == 3
+    assert threading.get_ident() in threads.values()
+    assert live["most"] == 3
+
+
+def test_the_lowest_failing_index_raises_once_every_started_task_ends():
+    # tasks 0-2 start together; 2 fails at once and 1 fails later, while
+    # 0 and 1 are still running, no worker takes index 3
+    barrier = threading.Barrier(3, timeout=30)
+    started, ended = [], []
+
+    def task(index):
+        started.append(index)
+        try:
+            if index < 3:
+                barrier.wait()
+            if index == 2:
+                raise ValueError(index)
+            time.sleep(0.2)
+            if index == 1:
+                raise ValueError(index)
+            return index
+        finally:
+            ended.append(index)
+
+    with pytest.raises(ValueError) as failure:
+        cli._pool_map(9, 3, task)
+    assert failure.value.args == (1,)
+    assert sorted(started) == sorted(ended) == [0, 1, 2]
+
+
+def test_one_job_runs_in_order_on_the_caller_and_stops_at_a_failure():
+    started = []
+
+    def task(index):
+        started.append((index, threading.get_ident()))
+        if index == 2:
+            raise ValueError(index)
+        return index
+
+    with pytest.raises(ValueError) as failure:
+        cli._pool_map(5, 1, task)
+    assert failure.value.args == (2,)
+    assert started == [(index, threading.get_ident()) for index in range(3)]
 
 
 def failing_synth(out, jobs):

@@ -12,11 +12,11 @@ from terank.errors import DataError, NumericError
 from terank.rng import SplitMix64
 from terank.synth import (
     _sq_distances,
-    gen_class_gaussians,
     gen_zoo_model,
     nearest_centroid_accuracy,
     zoo_truth,
 )
+from class_gaussians import gen_class_gaussians
 from test_prepare_bits import old_draw_points
 
 

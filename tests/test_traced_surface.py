@@ -11,8 +11,8 @@ from terank import PerturbConfig, score_model
 from terank import metrics
 from terank.metrics import fit_gmm
 from terank.reduction import fit_pca
-from terank.synth import gen_class_gaussians
 from terank.vocabulary import MetricId, PerturbMode
+from class_gaussians import gen_class_gaussians
 
 
 def small_set():
