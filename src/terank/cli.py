@@ -304,9 +304,14 @@ def _manifest(input_files: list[Path], **runtime) -> dict:
     }
 
 
-def _load_truth_table(truth: Path | None) -> TruthTable:
-    # --truth's file, or the bundled tables when it is absent
-    return load_truth(truth) if truth else load_bundled_truth()
+def _load_truth_table(truth: Path | None, dataset: str, regime: str,
+                      pool: str) -> TruthTable:
+    # --truth's file, or else the bundled tables, which must hold the slice
+    table = load_truth(truth) if truth else load_bundled_truth()
+    if not truth and (dataset, regime, pool) not in {k[1:] for k in table.records}:
+        raise DataError(f"no bundled truth under (dataset={dataset}, regime={regime}, "
+                        f"pool={pool}); give a truth CSV with --truth")
+    return table
 
 
 def _json_text(doc: dict) -> str:
@@ -579,8 +584,8 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     each metric's cell with its mode-none cell (no row without one)."""
     t0 = time.perf_counter()
     score_payload, records = load_scores(scores)
-    reports = rank_cells(records, _load_truth_table(truth), dataset, regime, pool,
-                         weighting)
+    reports = rank_cells(records, _load_truth_table(truth, dataset, regime, pool),
+                         dataset, regime, pool, weighting)
     summaries = improvement_summary(reports)
     manifest = _manifest([truth] if truth else [],
                          timings={"total_s": time.perf_counter() - t0})
@@ -652,7 +657,7 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
     files = _resolve_inputs(inputs)
     if len(files) == 1:  # refused here, not after scoring every cell
         raise DataError(f"--input {inputs[0]} holds 1 model; ranking needs at least two")
-    truth_table = _load_truth_table(truth)
+    truth_table = _load_truth_table(truth, dataset, regime, pool)
 
     t0 = time.perf_counter()
     cells = [(a, sigma) for a in alpha_grid] + [(alpha, s) for s in sigma_grid]

@@ -185,7 +185,8 @@ def _finite_float(text: str) -> float:
 
 
 def load_scores(path: str | Path) -> tuple[dict, list[ScoreRecord]]:
-    """Parse a score JSON file: its payload, which must hold a manifest, and records."""
+    """Parse a score JSON file: its payload, which must hold a manifest, and
+    records, which hold each (model, metric, mode) once."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8-sig"),
@@ -196,6 +197,8 @@ def load_scores(path: str | Path) -> tuple[dict, list[ScoreRecord]]:
         raise DataError(f"{path}: not a score JSON file ({exc})") from None
     if not records:
         raise DataError(f"no score records in {path}")
+    if len({(r.model_id, r.metric, r.mode) for r in records}) != len(records):
+        raise DataError("duplicate model ids in score records")
     return payload, records
 
 

@@ -65,12 +65,10 @@ def class_geometry(ds: EmbeddingSet) -> ClassGeometry:
 
 
 def spread(ds: EmbeddingSet, geometry: ClassGeometry) -> EmbeddingSet:
-    """Displace every sample one unit along its ray from the class
-    centroid in `geometry`. Samples sitting on their centroid have no
-    defined ray and are left unchanged."""
+    """Displace every sample one unit along its ray from the class centroid
+    in `geometry`, which must be `class_geometry(ds)`, as `sa_perturb`
+    guarantees. A sample on its centroid has no ray and is left unchanged."""
     x = np.asarray(ds.features, dtype=np.float64)
-    if geometry.centroids.shape[0] != ds.class_count:
-        raise DataError("geometry does not match the embedding set")
     diff = x - geometry.centroids[ds.labels]
     norms = np.linalg.norm(diff, axis=1)
     moved = norms > _DEGENERATE_NORM
@@ -89,14 +87,12 @@ def attract(
     The displacement of class u sums, over every other class v, the unit
     centroid direction scaled by (‖C_u - C_v‖ - sigma*(R_u + R_v)).
     Pairs with coincident centroids contribute nothing (warned, not an
-    error). Centroids and radii come from the snapshot in `geometry`, so
-    no class sees another's updated position.
+    error). `geometry` must be `class_geometry(ds)`, as `sa_perturb`
+    guarantees: a snapshot, so no class sees another's updated position.
     """
     cents = geometry.centroids
     radii = geometry.radii
     c = cents.shape[0]
-    if c != ds.class_count:
-        raise DataError("geometry does not match the embedding set")
 
     diffs = cents[:, None, :] - cents[None, :, :]  # (u, v) -> C_u - C_v
     dist = np.linalg.norm(diffs, axis=2)
@@ -128,46 +124,36 @@ def attract(
 
 def _timed(fn, *args):
     start = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - start
+    return fn(*args), time.perf_counter() - start
 
 
 def _last_reads(modes: Sequence[PerturbMode]) -> dict[str, int]:
-    """Each stage that some mode reads -> the index of the last one that
-    reads it. A mode reads its base set (`spread` if it spreads, else
-    `pca`) and, if it attracts, that set's geometry; the first mode that
-    spreads also reads `pca` and `pca geometry`, which it builds from."""
+    """Each base set that some mode reads (`spread` if it spreads, else
+    `pca`) -> the index of the last mode that reads it; the first mode
+    that spreads also reads `pca`, which it builds from."""
     last = {}
     for i, mode in enumerate(modes):
-        if mode is PerturbMode.RAW:
-            continue
-        base = "spread" if mode.spreads else "pca"
-        if mode.spreads and "spread" not in last:
-            last["pca"] = last["pca geometry"] = i
-        last[base] = i
-        if mode.attracts:
-            last[f"{base} geometry"] = i
+        if mode is not PerturbMode.RAW:
+            if mode.spreads and "spread" not in last:
+                last["pca"] = i
+            last["spread" if mode.spreads else "pca"] = i
     return last
 
 
-def _run_stage(stages, last, name, build, *inputs):
-    """Run stage `name` as `build` of its input stages' sets, then its
-    geometry if a mode reads that. A set's seconds sum the stages it is
-    built from."""
-    out, seconds = _timed(build, *(stages[stage][0] for stage in inputs))
-    stages[name] = out, seconds + sum(stages[stage][1] for stage in inputs)
-    if f"{name} geometry" in last:
-        stages[f"{name} geometry"] = _timed(class_geometry, out)
+def _stage(with_geometry, build, *base):
+    """A base set's stage, `(set, seconds, geometry, geometry seconds)`:
+    `build(set, geometry)` of the `base` stage, or `build()` without one,
+    with the base's seconds added, and its class geometry if asked for."""
+    out, seconds = _timed(build, *base[::2])
+    geometry, geometry_s = _timed(class_geometry, out) if with_geometry else (None, 0.0)
+    return out, seconds + sum(base[1::2]), geometry, geometry_s
 
 
-def _prepare(cfg, stages):
-    """The set of one config that is not raw, from its stages, and its seconds."""
-    base = "spread" if cfg.mode.spreads else "pca"
-    features, seconds = stages[base]
+def _prepare(cfg, features, seconds, geometry, geometry_s):
+    """The set of one config that is not raw, from its base stage, and its seconds."""
     if cfg.mode.attracts:
-        geom, geom_s = stages[f"{base} geometry"]
-        features, attract_s = _timed(attract, features, geom, cfg)
-        seconds += geom_s + attract_s
+        features, attract_s = _timed(attract, features, geometry, cfg)
+        seconds += geometry_s + attract_s
     return features, seconds
 
 
@@ -185,12 +171,14 @@ def sa_perturb(
     its class geometry if it attracts. `seconds` sums the stages the set
     depends on, each timed once.
 
-    Each stage runs once, when a config first needs it: `pca` and
-    `pca geometry` at the first config that is not raw, `spread` and
-    `spread geometry` at the first config that spreads. A raw-only run
-    fits no PCA. A stage's set is dropped after the last config that
-    reads it; `pca` stays until the spread set is built from it. The
-    generator drops the set it yielded before it builds the next one.
+    Two stages, `pca` and `spread`, each hold a set with its class
+    geometry, if a config reads that, so `spread` and `attract` only get
+    the geometry of the set they move. Each runs once, when a config
+    first needs it: `pca` at the first config that is not raw, `spread`
+    at the first that spreads. A raw-only run fits no PCA. A stage is
+    dropped after the last config that reads it; `pca` stays until the
+    spread set is built from it. The generator drops the set it yielded
+    before it builds the next one.
 
     Memory per model, beside the caller's `raw` set: the reduced set
     while a later config reads it, the spread set while one does, and
@@ -199,18 +187,21 @@ def sa_perturb(
     float64 copy of `raw`. The CLI streams its pool, so at most `--jobs`
     models hold these at once.
     """
-    last = _last_reads([cfg.mode for cfg in configs])
-    stages = {}  # stage -> (output, seconds), from its first reader to its last
+    modes = [cfg.mode for cfg in configs]
+    last = _last_reads(modes)
+    stages = {}  # base -> its stage, from its first reader to its last
     for i, cfg in enumerate(configs):
         if cfg.mode is PerturbMode.RAW:
             yield raw, 0.0
             continue
         if "pca" not in stages and i <= last["pca"]:  # the first config not raw
-            _run_stage(stages, last, "pca",
-                       lambda: fit_pca(raw, energy=energy, rank=rank).reduced)
+            stages["pca"] = _stage(  # its geometry feeds spread and attract
+                any(m.perturbed for m in modes),
+                lambda: fit_pca(raw, energy=energy, rank=rank).reduced)
         if cfg.mode.spreads and "spread" not in stages:
-            _run_stage(stages, last, "spread", spread, "pca", "pca geometry")
-        prepared = _prepare(cfg, stages)
+            stages["spread"] = _stage(any(m.spreads and m.attracts for m in modes),
+                                      spread, *stages["pca"])
+        prepared = _prepare(cfg, *stages["spread" if cfg.mode.spreads else "pca"])
         for name in [name for name in stages if last[name] == i]:
             del stages[name]
         yield prepared

@@ -1097,6 +1097,22 @@ def test_sweep_checks_the_truth_table_before_scoring(zoo_dir, monkeypatch, jobs)
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_slice_no_bundled_table_holds_needs_truth(zoo_dir, zoo_scores, monkeypatch,
+                                                    command):
+    # without --truth, the default synthetic slice is in no bundled table:
+    # one line names the slice and --truth, and no model is loaded
+    loads = []
+    monkeypatch.setattr(cli, "_load_set", lambda *args: loads.append(args))
+    args = {"evaluate": ["evaluate", "--scores", str(zoo_scores)],
+            "sweep": ["sweep", "--input", str(zoo_dir), "--metric", "gbc"]}[command]
+    result = CliRunner().invoke(main, args)
+    assert assert_one_data_error_line(result) == (
+        "data error: no bundled truth under (dataset=synthetic, regime=synthetic, "
+        "pool=synthetic); give a truth CSV with --truth")
+    assert loads == []
+
+
 def test_evaluate_without_score_records_is_a_data_error(zoo_scores, tmp_path):
     payload = json.loads(zoo_scores.read_text())
     scores = tmp_path / "scores.json"

@@ -2,6 +2,7 @@
 import logging
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -251,6 +252,69 @@ def test_each_stage_runs_when_a_config_first_needs_it(monkeypatch, configs,
         next(sets)
         assert calls == expect
     assert next(sets, None) is None
+
+
+# the seconds each stage function takes on a stubbed clock, and so the
+# seconds of each mode's set: the sum of the stages it rests on
+STAGE_SECONDS = {"fit_pca": 1, "class_geometry": 10, "spread": 100, "attract": 1000}
+MODE_SECONDS = {PerturbMode.RAW: 0, PerturbMode.NONE: 1, PerturbMode.SPREAD: 111,
+                PerturbMode.ATTRACT: 1011, PerturbMode.SA: 1121}
+MODE_LISTS = [
+    pytest.param(list(PerturbMode), id="every-mode"),
+    pytest.param([PerturbMode.SA, PerturbMode.NONE], id="sa-none"),
+    pytest.param([PerturbMode.SA] * 3, id="sa-sa-sa"),
+    pytest.param([PerturbMode.ATTRACT, PerturbMode.SPREAD], id="attract-spread"),
+]
+
+
+@pytest.mark.parametrize("modes", MODE_LISTS)
+def test_each_set_takes_the_seconds_of_the_stages_it_rests_on(monkeypatch, modes):
+    import terank.perturbation as perturbation
+
+    clock = [0]
+    monkeypatch.setattr(perturbation, "time",
+                        SimpleNamespace(perf_counter=lambda: clock[0]))
+    for name, seconds in STAGE_SECONDS.items():
+        def costed(*args, _fn=getattr(perturbation, name), _seconds=seconds,
+                   **kwargs):
+            out = _fn(*args, **kwargs)
+            clock[0] += _seconds
+            return out
+
+        monkeypatch.setattr(perturbation, name, costed)
+    ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=34)
+    configs = [PerturbConfig(mode=mode) for mode in modes]
+    seconds = [s for _, s in sa_perturb(ds, configs, energy=0.9)]
+    assert seconds == [MODE_SECONDS[mode] for mode in modes]
+
+
+@pytest.mark.parametrize("modes", MODE_LISTS)
+def test_spread_and_attract_get_the_geometry_of_the_set_they_move(monkeypatch, modes):
+    import terank.perturbation as perturbation
+
+    computed, moved = [], []  # (geometry, set) pairs
+    geometry_fn = perturbation.class_geometry
+
+    def recorded(ds):
+        geometry = geometry_fn(ds)
+        computed.append((geometry, ds))
+        return geometry
+
+    monkeypatch.setattr(perturbation, "class_geometry", recorded)
+    for name in ("spread", "attract"):
+        def checked(ds, geometry, *args, _fn=getattr(perturbation, name)):
+            moved.append((geometry, ds))
+            return _fn(ds, geometry, *args)
+
+        monkeypatch.setattr(perturbation, name, checked)
+    ds = gen_class_gaussians(3, 30, 6, rho=2.0, noise=1.0, seed=36)
+    configs = [PerturbConfig(mode=mode) for mode in modes]
+    for _ in sa_perturb(ds, configs, energy=0.9):
+        pass
+    # one spread if any mode spreads, one attract per mode that attracts
+    assert len(moved) == any(m.spreads for m in modes) + sum(m.attracts for m in modes)
+    for geometry, moved_set in moved:  # computed from that very set
+        assert any(g is geometry and s is moved_set for g, s in computed)
 
 
 def track_sets(monkeypatch) -> dict[str, list[weakref.ref]]:
