@@ -31,6 +31,9 @@ from .errors import DataError, NumericError
 from .evaluation import (
     POOLS,
     REGIMES,
+    SYNTH_DATASET,
+    SYNTH_POOL,
+    SYNTH_REGIME,
     WEIGHTINGS,
     ScoreRecord,
     TruthTable,
@@ -41,18 +44,11 @@ from .evaluation import (
     rank_cells,
     write_truth,
 )
-from .synth import (
-    SYNTH_DATASET,
-    SYNTH_POOL,
-    SYNTH_REGIME,
-    ZooConfig,
-    gen_zoo_model,
-    zoo_truth,
-)
 from .vocabulary import AttractDirection, MetricId, PerturbMode
 
-# the scoring stack (metrics, perturbation, reduction) is imported inside
-# score and sweep, so that synth and evaluate do not load it
+# each stack is imported inside the commands that run it: the zoo generator
+# (synth, rng) inside synth, the scoring stack (metrics, perturbation,
+# reduction) inside score and sweep; evaluate loads neither
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -494,6 +490,8 @@ def main():
 def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
           jobs, fmt):
     """Generate a synthetic model zoo: EMB1 files plus an oracle truth CSV."""
+    from .synth import ZooConfig, gen_zoo_model, zoo_truth
+
     cfg = ZooConfig(
         models=models,
         classes=classes,
@@ -503,6 +501,13 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         noises=tuple(np.linspace(*noise_range, models).tolist()),
         seed=seed,
     )
+    # score reads every .emb1 file of a directory, so an older, larger
+    # zoo's models left beside this one would be scored with it
+    written = {f"{model_id}.emb1" for model_id in cfg.model_ids}
+    stale = sorted(p.name for p in out.glob("*.emb1") if p.name not in written)
+    if stale:
+        raise DataError(f"--out {out} holds {stale[0]}, which this {models}-model "
+                        f"zoo does not write; remove it or choose another --out")
     t0 = time.perf_counter()
     with _all_or_nothing(out) as stage:
         def task(m: int) -> tuple[str, float]:

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import DataError
 from .vocabulary import MetricId, PerturbMode
 
-REGIMES = ("vanilla", "lbft", "lft", "synthetic")
-POOLS = ("supervised", "self_supervised", "synthetic")
+# the dataset, regime and pool of every synth zoo's truth records
+SYNTH_DATASET = SYNTH_REGIME = SYNTH_POOL = "synthetic"
+REGIMES = ("vanilla", "lbft", "lft", SYNTH_REGIME)
+POOLS = ("supervised", "self_supervised", SYNTH_POOL)
 WEIGHTINGS = ("symmetric", "truth_ranks")
 # the header of a truth CSV, in the order write_truth writes it
 TRUTH_COLUMNS = ("model", "dataset", "regime", "pool", "accuracy")

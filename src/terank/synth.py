@@ -13,12 +13,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError
-from .evaluation import TruthTable
+from .evaluation import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, TruthTable
 from .rng import SplitMix64
-
-SYNTH_DATASET = "synthetic"
-SYNTH_REGIME = "synthetic"
-SYNTH_POOL = "synthetic"
 
 # the most float64 values one numpy array can hold: its byte size is an intp
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
@@ -56,6 +52,11 @@ class ZooConfig:
             raise DataError("rhos and noises must list one value per model")
         if any(r <= 0 for r in self.rhos) or any(s <= 0 for s in self.noises):
             raise DataError("rho and noise values must be > 0")
+
+    @property
+    def model_ids(self) -> tuple[str, ...]:
+        """Each model's id, which is also its EMB1 file stem, in model order."""
+        return tuple(f"model-{m:02d}" for m in range(self.models))
 
 
 def _class_draws(
@@ -151,7 +152,7 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     one class of draws and their distances: a traced peak, save_emb1
     included, of about 1.8 times the training set's float32 bytes.
     """
-    model_id = f"model-{m:02d}"
+    model_id = cfg.model_ids[m]
 
     def finite(points: np.ndarray) -> np.ndarray:
         # finite flags can still overflow the draws or their float32 cast

@@ -517,7 +517,7 @@ def test_synth_out_of_memory_is_one_line_data_error(tmp_path, monkeypatch, jobs,
     def exhausted(cfg, m):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "gen_zoo_model", exhausted)
+    monkeypatch.setattr(synth, "gen_zoo_model", exhausted)
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, ["synth", "--models", "2", "--jobs", jobs,
                                        "--out", str(out)])
@@ -1025,8 +1025,8 @@ def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
             time.sleep(0.05)
         return gen_zoo_model(cfg, m)
 
-    gen_zoo_model = cli.gen_zoo_model
-    monkeypatch.setattr(cli, "gen_zoo_model", counted)
+    gen_zoo_model = synth.gen_zoo_model
+    monkeypatch.setattr(synth, "gen_zoo_model", counted)
     result = CliRunner().invoke(main, [
         "synth", "--models", "6", "--classes", "2", "--per-class", "2",
         "--dim", "2", "--rho-range", "0.05:0.05", "--seed", "5",
@@ -1034,6 +1034,45 @@ def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
     line = assert_one_data_error_line(result)
     assert "model-00" in line and "outside (0, 100]" in line, line
     assert 0 in calls and len(calls) < 6, calls
+
+
+@pytest.mark.parametrize("before,after", [(4, 3), (3, 3), (3, 4)])
+def test_synth_refuses_an_older_zoo_model_it_would_not_replace(tmp_path, monkeypatch,
+                                                               before, after):
+    # score reads every .emb1 file of a directory, so a smaller zoo written
+    # over a larger one would be scored with the older zoo's extra models;
+    # such a run is refused before any model is drawn, and other files, or
+    # as many models or more, are no obstacle
+    args = ["synth", "--classes", "2", "--per-class", "5", "--dim", "3",
+            "--seed", "1", "--models"]
+    out, fresh = tmp_path / "zoo", tmp_path / "fresh"
+    run_ok(args + [str(before), "--out", str(out)])
+    (out / "keep.txt").write_text("kept")
+    found = {p.name: p.read_bytes() for p in out.iterdir()}
+    drawn = []
+
+    def counted(cfg, m):
+        drawn.append(m)
+        return gen_zoo_model(cfg, m)
+
+    gen_zoo_model = synth.gen_zoo_model
+    monkeypatch.setattr(synth, "gen_zoo_model", counted)
+    result = CliRunner().invoke(main, args + [str(after), "--out", str(out)])
+    if after < before:
+        assert assert_one_data_error_line(result) == (
+            f"data error: --out {out} holds model-03.emb1, which this 3-model zoo "
+            f"does not write; remove it or choose another --out")
+        assert drawn == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == found
+        return
+    assert result.exit_code == 0, result.output
+    run_ok(args + [str(after), "--out", str(fresh)])
+    written = sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json")
+    assert [f"model-{m:02d}.emb1" for m in range(after)] + ["truth.csv"] == written
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        written + ["keep.txt", "manifest.json"])
+    assert all((out / name).read_bytes() == (fresh / name).read_bytes()
+               for name in written)
 
 
 @pytest.fixture(scope="module")

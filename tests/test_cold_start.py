@@ -2,7 +2,10 @@
 dependency, neither `import terank.cli` nor `synth` loads a `concurrent`
 module, and neither `import terank.cli`, `synth` nor `evaluate` loads
 the scoring stack (metrics, perturbation, reduction), since the score
-record and its file's reader live in evaluation.py; the package's exports
+record and its file's reader live in evaluation.py. Neither `import
+terank.cli` nor `evaluate` loads the zoo generator (synth, rng), since
+the synthetic slice's names live in evaluation.py too, and `score` and
+`sweep` load no synth module; the package's exports
 resolve lazily to their modules' objects and are the names README's
 "Library API" section lists. Source scans also keep scipy
 imports, import-only-for-typing blocks, error classes beyond the two
@@ -44,6 +47,7 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 SCORING_STACK = {"terank.metrics", "terank.perturbation", "terank.reduction"}
+GENERATOR = {"terank.synth", "terank.rng"}
 
 
 def modules_after(args):
@@ -82,15 +86,18 @@ def test_import_loads_no_scipy():
     loaded = modules_after([])
     assert scipy_in(loaded) == []
     assert loaded & SCORING_STACK == set()
+    assert loaded & GENERATOR == set()
 
 
 def test_synth_loads_no_scipy(tmp_path):
-    # synth runs no reduction, perturbation or metric, so it loads none
+    # synth runs no reduction, perturbation or metric, so it loads none;
+    # the generator does load here, which shows the probe sees it
     loaded = modules_after(["synth", "--models", "2", "--classes", "2",
                             "--per-class", "5", "--dim", "3",
                             "--out", str(tmp_path / "zoo")])
     assert scipy_in(loaded) == []
     assert loaded & SCORING_STACK == set()
+    assert GENERATOR <= loaded
     assert (tmp_path / "zoo" / "truth.csv").exists()
 
 
@@ -115,6 +122,7 @@ def test_evaluate_loads_no_scipy(zoo, tmp_path):
                             "--out", str(tmp_path / "reports")])
     assert scipy_in(loaded) == []
     assert loaded & SCORING_STACK == set()
+    assert loaded & GENERATOR == set()
     assert (tmp_path / "reports" / "improvement_sa.json").exists()
 
 
@@ -126,6 +134,7 @@ def test_score_without_lda_loads_no_scipy(zoo, tmp_path):
                             "--out", str(out)])
     assert scipy_in(loaded) == []
     assert SCORING_STACK <= loaded
+    assert "terank.synth" not in loaded
     assert len(json.loads(out.read_text())["records"]) == 3 * 3
 
 
@@ -142,6 +151,7 @@ def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
     loaded = modules_after(args + ["--out", str(fresh)])
     assert scipy_in(loaded) == []
     assert SCORING_STACK <= loaded
+    assert "terank.synth" not in loaded
     run_ok(args + ["--out", str(here)])
     assert scores(fresh) == scores(here)
     assert len(scores(here)) == 3 * 4 * 3
@@ -155,6 +165,7 @@ def test_sweep_loads_no_scipy(zoo, tmp_path):
                             "--out", str(out)])
     assert scipy_in(loaded) == []
     assert SCORING_STACK <= loaded
+    assert "terank.synth" not in loaded
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
 
 

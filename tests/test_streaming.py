@@ -13,7 +13,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from terank import cli
+from terank import cli, synth
 from terank.cli import main
 
 MODELS = 5
@@ -38,13 +38,13 @@ def command_args(command, zoo):
     }[command]
 
 
-def count_live_sets(monkeypatch, name, pick):
-    """Wrap `cli.<name>` to count the embedding sets it returns (`pick`
-    finds the set in its result) and that are still alive, and the most
-    ever alive at once."""
+def count_live_sets(monkeypatch, module, name, pick):
+    """Wrap `<module>.<name>` to count the embedding sets it returns
+    (`pick` finds the set in its result) and that are still alive, and the
+    most ever alive at once."""
     counts = {"made": 0, "live": 0, "max_live": 0}
     lock = threading.RLock()  # a finalizer may run inside the locked block
-    original = getattr(cli, name)
+    original = getattr(module, name)
 
     def release():
         with lock:
@@ -59,14 +59,14 @@ def count_live_sets(monkeypatch, name, pick):
         weakref.finalize(pick(result), release)
         return result
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return counts
 
 
 @pytest.fixture
 def live_sets(monkeypatch):
     """The sets that cli's EMB1 loads return."""
-    return count_live_sets(monkeypatch, "load_emb1", lambda ds: ds)
+    return count_live_sets(monkeypatch, cli, "load_emb1", lambda ds: ds)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -82,7 +82,8 @@ def test_at_most_jobs_sets_are_alive(zoo, live_sets, command, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_synth_holds_at_most_jobs_sets(tmp_path, monkeypatch, jobs):
-    generated = count_live_sets(monkeypatch, "gen_zoo_model",
+    # synth imports the generator when it runs, so it finds the wrapper
+    generated = count_live_sets(monkeypatch, synth, "gen_zoo_model",
                                 lambda result: result[0])
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, [
@@ -227,11 +228,11 @@ def test_failed_synth_keeps_what_out_held_before(tmp_path, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_synth_keeps_a_previous_zoo(tmp_path, jobs):
-    # the failing run would overwrite model-00 and truth.csv; it leaves
+    # the failing run would overwrite both models and truth.csv; it leaves
     # the zoo already there byte for byte
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, [
-        "synth", "--models", "3", "--classes", "2", "--per-class", "5",
+        "synth", "--models", "2", "--classes", "2", "--per-class", "5",
         "--dim", "3", "--out", str(out)])
     assert result.exit_code == 0, result.output
     before = {p.name: p.read_bytes() for p in out.iterdir()}
