@@ -493,7 +493,6 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     from .synth import ZooConfig, gen_zoo_model, zoo_truth
 
     cfg = ZooConfig(
-        models=models,
         classes=classes,
         per_class=per_class,
         dim=dim,

@@ -3,7 +3,7 @@
 EMB1 is the package's binary interchange format (little-endian):
 
     magic "EMB1" | u32 N | u32 D | u32 C | u32 reserved(=0)
-    | N*D float32 row-major features | N u32 labels
+    | N*D float32 row-major features | N u32 labels naming C classes
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import csv
 import io
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,32 @@ MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4I")  # N, D, C, reserved
 
 
+def _int64_labels(values) -> np.ndarray:
+    """`values` as int64 labels. A label that the cast would change, such
+    as 0.7, NaN or 2**70, is a DataError naming the first one; integral
+    floats such as 2.0, and bools, pass."""
+    raw = np.asarray(values)
+    if np.can_cast(raw.dtype, np.int64):  # bools and integers that int64 holds
+        return raw.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        try:
+            labels = raw.astype(np.int64)
+        except OverflowError:  # a Python int past int64
+            labels = raw.astype(np.float64).astype(np.int64)
+    changed = np.flatnonzero(labels != raw)
+    if changed.size:
+        i = changed[0]
+        raise DataError(
+            f"labels must be integers, got {raw.ravel()[i:i + 1].tolist()[0]!r} "
+            f"at index {i}"
+        )
+    return labels
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """N feature rows with integer class labels in [0, class_count).
+    """N feature rows with integer class labels in [0, class_count), each
+    class with rows, so the labels fix the count and N rows name at most N.
 
     Immutable after construction: the set holds read-only views, so it
     can be shared across worker threads. The views share the caller's
@@ -35,7 +58,7 @@ class EmbeddingSet:
 
     features: np.ndarray
     labels: np.ndarray
-    class_count: int
+    _: KW_ONLY
     model_id: str = "unknown"
     dataset_id: str = "unknown"
     class_counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -46,7 +69,7 @@ class EmbeddingSet:
             feats = feats.astype(np.float32)
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {feats.shape}")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _int64_labels(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise DataError(
                 f"labels shape {labels.shape} does not match {feats.shape[0]} rows"
@@ -56,19 +79,17 @@ class EmbeddingSet:
             raise DataError(f"need at least 2 samples, got {n}")
         if d < 1:
             raise DataError("need at least 1 feature dimension")
-        if not 2 <= self.class_count <= n:
-            raise DataError(
-                f"need 2 to {n} classes for {n} samples, got {self.class_count}"
-            )
         if not np.isfinite(feats).all():
             bad = int(np.flatnonzero(~np.isfinite(feats).ravel())[0])
             raise DataError(f"non-finite feature value at flat index {bad}")
-        if labels.min() < 0 or labels.max() >= self.class_count:
+        if labels.min() < 0 or labels.max() >= n:
             raise DataError(
-                f"labels must lie in [0, {self.class_count}), "
+                f"labels must lie in [0, {n}) for {n} samples, "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
-        present = np.bincount(labels, minlength=self.class_count)
+        present = np.bincount(labels)
+        if len(present) < 2:
+            raise DataError(f"need 2 to {n} classes for {n} samples, got {len(present)}")
         if present.min() == 0:
             raise DataError(f"class {present.argmin()} has no samples")
         # views, so the caller's arrays keep their own flags
@@ -79,6 +100,10 @@ class EmbeddingSet:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_counts", present)
+
+    @property
+    def class_count(self) -> int:
+        return self.class_counts.shape[0]
 
     @property
     def sample_count(self) -> int:
@@ -104,7 +129,6 @@ class EmbeddingSet:
             return EmbeddingSet(
                 features=features,
                 labels=self.labels,
-                class_count=self.class_count,
                 model_id=self.model_id,
                 dataset_id=self.dataset_id,
             )
@@ -144,12 +168,13 @@ def load_emb1(path: str | Path) -> EmbeddingSet:
     offset = 4 + _HEADER.size
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=offset)
     labels = np.frombuffer(raw, dtype="<u4", count=n, offset=offset + n * d * 4)
-    return EmbeddingSet(
-        features=feats.reshape(n, d),
-        labels=labels.astype(np.int64),
-        class_count=c,
-        model_id=path.stem,
-    )
+    if n and labels.max() >= c:
+        raise DataError(f"labels must lie in [0, {c}), got range "
+                        f"[{labels.min()}, {labels.max()}]")
+    ds = EmbeddingSet(feats.reshape(n, d), labels, model_id=path.stem)
+    if ds.class_count != c:
+        raise DataError(f"header names {c} classes, the labels name {ds.class_count}")
+    return ds
 
 
 def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
@@ -189,11 +214,8 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
                     f"line {lineno}: column {header[i]!r} cell {cell!r} is not numeric"
                 ) from None
         rows.append(vals)
-    uniq = sorted(set(raw_labels))
-    remap = {orig: dense for dense, orig in enumerate(uniq)}
     return EmbeddingSet(
         features=np.asarray(rows, dtype=np.float32).reshape(len(rows), len(header) - 1),
-        labels=np.asarray([remap[v] for v in raw_labels], dtype=np.int64),
-        class_count=len(uniq),
+        labels=np.unique(raw_labels, return_inverse=True)[1],
         model_id=path.stem,
     )

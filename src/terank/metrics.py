@@ -338,10 +338,8 @@ def fit_gmm(features: np.ndarray, components: int, seed: int) -> GmmModel:
     )
 
 
-def nleep_from_responsibilities(
-    resp: np.ndarray, labels: np.ndarray, class_count: int
-) -> float:
-    """Mean log expected empirical prediction given mixture posteriors.
+def nleep_from_responsibilities(resp: np.ndarray, labels: np.ndarray) -> float:
+    """Mean log expected empirical prediction of `labels` given mixture posteriors.
 
     Components with total responsibility of at most 1e-12 (empty to EM
     too) are dropped (logged) before P(y | component) is formed. The
@@ -353,7 +351,7 @@ def nleep_from_responsibilities(
         log.info("dropping %d empty mixture components", int((~keep).sum()))
         resp = resp[:, keep]
         col_total = col_total[keep]
-    onehot = np.zeros((class_count, resp.shape[0]))
+    onehot = np.zeros((labels.max() + 1, resp.shape[0]))
     onehot[labels, np.arange(resp.shape[0])] = 1.0
     cond = (onehot @ resp) / col_total  # P(y | v), shape (C, K')
     per_sample = np.einsum("nk,nk->n", cond[labels], resp)
@@ -367,7 +365,7 @@ def score_nleep(
     the soft LEEP-style score. Always <= 0."""
     k = components if components is not None else ds.class_count
     gmm = fit_gmm(ds.features, k, seed)
-    return nleep_from_responsibilities(gmm.responsibilities, ds.labels, ds.class_count)
+    return nleep_from_responsibilities(gmm.responsibilities, ds.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ sit from the equilibrium separation sigma * (R_u + R_v).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -32,10 +33,11 @@ class PerturbConfig:
     attract_direction: AttractDirection = AttractDirection.TOWARD
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise DataError(f"alpha must be >= 0, got {self.alpha}")
-        if self.sigma < 0:
-            raise DataError(f"sigma must be >= 0, got {self.sigma}")
+        for name in ("alpha", "sigma"):
+            value = getattr(self, name)
+            # NaN fails the bound, and infinity would end in a numeric failure
+            if not 0 <= value < math.inf:
+                raise DataError(f"{name} must be >= 0 and finite, got {value}")
         object.__setattr__(self, "mode", PerturbMode(self.mode))
         object.__setattr__(
             self, "attract_direction", AttractDirection(self.attract_direction)

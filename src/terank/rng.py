@@ -32,12 +32,15 @@ import math
 
 import numpy as np
 
+from .errors import DataError
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_NEG53 = 1.0 / 9007199254740992.0
 _TWO_PI = 6.283185307179586
 
 _BLOCK = 8192  # draws per vectorised step; even, so only a fill's last block is odd
+_CHECK_PAIRS = 256  # pairs per step of the once-per-process libm check
 # _STEPS[k] = (k + 1) * golden mod 2^64: the state increments within a block
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 _STEPS.setflags(write=False)  # shared by every stream, in every thread
@@ -102,7 +105,14 @@ def _shifted_libm_is_exact() -> bool:
     bulk Gaussian fill."""
     z = np.empty(_BLOCK, dtype=np.float64)
     _fill_uniform(z, 0)
-    return _shifted_libm(_libm_rows(z)).tobytes() == _mapped_libm(_libm_rows(z)).tobytes()
+    shifted = _shifted_libm(_libm_rows(z))
+    # the math maps run _CHECK_PAIRS pairs at a time, so only that many
+    # Python floats are alive; bytes keep -0.0 apart from 0.0
+    return all(
+        _mapped_libm(_libm_rows(z[2 * i:2 * (i + _CHECK_PAIRS)])).tobytes()
+        == shifted[:, i:i + _CHECK_PAIRS].tobytes()
+        for i in range(0, shifted.shape[1], _CHECK_PAIRS)
+    )
 
 
 def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
@@ -133,7 +143,10 @@ class SplitMix64:
     __slots__ = ("_state", "_has_spare", "_spare")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        # one seed, one stream: a wider seed would alias its low 64 bits
+        if not 0 <= seed <= _MASK:
+            raise DataError(f"seed must lie in [0, 2^64), got {seed}")
+        self._state = seed
         self._has_spare = False
         self._spare = 0.0
 

@@ -6,6 +6,7 @@ on any platform.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -22,14 +23,13 @@ _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class ZooConfig:
-    """Geometry of a synthetic model pool.
+    """Geometry of a synthetic model pool of one model per entry of `rhos`.
 
     Model m draws class centroids from N(0, rhos[m]^2 I) and samples from
     N(centroid, noises[m]^2 I); larger rho/noise means an easier, better
     "model".
     """
 
-    models: int
     classes: int
     per_class: int
     dim: int
@@ -38,7 +38,7 @@ class ZooConfig:
     seed: int
 
     def __post_init__(self):
-        if self.models < 2 or self.classes < 2 or self.per_class < 2 or self.dim < 2:
+        if len(self.rhos) < 2 or self.classes < 2 or self.per_class < 2 or self.dim < 2:
             raise DataError("need models >= 2, classes >= 2, per_class >= 2, dim >= 2")
         # centroids, then a training and a held-out draw of per_class each
         draws = self.classes * self.dim * (1 + 2 * self.per_class)
@@ -48,15 +48,19 @@ class ZooConfig:
                 f"x {self.dim} dims needs {draws} draws; a float64 array holds "
                 f"at most {_MAX_FLOAT64S}"
             )
-        if len(self.rhos) != self.models or len(self.noises) != self.models:
+        if len(self.noises) != len(self.rhos):
             raise DataError("rhos and noises must list one value per model")
-        if any(r <= 0 for r in self.rhos) or any(s <= 0 for s in self.noises):
-            raise DataError("rho and noise values must be > 0")
+        for name in ("rhos", "noises"):
+            for m, value in enumerate(getattr(self, name)):
+                # NaN fails the bound and infinity would reach the draws
+                if not 0 < value < math.inf:
+                    raise DataError(f"rho and noise values must be > 0 and finite, "
+                                    f"got {name}[{m}] = {value}")
 
     @property
     def model_ids(self) -> tuple[str, ...]:
         """Each model's id, which is also its EMB1 file stem, in model order."""
-        return tuple(f"model-{m:02d}" for m in range(self.models))
+        return tuple(f"model-{m:02d}" for m in range(len(self.rhos)))
 
 
 def _class_draws(
@@ -170,7 +174,6 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     ds = EmbeddingSet(
         features=finite(_draw_points(rng, centroids, cfg.per_class, cfg.noises[m])),
         labels=np.repeat(np.arange(cfg.classes, dtype=np.int64), cfg.per_class),
-        class_count=cfg.classes,
         model_id=model_id,
         dataset_id=SYNTH_DATASET,
     )

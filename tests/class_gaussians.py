@@ -28,7 +28,6 @@ def gen_class_gaussians(
     return EmbeddingSet(
         features=_draw_points(rng, centroids, per_class, noise),
         labels=np.repeat(np.arange(classes, dtype=np.int64), per_class),
-        class_count=classes,
         model_id="synthetic",
         dataset_id=SYNTH_DATASET,
     )

@@ -103,7 +103,7 @@ def test_criterion_03_attract_equilibrium_and_rigidity():
         pts = np.array(
             [[-1.0, 0.0], [1.0, 0.0], [gap - 2.0, 0.0], [gap + 2.0, 0.0]]
         )
-        ds = EmbeddingSet(features=pts, labels=np.array([0, 0, 1, 1]), class_count=2)
+        ds = EmbeddingSet(features=pts, labels=np.array([0, 0, 1, 1]))
         out = attract(ds, class_geometry(ds), PerturbConfig(alpha=0.005, sigma=sigma))
         assert np.abs(out.features - pts).max() <= 1e-9
         assert rigidity(ds, out) <= 1e-9
@@ -210,11 +210,11 @@ def test_criterion_06_metric_sanity_suite():
         # gbc: coincident classes -> -1, far classes -> ~0
         x = rng.normal(size=(4000, 8)).astype(np.float32)
         labels = np.array([0] * 2000 + [1] * 2000)
-        same = EmbeddingSet(features=x, labels=labels, class_count=2)
+        same = EmbeddingSet(features=x, labels=labels)
         assert abs(score_gbc(same) - (-1.0)) <= 0.05
         far = np.array(x, dtype=np.float64)
         far[2000:, 0] += 100.0
-        far_ds = EmbeddingSet(features=far, labels=labels, class_count=2)
+        far_ds = EmbeddingSet(features=far, labels=labels)
         assert score_gbc(far_ds) > -1e-8
 
         # nleep: never positive; near zero on near-separable blobs
@@ -236,7 +236,7 @@ def test_criterion_06_metric_sanity_suite():
         shuffled_labels = balanced.labels.copy()
         np.random.default_rng(0).shuffle(shuffled_labels)
         shuffled = EmbeddingSet(
-            features=balanced.features, labels=shuffled_labels, class_count=4
+            features=balanced.features, labels=shuffled_labels
         )
         assert abs(score_lda(shuffled) - 0.25) <= 0.05
 
@@ -314,10 +314,10 @@ def test_criterion_09_end_to_end_desk_experiment():
     with criterion(9, "synthetic zoo: tau >= 0.8 before and after perturbation"):
         start = time.perf_counter()
         cfg = ZooConfig(
-            models=8, classes=4, per_class=100, dim=16,
+            classes=4, per_class=100, dim=16,
             rhos=tuple(np.linspace(0.25, 1.0, 8)), noises=(1.0,) * 8, seed=7,
         )
-        zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+        zoo = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
         sets = [ds for ds, _ in zoo]
         truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
         for metric in MetricId:

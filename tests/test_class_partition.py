@@ -139,7 +139,7 @@ def shuffled_sets(draw):
     labels = np.array(draw(st.permutations(labels.tolist())), dtype=np.int64)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(len(labels), dim)) * scale + rng.normal(size=dim) * scale
-    return EmbeddingSet(features=x.astype(dtype), labels=labels, class_count=classes)
+    return EmbeddingSet(features=x.astype(dtype), labels=labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +150,7 @@ def test_partition_keeps_the_mask_bits(ds):
 
 def test_the_first_class_of_one_row_is_named():
     x = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [3.0, 2.0], [0.5, 0.0]])
-    ds = EmbeddingSet(features=x, labels=[3, 1, 0, 1, 2], class_count=4)
+    ds = EmbeddingSet(features=x, labels=[3, 1, 0, 1, 2])
     assert ds.class_counts.tolist() == [1, 2, 1, 1]
     with pytest.raises(DataError, match="^class 0 has a single sample; gbc needs"):
         score_gbc(ds)
@@ -162,12 +162,12 @@ def test_the_first_class_of_one_row_is_named():
 def zoo_sets():
     """The benchmark zoo's sets at seed 0 (8 models, 10 classes of 200
     rows, 128 dims): raw, and prepared in modes none and sa."""
-    cfg = ZooConfig(models=8, classes=10, per_class=200, dim=128,
+    cfg = ZooConfig(classes=10, per_class=200, dim=128,
                     rhos=tuple(np.linspace(0.25, 1.0, 8).tolist()),
                     noises=(1.0,) * 8, seed=0)
     configs = [PerturbConfig(mode=PerturbMode.NONE), PerturbConfig(mode=PerturbMode.SA)]
     sets = {}
-    for m in range(cfg.models):
+    for m in range(len(cfg.rhos)):
         raw, _ = gen_zoo_model(cfg, m)
         sets[f"{raw.model_id}-raw"] = raw
         for mode, (ds, _) in zip(("none", "sa"), sa_perturb(raw, configs)):
@@ -181,6 +181,5 @@ def test_zoo_sets_keep_the_mask_bits(zoo_sets, shuffled):
     for i, ds in enumerate(zoo_sets.values()):
         if shuffled:
             perm = np.random.default_rng(i).permutation(ds.sample_count)
-            ds = EmbeddingSet(features=ds.features[perm], labels=ds.labels[perm],
-                              class_count=ds.class_count)
+            ds = EmbeddingSet(features=ds.features[perm], labels=ds.labels[perm])
         assert_partition_keeps_the_mask_bits(ds)

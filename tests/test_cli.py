@@ -420,8 +420,8 @@ def test_synth_default_zoo_can_be_ranked(tmp_path):
 @pytest.mark.parametrize("seed,code", [("-1", 2), (str(2**64), 2),
                                        (str(2**64 - 1), 0)])
 def test_synth_seed_is_one_64_bit_state(tmp_path, seed, code):
-    # SplitMix64 keeps a seed's low 64 bits, so -1 and 2^64 would write
-    # the zoos of 2^64 - 1 and 0 under a manifest naming another seed
+    # SplitMix64 holds one 64-bit state: -1 and 2^64 would alias 2^64 - 1
+    # and 0, so the flag refuses them before the library would
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, ["synth", "--models", "2", "--classes", "2",
                                        "--per-class", "3", "--dim", "2",

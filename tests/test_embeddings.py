@@ -24,7 +24,6 @@ def small_set():
     return EmbeddingSet(
         features=np.array([[0.0], [1.0]], dtype=np.float32),
         labels=np.array([0, 1]),
-        class_count=2,
         model_id="tiny",
     )
 
@@ -201,20 +200,64 @@ def test_every_class_must_occur():
     with pytest.raises(DataError, match="class 1 has no samples"):
         EmbeddingSet(
             features=np.zeros((3, 2), dtype=np.float32),
-            labels=np.array([0, 0, 0]),
-            class_count=2,
+            labels=np.array([0, 0, 2]),
         )
 
 
-def test_more_classes_than_samples_rejected():
-    # checked before the per-class count, which would allocate one slot
-    # per class named in an EMB1 header
-    with pytest.raises(DataError, match="need 2 to 2 classes"):
-        EmbeddingSet(
-            features=np.zeros((2, 1), dtype=np.float32),
-            labels=np.array([0, 1]),
-            class_count=2**32 - 1,
-        )
+def test_more_classes_than_samples_rejected(tmp_path):
+    # an EMB1 header's class count is a check on the file and sizes
+    # nothing: 2^32 - 1 classes named for 2 rows allocate no per-class slot
+    path = tmp_path / "wide.emb1"
+    path.write_bytes(emb1_bytes(2, 1, 2**32 - 1, [[0.0], [1.0]], [0, 1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=re.escape(
+                "header names 4294967295 classes, the labels name 2")):
+            load_emb1(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_header_classes_must_be_the_classes_the_labels_name(tmp_path):
+    path = tmp_path / "short.emb1"
+    path.write_bytes(emb1_bytes(4, 1, 3, [[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1]))
+    with pytest.raises(DataError, match=re.escape("header names 3 classes, the labels name 2")):
+        load_emb1(path)
+    path.write_bytes(emb1_bytes(4, 1, 2, [[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 2]))
+    with pytest.raises(DataError, match=re.escape("labels must lie in [0, 2), got range [0, 2]")):
+        load_emb1(path)
+
+
+def test_the_class_count_is_read_from_the_labels():
+    ds = EmbeddingSet(np.zeros((5, 1)), [2, 0, 1, 0, 2], model_id="m", dataset_id="d")
+    assert ds.class_count == 3 and ds.class_counts.tolist() == [2, 1, 2]
+    # a label past the rows is refused before the per-class count is formed
+    with pytest.raises(DataError, match=re.escape(
+            "labels must lie in [0, 2) for 2 samples, got range [0, 2147483647]")):
+        EmbeddingSet(np.zeros((2, 1)), [0, 2**31 - 1])
+    # the identity is keyword-only, so a stale count is no model id
+    with pytest.raises(TypeError):
+        EmbeddingSet(np.zeros((2, 1)), [0, 1], 2)
+
+
+@pytest.mark.parametrize("labels, shown", [
+    ([0.7, 1.9, 0.2, 1.5], "0.7 at index 0"),
+    ([0.0, 1.0, float("nan"), 1.0], "nan at index 2"),
+    ([0, 1, 0, 2**70], "1180591620717411303424 at index 3"),
+    ([0.0, 1.0, 0.0, 2.0**70], "1.1805916207174113e+21 at index 3"),
+    (np.array([0, 1, 0, 2**63], dtype=np.uint64), "9223372036854775808 at index 3"),
+], ids=["fraction", "nan", "int-past-int64", "float-past-int64", "uint64-past-int64"])
+def test_labels_the_int64_cast_would_change_are_refused(labels, shown):
+    with pytest.raises(DataError, match=re.escape(f"labels must be integers, got {shown}")):
+        EmbeddingSet(features=np.arange(8.0).reshape(4, 2), labels=labels)
+
+
+def test_integral_float_and_bool_labels_pass():
+    x = np.arange(8.0).reshape(4, 2)
+    assert EmbeddingSet(x, [0.0, 1.0, 2.0, 1.0]).labels.tolist() == [0, 1, 2, 1]
+    assert EmbeddingSet(x, [False, True, True, False]).labels.tolist() == [0, 1, 1, 0]
 
 
 def test_features_are_read_only():
@@ -227,7 +270,7 @@ def test_features_are_read_only():
 def test_the_callers_arrays_stay_writable(dtype):
     x = np.zeros((4, 2), dtype=dtype)
     y = np.array([0, 1, 0, 1], dtype=np.int64)
-    ds = EmbeddingSet(features=x, labels=y, class_count=2)
+    ds = EmbeddingSet(features=x, labels=y)
     assert x.flags.writeable and y.flags.writeable
     for array in (ds.features, ds.labels, ds.class_counts):
         assert not array.flags.writeable
@@ -244,7 +287,7 @@ def test_a_set_of_read_only_arrays_works():
     y = np.array([0, 1, 0, 1])
     for array in (x, y):
         array.setflags(write=False)
-    ds = EmbeddingSet(features=x, labels=y, class_count=2)
+    ds = EmbeddingSet(features=x, labels=y)
     derived = ds.with_features(ds.features * 2.0)
     assert derived.labels.tolist() == [0, 1, 0, 1]
     assert derived.class_counts.tolist() == [2, 2]
@@ -270,7 +313,6 @@ def test_save_load_identity(tmp_path_factory, n, d, seed):
     ds = EmbeddingSet(
         features=rng.normal(size=(n, d)).astype(np.float32),
         labels=labels,
-        class_count=2,
     )
     path = tmp_path_factory.mktemp("rt") / "f.emb1"
     save_emb1(ds, path)

@@ -263,7 +263,6 @@ def load_truth_from_rows(rows):
 
 def test_report_tau_matches_direct_call():
     cfg = ZooConfig(
-        models=11,
         classes=3,
         per_class=40,
         dim=8,
@@ -271,7 +270,7 @@ def test_report_tau_matches_direct_call():
         noises=(1.0,) * 11,
         seed=5,
     )
-    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    zoo = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
     sets = [ds for ds, _ in zoo]
     truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     rng = np.random.default_rng(6)

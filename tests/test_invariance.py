@@ -53,7 +53,7 @@ def small_sets(draw):
     labels = np.repeat(np.arange(classes), counts)
     features = centroids[labels] + rng.normal(size=(labels.size, dim))
     return EmbeddingSet(features=features.astype(np.float32), labels=labels,
-                        class_count=classes, model_id="drawn")
+                        model_id="drawn")
 
 
 def nearly_spans_a_class(ds):
@@ -89,9 +89,9 @@ def test_scores_do_not_depend_on_row_order_or_class_names(ds, order_seed):
     base = scores(ds)
     rows = rng.permutation(ds.labels.size)
     permuted = EmbeddingSet(features=ds.features[rows], labels=ds.labels[rows],
-                            class_count=ds.class_count, model_id=ds.model_id)
+                            model_id=ds.model_id)
     assert moved(base, scores(permuted), exempt) == {}
     names = rng.permutation(ds.class_count)
     renamed = EmbeddingSet(features=ds.features, labels=names[ds.labels],
-                           class_count=ds.class_count, model_id=ds.model_id)
+                           model_id=ds.model_id)
     assert moved(base, scores(renamed), exempt) == {}

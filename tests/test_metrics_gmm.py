@@ -114,6 +114,14 @@ def test_same_seed_bit_identical():
     assert a.responsibilities.tobytes() == b.responsibilities.tobytes()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_nleep_refuses_a_seed_outside_64_bits(seed):
+    # the seeding's stream holds 64 bits, so -1 would seed as 2^64 - 1
+    ds = gen_class_gaussians(3, 20, 4, rho=2.0, noise=1.0, seed=4)
+    with pytest.raises(DataError, match=f"seed must lie in \\[0, 2\\^64\\), got {seed}"):
+        score_nleep(ds, seed=seed)
+
+
 def test_log_likelihood_never_decreases():
     for seed in range(6):
         ds = gen_class_gaussians(3, 50, 4, rho=1.0, noise=1.0, seed=seed)
@@ -322,8 +330,8 @@ def test_nleep_is_within_1e12_of_the_row_major_fit(n, dim, k):
     gmm = fit_gmm(ds.features, k, seed=1)
     resp, steps = _row_major_fit(ds.features, k, seed=1)
     assert len(gmm.log_likelihood_trace) == steps
-    got = nleep_from_responsibilities(gmm.responsibilities, ds.labels, 10)
-    want = nleep_from_responsibilities(resp, ds.labels, 10)
+    got = nleep_from_responsibilities(gmm.responsibilities, ds.labels)
+    want = nleep_from_responsibilities(resp, ds.labels)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -365,7 +373,7 @@ def test_nleep_drops_under_label_shuffle():
     labels = ds.labels.copy()
     rng.shuffle(labels)
     broken = EmbeddingSet(
-        features=ds.features, labels=labels, class_count=ds.class_count
+        features=ds.features, labels=labels
     )
     assert score_nleep(broken, seed=63) < score_nleep(ds, seed=63)
 
@@ -380,7 +388,7 @@ def test_nleep_sample_order_invariant():
     ds = gen_class_gaussians(3, 60, 4, rho=2.0, noise=1.0, seed=81)
     perm = np.random.default_rng(82).permutation(ds.sample_count)
     permuted = EmbeddingSet(
-        features=ds.features[perm], labels=ds.labels[perm], class_count=3
+        features=ds.features[perm], labels=ds.labels[perm]
     )
     assert score_nleep(permuted, seed=83) == pytest.approx(
         score_nleep(ds, seed=83), abs=1e-9
@@ -394,7 +402,7 @@ def test_empty_components_are_dropped_and_logged(caplog):
     )
     labels = np.array([0, 0, 1, 1])
     with caplog.at_level(logging.INFO):
-        val = nleep_from_responsibilities(resp, labels, 2)
+        val = nleep_from_responsibilities(resp, labels)
     assert "dropping" in caplog.text
     assert val == pytest.approx(0.0, abs=1e-12)
 
@@ -406,5 +414,5 @@ def test_a_component_of_exactly_the_empty_mass_is_dropped():
                      [0.2, 0.8, 0.0], [0.9, 0.1, 0.0]])
     assert resp[:, 2].sum() == 1e-12
     labels = np.array([0, 0, 1, 1])
-    assert nleep_from_responsibilities(resp, labels, 2) == \
-        nleep_from_responsibilities(resp[:, :2], labels, 2)
+    assert nleep_from_responsibilities(resp, labels) == \
+        nleep_from_responsibilities(resp[:, :2], labels)

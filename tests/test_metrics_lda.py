@@ -42,7 +42,7 @@ def random_set(seed):
     labels = rng.permutation(np.repeat(np.arange(c), rng.integers(2, 12)))
     centroids = rng.normal(size=(c, k)) * 10.0 ** rng.uniform(-1, 1)
     x = centroids[labels] + rng.normal(size=(labels.size, k))
-    return EmbeddingSet(features=x.astype(np.float32), labels=labels, class_count=c)
+    return EmbeddingSet(features=x.astype(np.float32), labels=labels)
 
 
 def test_matches_scipy_generalized_eigh():
@@ -64,7 +64,7 @@ def test_coincident_class_means_score_the_prior():
     for counts in ((1, 1, 1), (2, 1, 1)):
         x = np.concatenate([np.tile(base, (m, 1)) for m in counts])
         labels = np.repeat(np.arange(3), [4 * m for m in counts])
-        ds = EmbeddingSet(features=x, labels=labels, class_count=3)
+        ds = EmbeddingSet(features=x, labels=labels)
         priors = np.array(counts) / sum(counts)
         val = score_lda(ds)
         assert math.isfinite(val) and 0.0 <= val <= 1.0
@@ -97,7 +97,7 @@ def test_shuffled_labels_score_at_chance():
     rng = np.random.default_rng(0)
     labels = ds.labels.copy()
     rng.shuffle(labels)
-    shuffled = EmbeddingSet(features=ds.features, labels=labels, class_count=4)
+    shuffled = EmbeddingSet(features=ds.features, labels=labels)
     assert score_lda(shuffled) == pytest.approx(0.25, abs=0.05)
 
 
@@ -120,7 +120,7 @@ def test_sample_order_invariant():
     ds = gen_class_gaussians(3, 50, 5, rho=2.0, noise=1.0, seed=11)
     perm = np.random.default_rng(12).permutation(ds.sample_count)
     permuted = EmbeddingSet(
-        features=ds.features[perm], labels=ds.labels[perm], class_count=3
+        features=ds.features[perm], labels=ds.labels[perm]
     )
     assert score_lda(permuted) == pytest.approx(score_lda(ds), abs=1e-9)
 
@@ -129,7 +129,6 @@ def test_singleton_class_rejected():
     ds = EmbeddingSet(
         features=np.array([[0.0, 0], [1, 0], [2, 1]], dtype=np.float32),
         labels=np.array([0, 0, 1]),
-        class_count=2,
     )
     with pytest.raises(DataError, match="single sample; lda needs") as err:
         score_lda(ds)

@@ -19,7 +19,6 @@ def make_set(features, labels, classes):
     return EmbeddingSet(
         features=np.asarray(features, dtype=np.float64),
         labels=np.asarray(labels),
-        class_count=classes,
     )
 
 
@@ -396,7 +395,7 @@ def test_score_model_peaks_under_five_and_a_half_input_sets():
     # under none and sa with every metric. Holding every stage set until
     # the model was done, the spread set built before none was scored and
     # a separate alpha * disp[labels] temporary peaked at 7.8 input sets
-    cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
+    cfg = ZooConfig(classes=10, per_class=200, dim=128,
                     rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
     ds, _ = gen_zoo_model(cfg, 0)
     tracemalloc.start()
@@ -421,6 +420,16 @@ def test_invalid_config_rejected():
         PerturbConfig(alpha=-0.1)
     with pytest.raises(DataError, match="sigma must be >= 0"):
         PerturbConfig(sigma=-1.0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_config_is_a_data_error_naming_its_field(field, value):
+    # the library refuses what the CLI's flags refuse, before any feature
+    # is derived from it; a finite value that overflows stays numeric
+    with pytest.raises(DataError, match=f"{field} must be >= 0 and finite, got {value}"):
+        PerturbConfig(**{field: value})
+    assert getattr(PerturbConfig(**{field: 1e308}), field) == 1e308
 
 
 def test_ablation_modes_are_distinguishable():

@@ -30,7 +30,6 @@ def build_case(classes, counts, dim, scale, noise, seed):
     return EmbeddingSet(
         features=np.vstack(rows).astype(np.float32),
         labels=np.array(labels),
-        class_count=classes,
         model_id=f"fuzz-{seed}",
     )
 

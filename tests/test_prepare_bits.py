@@ -29,8 +29,7 @@ def embedding_sets(draw):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d)) * scale + rng.normal(size=d) * scale
     labels = np.arange(n) % classes
-    return EmbeddingSet(features=x.astype(dtype), labels=labels,
-                        class_count=classes)
+    return EmbeddingSet(features=x.astype(dtype), labels=labels)
 
 
 def on_centroid_set(dtype):
@@ -44,8 +43,7 @@ def on_centroid_set(dtype):
                   [6.0, -0.0], [7.0, -0.0], [8.0, -0.0],
                   [4.0, -1.0], [5.0, 0.5], [7.0, 3.0]])
     return EmbeddingSet(features=x.astype(dtype),
-                        labels=[0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
-                        class_count=4)
+                        labels=[0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
 
 
 def old_fit_pca(ds, energy=None, rank=None):

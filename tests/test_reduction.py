@@ -18,7 +18,7 @@ def make_set(features, labels=None, classes=2):
     if labels is None:
         labels = np.arange(n) % classes
     return EmbeddingSet(
-        features=features.astype(np.float32), labels=labels, class_count=classes
+        features=features.astype(np.float32), labels=labels
     )
 
 
@@ -122,8 +122,7 @@ def rows_around(offset, n, d, dtype, step=0.0):
     entry of the second row moved by `step`."""
     x = np.tile((offset + 0.1) * (1 + np.arange(d) / 10), (n, 1))
     x[1, 0] += step
-    return EmbeddingSet(features=x.astype(dtype), labels=np.arange(n) % 2,
-                        class_count=2)
+    return EmbeddingSet(features=x.astype(dtype), labels=np.arange(n) % 2)
 
 
 SHAPES = [pytest.param(7, 3, id="covariance"), pytest.param(3, 9, id="gram")]
@@ -219,7 +218,7 @@ def pca_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.normal(size=(distinct, d)) * scale + rng.normal(size=d) * scale
     return EmbeddingSet(features=rows[np.arange(n) % distinct].astype(dtype),
-                        labels=np.arange(n) % classes, class_count=classes)
+                        labels=np.arange(n) % classes)
 
 
 @settings(max_examples=150, deadline=None)

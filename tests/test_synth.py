@@ -1,4 +1,5 @@
 """Synthetic generation: stream order, blob statistics, zoo oracle truth."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from test_prepare_bits import old_draw_points
 
 def zoo_config(**overrides):
     base = dict(
-        models=4,
         classes=3,
         per_class=50,
         dim=6,
@@ -78,8 +78,8 @@ def test_same_seed_byte_identical_emb1(tmp_path):
 
 def test_zoo_is_deterministic():
     cfg = zoo_config()
-    zoo_a = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
-    zoo_b = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    zoo_a = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
+    zoo_b = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
     for (a, _), (b, _) in zip(zoo_a, zoo_b):
         assert a.features.tobytes() == b.features.tobytes()
     truth_a = zoo_truth((ds.model_id, acc) for ds, acc in zoo_a)
@@ -91,7 +91,7 @@ def test_zoo_training_set_matches_standalone_generator():
     # the zoo's training draw is the prefix of the per-model stream, so it
     # equals gen_class_gaussians for the same parameters
     cfg = zoo_config()
-    for m in range(cfg.models):
+    for m in range(len(cfg.rhos)):
         ds, _ = gen_zoo_model(cfg, m)
         solo = gen_class_gaussians(
             cfg.classes, cfg.per_class, cfg.dim, cfg.rhos[m], cfg.noises[m],
@@ -108,12 +108,12 @@ def test_high_separation_model_scores_above_99():
 
 def test_identical_geometry_identical_accuracy():
     cfg = zoo_config(rhos=(2.0, 2.0, 2.0, 2.0))
-    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    zoo = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
     truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     # models share geometry parameters but not seeds, so accuracies are
     # close yet generally distinct; rerunning the same config must
     # reproduce them exactly
-    zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+    zoo = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
     truth2 = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
     assert truth.records == truth2.records
 
@@ -132,15 +132,14 @@ def test_accuracy_monotone_in_separation_at_fixed_seed():
             g = rng_.gaussians(classes * per_class * dim)
             return np.repeat(cents, per_class, axis=0) + noise * g.reshape(-1, dim)
 
-        train = EmbeddingSet(features=draw(rng), labels=labels, class_count=classes)
+        train = EmbeddingSet(features=draw(rng), labels=labels)
         test = draw(rng)
         accs.append(nearest_centroid_accuracy(train, [(test, labels)]))
     assert all(b >= a for a, b in zip(accs, accs[1:]))
 
 
 def test_oracle_without_held_out_points_is_a_data_error():
-    train = EmbeddingSet(features=np.eye(2, dtype=np.float32), labels=np.arange(2),
-                         class_count=2)
+    train = EmbeddingSet(features=np.eye(2, dtype=np.float32), labels=np.arange(2))
     for held_out in ([], [(np.empty((0, 2), np.float32), np.empty(0, np.int64))]):
         with pytest.raises(DataError, match="no held-out points"):
             nearest_centroid_accuracy(train, held_out)
@@ -149,7 +148,7 @@ def test_oracle_without_held_out_points_is_a_data_error():
 def test_oracle_accuracy_bounded_by_chance_and_one():
     for seed in range(5):
         cfg = zoo_config(seed=seed, rhos=(0.01, 0.5, 1.0, 10.0))
-        zoo = [gen_zoo_model(cfg, m) for m in range(cfg.models)]
+        zoo = [gen_zoo_model(cfg, m) for m in range(len(cfg.rhos))]
         truth = zoo_truth((ds.model_id, acc) for ds, acc in zoo)
         for acc in truth.records.values():
             assert 100.0 / cfg.classes * 0.5 <= acc <= 100.0
@@ -157,11 +156,31 @@ def test_oracle_accuracy_bounded_by_chance_and_one():
 
 def test_config_validation():
     with pytest.raises(DataError, match="need models >= 2"):
-        zoo_config(models=1, rhos=(1.0,), noises=(1.0,))
+        zoo_config(rhos=(1.0,), noises=(1.0,))
     with pytest.raises(DataError, match="one value per model"):
         zoo_config(rhos=(1.0, 2.0))  # wrong length
     with pytest.raises(DataError, match="values must be > 0"):
         zoo_config(noises=(0.0, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("field, values, named", [
+    ("rhos", (float("nan"), 2.0, 3.0, 4.0), "rhos[0] = nan"),
+    ("noises", (1.0, 1.0, float("inf"), 1.0), "noises[2] = inf"),
+])
+def test_config_refuses_a_non_finite_rho_or_noise(field, values, named):
+    with pytest.raises(DataError, match=re.escape(f"must be > 0 and finite, got {named}")):
+        zoo_config(**{field: values})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # SplitMix64 holds one 64-bit state, so -1 would draw the zoo of 2^64 - 1
+    cfg = zoo_config(seed=seed)
+    with pytest.raises(DataError, match=re.escape(f"seed must lie in [0, 2^64), got {seed}")):
+        gen_zoo_model(cfg, 0)
+    with pytest.raises(DataError, match="seed must lie in"):
+        SplitMix64(seed)
+    assert SplitMix64(2**64 - 1).next_u64() == SplitMix64(2**64 - 1).next_u64()
 
 
 def test_config_rejects_a_model_no_float64_array_holds():
@@ -201,7 +220,7 @@ sizes = dict(classes=st.integers(2, 4), per_class=st.integers(2, 5),
 def test_zoo_model_keeps_the_reference_bits(m, classes, per_class, dim, rho,
                                             noise, seed):
     # odd per_class * dim carries a Box-Muller spare from class to class
-    cfg = ZooConfig(models=2, classes=classes, per_class=per_class, dim=dim,
+    cfg = ZooConfig(classes=classes, per_class=per_class, dim=dim,
                     rhos=(rho, rho), noises=(noise, noise), seed=seed)
     rng = SplitMix64(seed ^ m)
     cents = rho * rng.gaussians(classes * dim).reshape(classes, dim)
@@ -241,7 +260,7 @@ def test_nearest_centroid_accuracy_keeps_the_reference_bits(
                                    elements=st.integers(0, classes - 1)))
     pred = reference_predictions(train, train_labels, test, classes)
     before = train.tobytes(), test.tobytes()
-    train_set = EmbeddingSet(features=train, labels=train_labels, class_count=classes)
+    train_set = EmbeddingSet(features=train, labels=train_labels)
 
     assert nearest_centroid_accuracy(train_set, [(test, pred)]) == 1.0
     assert nearest_centroid_accuracy(
@@ -253,7 +272,7 @@ def traced_model_peak(tmp_path) -> float:
     """tracemalloc's peak while model 0 of a zoo at zoobench's shape is
     generated and saved, in units of its float32 training set: N = 10
     classes x 200 = 2000 rows of D = 128 dims, N*D*4 = 1,024,000 bytes."""
-    cfg = ZooConfig(models=2, classes=10, per_class=200, dim=128,
+    cfg = ZooConfig(classes=10, per_class=200, dim=128,
                     rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
     tracemalloc.start()
     try:

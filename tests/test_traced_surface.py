@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from terank import PerturbConfig, score_model
-from terank import metrics
+from terank import EmbeddingSet, PerturbConfig, score_model
+from terank import metrics, perturbation
 from terank.metrics import fit_gmm
 from terank.reduction import fit_pca
 from terank.vocabulary import MetricId, PerturbMode
@@ -24,6 +24,24 @@ def test_fit_pca_keeps_the_arguments_and_rank_the_tracer_reads():
     assert {"ds", "energy", "rank"} <= set(inspect.signature(fit_pca).parameters)
     model = fit_pca(ds=small_set(), energy=None, rank=None)
     assert type(model.rank) is int and model.rank >= 1
+
+
+def test_fit_pca_sees_the_set_identity_the_tracer_reads(monkeypatch):
+    # the tracer keys each distinct PCA config by the model_id and
+    # dataset_id of fit_pca's ds; a set that lost them would merge configs
+    seen = []
+
+    def recorded(*args, _fn=perturbation.fit_pca, **kwargs):
+        ds = inspect.signature(_fn).bind(*args, **kwargs).arguments["ds"]
+        seen.append((ds.model_id, ds.dataset_id))
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "fit_pca", recorded)
+    base = small_set()
+    ds = EmbeddingSet(base.features, base.labels, model_id="model-07",
+                      dataset_id="synthetic")
+    score_model(ds, [MetricId.GBC], [PerturbConfig(mode=PerturbMode.SA)])
+    assert seen == [("model-07", "synthetic")]
 
 
 def test_fit_gmm_keeps_its_likelihood_trace():

@@ -43,7 +43,7 @@ REL_BOUND = 1e-12
 def zoo_scores() -> dict[str, dict[str, float]]:
     """`{"<metric>/<mode>": {model id: score}}` of the benchmark zoo."""
     models = 8
-    cfg = ZooConfig(models=models, classes=10, per_class=200, dim=128,
+    cfg = ZooConfig(classes=10, per_class=200, dim=128,
                     rhos=tuple(np.linspace(0.25, 1.0, models).tolist()),
                     noises=tuple(np.linspace(1.0, 1.0, models).tolist()),
                     seed=SEED)
