@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .embeddings import EmbeddingSet, load_csv, load_emb1, save_emb1
+from .embeddings import EmbeddingSet, emb1_writer, load_csv, load_emb1
 from .errors import DataError, NumericError
 from .evaluation import (
     POOLS,
@@ -490,7 +490,7 @@ def main():
 def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
           jobs, fmt):
     """Generate a synthetic model zoo: EMB1 files plus an oracle truth CSV."""
-    from .synth import ZooConfig, gen_zoo_model, zoo_truth
+    from .synth import ZooConfig, draw_zoo_model, zoo_truth
 
     cfg = ZooConfig(
         classes=classes,
@@ -509,13 +509,18 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
                         f"zoo does not write; remove it or choose another --out")
     t0 = time.perf_counter()
     with _all_or_nothing(out) as stage:
+        labels = cfg.labels
+
         def task(m: int) -> tuple[str, float]:
-            # the set is freed when the task returns: only its accuracy stays
-            ds, acc = gen_zoo_model(cfg, m)
+            # each class block goes to the file as it is drawn: a model
+            # never holds its training set, and only its accuracy stays
+            model_id = cfg.model_ids[m]
+            with emb1_writer(stage / f"{model_id}.emb1", labels, dim,
+                             classes) as append:
+                acc = draw_zoo_model(cfg, m, append)
             # a bad accuracy stops the zoo here, not after every model
-            zoo_truth([(ds.model_id, acc)])
-            save_emb1(ds, stage / f"{ds.model_id}.emb1")
-            return ds.model_id, acc
+            zoo_truth([(model_id, acc)])
+            return model_id, acc
 
         accuracies = _pool_map(models, jobs, task)
         write_truth(zoo_truth(accuracies), stage / "truth.csv")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import KW_ONLY, dataclass, field
 from pathlib import Path
 
@@ -23,25 +24,33 @@ _HEADER = struct.Struct("<4I")  # N, D, C, reserved
 
 
 def _int64_labels(values) -> np.ndarray:
-    """`values` as int64 labels. A label that the cast would change, such
-    as 0.7, NaN or 2**70, is a DataError naming the first one; integral
-    floats such as 2.0, and bools, pass."""
+    """`values` as int64 labels. A label that the cast would change or
+    refuse, such as 0.7, NaN, 2**70, None or 'a', is a DataError naming
+    the first one; integral floats such as 2.0, and bools, pass."""
     raw = np.asarray(values)
     if np.can_cast(raw.dtype, np.int64):  # bools and integers that int64 holds
         return raw.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):
         try:
             labels = raw.astype(np.int64)
-        except OverflowError:  # a Python int past int64
-            labels = raw.astype(np.float64).astype(np.int64)
-    changed = np.flatnonzero(labels != raw)
-    if changed.size:
+            changed = np.flatnonzero(labels != raw)
+        except (TypeError, ValueError, OverflowError):  # None, 'a', 2**70
+            changed = [i for i, value in enumerate(raw.ravel()) if _cast_changes(value)]
+    if len(changed):
         i = changed[0]
         raise DataError(
             f"labels must be integers, got {raw.ravel()[i:i + 1].tolist()[0]!r} "
             f"at index {i}"
         )
     return labels
+
+
+def _cast_changes(value) -> bool:
+    """Whether the int64 cast of one label refuses or changes it."""
+    try:
+        return bool(np.asarray(value).astype(np.int64) != value)
+    except (TypeError, ValueError, OverflowError):
+        return True
 
 
 @dataclass(frozen=True)
@@ -138,13 +147,36 @@ class EmbeddingSet:
             raise NumericError(f"derived set: {exc}") from None
 
 
+@contextmanager
+def emb1_writer(path: str | Path, labels: np.ndarray, dim: int,
+                class_count: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Open the EMB1 file `path` for len(labels) rows of `dim` features
+    and yield a function that appends a block of rows (stored as
+    float32), in row order. When the block ends, the labels are written
+    after the rows; rows that do not fill the header's N x D are a
+    DataError. The one EMB1 writer: a caller that draws its rows block
+    by block never holds them all."""
+    with Path(path).open("wb") as f:
+        f.write(MAGIC + _HEADER.pack(len(labels), dim, class_count, 0))
+        written = 0
+
+        def append(rows: np.ndarray) -> None:
+            nonlocal written
+            rows = np.ascontiguousarray(rows, dtype="<f4")
+            f.write(rows)
+            written += rows.size
+
+        yield append
+        if written != len(labels) * dim:
+            raise DataError(f"wrote {written} feature values, the header "
+                            f"promises {len(labels)} x {dim}")
+        f.write(labels.astype("<u4"))
+
+
 def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
     """Write the canonical EMB1 layout (features stored as float32)."""
-    # the parts are written one after another: no joined copy of the file
-    with Path(path).open("wb") as f:
-        f.write(MAGIC + _HEADER.pack(ds.sample_count, ds.feature_dim, ds.class_count, 0))
-        f.write(np.ascontiguousarray(ds.features, dtype="<f4"))
-        f.write(ds.labels.astype("<u4"))
+    with emb1_writer(path, ds.labels, ds.feature_dim, ds.class_count) as append:
+        append(ds.features)
 
 
 def load_emb1(path: str | Path) -> EmbeddingSet:

@@ -7,7 +7,7 @@ on any platform.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +62,12 @@ class ZooConfig:
         """Each model's id, which is also its EMB1 file stem, in model order."""
         return tuple(f"model-{m:02d}" for m in range(len(self.rhos)))
 
+    @property
+    def labels(self) -> np.ndarray:
+        """Each model's row labels: per_class rows of each class, in class
+        order, as `draw_zoo_model` hands on the training blocks."""
+        return np.repeat(np.arange(self.classes, dtype=np.int64), self.per_class)
+
 
 def _class_draws(
     rng: SplitMix64, centroids: np.ndarray, per_class: int, noise: float
@@ -86,18 +92,6 @@ def _class_draws(
     return map(draw, centroids)
 
 
-def _draw_points(
-    rng: SplitMix64, centroids: np.ndarray, per_class: int, noise: float
-) -> np.ndarray:
-    """The blocks of `_class_draws` as one float32 array of rows in class
-    order."""
-    classes, dim = centroids.shape
-    points = np.empty((classes * per_class, dim), dtype=np.float32)
-    for c, block in enumerate(_class_draws(rng, centroids, per_class, noise)):
-        points[c * per_class:(c + 1) * per_class] = block
-    return points
-
-
 def _sq_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared float64 distances of each row of `features` to each
     centroid, as ||t||^2 - 2 t.mu + ||mu||^2. A row's distances do not
@@ -110,24 +104,22 @@ def _sq_distances(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def nearest_centroid_accuracy(
-    train: EmbeddingSet,
+    centroids: np.ndarray,
     held_out: Iterable[tuple[np.ndarray, np.ndarray | int]],
 ) -> float:
-    """Fraction of held-out points whose nearest centroid of a `train`
-    class matches their label. Ties go to the lowest class index.
+    """Fraction of held-out points whose nearest of the float64
+    `centroids` (one row per class) is the class of their label. Ties go
+    to the lowest class index.
 
     `held_out` yields `(features, labels)` blocks, where labels may be
     one class index for the whole block; a caller with whole arrays
     passes one block. Each block is reduced to its hit count before the
     next is taken, so a generator of blocks never has the whole held-out
-    set alive: besides the training set, one block and its block-sized
+    set alive: besides the centroids, one block and its block-sized
     float64 double are. Distances are computed in float64 by
     `_sq_distances`, whose rows do not depend on the other rows of their
-    block, so any split into blocks gives the same bits. Each centroid
-    is the mean of its `train.class_rows` block cast on its own.
+    block, so any split into blocks gives the same bits.
     """
-    centroids = np.stack([np.asarray(rows, dtype=np.float64).mean(axis=0)
-                          for rows in train.class_rows()])
     hits = total = 0
     for features, labels in held_out:
         nearest = np.argmin(_sq_distances(features, centroids), axis=1)
@@ -138,23 +130,24 @@ def nearest_centroid_accuracy(
     return hits / total
 
 
-def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
-    """Generate model m of the zoo: its embedding set and its oracle
+def draw_zoo_model(cfg: ZooConfig, m: int,
+                   consume: Callable[[np.ndarray], object]) -> float:
+    """Draw model m of the zoo: hand its training set to `consume` as one
+    float32 block per class, in class order, and return its oracle
     accuracy in percent.
 
     The model uses the stream seeded with seed XOR m: centroids, then the
     training draw, then a fresh held-out draw of the same size. Its
     "fine-tuning accuracy" is the held-out nearest-centroid accuracy.
-    Models share no state, so they can be generated in any order or
+    Models share no state, so they can be drawn in any order or
     concurrently with identical output. Raises NumericError when the
-    draws or their float32 cast overflow.
+    draws or their float32 cast overflow, at the first such class.
 
-    The training set is drawn into float32 one class at a time. The
-    held-out set is drawn class by class while its accuracy is measured,
-    each class checked, counted and dropped before the next is drawn, so
-    it never exists whole. Beside the float32 training set a model holds
-    one class of draws and their distances: a traced peak, save_emb1
-    included, of about 1.8 times the training set's float32 bytes.
+    Each training block is checked and handed on as soon as it is drawn;
+    only its float64 class mean stays, which is the oracle's centroid.
+    The held-out set is drawn class by class while the oracle counts its
+    hits. So the draw holds one class of draws and their distances, never
+    the training or held-out set.
     """
     model_id = cfg.model_ids[m]
 
@@ -171,19 +164,40 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
     centroids = cfg.rhos[m] * rng.gaussians(cfg.classes * cfg.dim).reshape(
         cfg.classes, cfg.dim
     )
-    ds = EmbeddingSet(
-        features=finite(_draw_points(rng, centroids, cfg.per_class, cfg.noises[m])),
-        labels=np.repeat(np.arange(cfg.classes, dtype=np.int64), cfg.per_class),
-        model_id=model_id,
-        dataset_id=SYNTH_DATASET,
-    )
+    means = np.empty_like(centroids)
+    for c, block in enumerate(
+            _class_draws(rng, centroids, cfg.per_class, cfg.noises[m])):
+        consume(finite(block))
+        # the class's rows in input order, cast on their own: the bits of
+        # the mean of its EmbeddingSet.class_rows block
+        means[c] = np.asarray(block, dtype=np.float64).mean(axis=0)
     held_out = (
         (finite(block), c)
         for c, block in enumerate(
             _class_draws(rng, centroids, cfg.per_class, cfg.noises[m]))
     )
-    acc = nearest_centroid_accuracy(ds, held_out)
-    return ds, 100.0 * acc
+    return 100.0 * nearest_centroid_accuracy(means, held_out)
+
+
+def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
+    """Generate model m of the zoo: its embedding set and its oracle
+    accuracy in percent, as `draw_zoo_model` draws them.
+
+    The set's float32 array is filled class by class as the blocks are
+    drawn, so beside it a model holds one class of draws and their
+    distances. `synth` does not call this: it writes each block to the
+    model's EMB1 file as it is drawn, so it never holds the set.
+    """
+    features = np.empty((cfg.classes, cfg.per_class, cfg.dim), dtype=np.float32)
+    class_blocks = iter(features)
+    acc = draw_zoo_model(cfg, m, lambda block: np.copyto(next(class_blocks), block))
+    ds = EmbeddingSet(
+        features=features.reshape(-1, cfg.dim),
+        labels=cfg.labels,
+        model_id=cfg.model_ids[m],
+        dataset_id=SYNTH_DATASET,
+    )
+    return ds, acc
 
 
 def zoo_truth(accuracies: Iterable[tuple[str, float]]) -> TruthTable:

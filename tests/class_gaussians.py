@@ -4,7 +4,14 @@ import numpy as np
 
 from terank import EmbeddingSet
 from terank.rng import SplitMix64
-from terank.synth import SYNTH_DATASET, _draw_points
+from terank.synth import SYNTH_DATASET, _class_draws
+
+
+def draw_points(rng: SplitMix64, centroids: np.ndarray, per_class: int,
+                noise: float) -> np.ndarray:
+    """The float32 class blocks of `synth._class_draws`, stacked in class
+    order: per_class rows around each centroid."""
+    return np.concatenate(list(_class_draws(rng, centroids, per_class, noise)))
 
 
 def gen_class_gaussians(
@@ -20,13 +27,14 @@ def gen_class_gaussians(
 
     One stream in class-major, dimension-minor order makes the output
     bit-deterministic: the centroids are drawn first, then the points
-    by `synth._draw_points`, so a zoo model's training set equals this
-    set for the same parameters and the seed seed XOR m.
+    by the zoo generator's `synth._class_draws`, one block per class, so
+    a zoo model's training set equals this set for the same parameters
+    and the seed seed XOR m.
     """
     rng = SplitMix64(seed)
     centroids = rho * rng.gaussians(classes * dim).reshape(classes, dim)
     return EmbeddingSet(
-        features=_draw_points(rng, centroids, per_class, noise),
+        features=draw_points(rng, centroids, per_class, noise),
         labels=np.repeat(np.arange(classes, dtype=np.int64), per_class),
         model_id="synthetic",
         dataset_id=SYNTH_DATASET,

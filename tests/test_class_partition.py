@@ -1,7 +1,8 @@
 """One class partition per embedding set: `EmbeddingSet.class_counts` and
 `class_rows` replace a boolean mask per class in the class geometry, gbc,
-lda and synth's oracle. Each is compared, with `==` and no tolerance, to
-the mask formula it replaced, kept here as the bit reference."""
+lda and the centroids of synth's oracle. Each is compared, with `==` and
+no tolerance, to the mask formula it replaced, kept here as the bit
+reference."""
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from terank.errors import DataError
 from terank.perturbation import class_geometry, sa_perturb
 from terank.synth import nearest_centroid_accuracy
 from terank.vocabulary import PerturbMode
+from test_synth import class_means
 
 _VAR_FLOOR = 1e-6
 
@@ -124,8 +126,9 @@ def assert_partition_keeps_the_mask_bits(ds):
     pred = np.argmin(d2, axis=1)
     truth = np.concatenate([ds.labels, np.repeat(np.arange(ds.class_count),
                                                  ds.class_count)])
-    assert nearest_centroid_accuracy(ds, [(held_out, pred)]) == 1.0
-    assert nearest_centroid_accuracy(ds, [(held_out, truth)]) == np.mean(pred == truth)
+    assert nearest_centroid_accuracy(class_means(ds), [(held_out, pred)]) == 1.0
+    assert nearest_centroid_accuracy(
+        class_means(ds), [(held_out, truth)]) == np.mean(pred == truth)
 
 
 @st.composite

@@ -514,10 +514,10 @@ def test_synth_out_of_memory_is_one_line_data_error(tmp_path, monkeypatch, jobs,
                                                     message):
     # a size ZooConfig accepts can still exceed the machine's memory; the
     # generator is stubbed, so the test allocates nothing large
-    def exhausted(cfg, m):
+    def exhausted(cfg, m, consume):
         raise MemoryError(message)
 
-    monkeypatch.setattr(synth, "gen_zoo_model", exhausted)
+    monkeypatch.setattr(synth, "draw_zoo_model", exhausted)
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, ["synth", "--models", "2", "--jobs", jobs,
                                        "--out", str(out)])
@@ -1019,14 +1019,14 @@ def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
     # them are drawn; the later models wait, so the check comes first
     calls = []
 
-    def counted(cfg, m):
+    def counted(cfg, m, consume):
         calls.append(m)
         if m:
             time.sleep(0.05)
-        return gen_zoo_model(cfg, m)
+        return draw_zoo_model(cfg, m, consume)
 
-    gen_zoo_model = synth.gen_zoo_model
-    monkeypatch.setattr(synth, "gen_zoo_model", counted)
+    draw_zoo_model = synth.draw_zoo_model
+    monkeypatch.setattr(synth, "draw_zoo_model", counted)
     result = CliRunner().invoke(main, [
         "synth", "--models", "6", "--classes", "2", "--per-class", "2",
         "--dim", "2", "--rho-range", "0.05:0.05", "--seed", "5",
@@ -1051,12 +1051,12 @@ def test_synth_refuses_an_older_zoo_model_it_would_not_replace(tmp_path, monkeyp
     found = {p.name: p.read_bytes() for p in out.iterdir()}
     drawn = []
 
-    def counted(cfg, m):
+    def counted(cfg, m, consume):
         drawn.append(m)
-        return gen_zoo_model(cfg, m)
+        return draw_zoo_model(cfg, m, consume)
 
-    gen_zoo_model = synth.gen_zoo_model
-    monkeypatch.setattr(synth, "gen_zoo_model", counted)
+    draw_zoo_model = synth.draw_zoo_model
+    monkeypatch.setattr(synth, "draw_zoo_model", counted)
     result = CliRunner().invoke(main, args + [str(after), "--out", str(out)])
     if after < before:
         assert assert_one_data_error_line(result) == (

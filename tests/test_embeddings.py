@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
+from terank.embeddings import emb1_writer
 from terank.errors import DataError
 from class_gaussians import gen_class_gaussians
 
@@ -29,6 +30,21 @@ def small_set():
 
 
 # --- EMB1 ------------------------------------------------------------------
+
+def test_block_writer_writes_the_bytes_of_save_emb1(tmp_path):
+    # the rows may come in blocks of any size, float64 ones included; rows
+    # short of the header's N x D are refused before the labels are written
+    ds = gen_class_gaussians(3, 5, 4, rho=2.0, noise=1.0, seed=1)
+    save_emb1(ds, tmp_path / "whole.emb1")
+    with emb1_writer(tmp_path / "blocks.emb1", ds.labels, 4, 3) as append:
+        append(ds.features[:7])
+        append(ds.features[7:].astype(np.float64))
+    assert (tmp_path / "blocks.emb1").read_bytes() == (tmp_path / "whole.emb1").read_bytes()
+    with pytest.raises(DataError, match=re.escape(
+            "wrote 56 feature values, the header promises 15 x 4")):
+        with emb1_writer(tmp_path / "short.emb1", ds.labels, 4, 3) as append:
+            append(ds.features[:14])
+
 
 def test_load_smallest_valid_file(tmp_path):
     path = tmp_path / "t.emb1"
@@ -252,6 +268,17 @@ def test_the_class_count_is_read_from_the_labels():
 def test_labels_the_int64_cast_would_change_are_refused(labels, shown):
     with pytest.raises(DataError, match=re.escape(f"labels must be integers, got {shown}")):
         EmbeddingSet(features=np.arange(8.0).reshape(4, 2), labels=labels)
+
+
+@pytest.mark.parametrize("labels, shown", [
+    ([0, None], "None at index 1"),
+    (["a", "b"], "'a' at index 0"),
+    ([2**70, None], "1180591620717411303424 at index 0"),
+], ids=["none", "text", "int-past-int64-before-none"])
+def test_labels_the_int64_cast_refuses_are_data_errors(labels, shown):
+    # the cast raises a bare TypeError, ValueError or OverflowError here
+    with pytest.raises(DataError, match=re.escape(f"labels must be integers, got {shown}")):
+        EmbeddingSet(np.zeros((2, 1)), labels)
 
 
 def test_integral_float_and_bool_labels_pass():

@@ -3,7 +3,7 @@ formulas did, but must give the same bits: `fit_pca` centers one copy in
 place and projects that copy onto the kept components, `spread` forms its
 output inside the displacement array and copies the unmoved rows back,
 `attract` scales the gathered class displacements in place and adds the
-features to them, and `synth`'s `_draw_points` adds the centroids inside
+features to them, and `synth`'s `_class_draws` adds the centroids inside
 the Gaussian draw. Each is compared byte for byte with the formula it
 replaced."""
 import numpy as np
@@ -14,8 +14,8 @@ from terank import EmbeddingSet, PerturbConfig
 from terank.perturbation import attract, class_geometry, spread
 from terank.reduction import DEFAULT_ENERGY, fit_pca
 from terank.rng import SplitMix64
-from terank.synth import _draw_points
 from terank.vocabulary import AttractDirection
+from class_gaussians import draw_points
 
 
 @st.composite
@@ -165,7 +165,7 @@ def test_spread_on_centroid_sample_matches_old_formula():
 
 
 def old_draw_points(rng, centroids, per_class, noise):
-    """_draw_points before it formed the sum inside the draw, with the
+    """The point draw before it formed the sum inside the draw, with the
     float32 cast its callers made; it now draws one class at a time."""
     classes, dim = centroids.shape
     g = rng.gaussians(classes * per_class * dim).reshape(classes * per_class, dim)
@@ -191,6 +191,6 @@ def test_draw_points_matches_old_formula(classes, per_class, dim, lead, seed,
             points = fn(rng, centroids, per_class, noise)
         return points, rng.gaussians(3)  # the stream state after the draw
 
-    (new, after_new), (old, after_old) = draw(_draw_points), draw(old_draw_points)
+    (new, after_new), (old, after_old) = draw(draw_points), draw(old_draw_points)
     assert_same_bits(new, old)
     assert_same_bits(after_new, after_old)

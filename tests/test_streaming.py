@@ -39,9 +39,10 @@ def command_args(command, zoo):
 
 
 def count_live_sets(monkeypatch, module, name, pick):
-    """Wrap `<module>.<name>` to count the embedding sets it returns
-    (`pick` finds the set in its result) and that are still alive, and the
-    most ever alive at once."""
+    """Wrap `<module>.<name>` to count the model objects it makes and
+    that are still alive, and the most ever alive at once. `pick(result,
+    *args)` finds the object, such as a returned embedding set, in a
+    call's result and arguments."""
     counts = {"made": 0, "live": 0, "max_live": 0}
     lock = threading.RLock()  # a finalizer may run inside the locked block
     original = getattr(module, name)
@@ -56,7 +57,7 @@ def count_live_sets(monkeypatch, module, name, pick):
             counts["made"] += 1
             counts["live"] += 1
             counts["max_live"] = max(counts["max_live"], counts["live"])
-        weakref.finalize(pick(result), release)
+        weakref.finalize(pick(result, *args), release)
         return result
 
     monkeypatch.setattr(module, name, counted)
@@ -66,7 +67,7 @@ def count_live_sets(monkeypatch, module, name, pick):
 @pytest.fixture
 def live_sets(monkeypatch):
     """The sets that cli's EMB1 loads return."""
-    return count_live_sets(monkeypatch, cli, "load_emb1", lambda ds: ds)
+    return count_live_sets(monkeypatch, cli, "load_emb1", lambda ds, path: ds)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -82,9 +83,11 @@ def test_at_most_jobs_sets_are_alive(zoo, live_sets, command, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_synth_holds_at_most_jobs_sets(tmp_path, monkeypatch, jobs):
-    # synth imports the generator when it runs, so it finds the wrapper
-    generated = count_live_sets(monkeypatch, synth, "gen_zoo_model",
-                                lambda result: result[0])
+    # synth imports the generator when it runs, so it finds the wrapper;
+    # each model's training blocks go to the writer it hands the draw,
+    # which lives as long as the model's file is open
+    generated = count_live_sets(monkeypatch, synth, "draw_zoo_model",
+                                lambda acc, cfg, m, consume: consume)
     out = tmp_path / "zoo"
     result = CliRunner().invoke(main, [
         "synth", "--models", str(MODELS), "--classes", "3", "--per-class", "30",

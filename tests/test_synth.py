@@ -1,14 +1,17 @@
 """Synthetic generation: stream order, blob statistics, zoo oracle truth."""
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from click.testing import CliRunner
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from terank import EmbeddingSet, ZooConfig, save_emb1, synth
+from terank.cli import main
 from terank.errors import DataError, NumericError
 from terank.rng import SplitMix64
 from terank.synth import (
@@ -32,6 +35,14 @@ def zoo_config(**overrides):
     )
     base.update(overrides)
     return ZooConfig(**base)
+
+
+def class_means(ds):
+    """A set's oracle centroids: the float64 mean of each class's
+    `class_rows` block, cast on its own, as `synth.draw_zoo_model` takes
+    each class block's mean."""
+    return np.stack([np.asarray(rows, dtype=np.float64).mean(axis=0)
+                     for rows in ds.class_rows()])
 
 
 def test_stream_first_output():
@@ -134,15 +145,15 @@ def test_accuracy_monotone_in_separation_at_fixed_seed():
 
         train = EmbeddingSet(features=draw(rng), labels=labels)
         test = draw(rng)
-        accs.append(nearest_centroid_accuracy(train, [(test, labels)]))
+        accs.append(nearest_centroid_accuracy(class_means(train), [(test, labels)]))
     assert all(b >= a for a, b in zip(accs, accs[1:]))
 
 
 def test_oracle_without_held_out_points_is_a_data_error():
-    train = EmbeddingSet(features=np.eye(2, dtype=np.float32), labels=np.arange(2))
+    centroids = np.eye(2)
     for held_out in ([], [(np.empty((0, 2), np.float32), np.empty(0, np.int64))]):
         with pytest.raises(DataError, match="no held-out points"):
-            nearest_centroid_accuracy(train, held_out)
+            nearest_centroid_accuracy(centroids, held_out)
 
 
 def test_oracle_accuracy_bounded_by_chance_and_one():
@@ -262,9 +273,9 @@ def test_nearest_centroid_accuracy_keeps_the_reference_bits(
     before = train.tobytes(), test.tobytes()
     train_set = EmbeddingSet(features=train, labels=train_labels)
 
-    assert nearest_centroid_accuracy(train_set, [(test, pred)]) == 1.0
+    assert nearest_centroid_accuracy(class_means(train_set), [(test, pred)]) == 1.0
     assert nearest_centroid_accuracy(
-        train_set, [(test, test_labels)]) == np.mean(pred == test_labels)
+        class_means(train_set), [(test, test_labels)]) == np.mean(pred == test_labels)
     assert (train.tobytes(), test.tobytes()) == before
 
 
@@ -359,3 +370,92 @@ def test_held_out_overflow_names_its_model(monkeypatch):
     message = r"^model-01: generated features are not finite in float32 \(rho 2, "
     with np.errstate(over="ignore"), pytest.raises(NumericError, match=message):
         gen_zoo_model(cfg, 1)
+
+
+# synth writes each training block to its model's EMB1 file as it is
+# drawn: the files and accuracies are those of gen_zoo_model and save_emb1
+
+def run_synth(out, cfg, jobs=1):
+    """`terank synth` of `cfg`'s zoo into `out`, in this process."""
+    (rho_a, rho_b), (noise_a, noise_b) = cfg.rhos, cfg.noises
+    return CliRunner().invoke(main, [
+        "synth", "--models", "2", "--classes", str(cfg.classes),
+        "--per-class", str(cfg.per_class), "--dim", str(cfg.dim),
+        "--rho-range", f"{rho_a!r}:{rho_b!r}", "--noise-range", f"{noise_a!r}:{noise_b!r}",
+        "--seed", str(cfg.seed), "--jobs", str(jobs), "--format", "json",
+        "--out", str(out)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(classes=st.integers(2, 3),
+       per_class=st.integers(2, 5) | st.just(2051),
+       dim=st.integers(2, 5),
+       rhos=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       noise=st.floats(0.25, 4.0),
+       seed=st.integers(0, 2**64 - 1),
+       jobs=st.sampled_from([1, 2]))
+# 2 classes of 2051 x 5 = 10255 draws: odd, so a Box-Muller spare carries
+# from one class block into the next, and past one 8192-draw fill block
+@example(classes=2, per_class=2051, dim=5, rhos=(0.5, 2.0), noise=1.0, seed=3, jobs=1)
+@example(classes=2, per_class=3, dim=3, rhos=(0.05, 5.0), noise=0.25, seed=0, jobs=2)
+def test_synth_writes_the_bytes_of_gen_zoo_model_and_save_emb1(
+        tmp_path_factory, classes, per_class, dim, rhos, noise, seed, jobs):
+    cfg = ZooConfig(classes=classes, per_class=per_class, dim=dim, rhos=rhos,
+                    noises=(noise, noise), seed=seed)
+    out = tmp_path_factory.mktemp("zoo")
+    result = run_synth(out, cfg, jobs)
+    assert result.exit_code == 0, result.output
+    models = json.loads(result.stdout)["models"]
+    for m, model_id in enumerate(cfg.model_ids):
+        ds, acc = gen_zoo_model(cfg, m)
+        save_emb1(ds, out / "expected.emb1")
+        assert (out / f"{model_id}.emb1").read_bytes() == (
+            out / "expected.emb1").read_bytes()
+        assert models[m]["model"] == model_id and models[m]["oracle_accuracy"] == acc
+
+
+def test_synth_held_out_overflow_after_a_written_file_leaves_out_as_found(
+        tmp_path, monkeypatch):
+    # model 0's training blocks are in its staged file when its last
+    # held-out class, which spans two fill blocks, overflows float32: the
+    # run exits 4 naming the model, and the file an earlier run left in
+    # --out keeps its bytes
+    cfg = zoo_config(classes=2, per_class=2051, dim=5, rhos=(0.5, 2.0),
+                     noises=(1.0, 1.0))
+    out = tmp_path / "zoo"
+    assert run_synth(out, cfg).exit_code == 0
+    found = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(synth, "SplitMix64",
+                        held_out_overflow(held_out_class=1, classes=cfg.classes))
+    result = run_synth(out, zoo_config(classes=2, per_class=2051, dim=5,
+                                       rhos=(0.5, 2.0), noises=(1.0, 1.0), seed=4))
+    assert result.exit_code == 4, result.output
+    assert result.stderr.startswith("numeric failure: model-00: generated features "
+                                    "are not finite in float32"), result.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == found
+
+
+@pytest.mark.parametrize("classes,per_class,dim,bound", [
+    (10, 200, 128, 1.0),   # zoobench's shape
+    (20, 100, 1024, 0.5),  # near a paper-width extractor
+])
+def test_synth_model_working_set_is_below_its_training_set(tmp_path, classes, per_class,
+                                                           dim, bound):
+    # synth draws, scores and writes each model on the command's thread at
+    # --jobs 1: the training blocks go to the file as they are drawn, so
+    # beside the class means a model holds one class of draws and their
+    # distances. Holding the training set until it was saved, as
+    # gen_zoo_model does, peaked at 1.60x and 1.27x N*D*4 on these shapes.
+    cfg = ZooConfig(classes=classes, per_class=per_class, dim=dim,
+                    rhos=(0.25, 1.0), noises=(1.0, 1.0), seed=0)
+    assert run_synth(tmp_path / "warm", cfg).exit_code == 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_synth(tmp_path / "zoo", cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    ratio = peak / (classes * per_class * dim * 4)
+    assert ratio <= bound, f"{ratio:.2f}x N*D*4"
