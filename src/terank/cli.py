@@ -515,8 +515,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
             # each class block goes to the file as it is drawn: a model
             # never holds its training set, and only its accuracy stays
             model_id = cfg.model_ids[m]
-            with emb1_writer(stage / f"{model_id}.emb1", labels, dim,
-                             classes) as append:
+            with emb1_writer(stage / f"{model_id}.emb1", labels, dim) as append:
                 acc = draw_zoo_model(cfg, m, append)
             # a bad accuracy stops the zoo here, not after every model
             zoo_truth([(model_id, acc)])

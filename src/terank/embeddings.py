@@ -27,7 +27,10 @@ def _int64_labels(values) -> np.ndarray:
     """`values` as int64 labels. A label that the cast would change or
     refuse, such as 0.7, NaN, 2**70, None or 'a', is a DataError naming
     the first one; integral floats such as 2.0, and bools, pass."""
-    raw = np.asarray(values)
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # ragged
+        raise DataError(f"labels must be an array of integers ({exc})") from None
     if np.can_cast(raw.dtype, np.int64):  # bools and integers that int64 holds
         return raw.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):
@@ -73,9 +76,15 @@ class EmbeddingSet:
     class_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        feats = np.asarray(self.features)
-        if feats.dtype not in (np.float32, np.float64):
-            feats = feats.astype(np.float32)
+        try:
+            feats = np.asarray(self.features)
+            if feats.dtype.kind == "c":
+                raise TypeError(f"got {feats.dtype}")
+            if feats.dtype not in (np.float32, np.float64):
+                feats = feats.astype(np.float32)
+        except (TypeError, ValueError) as exc:  # ragged rows, text, complex
+            raise DataError(
+                f"features must be an array of real numbers ({exc})") from None
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {feats.shape}")
         labels = _int64_labels(self.labels)
@@ -148,16 +157,16 @@ class EmbeddingSet:
 
 
 @contextmanager
-def emb1_writer(path: str | Path, labels: np.ndarray, dim: int,
-                class_count: int) -> Iterator[Callable[[np.ndarray], None]]:
+def emb1_writer(path: str | Path, labels: np.ndarray,
+                dim: int) -> Iterator[Callable[[np.ndarray], None]]:
     """Open the EMB1 file `path` for len(labels) rows of `dim` features
-    and yield a function that appends a block of rows (stored as
-    float32), in row order. When the block ends, the labels are written
-    after the rows; rows that do not fill the header's N x D are a
-    DataError. The one EMB1 writer: a caller that draws its rows block
-    by block never holds them all."""
+    in max(labels) + 1 classes, and yield a function that appends a block
+    of rows (stored as float32), in row order. When the block ends, the
+    labels are written after the rows; rows that do not fill the header's
+    N x D are a DataError. The one EMB1 writer: a caller that draws its
+    rows block by block never holds them all."""
     with Path(path).open("wb") as f:
-        f.write(MAGIC + _HEADER.pack(len(labels), dim, class_count, 0))
+        f.write(MAGIC + _HEADER.pack(len(labels), dim, int(labels.max()) + 1, 0))
         written = 0
 
         def append(rows: np.ndarray) -> None:
@@ -175,7 +184,7 @@ def emb1_writer(path: str | Path, labels: np.ndarray, dim: int,
 
 def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
     """Write the canonical EMB1 layout (features stored as float32)."""
-    with emb1_writer(path, ds.labels, ds.feature_dim, ds.class_count) as append:
+    with emb1_writer(path, ds.labels, ds.feature_dim) as append:
         append(ds.features)
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +24,6 @@ POOLS = ("supervised", "self_supervised", SYNTH_POOL)
 WEIGHTINGS = ("symmetric", "truth_ranks")
 # the header of a truth CSV, in the order write_truth writes it
 TRUTH_COLUMNS = ("model", "dataset", "regime", "pool", "accuracy")
-
-_BUNDLED = [(pool, regime) for pool in ("supervised", "self_supervised")
-            for regime in ("vanilla", "lbft", "lft")]
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,36 @@ def _check_record(key: tuple[str, str, str, str], acc: float) -> None:
 
 
 def load_truth(path: str | Path) -> TruthTable:
-    """Parse a truth CSV with the columns of TRUTH_COLUMNS."""
+    """Parse a truth CSV with the columns of TRUTH_COLUMNS; a key given
+    twice is a data error."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8-sig")
-        return _parse_truth([(csv.DictReader(io.StringIO(text, newline="")),
-                              str(path))])
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
+    needed = set(TRUTH_COLUMNS)
+    records: dict[tuple[str, str, str, str], float] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if not needed <= set(row):
+            # a row longer than the header holds its extra cells under None
+            raise DataError(f"{path}: columns {sorted(needed)} required, "
+                            f"got {sorted(k for k in row if k is not None)}")
+        key = (row["model"], row["dataset"], row["regime"], row["pool"])
+        try:
+            acc = float(row["accuracy"])
+        except (TypeError, ValueError):
+            raise DataError(
+                f"{path}:{lineno}: accuracy {row['accuracy']!r} is not a number"
+            ) from None
+        try:
+            _check_record(key, acc)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if key in records:
+            raise DataError(f"{path}:{lineno}: duplicate key {key}")
+        records[key] = acc
+    return TruthTable(records=records)
 
 
 def write_truth(table: TruthTable, path: str | Path) -> None:
@@ -87,47 +106,10 @@ def write_truth(table: TruthTable, path: str | Path) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def _parse_truth(sources: Iterable[tuple[Iterable[dict], str]]) -> TruthTable:
-    """One TruthTable from the rows of each `(reader, origin)` source; a
-    key given twice, in one source or across two, is a data error."""
-    needed = set(TRUTH_COLUMNS)
-    records: dict[tuple[str, str, str, str], float] = {}
-    for reader, origin in sources:
-        for lineno, row in enumerate(reader, start=2):
-            if not needed <= set(row):
-                # a row longer than the header holds its extra cells under None
-                raise DataError(f"{origin}: columns {sorted(needed)} required, "
-                                f"got {sorted(k for k in row if k is not None)}")
-            key = (row["model"], row["dataset"], row["regime"], row["pool"])
-            try:
-                acc = float(row["accuracy"])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{origin}:{lineno}: accuracy {row['accuracy']!r} is not a number"
-                ) from None
-            try:
-                _check_record(key, acc)
-            except DataError as exc:
-                raise DataError(f"{origin}:{lineno}: {exc}") from None
-            if key in records:
-                raise DataError(f"{origin}:{lineno}: duplicate key {key}")
-            records[key] = acc
-    return TruthTable(records=records)
-
-
-def bundled_truth_text(pool: str, regime: str) -> str:
-    """Raw CSV text of one bundled accuracy table."""
-    name = f"truth_{pool}_{regime}.csv"
-    return (resources.files("terank") / "data" / name).read_text()
-
-
 def load_bundled_truth() -> TruthTable:
-    """All six bundled accuracy tables in one TruthTable."""
-    return _parse_truth(
-        (csv.DictReader(bundled_truth_text(pool, regime).splitlines()),
-         f"bundled {pool}/{regime}")
-        for pool, regime in _BUNDLED
-    )
+    """The bundled accuracy tables: the paper's grid, one truth CSV."""
+    with resources.as_file(resources.files("terank") / "data" / "truth.csv") as path:
+        return load_truth(path)
 
 
 @dataclass(frozen=True)

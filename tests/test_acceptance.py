@@ -28,11 +28,12 @@ from terank import (
     weighted_kendall_tau,
 )
 from terank.cli import main
-from terank.evaluation import RankingReport, bundled_truth_text
+from terank.evaluation import RankingReport
 from terank.perturbation import attract, class_geometry, spread
 from terank.synth import zoo_truth
 from terank.vocabulary import MetricId, PerturbMode
 from class_gaussians import gen_class_gaussians
+from test_evaluation import BUNDLED_CHECKSUMS, bundled_table_text
 from test_metrics import maximize_evidence
 from test_perturbation import rms_radius
 
@@ -245,22 +246,6 @@ def test_criterion_06_metric_sanity_suite():
 
 # --- 7 -----------------------------------------------------------------------
 
-TRUTH_CHECKSUMS = {
-    ("supervised", "vanilla"):
-        "bd5b20eae846f5558fa706d8b475441fca1cf92ee16ba894a406d5faa501ad65",
-    ("supervised", "lbft"):
-        "0b302f5ccfc86538d2fd728b0a07d58462a1dab1498ba39f234a3b20454096bb",
-    ("supervised", "lft"):
-        "0ebbe39652e0b8172e74a3aa7ea42e411393bc474b61288dd4e80560de561511",
-    ("self_supervised", "vanilla"):
-        "af990af6f551441bc54a604c2afa8af2e1c1463572df6d0a4a9ed106e3c610c0",
-    ("self_supervised", "lbft"):
-        "bc5061bf588ebaff07b17d40ad9a3db3100e68e16fa6caed56a8f1baa0357662",
-    ("self_supervised", "lft"):
-        "11ef4498dae8a85de1de6a47e9df3e3151225f6e8221eb2fd0e2859ed1933033",
-}
-
-
 def test_criterion_07_truth_table_fidelity():
     with criterion(7, "bundled accuracy tables: spot checks + checksums"):
         truth = load_bundled_truth()
@@ -279,8 +264,8 @@ def test_criterion_07_truth_table_fidelity():
         assert len(spots) == 10
         for model, dataset, regime, pool, expected in spots:
             assert truth.accuracy(model, dataset, regime, pool) == expected
-        for (pool, regime), digest in TRUTH_CHECKSUMS.items():
-            text = bundled_truth_text(pool, regime)
+        for (pool, regime), digest in BUNDLED_CHECKSUMS.items():
+            text = bundled_table_text(pool, regime)
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -161,6 +161,16 @@ def test_the_first_class_of_one_row_is_named():
         score_lda(ds)
 
 
+def test_lda_without_within_class_scatter_keeps_the_mask_bits():
+    # every class's rows are one point, so S_w = 0 and both take the ridge
+    # eps = eps_scale; the rows are small integers, so each mean is exact
+    points = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
+    labels = np.array([2, 0, 1, 0, 2, 1, 1, 0, 2, 1, 0, 2])
+    ds = EmbeddingSet(features=points[labels], labels=labels)
+    assert not any((rows - rows[0]).any() for rows in ds.class_rows())
+    assert score_lda(ds) == mask_lda(ds)
+
+
 @pytest.fixture(scope="module")
 def zoo_sets():
     """The benchmark zoo's sets at seed 0 (8 models, 10 classes of 200

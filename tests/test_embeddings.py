@@ -36,13 +36,13 @@ def test_block_writer_writes_the_bytes_of_save_emb1(tmp_path):
     # short of the header's N x D are refused before the labels are written
     ds = gen_class_gaussians(3, 5, 4, rho=2.0, noise=1.0, seed=1)
     save_emb1(ds, tmp_path / "whole.emb1")
-    with emb1_writer(tmp_path / "blocks.emb1", ds.labels, 4, 3) as append:
+    with emb1_writer(tmp_path / "blocks.emb1", ds.labels, 4) as append:
         append(ds.features[:7])
         append(ds.features[7:].astype(np.float64))
     assert (tmp_path / "blocks.emb1").read_bytes() == (tmp_path / "whole.emb1").read_bytes()
     with pytest.raises(DataError, match=re.escape(
             "wrote 56 feature values, the header promises 15 x 4")):
-        with emb1_writer(tmp_path / "short.emb1", ds.labels, 4, 3) as append:
+        with emb1_writer(tmp_path / "short.emb1", ds.labels, 4) as append:
             append(ds.features[:14])
 
 
@@ -218,6 +218,33 @@ def test_every_class_must_occur():
             features=np.zeros((3, 2), dtype=np.float32),
             labels=np.array([0, 0, 2]),
         )
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(4), [0, 1, 0, 1], "features must be 2-D, got shape (4,)"),
+    (np.zeros((3, 1)), [0, 1], "labels shape (2,) does not match 3 rows"),
+    ([[0.0], [1.0, 2.0]], [0, 1],
+     "features must be an array of real numbers (setting an array element"),
+    (np.zeros((2, 1)), [[0, 1], [1]],
+     "labels must be an array of integers (setting an array element"),
+    ([["a", "b"], ["c", "d"]], [0, 1],
+     "features must be an array of real numbers (could not convert string"),
+    (np.array([[0j], [1 + 1j]]), [0, 1],
+     "features must be an array of real numbers (got complex128)"),
+], ids=["features-1d", "labels-short", "ragged-features", "ragged-labels",
+        "text-features", "complex-features"])
+def test_input_that_is_no_set_is_a_data_error(features, labels, message):
+    # numpy's own errors for ragged or text input, and its complex-to-real
+    # cast that drops the imaginary part, become the set's DataError
+    with pytest.raises(DataError, match=re.escape(message)):
+        EmbeddingSet(features, labels)
+
+
+def test_a_derived_set_refused_for_finite_features_is_a_data_error():
+    # only a non-finite derived matrix is an overflow (NumericError)
+    message = "labels shape (2,) does not match 3 rows"
+    with pytest.raises(DataError, match=re.escape(message)):
+        small_set().with_features(np.zeros((3, 1)))
 
 
 def test_more_classes_than_samples_rejected(tmp_path):

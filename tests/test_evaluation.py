@@ -1,6 +1,8 @@
 """Truth tables, weighted Kendall correlation, reports, improvement math."""
+import csv
 import hashlib
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,14 +24,14 @@ from terank.evaluation import (
     RankingReport,
     ScoreRecord,
     TruthTable,
-    bundled_truth_text,
     write_truth,
 )
 from terank.synth import zoo_truth
 from terank.vocabulary import MetricId, PerturbMode
 
-# sha256 of the bundled accuracy tables; these files are transcription,
-# not computation, so any drift is an error
+# sha256 of each (pool, regime) table of the bundled truth CSV, taken over
+# bundled_table_text; the tables are transcription, not computation, so any
+# drift is an error
 BUNDLED_CHECKSUMS = {
     ("self_supervised", "lbft"):
         "bc5061bf588ebaff07b17d40ad9a3db3100e68e16fa6caed56a8f1baa0357662",
@@ -59,6 +61,15 @@ SPOT_CHECKS = [
 ]
 
 
+def bundled_table_text(pool, regime):
+    """The bundled truth CSV's header and its (pool, regime) lines, in file
+    order."""
+    text = (resources.files("terank") / "data" / "truth.csv").read_text()
+    header, *lines = text.splitlines(keepends=True)
+    return header + "".join(line for line in lines
+                            if next(csv.reader([line]))[2:4] == [regime, pool])
+
+
 def make_record(model, score, metric="gbc", mode="sa"):
     return ScoreRecord(
         model_id=model,
@@ -74,7 +85,7 @@ def make_record(model, score, metric="gbc", mode="sa"):
 
 def test_bundled_checksums_pinned():
     for (pool, regime), digest in BUNDLED_CHECKSUMS.items():
-        text = bundled_truth_text(pool, regime)
+        text = bundled_table_text(pool, regime)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -212,6 +223,11 @@ def test_tau_rejects_degenerate_input():
         weighted_kendall_tau([1.0], [1.0])
     with pytest.raises(DataError, match="truth and scores must be finite"):
         weighted_kendall_tau([1.0, float("nan")], [1.0, 2.0])
+    with pytest.raises(DataError, match="truth and scores must be 1-D and equally long"):
+        weighted_kendall_tau([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(DataError, match=re.escape(
+            "weighting must be one of ('symmetric', 'truth_ranks')")):
+        weighted_kendall_tau([1.0, 2.0], [1.0, 2.0], weighting="score_ranks")
 
 
 @given(
@@ -290,6 +306,18 @@ def test_report_missing_model_is_an_error():
     with pytest.raises(DataError, match="no ground truth for model 'ghost'") as err:
         rank_cells(records, truth, "synthetic", "synthetic", "synthetic")
     assert "ghost" in str(err.value)
+
+
+@pytest.mark.parametrize("models, message", [
+    ([], "no score records to rank"),
+    (["m1", "m2", "m1"], "duplicate model ids in score records"),
+], ids=["no-records", "model-twice"])
+def test_rank_cells_refuses_records_it_cannot_rank(models, message):
+    # load_scores screens a file's records; a library caller's are checked here
+    records = [make_record(m, float(i)) for i, m in enumerate(models)]
+    truth = load_truth_from_rows([("m1", 90.0), ("m2", 80.0)])
+    with pytest.raises(DataError, match=re.escape(message)):
+        rank_cells(records, truth, "synthetic", "synthetic", "synthetic")
 
 
 def test_report_constant_accuracy_shift_changes_nothing():

@@ -143,6 +143,14 @@ def test_too_many_components_rejected():
         fit_gmm(ds.features, 7, seed=0)
 
 
+@pytest.mark.parametrize("components", [0, -1])
+def test_nleep_refuses_a_component_count_below_one(components):
+    ds = gen_class_gaussians(2, 3, 2, rho=1.0, noise=1.0, seed=41)
+    message = f"^component count must be >= 1, got {components}$"
+    with pytest.raises(DataError, match=message):
+        score_nleep(ds, components=components)
+
+
 def test_fit_is_row_order_invariant():
     ds = gen_class_gaussians(3, 50, 4, rho=2.0, noise=1.0, seed=51)
     x = ds.features.astype(np.float64)

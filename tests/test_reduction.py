@@ -1,4 +1,5 @@
 """PCA fitting and projection contracts."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,16 @@ def test_energy_and_rank_are_exclusive():
     ds = gaussian_cloud(10, 4, 37)
     with pytest.raises(DataError, match="either an energy target or a rank"):
         fit_pca(ds, energy=0.5, rank=2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"energy": 0.0}, "energy target must lie in (0, 1], got 0.0"),
+    ({"energy": 1.5}, "energy target must lie in (0, 1], got 1.5"),
+    ({"rank": 0}, "rank must be >= 1, got 0"),
+], ids=["energy-0", "energy-1.5", "rank-0"])
+def test_a_target_outside_its_range_is_refused(kwargs, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        fit_pca(gaussian_cloud(10, 4, 37), **kwargs)
 
 
 def test_default_energy_is_080():
