@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import csv
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
@@ -26,7 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .embeddings import EmbeddingSet, emb1_writer, load_csv, load_emb1
+from .embeddings import EmbeddingSet, csv_text, emb1_writer, load_csv, load_emb1
 from .errors import DataError, NumericError
 from .evaluation import (
     POOLS,
@@ -318,12 +316,6 @@ def _json_text(doc: dict) -> str:
         raise NumericError(f"output is not finite: {exc}") from None
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
 @contextlib.contextmanager
 def _all_or_nothing(out: Path):
     """Create directory `out` and yield a fresh staging directory inside
@@ -361,7 +353,7 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
     as it was found. The one file writer of score, evaluate and sweep."""
     with _all_or_nothing(out_dir) as stage:
         for name, text in files.items():
-            (stage / name).write_text(text, newline="")
+            (stage / name).write_text(text, encoding="utf-8", newline="")
 
 
 def _pool_map(count: int, jobs: int, task) -> list:
@@ -452,7 +444,7 @@ def _emit(fmt: str | None, doc: dict, header: list[str], rows: Sequence[Sequence
         sys.stdout.write(_json_text(doc))
         return
     if fmt == "csv":
-        sys.stdout.write(_csv_text([header, *rows]))
+        sys.stdout.write(csv_text([header, *rows]))
         return
     cells = [header] + [[f"{c:.6g}" if isinstance(c, float) else str(c) for c in row]
                         for row in rows]
@@ -525,7 +517,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
         write_truth(zoo_truth(accuracies), stage / "truth.csv")
         manifest = _manifest(
             [], jobs=jobs, timings={"total_s": time.perf_counter() - t0})
-        (stage / "manifest.json").write_text(_json_text(manifest))
+        (stage / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     header = ["model", "rho", "noise", "oracle_accuracy"]
     rows = [[model_id, cfg.rhos[i], cfg.noises[i], acc]
             for i, (model_id, acc) in enumerate(accuracies)]
@@ -608,8 +600,9 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
         cell = f"{rep.metric}_{rep.perturb_mode}"
         out_files[f"report_{cell}.json"] = _json_text(
             {**rep.to_dict(), "manifest": manifest})
-        out_files[f"plot_{cell}.csv"] = _csv_text(
-            [["score", "accuracy", "model"], *rep.plot_rows()])
+        out_files[f"plot_{cell}.csv"] = csv_text(
+            [["score", "accuracy", "model"],
+             *([m.score, m.accuracy, m.id] for m in rep.models)])
     for mode, rows in summaries.items():
         out_files[f"improvement_{mode}.json"] = _json_text(
             {"manifest": manifest, "mode": mode, "rows": [r.to_dict() for r in rows]})
@@ -694,7 +687,7 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
     if out is not None:
         manifest = _manifest(files + ([truth] if truth else []), jobs=jobs,
                              timings={"total_s": time.perf_counter() - t0})
-        _write_files(out.parent, {out.name: _csv_text([header, *rows]),
+        _write_files(out.parent, {out.name: csv_text([header, *rows]),
                                   f"{out.name}.manifest.json": _json_text(manifest)})
     _emit(fmt, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows)
 

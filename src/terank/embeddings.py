@@ -218,32 +218,53 @@ def load_emb1(path: str | Path) -> EmbeddingSet:
     return ds
 
 
-def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
-    """Load a header CSV; the model id is the file stem. Feature column
-    order is preserved; labels are remapped to a dense [0, C) range."""
-    path = Path(path)
+def read_csv(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The one CSV reader: a UTF-8 file, BOM or none, as its header and its
+    rows, each with the file line it starts on; blank lines are skipped. A
+    file that does not decode or parse, is empty, or has a row of other
+    than the header's cell count is a DataError."""
     try:
-        text = path.read_bytes().decode("utf-8-sig")
-        lines = list(csv.reader(io.StringIO(text, newline="")))
+        text = Path(path).read_bytes().decode("utf-8-sig")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows, start = [], 1
+        for row in reader:
+            if row:
+                rows.append((start, row))
+            start = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"not a readable UTF-8 CSV file ({exc})") from None
-    if not lines:
+    if not rows:
         raise DataError("empty file")
-    header = lines[0]
+    (_, header), *rows = rows
+    for line, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"line {line}: {len(row)} cells, expected {len(header)}")
+    return header, rows
+
+
+def csv_text(rows) -> str:
+    """The one CSV writer: `rows` as CSV text, each row ended by CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
+    """Load a header CSV through read_csv; the model id is the file stem.
+    Feature column order is preserved; labels are remapped to a dense
+    [0, C) range. A bad cell is a DataError `line N: ...`."""
+    path = Path(path)
+    header, lines = read_csv(path)
     if label_column not in header:
         raise DataError(f"no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
-    rows: list[list[float]] = []
-    raw_labels: list[int] = []
-    for lineno, row in enumerate(lines[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"line {lineno}: {len(row)} cells, expected {len(header)}")
+    rows, raw_labels = [], []
+    for line, row in lines:
+        label = row[label_idx]
         try:
-            raw_labels.append(int(row[label_idx]))
+            raw_labels.append(int(label))
         except ValueError:
-            raise DataError(
-                f"line {lineno}: label {row[label_idx]!r} is not an integer"
-            ) from None
+            raise DataError(f"line {line}: label {label!r} is not an integer") from None
         vals = []
         for i, cell in enumerate(row):
             if i == label_idx:
@@ -251,9 +272,8 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
             try:
                 vals.append(float(cell))
             except ValueError:
-                raise DataError(
-                    f"line {lineno}: column {header[i]!r} cell {cell!r} is not numeric"
-                ) from None
+                raise DataError(f"line {line}: column {header[i]!r} cell {cell!r} "
+                                "is not numeric") from None
         rows.append(vals)
     return EmbeddingSet(
         features=np.asarray(rows, dtype=np.float32).reshape(len(rows), len(header) - 1),

@@ -3,8 +3,6 @@ file's reader, weighted Kendall correlation, per-cell reports, and
 perturbed-versus-baseline improvement summaries."""
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -14,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .embeddings import csv_text, read_csv
 from .errors import DataError
 from .vocabulary import MetricId, PerturbMode
 
@@ -64,46 +63,39 @@ def _check_record(key: tuple[str, str, str, str], acc: float) -> None:
 
 
 def load_truth(path: str | Path) -> TruthTable:
-    """Parse a truth CSV with the columns of TRUTH_COLUMNS; a key given
-    twice is a data error."""
-    path = Path(path)
+    """Parse a truth CSV (TRUTH_COLUMNS in any order) through read_csv; a key
+    given twice is a data error. Messages start `<path>: `, a row's then `line N: `."""
     try:
-        text = path.read_bytes().decode("utf-8-sig")
-        rows = list(csv.DictReader(io.StringIO(text, newline="")))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a readable UTF-8 CSV file ({exc})") from None
-    needed = set(TRUTH_COLUMNS)
-    records: dict[tuple[str, str, str, str], float] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not needed <= set(row):
-            # a row longer than the header holds its extra cells under None
-            raise DataError(f"{path}: columns {sorted(needed)} required, "
-                            f"got {sorted(k for k in row if k is not None)}")
-        key = (row["model"], row["dataset"], row["regime"], row["pool"])
-        try:
-            acc = float(row["accuracy"])
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{path}:{lineno}: accuracy {row['accuracy']!r} is not a number"
-            ) from None
-        try:
-            _check_record(key, acc)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if key in records:
-            raise DataError(f"{path}:{lineno}: duplicate key {key}")
-        records[key] = acc
+        header, rows = read_csv(path)
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+        if not column.keys() >= set(TRUTH_COLUMNS):
+            raise DataError(f"columns {sorted(TRUTH_COLUMNS)} required, "
+                            f"got {sorted(header)}")
+        records: dict[tuple[str, str, str, str], float] = {}
+        for line, row in rows:
+            *key, cell = (row[column[name]] for name in TRUTH_COLUMNS)
+            key = tuple(key)
+            try:
+                acc = float(cell)
+                _check_record(key, acc)
+                if key in records:
+                    raise DataError(f"duplicate key {key}")
+            except ValueError:
+                raise DataError(
+                    f"line {line}: accuracy {cell!r} is not a number") from None
+            except DataError as exc:
+                raise DataError(f"line {line}: {exc}") from None
+            records[key] = acc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return TruthTable(records=records)
 
 
 def write_truth(table: TruthTable, path: str | Path) -> None:
-    """Write `table` as a truth CSV that load_truth reads back exactly:
-    rows in key order, accuracies as their repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(TRUTH_COLUMNS)
-    writer.writerows([*key, repr(acc)] for key, acc in sorted(table.records.items()))
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    """Write `table` with csv_text as a truth CSV that load_truth reads back
+    exactly: rows in key order, accuracies as their repr."""
+    rows = [[*key, repr(acc)] for key, acc in sorted(table.records.items())]
+    Path(path).write_text(csv_text([TRUTH_COLUMNS, *rows]), encoding="utf-8", newline="")
 
 
 def load_bundled_truth() -> TruthTable:
@@ -262,10 +254,6 @@ class RankingReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def plot_rows(self) -> list[tuple[float, float, str]]:
-        """(score, accuracy, model) triples, the regression-plot shape."""
-        return [(m.score, m.accuracy, m.id) for m in self.models]
 
 
 def rank_cells(

@@ -4,8 +4,11 @@ import csv
 import itertools
 import json
 import logging
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
@@ -17,6 +20,7 @@ from click.testing import CliRunner
 from terank import PerturbConfig, cli, load_emb1, metrics, score_model, synth
 from terank.cli import main
 from terank.errors import NumericError
+from terank.evaluation import TruthTable, write_truth
 from test_synth import held_out_overflow
 
 METRICS = ("logme", "gbc", "nleep", "lda")
@@ -978,6 +982,27 @@ def test_utf8_bom_reads_as_its_twin_without_one(zoo_dir, zoo_scores, tmp_path, k
     assert outputs[0] == outputs[1]
 
 
+def test_evaluate_writes_utf8_under_an_ascii_locale(zoo_scores, tmp_path):
+    # a model name outside ASCII reaches the plot CSVs; they are UTF-8
+    # whatever the locale, here ASCII without UTF-8 mode or locale coercion
+    payload = json.loads(zoo_scores.read_text(encoding="utf-8"))
+    for record in payload["records"]:
+        record["model"] = record["model"].replace("model", "modèle")
+    (tmp_path / "scores.json").write_text(json.dumps(payload), encoding="utf-8")
+    write_truth(TruthTable({(f"modèle-0{m}", "synthetic", "synthetic", "synthetic"):
+                            50.0 + m for m in range(4)}), tmp_path / "truth.csv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "terank.cli", "evaluate", "--scores", "scores.json",
+         "--truth", "truth.csv", "--out", "reports"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    plot = (tmp_path / "reports" / "plot_gbc_sa.csv").read_bytes().decode("utf-8")
+    assert [row[2] for row in csv.reader(plot.splitlines())][1:] == [
+        f"modèle-0{m}" for m in range(4)]
+
 def test_synth_truth_csv_bytes():
     # zoobench digests truth.csv: its header, row order, CRLF line ends and
     # repr accuracies are pinned
@@ -1099,14 +1124,14 @@ def test_evaluate_unknown_regime_or_pool_is_a_usage_error(zoo_scores, tmp_path, 
                  b"model-00,synthetic,synthetic,synthetic,5\xff0\n", "", id="not-utf8"),
     pytest.param(b"model,dataset\nmodel-00,synthetic,synthetic\n", "", id="ragged"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,foo,synthetic,50\n", ":2", id="unknown-regime"),
+                 b"model-00,synthetic,foo,synthetic,50\n", ": line 2", id="unknown-regime"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,synthetic,synthetic,150\n", ":2", id="accuracy"),
+                 b"model-00,synthetic,synthetic,synthetic,150\n", ": line 2", id="accuracy"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
                  b"model-00,synthetic,synthetic,synthetic,50\n"
-                 b",synthetic,synthetic,synthetic,50\n", ":3", id="empty-model"),
+                 b",synthetic,synthetic,synthetic,50\n", ": line 3", id="empty-model"),
     pytest.param(b"model,dataset,regime,pool,accuracy\n"
-                 b"model-00,synthetic,synthetic,foo,50\n", ":2", id="unknown-pool"),
+                 b"model-00,synthetic,synthetic,foo,50\n", ": line 2", id="unknown-pool"),
 ])
 def test_unreadable_truth_is_one_line_data_error(zoo_dir, zoo_scores, tmp_path,
                                                  command, content, where):
@@ -1340,6 +1365,20 @@ def test_failed_evaluate_leaves_out_as_it_found_it(zoo_dir, tmp_path, monkeypatc
         assert (out / "report_gbc_none.json").read_text() == "old"
     else:
         assert not out.exists()
+
+
+def test_a_failed_block_stops_its_clean_up_at_a_directory_another_writer_filled(
+        tmp_path):
+    # _all_or_nothing creates `a` and `a/b`; a file another writer puts in
+    # `a` meanwhile keeps `a`, while the staging directory and `b` go
+    out = tmp_path / "a" / "b"
+    with pytest.raises(RuntimeError, match="^block failed$"):
+        with cli._all_or_nothing(out) as stage:
+            (stage / "report.json").write_text("{}")
+            (tmp_path / "a" / "other.txt").write_text("theirs")
+            raise RuntimeError("block failed")
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    assert [p.name for p in (tmp_path / "a").iterdir()] == ["other.txt"]
 
 
 def test_a_directory_at_any_report_name_fails_before_any_move(zoo_dir, tmp_path):

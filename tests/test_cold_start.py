@@ -135,12 +135,12 @@ def test_score_without_lda_loads_no_scipy(zoo, tmp_path):
     assert scipy_in(loaded) == []
     assert SCORING_STACK <= loaded
     assert "terank.synth" not in loaded
-    assert len(json.loads(out.read_text())["records"]) == 3 * 3
+    assert len(json.loads(out.read_text(encoding="utf-8"))["records"]) == 3 * 3
 
 
 def scores(path):
     return [(r["model"], r["metric"], r["mode"], r["score"])
-            for r in json.loads(path.read_text())["records"]]
+            for r in json.loads(path.read_text(encoding="utf-8"))["records"]]
 
 
 def test_score_all_metrics_loads_no_scipy_and_matches_in_process(zoo, tmp_path):
@@ -166,7 +166,7 @@ def test_sweep_loads_no_scipy(zoo, tmp_path):
     assert scipy_in(loaded) == []
     assert SCORING_STACK <= loaded
     assert "terank.synth" not in loaded
-    assert len(out.read_text().splitlines()) == 1 + 2 * 4
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 2 * 4
 
 
 # the package's 17 exports, the library API that README's "Library API"
@@ -184,7 +184,8 @@ PACKAGE_EXPORTS = {
 def readme_library_api():
     """README's "Library API" section: the names it lists, in its order,
     and its example's code."""
-    section = (ROOT / "README.md").read_text().split("## Library API", 1)[1]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library API", 1)[1]
     listed, example = section.split("\n## ", 1)[0].split("```python\n", 1)
     return re.findall(r"^- `(\w+)`", listed, re.M), example.split("```", 1)[0]
 
@@ -223,7 +224,8 @@ def test_package_keeps_its_plain_attributes_and_refuses_unknown_names():
 def test_no_module_imports_scipy():
     importers = []
     for path in sorted((SRC / "terank").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -239,12 +241,12 @@ def test_no_module_imports_for_typing_alone():
     # a name a module needs only to annotate lives where the module can
     # import it outright
     assert [path.name for path in sorted((SRC / "terank").rglob("*.py"))
-            if "TYPE_CHECKING" in path.read_text()] == []
+            if "TYPE_CHECKING" in path.read_text(encoding="utf-8")] == []
 
 
 def test_errors_define_exactly_two_families():
     # one class per failure exit code: 3 for DataError, 4 for NumericError
-    tree = ast.parse((SRC / "terank" / "errors.py").read_text())
+    tree = ast.parse((SRC / "terank" / "errors.py").read_text(encoding="utf-8"))
     assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
         "DataError", "NumericError"]
 
@@ -253,7 +255,8 @@ def test_every_package_raise_names_an_error_family():
     # a raised name that is not a builtin exception is a package error
     strays = []
     for path in sorted((SRC / "terank").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
             exc = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(exc, ast.Call):
                 exc = exc.func
@@ -287,7 +290,7 @@ def test_one_thread_pool_in_the_cli_helper():
             visit(child, path, where)
 
     for path in sorted((SRC / "terank").rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, None)
     assert sites == ["cli.py:_pool_map"]
     assert executors == []
     assert geterr == []
@@ -307,14 +310,14 @@ def test_one_seed_rule_in_the_cli_model_map():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8")), None)
     assert sites == ["_map_models"]
 
 
 def test_no_command_groups_records_itself():
     # evaluation.rank_cells holds the one cell key and improvement_summary
     # the one baseline rule; a setdefault in cli.py would be a second key
-    tree = ast.parse((SRC / "terank" / "cli.py").read_text())
+    tree = ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
 
@@ -322,7 +325,7 @@ def test_no_command_groups_records_itself():
 def test_no_command_parses_a_score_file_itself():
     # evaluation.load_scores is the one reader of a score JSON file; a
     # json.loads in cli.py would be a second set of checks
-    tree = ast.parse((SRC / "terank" / "cli.py").read_text())
+    tree = ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8"))
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "loads"]
 
@@ -354,7 +357,7 @@ def test_one_manifest_builder_in_the_cli():
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None)
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8")), None)
     assert sites == ["_manifest"]
 
 
@@ -382,7 +385,7 @@ def test_one_output_path_in_the_cli():
         for child in ast.iter_child_nodes(node):
             visit(child, where, staged)
 
-    visit(ast.parse((SRC / "terank" / "cli.py").read_text()), None, False)
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8")), None, False)
     assert reprs == []
     assert writes == ["_write_files in _all_or_nothing", "synth in _all_or_nothing"]
 
@@ -401,7 +404,7 @@ def test_one_output_path_in_the_cli():
 # transcendental, exp included. rng.py checks the shifted calls' bits at
 # run time too, since which loop numpy picks is its implementation detail.
 NUMPY_TRANSCENDENTALS = {"log", "log1p", "exp", "expm1", "sin", "cos", "tan", "power"}
-RNG_SOURCE = (SRC / "terank" / "rng.py").read_text()
+RNG_SOURCE = (SRC / "terank" / "rng.py").read_text(encoding="utf-8")
 
 
 def is_numpy_attribute(node, names):

@@ -1,7 +1,9 @@
 """EmbeddingSet validation, EMB1 byte layout, CSV ingestion."""
 import re
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
-from terank.embeddings import emb1_writer
+from terank.embeddings import csv_text, emb1_writer, read_csv
 from terank.errors import DataError
 from class_gaussians import gen_class_gaussians
 
@@ -208,6 +210,59 @@ def test_csv_shapes_are_checked_by_the_set(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataError, match=re.escape(message)):
         load_csv(path)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("f0,label\n\n1.0,0\r\n\r\n2.0,1\n\n")
+    ds = load_csv(path)
+    assert ds.features.tolist() == [[1.0], [2.0]]
+    assert ds.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("\n\r\n", "empty file"),
+    ("f0,label\n1.0,0\n2.0\n", "line 3: 1 cells, expected 2"),
+    # the header's quoted cell spans lines 1 and 2, so `foo,1` is line 4
+    ('"f\n0",label\n1.0,0\nfoo,1\n', "line 4: column 'f\\n0' cell 'foo' is not numeric"),
+    ("f0,label\n\n1.0,x\n", "line 3: label 'x' is not an integer"),
+], ids=["empty", "blank-lines", "short-row", "after-two-line-cell", "after-blank-line"])
+def test_a_refused_csv_row_is_named_by_the_line_it_starts_on(tmp_path, text, message):
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError) as err:
+        load_csv(path)
+    assert str(err.value) == message
+
+
+# cells the writer must quote: separators, quotes, every kind of line break
+# and non-ASCII text. A BOM is left out: a leading one is the file's, and
+# the reader drops it
+csv_cells = st.lists(
+    st.one_of(st.sampled_from([",", '"', "\r", "\n", "\r\n", " ", "a", "é", "✓"]),
+              st.characters(blacklist_categories=("Cs",), blacklist_characters="\ufeff")),
+    max_size=6).map("".join)
+
+
+def line_breaks(text):
+    return len(re.findall(r"\r\n|\r|\n", text))
+
+
+@given(data=st.data(), width=st.integers(1, 4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_read_csv_reads_back_what_csv_text_writes(data, width):
+    # each row comes back with the file line it starts on: one past the
+    # line breaks of the rows before it
+    rows = data.draw(st.lists(st.lists(csv_cells, min_size=width, max_size=width),
+                              min_size=1, max_size=5))
+    starts = [1 + line_breaks(csv_text(rows[:i])) for i in range(len(rows))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(csv_text(rows).encode("utf-8"))
+        header, body = read_csv(path)
+    assert [header, *(row for _, row in body)] == rows
+    assert [line for line, _ in body] == starts[1:]
 
 
 # --- validation ------------------------------------------------------------

@@ -2,7 +2,9 @@
 import csv
 import hashlib
 import re
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from terank.evaluation import (
 )
 from terank.synth import zoo_truth
 from terank.vocabulary import MetricId, PerturbMode
+from test_embeddings import csv_cells
 
 # sha256 of each (pool, regime) table of the bundled truth CSV, taken over
 # bundled_table_text; the tables are transcription, not computation, so any
@@ -135,6 +138,52 @@ def test_unreadable_truth_names_the_file(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataError, match=re.escape(str(path))):
         load_truth(path)
+
+
+TRUTH_HEADER = b"model,dataset,regime,pool,accuracy\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    # a decimal comma splits the accuracy into two cells
+    pytest.param(TRUTH_HEADER + b"m,d,vanilla,supervised,90,5\n",
+                 "line 2: 6 cells, expected 5", id="decimal-comma"),
+    pytest.param(TRUTH_HEADER + b"m,d,vanilla,supervised\n",
+                 "line 2: 4 cells, expected 5", id="short-row"),
+    # the quoted model of line 2 spans two lines, so the bad row is line 4
+    pytest.param(TRUTH_HEADER + b'"a\nb",d,vanilla,supervised,50\n'
+                 b"c,d,vanilla,supervised,x\n",
+                 "line 4: accuracy 'x' is not a number", id="after-two-line-cell"),
+    pytest.param(TRUTH_HEADER + b"\r\nc,d,vanilla,supervised,0\n",
+                 "line 3: ('c', 'd', 'vanilla', 'supervised'): accuracy 0.0 outside "
+                 "(0, 100]", id="after-blank-line"),
+    pytest.param(b"", "empty file", id="empty"),
+    pytest.param(b"\n\n", "empty file", id="blank-lines"),
+    pytest.param(b"model,dataset,regime,accuracy\n",
+                 "columns ['accuracy', 'dataset', 'model', 'pool', 'regime'] required, "
+                 "got ['accuracy', 'dataset', 'model', 'regime']", id="no-pool-column"),
+])
+def test_refused_truth_names_the_file_and_the_line(tmp_path, content, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as err:
+        load_truth(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_truth_columns_may_come_in_any_order(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("accuracy,pool,regime,dataset,model\n\n50,supervised,vanilla,d,m\n")
+    assert load_truth(path).records == {("m", "d", "vanilla", "supervised"): 50.0}
+
+
+@given(models=st.lists(csv_cells.filter(bool), min_size=1, max_size=4, unique=True))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_write_truth_reads_back_any_model_name(models):
+    table = TruthTable({(model, "d", "vanilla", "supervised"): 50.0 + i / 3
+                        for i, model in enumerate(models)})
+    with tempfile.TemporaryDirectory() as tmp:
+        write_truth(table, Path(tmp) / "t.csv")
+        assert load_truth(Path(tmp) / "t.csv") == table
 
 
 def test_write_truth_reads_back(tmp_path):

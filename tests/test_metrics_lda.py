@@ -78,6 +78,16 @@ def test_overflowed_scatter_is_a_numeric_error():
         score_lda(huge)
 
 
+def test_a_failed_factorisation_is_a_numeric_error(monkeypatch):
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    ds = gen_class_gaussians(3, 10, 4, rho=2.0, noise=1.0, seed=3)
+    with pytest.raises(NumericError, match="^lda: Matrix is not positive definite$"):
+        score_lda(ds)
+
+
 def test_score_stays_in_unit_interval():
     for seed in range(6):
         ds = gen_class_gaussians(
