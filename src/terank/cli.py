@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .embeddings import EmbeddingSet, csv_text, emb1_writer, load_csv, load_emb1
+from .embeddings import EmbeddingSet, csv_text, emb1_writer, load_csv, load_emb1, model_id
 from .errors import DataError, NumericError
 from .evaluation import (
     POOLS,
@@ -245,9 +245,9 @@ def _semantic_digest(payload: dict) -> str:
 
 
 def _resolve_inputs(inputs: tuple[Path, ...]) -> list[Path]:
-    """Expand directories to their .emb1 files, in order. Two files with
-    the same model id (the file stem) are a data error, raised before any
-    file loads."""
+    """Expand directories to their .emb1 files, in order. A file name
+    that is not UTF-8, or two files with the same model id, is a data
+    error, raised before any file loads."""
     files: list[Path] = []
     for item in inputs:
         if item.is_dir():
@@ -259,10 +259,9 @@ def _resolve_inputs(inputs: tuple[Path, ...]) -> list[Path]:
             files.append(item)
     seen: dict[str, Path] = {}
     for path in files:
-        if path.stem in seen:
-            raise DataError(f"model id {path.stem!r} given twice: "
-                            f"{seen[path.stem]} and {path}")
-        seen[path.stem] = path
+        if (model := model_id(path)) in seen:
+            raise DataError(f"model id {model!r} given twice: {seen[model]} and {path}")
+        seen[model] = path
     return files
 
 

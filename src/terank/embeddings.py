@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -188,12 +189,21 @@ def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
         append(ds.features)
 
 
+def model_id(path: str | Path) -> str:
+    """The model id of the input file `path`: its name's stem as UTF-8 text,
+    whatever encoding the locale decoded the name with; the one place a
+    stem is read. A name that is not UTF-8 is a DataError naming the file."""
+    try:
+        return os.fsencode(Path(path).stem).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: file name is not UTF-8") from None
+
+
 def load_emb1(path: str | Path) -> EmbeddingSet:
-    """Parse an EMB1 file; the model id is the file stem. The features are
-    a read-only view of the file's bytes, which stay alive with the set:
-    nothing is copied out of them."""
-    path = Path(path)
-    raw = path.read_bytes()
+    """Parse an EMB1 file; the model id is `model_id(path)`. The features
+    are a read-only view of the file's bytes, which stay alive with the
+    set: nothing is copied out of them."""
+    raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise DataError(f"expected magic {MAGIC!r}, got {raw[:4]!r}")
     if len(raw) < 4 + _HEADER.size:
@@ -212,7 +222,7 @@ def load_emb1(path: str | Path) -> EmbeddingSet:
     if n and labels.max() >= c:
         raise DataError(f"labels must lie in [0, {c}), got range "
                         f"[{labels.min()}, {labels.max()}]")
-    ds = EmbeddingSet(feats.reshape(n, d), labels, model_id=path.stem)
+    ds = EmbeddingSet(feats.reshape(n, d), labels, model_id=model_id(path))
     if ds.class_count != c:
         raise DataError(f"header names {c} classes, the labels name {ds.class_count}")
     return ds
@@ -250,10 +260,9 @@ def csv_text(rows) -> str:
 
 
 def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
-    """Load a header CSV through read_csv; the model id is the file stem.
+    """Load a header CSV through read_csv; the model id is `model_id(path)`.
     Feature column order is preserved; labels are remapped to a dense
     [0, C) range. A bad cell is a DataError `line N: ...`."""
-    path = Path(path)
     header, lines = read_csv(path)
     if label_column not in header:
         raise DataError(f"no column named {label_column!r} in header {header}")
@@ -278,5 +287,5 @@ def load_csv(path: str | Path, label_column: str = "label") -> EmbeddingSet:
     return EmbeddingSet(
         features=np.asarray(rows, dtype=np.float32).reshape(len(rows), len(header) - 1),
         labels=np.unique(raw_labels, return_inverse=True)[1],
-        model_id=path.stem,
+        model_id=model_id(path),
     )

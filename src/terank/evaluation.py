@@ -27,13 +27,10 @@ TRUTH_COLUMNS = ("model", "dataset", "regime", "pool", "accuracy")
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Ground-truth accuracies keyed by (model, dataset, regime, pool)."""
+    """Ground-truth accuracies keyed by (model, dataset, regime, pool), a plain
+    container: its builders, load_truth and zoo_truth, check each record once."""
 
     records: dict[tuple[str, str, str, str], float]
-
-    def __post_init__(self):
-        for key, acc in self.records.items():
-            _check_record(key, acc)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -48,7 +45,7 @@ class TruthTable:
             ) from None
 
 
-def _check_record(key: tuple[str, str, str, str], acc: float) -> None:
+def check_truth_record(key: tuple[str, str, str, str], acc: float) -> None:
     """The rule every truth record obeys: a known regime and pool, a
     non-empty model and dataset, and an accuracy in (0, 100]."""
     model, dataset, regime, pool = key
@@ -63,8 +60,9 @@ def _check_record(key: tuple[str, str, str, str], acc: float) -> None:
 
 
 def load_truth(path: str | Path) -> TruthTable:
-    """Parse a truth CSV (TRUTH_COLUMNS in any order) through read_csv; a key
-    given twice is a data error. Messages start `<path>: `, a row's then `line N: `."""
+    """Parse a truth CSV (TRUTH_COLUMNS in any order) through read_csv,
+    checking each row once with check_truth_record; a key given twice is a
+    data error. Messages start `<path>: `, a row's then `line N: `."""
     try:
         header, rows = read_csv(path)
         column = {name: i for i, name in enumerate(header)}  # a repeated name: its last
@@ -77,7 +75,7 @@ def load_truth(path: str | Path) -> TruthTable:
             key = tuple(key)
             try:
                 acc = float(cell)
-                _check_record(key, acc)
+                check_truth_record(key, acc)
                 if key in records:
                     raise DataError(f"duplicate key {key}")
             except ValueError:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSet
 from .errors import DataError, NumericError
-from .evaluation import SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, TruthTable
+from .evaluation import (SYNTH_DATASET, SYNTH_POOL, SYNTH_REGIME, TruthTable,
+                         check_truth_record)
 from .rng import SplitMix64
 
 # the most float64 values one numpy array can hold: its byte size is an intp
@@ -202,10 +203,12 @@ def gen_zoo_model(cfg: ZooConfig, m: int) -> tuple[EmbeddingSet, float]:
 
 def zoo_truth(accuracies: Iterable[tuple[str, float]]) -> TruthTable:
     """The oracle truth table of a zoo's `(model id, accuracy)` pairs under
-    the synthetic dataset, regime and pool. An accuracy outside (0, 100]
-    is a data error that names its model."""
-    return TruthTable(records={
-        (model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL): acc
-        for model_id, acc in accuracies
-    })
+    the synthetic dataset, regime and pool, each pair checked once: an
+    accuracy outside (0, 100] is a data error that names its model."""
+    records = {}
+    for model_id, acc in accuracies:
+        key = (model_id, SYNTH_DATASET, SYNTH_REGIME, SYNTH_POOL)
+        check_truth_record(key, acc)
+        records[key] = acc
+    return TruthTable(records=records)
 

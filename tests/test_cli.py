@@ -1003,6 +1003,58 @@ def test_evaluate_writes_utf8_under_an_ascii_locale(zoo_scores, tmp_path):
     assert [row[2] for row in csv.reader(plot.splitlines())][1:] == [
         f"modèle-0{m}" for m in range(4)]
 
+
+def test_score_then_evaluate_join_utf8_names_under_an_ascii_locale(zoo_dir, tmp_path):
+    # a model id is its file name's stem as UTF-8 text, whatever encoding
+    # the locale decodes file names with, so a pool scored under an ASCII
+    # locale joins the UTF-8 truth CSV that names its models
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    for m in range(4):
+        shutil.copy(zoo_dir / f"model-0{m}.emb1",
+                    pool / os.fsdecode(f"modèle-0{m}.emb1".encode()))
+    write_truth(TruthTable({(f"modèle-0{m}", "synthetic", "synthetic", "synthetic"):
+                            50.0 + m for m in range(4)}), tmp_path / "truth.csv")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for args in (["score", "--input", "pool", "--metric", "gbc", "--mode", "none",
+                  "--out", "scores.json"],
+                 ["evaluate", "--scores", "scores.json", "--truth", "truth.csv",
+                  "--out", "reports"]):
+        proc = subprocess.run([sys.executable, "-m", "terank.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        if args[0] == "score":
+            records = json.loads((tmp_path / "scores.json").read_text(encoding="utf-8"))
+            assert [r["model"] for r in records["records"]] == [
+                f"modèle-0{m}" for m in range(4)]
+
+
+@pytest.mark.parametrize("as_directory", [True, False])
+def test_a_file_name_that_is_not_utf8_is_refused_before_any_model_loads(
+        zoo_dir, tmp_path, monkeypatch, as_directory):
+    # the byte 0xE8 alone ("è" in Latin-1) names no UTF-8 text, so the
+    # name gives no model id; it is refused with the duplicate-id check
+    bad = tmp_path / os.fsdecode(b"mod\xe8le.emb1")
+    try:
+        shutil.copy(zoo_dir / "model-00.emb1", bad)
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    shutil.copy(zoo_dir / "model-01.emb1", tmp_path / "model-01.emb1")
+
+    def load(*args):
+        raise AssertionError("a model loaded before its name was checked")
+
+    monkeypatch.setattr(cli, "_load_set", load)
+    inputs = (["--input", str(tmp_path)] if as_directory else
+              ["--input", str(tmp_path / "model-01.emb1"), "--input", str(bad)])
+    result = CliRunner().invoke(main, ["score", *inputs, "--metric", "gbc"])
+    line = assert_one_data_error_line(result)
+    shown = str(bad).encode("utf-8", "backslashreplace").decode()
+    assert line == f"data error: {shown}: file name is not UTF-8"
+
+
 def test_synth_truth_csv_bytes():
     # zoobench digests truth.csv: its header, row order, CRLF line ends and
     # repr accuracies are pinned

@@ -11,8 +11,9 @@ resolve lazily to their modules' objects and are the names README's
 imports, import-only-for-typing blocks, error classes beyond the two
 exit-code families, any thread but the CLI pool's helpers, any per-model seed
 rule but the CLI's one, any output path but the CLI's one, any grouping or
-parsing of score records in the CLI, and numpy's transcendental functions
-in the random stream out of the package.
+parsing of score records in the CLI, any model id rule but
+embeddings.model_id, any truth-record check but its two builders', and
+numpy's transcendental functions in the random stream out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy and the scoring stack into this process.
@@ -388,6 +389,45 @@ def test_one_output_path_in_the_cli():
     visit(ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8")), None, False)
     assert reprs == []
     assert writes == ["_write_files in _all_or_nothing", "synth in _all_or_nothing"]
+
+
+def package_sites(matches):
+    """`<module>.py:<function>` for each node of the package's source that
+    `matches` accepts, by its enclosing module-level function (None at
+    module level, a method's own name in a class)."""
+    sites = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not where:
+            where = node.name
+        if matches(node):
+            sites.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted((SRC / "terank").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path, None)
+    return sites
+
+
+def test_one_model_id_rule():
+    # embeddings.model_id turns an input file's name into its model id, as
+    # UTF-8 text whatever the locale; a .stem read anywhere else is a
+    # second rule, one that keeps a locale's surrogate escapes in the id
+    assert package_sites(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "stem") == ["embeddings.py:model_id"]
+
+
+def test_each_truth_record_is_checked_by_its_builder_alone():
+    # TruthTable is a plain container: load_truth checks each row and
+    # zoo_truth each pair, once, so a call of the rule anywhere else
+    # checks a record twice or a table's records in a second way
+    def calls_rule(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "check_truth_record" in (
+            getattr(func, "id", None), getattr(func, "attr", None))
+
+    assert package_sites(calls_rule) == ["evaluation.py:load_truth", "synth.py:zoo_truth"]
 
 
 # numpy picks SIMD code per CPU for these functions on real floats, so

@@ -1,4 +1,5 @@
-"""EmbeddingSet validation, EMB1 byte layout, CSV ingestion."""
+"""EmbeddingSet validation, EMB1 byte layout, CSV ingestion, model ids."""
+import os
 import re
 import struct
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
-from terank.embeddings import csv_text, emb1_writer, read_csv
+from terank.embeddings import csv_text, emb1_writer, model_id, read_csv
 from terank.errors import DataError
 from class_gaussians import gen_class_gaussians
 
@@ -142,6 +143,34 @@ def test_two_saves_byte_identical(tmp_path):
     save_emb1(ds, p1)
     save_emb1(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- model ids ---------------------------------------------------------------
+
+def test_model_id_is_the_stem_as_utf8_text_whatever_the_locale_decoded():
+    # the locale's decoding of the UTF-8 name "modèle-00.emb1": an ASCII
+    # locale gives two surrogate escapes for its two bytes of "è"
+    name = os.fsdecode("modèle-00.emb1".encode())
+    assert model_id(Path("pool") / name) == "modèle-00"
+    assert model_id(Path("pool") / "mod\udcc3\udca8le-00.emb1") == "modèle-00"
+    assert model_id("pool/model-00.csv") == "model-00"
+
+
+@pytest.mark.parametrize("suffix", [".emb1", ".csv"])
+def test_a_file_name_that_is_not_utf8_is_a_data_error(tmp_path, suffix):
+    # the byte 0xE8 alone ("è" in Latin-1) does not decode as UTF-8
+    path = tmp_path / os.fsdecode(b"mod\xe8le" + suffix.encode())
+    try:
+        if suffix == ".emb1":
+            save_emb1(small_set(), path)
+        else:
+            path.write_text("f0,label\n0.0,0\n1.0,1\n")
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    load = load_emb1 if suffix == ".emb1" else load_csv
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: file name is not UTF-8"
 
 
 # --- CSV -------------------------------------------------------------------

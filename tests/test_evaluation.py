@@ -21,6 +21,7 @@ from terank import (
     weighted_kendall_tau,
     ZooConfig,
 )
+from terank import evaluation, synth
 from terank.errors import DataError
 from terank.evaluation import (
     RankingReport,
@@ -97,6 +98,31 @@ def test_bundled_spot_checks():
     assert len(truth) == 3 * 11 * 11 + 3 * 12 * 11
     for model, dataset, regime, pool, expect in SPOT_CHECKS:
         assert truth.accuracy(model, dataset, regime, pool) == expect
+
+
+def test_bundled_truth_checks_each_record_once(monkeypatch):
+    # load_truth checks each row as it reads it; TruthTable is a plain
+    # container that checks nothing again
+    calls = []
+    check = evaluation.check_truth_record
+    monkeypatch.setattr(evaluation, "check_truth_record",
+                        lambda key, acc: calls.append(key) or check(key, acc))
+    assert len(load_bundled_truth()) == 759
+    assert len(calls) == 759
+
+
+def test_zoo_truth_checks_each_pair_once(monkeypatch):
+    calls = []
+    check = synth.check_truth_record
+    monkeypatch.setattr(synth, "check_truth_record",
+                        lambda key, acc: calls.append(key) or check(key, acc))
+    truth = zoo_truth([("model-00", 50.0), ("model-01", 75.0)])
+    assert [key[0] for key in calls] == ["model-00", "model-01"]
+    assert truth.records == {
+        ("model-00", "synthetic", "synthetic", "synthetic"): 50.0,
+        ("model-01", "synthetic", "synthetic", "synthetic"): 75.0}
+    with pytest.raises(DataError, match=r"'model-02'.*outside \(0, 100\]"):
+        zoo_truth([("model-02", 0.0)])
 
 
 def test_duplicate_key_rejected(tmp_path):

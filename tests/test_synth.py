@@ -398,16 +398,30 @@ def run_synth(out, cfg, jobs=1):
 # from one class block into the next, and past one 8192-draw fill block
 @example(classes=2, per_class=2051, dim=5, rhos=(0.5, 2.0), noise=1.0, seed=3, jobs=1)
 @example(classes=2, per_class=3, dim=3, rhos=(0.05, 5.0), noise=0.25, seed=0, jobs=2)
+# model-01's oracle gets none of its 4 held-out points right
+@example(classes=2, per_class=2, dim=5, rhos=(1.0, 0.125), noise=1.0, seed=2255607336,
+         jobs=1)
 def test_synth_writes_the_bytes_of_gen_zoo_model_and_save_emb1(
         tmp_path_factory, classes, per_class, dim, rhos, noise, seed, jobs):
     cfg = ZooConfig(classes=classes, per_class=per_class, dim=dim, rhos=rhos,
                     noises=(noise, noise), seed=seed)
     out = tmp_path_factory.mktemp("zoo")
     result = run_synth(out, cfg, jobs)
+    expected = [gen_zoo_model(cfg, m) for m in range(len(cfg.model_ids))]
+    refused = [m for m, (_, acc) in enumerate(expected) if not 0 < acc <= 100]
+    if refused:
+        # a drawn model whose oracle gets no held-out point right has no
+        # valid truth row, so synth refuses the zoo, naming the first such
+        # model, and leaves --out as it found it
+        line = f"{cfg.model_ids[refused[0]]!r}, 'synthetic', 'synthetic', 'synthetic'"
+        assert result.exit_code == 3, result.output
+        assert line in result.stderr and "outside (0, 100]" in result.stderr
+        assert list(out.iterdir()) == []
+        return
     assert result.exit_code == 0, result.output
     models = json.loads(result.stdout)["models"]
     for m, model_id in enumerate(cfg.model_ids):
-        ds, acc = gen_zoo_model(cfg, m)
+        ds, acc = expected[m]
         save_emb1(ds, out / "expected.emb1")
         assert (out / f"{model_id}.emb1").read_bytes() == (
             out / "expected.emb1").read_bytes()
