@@ -24,7 +24,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .embeddings import EmbeddingSet, csv_text, emb1_writer, load_csv, load_emb1, model_id
+from .embeddings import (EmbeddingSet, csv_text, emb1_writer, load_csv, load_emb1,
+                         model_id, os_text)
 from .errors import DataError, NumericError
 from .evaluation import (
     POOLS,
@@ -108,10 +109,34 @@ def _one_pca_rule(ctx, param, value):
     return value
 
 
+def _utf8_flag(ctx, param, value):
+    # a text flag is matched against file contents, which are UTF-8, so
+    # it is read by the rule that reads file names
+    try:
+        return os_text(value, "strict")
+    except UnicodeError:
+        raise click.BadParameter("not UTF-8 text") from None
+
+
+def _write(text: str, err: bool = False) -> None:
+    """The one writer of the commands' stdout and stderr: `text` as UTF-8
+    bytes whatever the locale, on the sys.stdout or sys.stderr of the
+    moment, so a runner that swaps them captures it. A path's bytes that
+    the locale escaped are read as UTF-8 by os_text, and a byte that is
+    not UTF-8 shows as its \\udcXX escape."""
+    stream = sys.stderr if err else sys.stdout
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # it holds the escaped bytes of a name
+        data = os_text(text).encode("utf-8", "backslashreplace")
+    stream.flush()  # what went through the text layer comes first
+    stream.buffer.write(data)
+    stream.buffer.flush()
+
+
 class _WarnOnce(logging.Handler):
     """Writes each distinct warning of a command once, as one
-    `warning: <message>` line on the sys.stderr of the moment (as
-    logging.lastResort does), so a runner that swaps it captures it."""
+    `warning: <message>` line through _write."""
 
     def __init__(self):
         super().__init__(logging.WARNING)
@@ -122,7 +147,7 @@ class _WarnOnce(logging.Handler):
         message = record.getMessage()
         if message not in self._seen:
             self._seen.add(message)
-            click.echo(f"warning: {message}", err=True)
+            _write(f"warning: {message}\n", err=True)
 
 
 def _handle_errors(fn):
@@ -140,18 +165,18 @@ def _handle_errors(fn):
             with np.errstate(all="ignore"):
                 return fn(*args, **kwargs)
         except DataError as exc:
-            click.echo(f"data error: {exc}", err=True)
+            _write(f"data error: {exc}\n", err=True)
             sys.exit(EXIT_DATA)
         except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
+            _write(f"i/o error: {exc}\n", err=True)
             sys.exit(EXIT_DATA)
         except MemoryError as exc:
             # numpy's allocation failure says how much it asked for
             detail = f": {exc}" if str(exc) else ""
-            click.echo(f"data error: out of memory{detail}", err=True)
+            _write(f"data error: out of memory{detail}\n", err=True)
             sys.exit(EXIT_DATA)
         except (NumericError, np.linalg.LinAlgError) as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
+            _write(f"numeric failure: {exc}\n", err=True)
             sys.exit(EXIT_NUMERIC)
         finally:
             logger.removeHandler(handler)
@@ -182,6 +207,7 @@ def _scoring_options(fn):
                       help="EMB1/CSV embedding file, or a directory of .emb1 files. "
                            "Repeatable.")(fn)
     fn = click.option("--label-col", default="label", show_default=True,
+                      callback=_utf8_flag,
                       help="Label column for CSV embedding inputs.")(fn)
     fn = click.option("--metric", "metrics", multiple=True,
                       type=click.Choice(METRIC_CHOICES), callback=_unique,
@@ -211,7 +237,8 @@ def _truth_options(fn):
     fn = click.option("--truth",
                       type=click.Path(exists=True, dir_okay=False, path_type=Path),
                       help="Truth CSV (default: bundled accuracy tables).")(fn)
-    fn = click.option("--dataset", default=SYNTH_DATASET, show_default=True)(fn)
+    fn = click.option("--dataset", default=SYNTH_DATASET, show_default=True,
+                      callback=_utf8_flag)(fn)
     fn = click.option("--regime", type=click.Choice(REGIMES), default=SYNTH_REGIME,
                       show_default=True)(fn)
     fn = click.option("--pool", type=click.Choice(POOLS), default=SYNTH_POOL,
@@ -277,21 +304,22 @@ _RUN_PARAMS = ("inputs", "out", "jobs", "fmt")
 
 def _manifest(input_files: list[Path], **runtime) -> dict:
     """The running command's manifest. Its `config` holds every parameter
-    but _RUN_PARAMS under its own name, paths as text and an absent
-    --truth as "bundled"; `runtime` is execution metadata, excluded from
-    determinism comparisons."""
+    but _RUN_PARAMS under its own name, paths as os_text and an absent
+    --truth as "bundled"; `inputs` keys each file's os_text by its digest;
+    `runtime` is execution metadata, excluded from determinism
+    comparisons."""
     ctx = click.get_current_context()
     config = {}
     for name, value in ctx.params.items():
         if name == "truth" and value is None:
             value = "bundled"
         if name not in _RUN_PARAMS:
-            config[name] = str(value) if isinstance(value, Path) else value
+            config[name] = os_text(str(value)) if isinstance(value, Path) else value
     return {
         "version": __version__,
         "command": ctx.command.name,
         "config": config,
-        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        "inputs": {os_text(str(p)): hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in input_files},
         "runtime": runtime,
     }
@@ -440,20 +468,17 @@ def _emit(fmt: str | None, doc: dict, header: list[str], rows: Sequence[Sequence
     the aligned table shows it to 6 significant digits and is followed
     by `notes`."""
     if fmt == "json":
-        sys.stdout.write(_json_text(doc))
+        _write(_json_text(doc))
         return
     if fmt == "csv":
-        sys.stdout.write(csv_text([header, *rows]))
+        _write(csv_text([header, *rows]))
         return
     cells = [header] + [[f"{c:.6g}" if isinstance(c, float) else str(c) for c in row]
                         for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = [[c.ljust(w) for c, w in zip(row, widths)] for row in cells]
     lines.insert(1, ["-" * w for w in widths])
-    for line in lines:
-        click.echo("  ".join(line))
-    for note in notes:
-        click.echo(note)
+    _write("".join(f"{text}\n" for text in [*map("  ".join, lines), *notes]))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +615,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
                          timings={"total_s": time.perf_counter() - t0})
     # hash the score file's content net of timings, so re-scoring the same
     # inputs leads to the same evaluate manifest
-    manifest["inputs"][str(scores)] = _semantic_digest(score_payload)
+    manifest["inputs"][os_text(str(scores))] = _semantic_digest(score_payload)
     manifest["score_manifest"] = score_payload["manifest"]
 
     # file name -> text, written under --out
@@ -632,7 +657,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
         notes,
     )
     if out is not None and out_files:
-        click.echo(f"wrote {len(out_files)} files to {out}", err=True)
+        _write(f"wrote {len(out_files)} files to {out}\n", err=True)
 
 
 @main.command()

@@ -189,13 +189,26 @@ def save_emb1(ds: EmbeddingSet, path: str | Path) -> None:
         append(ds.features)
 
 
-def model_id(path: str | Path) -> str:
-    """The model id of the input file `path`: its name's stem as UTF-8 text,
-    whatever encoding the locale decoded the name with; the one place a
-    stem is read. A name that is not UTF-8 is a DataError naming the file."""
+def os_text(name: str, errors: str = "surrogateescape") -> str:
+    """The one text rule for a string the OS hands over (a file name, a
+    path, an argument): its bytes, which os.fsencode gives back whatever
+    the locale, decoded as UTF-8. A string the locale cannot encode came
+    from Python and keeps its text. A byte that is not UTF-8 stays as its
+    surrogate escape, or raises UnicodeError with `errors="strict"`."""
     try:
-        return os.fsencode(Path(path).stem).decode("utf-8")
-    except UnicodeDecodeError:
+        raw = os.fsencode(name)
+    except UnicodeEncodeError:
+        raw = name.encode("utf-8", "surrogateescape")
+    return raw.decode("utf-8", errors)
+
+
+def model_id(path: str | Path) -> str:
+    """The model id of the input file `path`: its name's stem as UTF-8 text
+    by os_text; the one place a stem is read. A name that is not UTF-8 is
+    a DataError naming the file."""
+    try:
+        return os_text(Path(path).stem, "strict")
+    except UnicodeError:
         raise DataError(f"{path}: file name is not UTF-8") from None
 
 

@@ -19,6 +19,7 @@ from click.testing import CliRunner
 
 from terank import PerturbConfig, cli, load_emb1, metrics, score_model, synth
 from terank.cli import main
+from terank.embeddings import csv_text
 from terank.errors import NumericError
 from terank.evaluation import TruthTable, write_truth
 from test_synth import held_out_overflow
@@ -1582,3 +1583,141 @@ def test_csv_cells_are_the_reprs_of_the_json_values(zoo_dir, zoo_scores, tmp_pat
     assert csv_out.stdout_bytes == out.read_bytes()
     rows = json.loads(run_ok(sweep_args + ["--format", "json"]).stdout)["rows"]
     assert_csv_cells_are_reprs(csv_out.stdout, rows)
+
+
+# the ASCII locale without UTF-8 mode or locale coercion, and a UTF-8
+# locale without UTF-8 mode: the file-system encoding is the locale's
+LOCALES = {
+    "ascii": {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+    "utf8": {"PYTHONUTF8": "0", "LC_ALL": "C.UTF-8", "PYTHONCOERCECLOCALE": "0"},
+}
+
+
+def terank_under(locale, cwd, *args):
+    """Run `python -m terank.cli` in a fresh process under `locale`, each
+    str argument given as its UTF-8 bytes, as a UTF-8 shell gives it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **LOCALES[locale],
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [arg.encode() if isinstance(arg, str) else arg for arg in args]
+    return subprocess.run([sys.executable.encode(), b"-m", b"terank.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=120)
+
+
+def utf8_name(text):
+    """`text` as the name of a file whose name is its UTF-8 bytes."""
+    return os.fsdecode(text.encode())
+
+
+POOL_SCORE = ["score", "--input", "pool", "--input", "pool/modèle-01.csv",
+              "--input", "pool/modèle-02.csv", "--label-col", "étiquette",
+              "--metric", "gbc", "--mode", "none", "--mode", "sa"]
+POOL_EVALUATE = ["evaluate", "--scores", "scores.json", "--dataset", "dätaset",
+                 "--truth", "truth.csv"]
+
+
+@pytest.fixture(scope="module")
+def locale_runs(zoo_dir, tmp_path_factory):
+    """Per locale, its own copy of a pool named outside ASCII (an EMB1
+    model and two CSV models whose label column is `étiquette`), a UTF-8
+    truth CSV of dataset `dätaset` and a corrupt `bad/modèle-09.emb1`;
+    then that locale's run of each command on them."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sys.getfilesystemencoding())"],
+        env={**os.environ, **LOCALES["utf8"]}, capture_output=True, text=True)
+    if probe.stdout.strip() != "utf-8":
+        pytest.skip("no C.UTF-8 locale")
+    runs = {}
+    for locale in LOCALES:
+        root = tmp_path_factory.mktemp(locale)
+        (root / "pool").mkdir()
+        (root / "bad").mkdir()
+        shutil.copy(zoo_dir / "model-00.emb1", root / "pool" / utf8_name("modèle-00.emb1"))
+        for m in (1, 2):
+            ds = load_emb1(zoo_dir / f"model-0{m}.emb1")
+            rows = [[*map(repr, row), label]
+                    for row, label in zip(ds.features.tolist(), ds.labels.tolist())]
+            (root / "pool" / utf8_name(f"modèle-0{m}.csv")).write_text(
+                csv_text([[f"f{i}" for i in range(ds.feature_dim)] + ["étiquette"],
+                          *rows]), encoding="utf-8", newline="")
+        write_truth(TruthTable({(f"modèle-0{m}", "dätaset", "synthetic", "synthetic"):
+                                50.0 + m for m in range(3)}), root / "truth.csv")
+        (root / "bad" / utf8_name("modèle-09.emb1")).write_bytes(b"EMB1")
+        procs = {"score": terank_under(locale, root, *POOL_SCORE, "--out", "scores.json")}
+        procs["score csv"] = terank_under(locale, root, *POOL_SCORE, "--format", "csv")
+        for fmt in ("table", "json", "csv"):
+            procs[f"evaluate {fmt}"] = terank_under(
+                locale, root, *POOL_EVALUATE, "--out", f"reports-{fmt}",
+                *(["--format", fmt] if fmt != "table" else []))
+        procs["bad"] = terank_under(locale, root, "score", "--input", "bad")
+        runs[locale] = root, procs
+    return runs
+
+
+def test_score_and_evaluate_outputs_do_not_depend_on_the_locale(locale_runs):
+    # file names, --label-col and --dataset are read as UTF-8 whatever the
+    # locale, so a pool named outside ASCII scores, joins its truth and
+    # writes the same files under an ASCII locale as under a UTF-8 one
+    files = {}
+    for locale, (root, procs) in locale_runs.items():
+        for name, proc in procs.items():
+            if name != "bad":
+                assert proc.returncode == 0, (locale, name, proc.stderr)
+        scores = json.loads((root / "scores.json").read_text(encoding="utf-8"))
+        assert list(scores["manifest"]["inputs"]) == [
+            "pool/modèle-00.emb1", "pool/modèle-01.csv", "pool/modèle-02.csv"]
+        reports = root / "reports-table"
+        files[locale] = {"scores.json": strip_timing(scores)}
+        for path in sorted(reports.iterdir()):
+            files[locale][path.name] = (
+                strip_timing(json.loads(path.read_text(encoding="utf-8")))
+                if path.suffix == ".json" else path.read_bytes())
+    assert files["ascii"] == files["utf8"]
+    assert sum(name.endswith(".csv") for name in files["utf8"]) == 2
+    assert files["utf8"]["report_gbc_none.json"]["manifest"]["config"]["dataset"] == (
+        "dätaset")
+
+
+def test_score_format_csv_is_utf8_under_an_ascii_locale(locale_runs):
+    proc = locale_runs["ascii"][1]["score csv"]
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(proc.stdout.decode("utf-8").splitlines()))
+    assert [row[0] for row in rows[1:3]] == ["modèle-00", "modèle-00"]
+
+
+def test_printed_lines_do_not_depend_on_the_locale(locale_runs):
+    # stdout and stderr are UTF-8 whatever the locale, and a file name's
+    # bytes read as UTF-8 there too; the JSON document's timings differ
+    ascii_procs, utf8_procs = (locale_runs[locale][1] for locale in ("ascii", "utf8"))
+    for fmt in ("table", "csv"):
+        assert ascii_procs[f"evaluate {fmt}"].stdout == utf8_procs[f"evaluate {fmt}"].stdout
+    assert (strip_timing(json.loads(ascii_procs["evaluate json"].stdout))
+            == strip_timing(json.loads(utf8_procs["evaluate json"].stdout)))
+    for procs in (ascii_procs, utf8_procs):
+        assert procs["bad"].returncode == 3
+        assert procs["bad"].stderr == (
+            "data error: bad/modèle-09.emb1: header truncated at 4 bytes\n".encode())
+
+
+@pytest.mark.parametrize("locale", LOCALES)
+@pytest.mark.parametrize("flag,args", [
+    ("--dataset", POOL_EVALUATE[:3]), ("--label-col", ["score", "--input", "pool"])],
+    ids=["dataset", "label-col"])
+def test_a_text_flag_that_is_not_utf8_is_a_usage_error(locale_runs, locale, flag, args):
+    # the byte 0xE8 alone is no UTF-8 text, so it can match no file's text
+    proc = terank_under(locale, locale_runs[locale][0], *args, flag.encode(), b"d\xe8")
+    assert proc.returncode == 2, proc.stderr
+    assert f"Invalid value for '{flag}': not UTF-8 text".encode() in proc.stderr
+
+
+@pytest.mark.parametrize("capture", ["capsys", "capfd"])
+def test_the_writer_prints_utf8_under_pytest_capture(request, capture):
+    # cli._write writes bytes to the stream's buffer, after its text layer
+    captured = request.getfixturevalue(capture)
+    print("first")
+    cli._write("modèle-00\n")
+    name = os.fsdecode(b"mod\xe8le.emb1")
+    cli._write(f"data error: {name}\n", err=True)
+    out, err = captured.readouterr()
+    assert out == "first\nmodèle-00\n"
+    assert err == "data error: mod\\udce8le.emb1\n"

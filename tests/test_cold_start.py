@@ -12,8 +12,9 @@ imports, import-only-for-typing blocks, error classes beyond the two
 exit-code families, any thread but the CLI pool's helpers, any per-model seed
 rule but the CLI's one, any output path but the CLI's one, any grouping or
 parsing of score records in the CLI, any model id rule but
-embeddings.model_id, any truth-record check but its two builders', and
-numpy's transcendental functions in the random stream out of the package.
+embeddings.model_id, any reading of the OS's text but embeddings.os_text,
+any write to stdout or stderr but cli._write, any truth-record check but
+its two builders', and numpy's transcendental functions in the random stream out of the package.
 
 Each command check runs in a fresh interpreter, because other test
 modules import scipy and the scoring stack into this process.
@@ -416,6 +417,32 @@ def test_one_model_id_rule():
     # second rule, one that keeps a locale's surrogate escapes in the id
     assert package_sites(lambda node: isinstance(node, ast.Attribute)
                          and node.attr == "stem") == ["embeddings.py:model_id"]
+
+
+def test_one_text_rule_for_what_the_os_hands_over():
+    # embeddings.os_text reads a name, a path or a flag as UTF-8 whatever
+    # the locale; an fsencode, fsdecode or surrogate escape anywhere else
+    # is a second rule, one whose output can follow the locale
+    def applies_rule(node):
+        return ((isinstance(node, ast.Attribute)
+                 and node.attr in ("fsencode", "fsdecode", "getfilesystemencoding"))
+                or (isinstance(node, ast.Constant) and node.value == "surrogateescape"))
+
+    assert sorted(set(package_sites(applies_rule))) == ["embeddings.py:os_text"]
+
+
+def test_one_writer_of_stdout_and_stderr():
+    # cli._write prints every byte a command prints, as UTF-8 whatever the
+    # locale; a click.echo, print or sys.stdout/sys.stderr use anywhere
+    # else is a second writer, one that encodes by the locale
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "echo" or (
+                node.attr in ("stdout", "stderr", "__stdout__", "__stderr__")
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+        return isinstance(node, ast.Name) and node.id in ("print", "echo")
+
+    assert package_sites(writes) == ["cli.py:_write"] * 2
 
 
 def test_each_truth_record_is_checked_by_its_builder_alone():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terank import EmbeddingSet, load_csv, load_emb1, save_emb1
-from terank.embeddings import csv_text, emb1_writer, model_id, read_csv
+from terank.embeddings import csv_text, emb1_writer, model_id, os_text, read_csv
 from terank.errors import DataError
 from class_gaussians import gen_class_gaussians
 
@@ -154,6 +154,37 @@ def test_model_id_is_the_stem_as_utf8_text_whatever_the_locale_decoded():
     assert model_id(Path("pool") / name) == "modèle-00"
     assert model_id(Path("pool") / "mod\udcc3\udca8le-00.emb1") == "modèle-00"
     assert model_id("pool/model-00.csv") == "model-00"
+
+
+# a file name as the OS hands it over: bytes without NUL or "/", UTF-8
+# text or not
+NAME_BYTES = st.one_of(st.binary(min_size=1, max_size=12),
+                       st.text(min_size=1, max_size=6).map(str.encode)).map(
+    lambda name: name.replace(b"\0", b"").replace(b"/", b"")).filter(bool)
+
+
+@given(NAME_BYTES)
+def test_os_text_reads_a_name_as_utf8_whatever_the_locale(name):
+    # os.fsdecode is the locale's decoding of a name the OS hands over;
+    # os_text reads its bytes as UTF-8, and model_id takes exactly the
+    # names that are UTF-8. Run under an ASCII and a UTF-8 locale, this
+    # checks the rule in both
+    assert os_text(os.fsdecode(name)) == name.decode("utf-8", "surrogateescape")
+    path = Path("pool") / os.fsdecode(name + b".emb1")
+    try:
+        text = name.decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(DataError, match="file name is not UTF-8"):
+            model_id(path)
+    else:
+        assert model_id(path) == text
+
+
+@given(st.text())
+def test_os_text_keeps_text_that_came_from_python(text):
+    # a string with no surrogate escape, such as a flag given to the CLI
+    # in-process, is its own text whatever the locale
+    assert os_text(text) == os_text(text, "strict") == text
 
 
 @pytest.mark.parametrize("suffix", [".emb1", ".csv"])
