@@ -150,14 +150,21 @@ class _WarnOnce(logging.Handler):
             _write(f"warning: {message}\n", err=True)
 
 
-def _handle_errors(fn):
-    # numpy's floating-point warnings are silenced: a non-finite result ends
-    # in NumericError or DataError, which is reported below as one line.
-    # The package's logged warnings go through one _WarnOnce for the
-    # length of the command; it is removed afterwards, so commands run one
-    # after another in a process do not pile handlers up
+# the click context's meta key of the moment a command started
+_START = "terank.start"
+
+
+def _command(fn):
+    """The decorator that ends every command. It adds --seed and --format
+    and notes when the run starts, for _manifest's total_s. numpy's
+    floating-point warnings are silenced: a non-finite result ends in
+    NumericError or DataError, which is reported as one line with its
+    exit code. The package's logged warnings go through one _WarnOnce for
+    the length of the command; it is removed afterwards, so commands run
+    one after another in a process do not pile handlers up."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        click.get_current_context().meta[_START] = time.perf_counter()
         logger = logging.getLogger(__package__)
         handler = _WarnOnce()
         logger.addHandler(handler)
@@ -168,6 +175,11 @@ def _handle_errors(fn):
             _write(f"data error: {exc}\n", err=True)
             sys.exit(EXIT_DATA)
         except OSError as exc:
+            # str(exc) quotes its file names by repr, so each is read by
+            # os_text first: the locale does not change how a name prints
+            for attr in ("filename", "filename2"):
+                if (name := getattr(exc, attr)) is not None:
+                    setattr(exc, attr, os_text(name))
             _write(f"i/o error: {exc}\n", err=True)
             sys.exit(EXIT_DATA)
         except MemoryError as exc:
@@ -175,25 +187,20 @@ def _handle_errors(fn):
             detail = f": {exc}" if str(exc) else ""
             _write(f"data error: out of memory{detail}\n", err=True)
             sys.exit(EXIT_DATA)
-        except (NumericError, np.linalg.LinAlgError) as exc:
+        except NumericError as exc:
             _write(f"numeric failure: {exc}\n", err=True)
             sys.exit(EXIT_NUMERIC)
         finally:
             logger.removeHandler(handler)
 
-    return wrapper
-
-
-def _common_options(fn):
     # SplitMix64 keeps 64 bits of a seed, so a wider one would alias
-    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
-                      show_default=True,
-                      help="Base seed in [0, 2^64). synth, score and sweep "
-                           "give model i the seed XOR i; evaluate only "
-                           "records it.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      help="Machine format on stdout instead of a table.")(fn)
-    return fn
+    wrapper = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
+                           show_default=True,
+                           help="Base seed in [0, 2^64). synth, score and sweep "
+                                "give model i the seed XOR i; evaluate only "
+                                "records it.")(wrapper)
+    return click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                        help="Machine format on stdout instead of a table.")(wrapper)
 
 
 _jobs_option = click.option("--jobs", type=click.IntRange(min=1), default=1,
@@ -302,12 +309,14 @@ def _load_set(path: Path, label_col: str) -> EmbeddingSet:
 _RUN_PARAMS = ("inputs", "out", "jobs", "fmt")
 
 
-def _manifest(input_files: list[Path], **runtime) -> dict:
+def _manifest(input_files: list[Path], **timings: float) -> dict:
     """The running command's manifest. Its `config` holds every parameter
     but _RUN_PARAMS under its own name, paths as os_text and an absent
     --truth as "bundled"; `inputs` keys each file's os_text by its digest;
     `runtime` is execution metadata, excluded from determinism
-    comparisons."""
+    comparisons: --jobs where the command has it, and `timings`, the
+    seconds the command measured itself beside `total_s`, its wall time
+    from the start _command noted up to now."""
     ctx = click.get_current_context()
     config = {}
     for name, value in ctx.params.items():
@@ -315,6 +324,8 @@ def _manifest(input_files: list[Path], **runtime) -> dict:
             value = "bundled"
         if name not in _RUN_PARAMS:
             config[name] = os_text(str(value)) if isinstance(value, Path) else value
+    runtime = {"jobs": ctx.params["jobs"]} if "jobs" in ctx.params else {}
+    runtime["timings"] = {**timings, "total_s": time.perf_counter() - ctx.meta[_START]}
     return {
         "version": __version__,
         "command": ctx.command.name,
@@ -407,7 +418,7 @@ def _pool_map(count: int, jobs: int, task) -> list:
 
     def work() -> None:
         # np.errstate is per thread: the calling thread holds the
-        # command's setting from _handle_errors, a helper does not
+        # command's setting from _command, a helper does not
         with np.errstate(all="ignore"):
             while (index := take()) is not None:
                 try:
@@ -453,7 +464,7 @@ def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
             return load_s, fn(ds, seed ^ index)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-        except (NumericError, np.linalg.LinAlgError) as exc:
+        except NumericError as exc:
             raise NumericError(f"{path}: {exc}") from None
 
     done = _pool_map(len(files), jobs, task)
@@ -501,8 +512,7 @@ def main():
               help="Intra-class std a:b, linearly spaced across models.")
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 @_jobs_option
-@_common_options
-@_handle_errors
+@_command
 def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
           jobs, fmt):
     """Generate a synthetic model zoo: EMB1 files plus an oracle truth CSV."""
@@ -523,7 +533,6 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     if stale:
         raise DataError(f"--out {out} holds {stale[0]}, which this {models}-model "
                         f"zoo does not write; remove it or choose another --out")
-    t0 = time.perf_counter()
     with _all_or_nothing(out) as stage:
         labels = cfg.labels
 
@@ -539,8 +548,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 
         accuracies = _pool_map(models, jobs, task)
         write_truth(zoo_truth(accuracies), stage / "truth.csv")
-        manifest = _manifest(
-            [], jobs=jobs, timings={"total_s": time.perf_counter() - t0})
+        manifest = _manifest([])
         (stage / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     header = ["model", "rho", "noise", "oracle_accuracy"]
     rows = [[model_id, cfg.rhos[i], cfg.noises[i], acc]
@@ -562,8 +570,7 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
                    "PCA only; spread, attract, sa: PCA, then perturbation.")
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the score JSON here.")
-@_common_options
-@_handle_errors
+@_command
 def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Score models: one record per (model, metric, mode)."""
@@ -571,7 +578,6 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
     from .perturbation import PerturbConfig
 
     files = _resolve_inputs(inputs)
-    t0 = time.perf_counter()
     configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
                              attract_direction=attract_dir) for mode in modes]
     groups, load_s = _map_models(
@@ -580,8 +586,7 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
             ds, metrics, configs, energy=pca_energy, rank=pca_rank,
             seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
     records = [rec for group in groups for rec in group]
-    manifest = _manifest(files, jobs=jobs, timings={
-        "load_s": load_s, "total_s": time.perf_counter() - t0})
+    manifest = _manifest(files, load_s=load_s)
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
     if out is not None:
         _write_files(out.parent, {out.name: _json_text(payload)})
@@ -600,19 +605,16 @@ def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
 @_truth_options
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path),
               help="Directory for report JSON/CSV files.")
-@_common_options
-@_handle_errors
+@_command
 def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
     """Rank scored models against ground truth: one report per (metric,
     mode) cell and, per perturbed mode, an improvement summary that pairs
     each metric's cell with its mode-none cell (no row without one)."""
-    t0 = time.perf_counter()
     score_payload, records = load_scores(scores)
     reports = rank_cells(records, _load_truth_table(truth, dataset, regime, pool),
                          dataset, regime, pool, weighting)
     summaries = improvement_summary(reports)
-    manifest = _manifest([truth] if truth else [],
-                         timings={"total_s": time.perf_counter() - t0})
+    manifest = _manifest([truth] if truth else [])
     # hash the score file's content net of timings, so re-scoring the same
     # inputs leads to the same evaluate manifest
     manifest["inputs"][os_text(str(scores))] = _semantic_digest(score_payload)
@@ -669,8 +671,7 @@ def evaluate(scores, truth, dataset, regime, pool, weighting, out, seed, fmt):
               default="0.5,0.6,0.7,0.8,0.9", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the sweep CSV here.")
-@_common_options
-@_handle_errors
+@_command
 def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
           pca_rank, nleep_k, lda_eps, truth, dataset, regime, pool, weighting,
           alpha_grid, sigma_grid, out, seed, jobs, fmt):
@@ -684,7 +685,6 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
         raise DataError(f"--input {inputs[0]} holds 1 model; ranking needs at least two")
     truth_table = _load_truth_table(truth, dataset, regime, pool)
 
-    t0 = time.perf_counter()
     cells = [(a, sigma) for a in alpha_grid] + [(alpha, s) for s in sigma_grid]
     configs = [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
                for a, s_val in cells]
@@ -709,8 +709,7 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
 
     header = ["alpha", "sigma", "metric", "tau_w"]
     if out is not None:
-        manifest = _manifest(files + ([truth] if truth else []), jobs=jobs,
-                             timings={"total_s": time.perf_counter() - t0})
+        manifest = _manifest(files + ([truth] if truth else []))
         _write_files(out.parent, {out.name: csv_text([header, *rows]),
                                   f"{out.name}.manifest.json": _json_text(manifest)})
     _emit(fmt, {"rows": [dict(zip(header, row)) for row in rows]}, header, rows)

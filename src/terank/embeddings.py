@@ -22,6 +22,7 @@ from .errors import DataError, NumericError
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4I")  # N, D, C, reserved
+_U32_MAX = 2**32 - 1
 
 
 def _int64_labels(values) -> np.ndarray:
@@ -164,10 +165,16 @@ def emb1_writer(path: str | Path, labels: np.ndarray,
     in max(labels) + 1 classes, and yield a function that appends a block
     of rows (stored as float32), in row order. When the block ends, the
     labels are written after the rows; rows that do not fill the header's
-    N x D are a DataError. The one EMB1 writer: a caller that draws its
-    rows block by block never holds them all."""
+    N x D are a DataError, and so is a count that the header's u32 field
+    cannot hold, raised before `path` is opened. The one EMB1 writer: a
+    caller that draws its rows block by block never holds them all."""
+    header = {"rows": len(labels), "dimension": dim, "classes": int(labels.max()) + 1}
+    for field, count in header.items():
+        if not 0 <= count <= _U32_MAX:
+            raise DataError(f"EMB1 {field} {count} does not fit the header's "
+                            f"u32 field (0 to {_U32_MAX})")
     with Path(path).open("wb") as f:
-        f.write(MAGIC + _HEADER.pack(len(labels), dim, int(labels.max()) + 1, 0))
+        f.write(MAGIC + _HEADER.pack(*header.values(), 0))
         written = 0
 
         def append(rows: np.ndarray) -> None:

@@ -39,9 +39,14 @@ _LOGME_TOL = 1e-3
 
 def _evidence_basis(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The left singular vectors and squared singular values of the
-    feature matrix, and its shape: all the fixed point needs of it."""
+    feature matrix, and its shape: all the fixed point needs of it. An
+    SVD that fails, as on features that are not finite, is a
+    NumericError."""
     f = np.asarray(features, dtype=np.float64)
-    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(f, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"logme: {exc}") from None
     return u, s**2, *f.shape
 
 
@@ -420,15 +425,16 @@ def score_lda(ds: EmbeddingSet, eps_scale: float = 1e-4) -> float:
         chol = np.linalg.cholesky(scatter_within + eps * np.eye(k))
         whitened = np.linalg.solve(chol, between_root)  # A = L^-1 B, (k, C)
         vals, vecs = np.linalg.eigh(whitened.T @ whitened)
+        # top eigenpairs, largest first; scaled so the projected
+        # within-class covariance is the identity (the discriminant
+        # assumes unit-variance classes), which also sends U -> 0 as the
+        # ridge grows
+        vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
+        keep = vals > max(float(vals[0]), 0.0) * c * np.finfo(np.float64).eps
+        vals, vecs = vals[keep], vecs[:, keep]
+        u = np.linalg.solve(chol.T, whitened @ vecs / np.sqrt(vals)) * math.sqrt(n)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"lda: {exc}") from None
-    # top eigenpairs, largest first; scaled so the projected within-class
-    # covariance is the identity (the discriminant assumes unit-variance
-    # classes), which also sends U -> 0 as the ridge grows
-    vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
-    keep = vals > max(float(vals[0]), 0.0) * c * np.finfo(np.float64).eps
-    vals, vecs = vals[keep], vecs[:, keep]
-    u = np.linalg.solve(chol.T, whitened @ vecs / np.sqrt(vals)) * math.sqrt(n)
 
     proj_means = means @ (u @ u.T)  # (C, k)
     delta = x @ proj_means.T  # f' U U' mu_c

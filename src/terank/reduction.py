@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSet
-from .errors import DataError
+from .errors import DataError, NumericError
 
 DEFAULT_ENERGY = 0.8
 
@@ -52,7 +52,9 @@ def fit_pca(
     one float64 copy of the features, centered in place and projected:
     downstream displacement and rigidity contracts are tighter than
     float32 resolution. DataError marks a spectrum summing to at most
-    1e-18 of max(1, tr(cov) + |mean|^2), the mean squared row norm.
+    1e-18 of max(1, tr(cov) + |mean|^2), the mean squared row norm;
+    NumericError an eigendecomposition that failed, as on a covariance
+    that overflowed.
     """
     if energy is not None and rank is not None:
         raise DataError("give either an energy target or a rank, not both")
@@ -73,7 +75,10 @@ def fit_pca(
     # spectrum, so the same trace, either way.
     m = (x.T @ x) / n if d <= n else (x @ x.T) / n
     scale_ref = float(np.trace(m) + mean @ mean)
-    evals, evecs = np.linalg.eigh(m)
+    try:
+        evals, evecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # a covariance that overflowed
+        raise NumericError(f"pca: {exc}") from None
     del m
     evals = evals[::-1][:max_rank]
     evecs = evecs[:, ::-1][:, :max_rank]

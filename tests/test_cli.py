@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: subcommands, exit codes, machine output."""
 import codecs
 import csv
+import errno
+import inspect
 import itertools
 import json
 import logging
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from terank import PerturbConfig, cli, load_emb1, metrics, score_model, synth
+from terank import (PerturbConfig, cli, load_csv, load_emb1, metrics, rank_cells,
+                    score_lda, score_model, synth)
 from terank.cli import main
 from terank.embeddings import csv_text
 from terank.errors import NumericError
@@ -511,6 +514,27 @@ def test_synth_size_no_array_holds_is_one_line_data_error(tmp_path):
         "--dim", str(2**62), "--out", str(out)])
     assert "a float64 array holds" in assert_one_data_error_line(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_synth_dim_the_emb1_header_cannot_hold_is_one_line_data_error(tmp_path,
+                                                                      existing):
+    # 2^32 passes --dim's type and ZooConfig's float64 limit, but not an
+    # EMB1 header's u32 field; the header is refused before any draw
+    out = tmp_path / "zoo"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+    result = CliRunner().invoke(main, [
+        "synth", "--models", "2", "--classes", "2", "--per-class", "2",
+        "--dim", str(2**32), "--out", str(out)])
+    assert assert_one_data_error_line(result) == (
+        "data error: EMB1 dimension 4294967296 does not fit the header's u32 "
+        "field (0 to 4294967295)")
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1273,8 +1297,17 @@ def test_manifest_config_holds_every_computing_parameter(zoo_dir, zoo_scores,
     params = {p.name for p in main.commands[command].params}
     assert manifest["command"] == command
     assert set(manifest["config"]) == params - RUN_PARAMS
+    # runtime: --jobs where the command has it, and the command's wall time
+    # up to its manifest beside what the command timed itself
+    runtime = manifest["runtime"]
+    assert set(runtime) == ({"jobs", "timings"} if "jobs" in params else {"timings"})
     if "jobs" in params:
-        assert manifest["runtime"]["jobs"] == 1
+        assert runtime["jobs"] == 1
+    timings = runtime["timings"]
+    assert set(timings) == ({"load_s", "total_s"} if command == "score" else {"total_s"})
+    assert timings["total_s"] >= 0
+    if command == "score":
+        assert 0 <= timings["load_s"] <= timings["total_s"]
 
 
 def test_default_score_and_evaluate_configs(zoo_dir, zoo_scores, tmp_path):
@@ -1306,6 +1339,106 @@ def test_default_score_and_evaluate_configs(zoo_dir, zoo_scores, tmp_path):
         "regime": "vanilla", "pool": "supervised", "weighting": "symmetric",
         "seed": 0,
     }
+
+
+# each command's parameters in declaration order: name, flags, default, help
+SCORING_PARAMETERS = [
+    ("jobs", ["--jobs"], 1, "Max models loaded and scored at once."),
+    ("lda_eps", ["--lda-eps"], 1e-4,
+     "LDA ridge as a fraction of the mean within-class variance."),
+    ("nleep_k", ["--nleep-k"], None, "GMM components for nleep (default: class count)."),
+    ("pca_rank", ["--pca-rank"], None, "Explicit PCA rank; excludes --pca-energy."),
+    ("pca_energy", ["--pca-energy"], None, "Retained-variance target (default 0.8)."),
+    ("attract_dir", ["--attract-dir"], "toward", None),
+    ("sigma", ["--sigma"], 0.6, "Radius sensitivity."),
+    ("alpha", ["--alpha"], 0.005, "Attract step scale."),
+    ("metrics", ["--metric"], ("logme", "gbc", "nleep", "lda"), None),
+    ("label_col", ["--label-col"], "label", "Label column for CSV embedding inputs."),
+    ("inputs", ["--input"], None,
+     "EMB1/CSV embedding file, or a directory of .emb1 files. Repeatable."),
+]
+TRUTH_PARAMETERS = [
+    ("weighting", ["--weighting"], "symmetric", None),
+    ("pool", ["--pool"], "synthetic", None),
+    ("regime", ["--regime"], "synthetic", None),
+    ("dataset", ["--dataset"], "synthetic", None),
+    ("truth", ["--truth"], None, "Truth CSV (default: bundled accuracy tables)."),
+]
+COMMON_PARAMETERS = [
+    ("fmt", ["--format"], None, "Machine format on stdout instead of a table."),
+    ("seed", ["--seed"], 0, "Base seed in [0, 2^64). synth, score and sweep give "
+                            "model i the seed XOR i; evaluate only records it."),
+]
+PARAMETERS = {
+    "synth": [
+        ("models", ["--models"], 8, None),
+        ("classes", ["--classes"], 4, None),
+        ("per_class", ["--per-class"], 100, None),
+        ("dim", ["--dim"], 16, None),
+        ("rho_range", ["--rho-range"], "0.25:1.0",
+         "Centroid scale a:b, linearly spaced across models."),
+        ("noise_range", ["--noise-range"], "1:1",
+         "Intra-class std a:b, linearly spaced across models."),
+        ("out", ["--out"], None, None),
+        SCORING_PARAMETERS[0],
+        *COMMON_PARAMETERS,
+    ],
+    "score": [
+        *SCORING_PARAMETERS,
+        ("modes", ["--mode"], ("sa",),
+         "Feature preparation. Repeatable. raw: the metric on the input features, "
+         "with no PCA and no perturbation; none: PCA only; spread, attract, sa: "
+         "PCA, then perturbation."),
+        ("out", ["--out"], None, "Write the score JSON here."),
+        *COMMON_PARAMETERS,
+    ],
+    "evaluate": [
+        ("scores", ["--scores"], None, "Score JSON produced by `terank score`."),
+        *TRUTH_PARAMETERS,
+        ("out", ["--out"], None, "Directory for report JSON/CSV files."),
+        *COMMON_PARAMETERS,
+    ],
+    "sweep": [
+        *SCORING_PARAMETERS,
+        *TRUTH_PARAMETERS,
+        ("alpha_grid", ["--alpha-grid"], "0.001,0.005,0.01,0.05", None),
+        ("sigma_grid", ["--sigma-grid"], "0.5,0.6,0.7,0.8,0.9", None),
+        ("out", ["--out"], None, "Write the sweep CSV here."),
+        *COMMON_PARAMETERS,
+    ],
+}
+
+
+def cli_defaults(command):
+    return {param.name: param.to_info_dict()["default"]
+            for param in main.commands[command].params}
+
+
+@pytest.mark.parametrize("command", PARAMETERS)
+def test_every_command_parameter_in_declaration_order(command):
+    # the decorators that build a command's parameters move no flag, default
+    # or help line
+    assert [(info["name"], info["opts"], info["default"], info["help"])
+            for info in (param.to_info_dict()
+                         for param in main.commands[command].params)] == (
+        PARAMETERS[command])
+
+
+def test_the_library_defaults_are_the_cli_defaults():
+    # a default the library declares as well as the CLI is one value
+    score, sweep = cli_defaults("score"), cli_defaults("sweep")
+    config = PerturbConfig()
+    assert config.alpha == score["alpha"] == sweep["alpha"]
+    assert config.sigma == score["sigma"] == sweep["sigma"]
+    assert (config.mode.value,) == score["modes"]
+    assert config.attract_direction.value == score["attract_dir"] == sweep["attract_dir"]
+    for fn in (score_model, score_lda):
+        assert inspect.signature(fn).parameters["eps_scale"].default == (
+            score["lda_eps"]) == sweep["lda_eps"]
+    assert inspect.signature(rank_cells).parameters["weighting"].default == (
+        sweep["weighting"]) == cli_defaults("evaluate")["weighting"]
+    assert inspect.signature(load_csv).parameters["label_column"].default == (
+        score["label_col"]) == sweep["label_col"]
 
 
 def emb1_with(src: Path, dst: Path, *, feature=None, label=None) -> Path:
@@ -1621,7 +1754,8 @@ def locale_runs(zoo_dir, tmp_path_factory):
     """Per locale, its own copy of a pool named outside ASCII (an EMB1
     model and two CSV models whose label column is `étiquette`), a UTF-8
     truth CSV of dataset `dätaset` and a corrupt `bad/modèle-09.emb1`;
-    then that locale's run of each command on them."""
+    then that locale's run of each command on them, and of a score whose
+    --out lies under the file `pool/modèle-00.emb1`."""
     probe = subprocess.run(
         [sys.executable, "-c", "import sys; print(sys.getfilesystemencoding())"],
         env={**os.environ, **LOCALES["utf8"]}, capture_output=True, text=True)
@@ -1650,6 +1784,10 @@ def locale_runs(zoo_dir, tmp_path_factory):
                 locale, root, *POOL_EVALUATE, "--out", f"reports-{fmt}",
                 *(["--format", fmt] if fmt != "table" else []))
         procs["bad"] = terank_under(locale, root, "score", "--input", "bad")
+        # --out under a file: the directory cannot be made
+        procs["exists"] = terank_under(locale, root, "score", "--input", "pool",
+                                       "--metric", "gbc", "--mode", "none",
+                                       "--out", "pool/modèle-00.emb1/x.json")
         runs[locale] = root, procs
     return runs
 
@@ -1661,7 +1799,7 @@ def test_score_and_evaluate_outputs_do_not_depend_on_the_locale(locale_runs):
     files = {}
     for locale, (root, procs) in locale_runs.items():
         for name, proc in procs.items():
-            if name != "bad":
+            if name not in ("bad", "exists"):
                 assert proc.returncode == 0, (locale, name, proc.stderr)
         scores = json.loads((root / "scores.json").read_text(encoding="utf-8"))
         assert list(scores["manifest"]["inputs"]) == [
@@ -1697,6 +1835,13 @@ def test_printed_lines_do_not_depend_on_the_locale(locale_runs):
         assert procs["bad"].returncode == 3
         assert procs["bad"].stderr == (
             "data error: bad/modèle-09.emb1: header truncated at 4 bytes\n".encode())
+        assert procs["exists"].returncode == 3
+    # an OSError's file name is read as UTF-8 too, not quoted in the
+    # locale's escapes
+    assert ascii_procs["exists"].stderr == utf8_procs["exists"].stderr
+    assert utf8_procs["exists"].stderr == (
+        f"i/o error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: "
+        "'pool/modèle-00.emb1'\n".encode())
 
 
 @pytest.mark.parametrize("locale", LOCALES)

@@ -298,6 +298,14 @@ def test_one_thread_pool_in_the_cli_helper():
     assert geterr == []
 
 
+def test_numpy_linalg_errors_are_caught_where_they_arise():
+    # each linalg call that can fail converts LinAlgError to NumericError
+    # in its own function, so the CLI names no numpy exception
+    assert package_sites(lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "LinAlgError") == [
+        "metrics.py:_evidence_basis", "metrics.py:score_lda", "reduction.py:fit_pca"]
+
+
 def test_one_seed_rule_in_the_cli_model_map():
     # each model's seed is the base seed XOR its index, derived in
     # cli._map_models alone, so every command scores a model alike
@@ -336,9 +344,13 @@ MANIFEST_FIELDS = {"version", "command", "config", "inputs", "runtime"}
 
 
 def test_one_manifest_builder_in_the_cli():
-    # cli._manifest records a command's own parameters; a manifest field
-    # written anywhere else, or a config dict handed to _manifest, is a
-    # second record of the flags that can drift from them
+    # cli._manifest records a command's own parameters and its runtime,
+    # timed from the start cli._command notes; a manifest field written
+    # anywhere else, a config dict or a command parameter handed to
+    # _manifest, or a clock read in a command's body, is a second record
+    # that can drift from them
+    params = {param.name for command in main.commands.values()
+              for param in command.params}
     sites = []
 
     def visit(node, where):  # where: the enclosing module-level function
@@ -353,9 +365,13 @@ def test_one_manifest_builder_in_the_cli():
                for k in keys):
             sites.append(where)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_manifest"
-                and any(isinstance(arg, ast.Dict) for arg in node.args)):
-            sites.append(f"{where}: config dict")
+                and node.func.id == "_manifest"):
+            if any(isinstance(arg, ast.Dict) for arg in node.args):
+                sites.append(f"{where}: config dict")
+            sites.extend(f"{where}: {kw.arg}=" for kw in node.keywords if kw.arg in params)
+        if (where in main.commands and isinstance(node, ast.Attribute)
+                and node.attr == "perf_counter"):
+            sites.append(f"{where}: clock")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 

@@ -49,6 +49,17 @@ def test_block_writer_writes_the_bytes_of_save_emb1(tmp_path):
             append(ds.features[:14])
 
 
+def test_a_count_the_u32_header_cannot_hold_is_refused_before_the_file_opens(tmp_path):
+    # the header is packed before any row is drawn, so no large array is made
+    path = tmp_path / "wide.emb1"
+    with pytest.raises(DataError, match=re.escape(
+            "EMB1 dimension 4294967296 does not fit the header's u32 field "
+            "(0 to 4294967295)")):
+        with emb1_writer(path, np.array([0, 1, 0, 1]), 2**32):
+            pytest.fail("the writer opened")
+    assert not path.exists()
+
+
 def test_load_smallest_valid_file(tmp_path):
     path = tmp_path / "t.emb1"
     path.write_bytes(emb1_bytes(2, 1, 2, [[0.0], [1.0]], [0, 1]))

@@ -15,9 +15,10 @@ from terank import (
     ZooConfig,
 )
 from terank import metrics
-from terank.errors import DataError
+from terank.errors import DataError, NumericError
 from terank.metrics import _evidence_basis, _evidence_fixed_point
 from terank.perturbation import sa_perturb
+from terank.reduction import fit_pca
 from terank.vocabulary import MetricId, PerturbMode
 from class_gaussians import gen_class_gaussians
 
@@ -163,6 +164,35 @@ def test_logme_nan_state_is_logged_not_converged(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "logme fixed point stopped at update 1: the new precisions are not finite"]
     assert math.isnan(ev) and len(trace) == 2
+
+
+def overflowing_set():
+    """A 40 x 6 float64 set whose covariance overflows: the eigensolver
+    sees infinities and does not converge."""
+    rng = np.random.default_rng(0)
+    return EmbeddingSet(features=rng.standard_normal((40, 6)) * 1e154,
+                        labels=np.arange(40) % 2)
+
+
+def test_a_failed_eigendecomposition_is_a_numeric_error():
+    # the library raises its two error classes alone: numpy's LinAlgError
+    # is converted where it can arise
+    ds = overflowing_set()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="^pca: "):
+            fit_pca(ds)
+        with pytest.raises(NumericError, match="^pca: "):
+            score_model(ds, ["gbc"], [PerturbConfig(mode="none")])
+
+
+def test_a_failed_svd_is_a_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    ds = gen_class_gaussians(3, 10, 4, rho=2.0, noise=1.0, seed=3)
+    with pytest.raises(NumericError, match="^logme: SVD did not converge$"):
+        score_logme(ds)
 
 
 def test_logme_exact_fit_stops_at_a_non_positive_update(caplog):

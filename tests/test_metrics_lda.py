@@ -88,6 +88,23 @@ def test_a_failed_factorisation_is_a_numeric_error(monkeypatch):
         score_lda(ds)
 
 
+def test_a_failed_back_substitution_is_a_numeric_error(monkeypatch):
+    # the second solve, which maps the kept pairs back, is converted too
+    solve, calls = np.linalg.solve, []
+
+    def singular_second_time(a, b):
+        calls.append(a)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_second_time)
+    ds = gen_class_gaussians(3, 10, 4, rho=2.0, noise=1.0, seed=3)
+    with pytest.raises(NumericError, match="^lda: Singular matrix$"):
+        score_lda(ds)
+    assert len(calls) == 2
+
+
 def test_score_stays_in_unit_interval():
     for seed in range(6):
         ds = gen_class_gaussians(
