@@ -34,7 +34,6 @@ from .evaluation import (
     SYNTH_POOL,
     SYNTH_REGIME,
     WEIGHTINGS,
-    ScoreRecord,
     TruthTable,
     improvement_summary,
     load_bundled_truth,
@@ -45,9 +44,9 @@ from .evaluation import (
 )
 from .vocabulary import AttractDirection, MetricId, PerturbMode
 
-# each stack is imported inside the commands that run it: the zoo generator
+# each stack is imported inside the code that runs it: the zoo generator
 # (synth, rng) inside synth, the scoring stack (metrics, perturbation,
-# reduction) inside score and sweep; evaluate loads neither
+# reduction) inside score, sweep and their _map_models; evaluate loads neither
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -446,28 +445,37 @@ def _pool_map(count: int, jobs: int, task) -> list:
     return results
 
 
-def _map_models(files: list[Path], label_col: str, jobs: int, seed: int, fn):
-    """Run `fn(ds, model_seed)` on each input file's set through
-    `_pool_map`, on the command's own thread and up to `jobs` - 1
-    helpers; return the results in input order and the summed per-model
-    load seconds. `model_seed` is `seed` XOR the input's index, so the
-    results are independent of the job count and of the thread a model
-    runs on. Each task loads its own set, so a corrupt input is found
-    when its turn comes; a data or numeric error of a model is re-raised
-    with its input path in front."""
+def _map_models(files: list[Path], configs, check=None):
+    """Score each input file's set with `score_model` under `configs` and
+    the running command's own scoring flags, --jobs and --seed, through
+    `_pool_map`; return the records in input order and the summed
+    per-model load seconds. `check(ds)` runs on a set once it loads,
+    before it is scored. A model's seed is `seed` XOR its input's index,
+    so no result depends on the job count or the thread. Each task loads
+    its own set, so a corrupt input is found when its turn comes; a data
+    or numeric error of a model is re-raised with its input path in front."""
+    from .metrics import score_model
+    # read on the command's thread: a helper thread has no click context
+    params = click.get_current_context().params
+
     def task(index: int):
         path = files[index]
         try:
             start = time.perf_counter()
-            ds = _load_set(path, label_col)
+            ds = _load_set(path, params["label_col"])
             load_s = time.perf_counter() - start
-            return load_s, fn(ds, seed ^ index)
+            if check is not None:
+                check(ds)
+            return load_s, score_model(
+                ds, params["metrics"], configs, energy=params["pca_energy"],
+                rank=params["pca_rank"], seed=params["seed"] ^ index,
+                nleep_components=params["nleep_k"], eps_scale=params["lda_eps"])
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
         except NumericError as exc:
             raise NumericError(f"{path}: {exc}") from None
 
-    done = _pool_map(len(files), jobs, task)
+    done = _pool_map(len(files), params["jobs"], task)
     return [result for _, result in done], sum(load_s for load_s, _ in done)
 
 
@@ -536,23 +544,23 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     with _all_or_nothing(out) as stage:
         labels = cfg.labels
 
-        def task(m: int) -> tuple[str, float]:
+        def task(m: int) -> TruthTable:
             # each class block goes to the file as it is drawn: a model
             # never holds its training set, and only its accuracy stays
             model_id = cfg.model_ids[m]
             with emb1_writer(stage / f"{model_id}.emb1", labels, dim) as append:
                 acc = draw_zoo_model(cfg, m, append)
             # a bad accuracy stops the zoo here, not after every model
-            zoo_truth([(model_id, acc)])
-            return model_id, acc
+            return zoo_truth([(model_id, acc)])
 
-        accuracies = _pool_map(models, jobs, task)
-        write_truth(zoo_truth(accuracies), stage / "truth.csv")
+        truth = TruthTable(records={key: acc for table in _pool_map(models, jobs, task)
+                                    for key, acc in table.records.items()})
+        write_truth(truth, stage / "truth.csv")
         manifest = _manifest([])
         (stage / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     header = ["model", "rho", "noise", "oracle_accuracy"]
-    rows = [[model_id, cfg.rhos[i], cfg.noises[i], acc]
-            for i, (model_id, acc) in enumerate(accuracies)]
+    rows = [[key[0], cfg.rhos[i], cfg.noises[i], acc]
+            for i, (key, acc) in enumerate(truth.records.items())]
     _emit(
         fmt,
         {"manifest": manifest, "models": [dict(zip(header, row)) for row in rows]},
@@ -574,17 +582,12 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
 def score(inputs, label_col, metrics, modes, alpha, sigma, attract_dir,
           pca_energy, pca_rank, nleep_k, lda_eps, out, seed, jobs, fmt):
     """Score models: one record per (model, metric, mode)."""
-    from .metrics import score_model
     from .perturbation import PerturbConfig
 
     files = _resolve_inputs(inputs)
-    configs = [PerturbConfig(alpha=alpha, sigma=sigma, mode=mode,
-                             attract_direction=attract_dir) for mode in modes]
-    groups, load_s = _map_models(
-        files, label_col, jobs, seed,
-        lambda ds, model_seed: score_model(
-            ds, metrics, configs, energy=pca_energy, rank=pca_rank,
-            seed=model_seed, nleep_components=nleep_k, eps_scale=lda_eps))
+    groups, load_s = _map_models(files, [
+        PerturbConfig(alpha=alpha, sigma=sigma, mode=mode, attract_direction=attract_dir)
+        for mode in modes])
     records = [rec for group in groups for rec in group]
     manifest = _manifest(files, load_s=load_s)
     payload = {"manifest": manifest, "records": [r.to_dict() for r in records]}
@@ -677,7 +680,6 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
           alpha_grid, sigma_grid, out, seed, jobs, fmt):
     """Hyper-parameter sensitivity: vary alpha with sigma fixed, then sigma
     with alpha fixed, reporting tau_w per cell."""
-    from .metrics import score_model
     from .perturbation import PerturbConfig
 
     files = _resolve_inputs(inputs)
@@ -686,26 +688,23 @@ def sweep(inputs, label_col, metrics, alpha, sigma, attract_dir, pca_energy,
     truth_table = _load_truth_table(truth, dataset, regime, pool)
 
     cells = [(a, sigma) for a in alpha_grid] + [(alpha, s) for s in sigma_grid]
-    configs = [PerturbConfig(alpha=a, sigma=s_val, attract_direction=attract_dir)
-               for a, s_val in cells]
-
-    def run(ds: EmbeddingSet, model_seed: int) -> list[ScoreRecord]:
-        # a model without a truth row under the slice fails once it loads,
-        # before it is scored; a corrupt input still fails on its load
-        truth_table.accuracy(ds.model_id, dataset, regime, pool)
-        return score_model(ds, metrics, configs, energy=pca_energy, rank=pca_rank,
-                           seed=model_seed, nleep_components=nleep_k,
-                           eps_scale=lda_eps)
-
-    groups, _ = _map_models(files, label_col, jobs, seed, run)
-    rows = []
-    for cell, (cell_alpha, cell_sigma) in enumerate(cells):
+    # a cell on both grids, or repeated in one, is scored and ranked once
+    # and written in each of its rows
+    configs = {cell: PerturbConfig(*cell, attract_direction=attract_dir)
+               for cell in dict.fromkeys(cells)}
+    # a model without a truth row under the slice fails once it loads,
+    # before it is scored; a corrupt input still fails on its load
+    groups, _ = _map_models(
+        files, list(configs.values()),
+        check=lambda ds: truth_table.accuracy(ds.model_id, dataset, regime, pool))
+    taus = {}
+    for index, cell in enumerate(configs):
         # each model's records come in (cell, metric) order
         records = [rec for group in groups
-                   for rec in group[cell * len(metrics):(cell + 1) * len(metrics)]]
-        taus = {rep.metric: rep.tau_w for rep in rank_cells(
+                   for rec in group[index * len(metrics):(index + 1) * len(metrics)]]
+        taus[cell] = {rep.metric: rep.tau_w for rep in rank_cells(
             records, truth_table, dataset, regime, pool, weighting)}
-        rows += [(cell_alpha, cell_sigma, metric, taus[metric]) for metric in metrics]
+    rows = [(*cell, metric, taus[cell][metric]) for cell in cells for metric in metrics]
 
     header = ["alpha", "sigma", "metric", "tau_w"]
     if out is not None:

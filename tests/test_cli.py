@@ -24,7 +24,7 @@ from terank import (PerturbConfig, cli, load_csv, load_emb1, metrics, rank_cells
 from terank.cli import main
 from terank.embeddings import csv_text
 from terank.errors import NumericError
-from terank.evaluation import TruthTable, write_truth
+from terank.evaluation import TruthTable, load_truth, write_truth
 from test_synth import held_out_overflow
 
 METRICS = ("logme", "gbc", "nleep", "lda")
@@ -797,38 +797,57 @@ ALL_MODES = ["--mode", "raw", "--mode", "none", "--mode", "spread",
              "--mode", "attract", "--mode", "sa"]
 
 
-@pytest.mark.parametrize("args,fit_pca,spread,class_geometry", [
+@pytest.mark.parametrize("args,fit_pca,spread,class_geometry,attract,scored", [
     # score with 4 metrics x every mode, or sweep over its 9 default cells:
     # one PCA fit, one spread and a class geometry of the reduced and of
-    # the spread set per model. A raw-only score runs none of them
-    pytest.param(["score", *ALL_MODES], 1, 1, 2, id="score"),
-    pytest.param(["sweep"], 1, 1, 2, id="sweep"),
-    pytest.param(["score", "--mode", "none"], 1, 0, 0, id="none"),
-    pytest.param(["score", "--mode", "spread"], 1, 1, 1, id="spread"),
-    pytest.param(["score", "--mode", "attract"], 1, 0, 1, id="attract"),
-    pytest.param(["score", "--mode", "raw"], 0, 0, 0, id="raw"),
+    # the spread set per model. A raw-only score runs none of them. Each
+    # mode that attracts attracts once, and each mode is scored once per
+    # metric; sweep's default cell is on both grids, so its 9 cells are 8
+    # distinct ones, each attracted and scored once
+    pytest.param(["score", *ALL_MODES], 1, 1, 2, 2, 5, id="score"),
+    pytest.param(["sweep"], 1, 1, 2, 8, 8, id="sweep"),
+    pytest.param(["score", "--mode", "none"], 1, 0, 0, 0, 1, id="none"),
+    pytest.param(["score", "--mode", "spread"], 1, 1, 1, 0, 1, id="spread"),
+    pytest.param(["score", "--mode", "attract"], 1, 0, 1, 1, 1, id="attract"),
+    pytest.param(["score", "--mode", "raw"], 0, 0, 0, 0, 1, id="raw"),
     # the reduced set outlives the spread stage built from it: no refit
-    pytest.param(["score", "--mode", "sa", "--mode", "none"], 1, 1, 2, id="sa-none"),
+    pytest.param(["score", "--mode", "sa", "--mode", "none"], 1, 1, 2, 1, 2,
+                 id="sa-none"),
+    # a value repeated in one grid is one cell: 3 rows from 2 cells
+    pytest.param(["sweep", "--alpha-grid", "0.01,0.01", "--sigma-grid", "0.6"],
+                 1, 1, 2, 2, 2, id="sweep-repeated"),
 ])
 def test_shared_stages_run_once_per_model(zoo_dir, monkeypatch, args, fit_pca,
-                                          spread, class_geometry):
+                                          spread, class_geometry, attract, scored):
     import terank.perturbation as perturbation
 
     calls = Counter()
-    for name in ("fit_pca", "spread", "class_geometry"):
-        def counted(ds, *args, _fn=getattr(perturbation, name), _name=name,
-                    **kwargs):
+    for module, name in [(perturbation, "fit_pca"), (perturbation, "spread"),
+                         (perturbation, "class_geometry"), (perturbation, "attract"),
+                         (metrics, "score_gbc"), (metrics, "score_lda")]:
+        def counted(ds, *args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[(_name, ds.model_id)] += 1
             return _fn(ds, *args, **kwargs)
 
-        monkeypatch.setattr(perturbation, name, counted)
+        monkeypatch.setattr(module, name, counted)
     if args[0] == "sweep":
-        args = args + ["--truth", str(zoo_dir / "truth.csv")]
-    run_ok(args + ["--input", str(zoo_dir)])
-    expect = {"fit_pca": fit_pca, "spread": spread, "class_geometry": class_geometry}
+        args = args + ["--truth", str(zoo_dir / "truth.csv"), "--format", "csv"]
+    result = run_ok(args + ["--input", str(zoo_dir)])
+    expect = {"fit_pca": fit_pca, "spread": spread, "class_geometry": class_geometry,
+              "attract": attract, "score_gbc": scored, "score_lda": scored}
     assert calls == Counter({(name, path.stem): count
                              for path in sorted(zoo_dir.glob("*.emb1"))
                              for name, count in expect.items() if count})
+    if args[0] == "sweep":
+        # one cell of each sweep is written in two rows, with one tau_w:
+        # the default cell on both grids, or the value repeated in one
+        rows = list(csv.DictReader(result.stdout.splitlines()))
+        for metric in METRICS:
+            mine = [row for row in rows if row["metric"] == metric]
+            cells = [(row["alpha"], row["sigma"]) for row in mine]
+            taus = {(*cell, row["tau_w"]) for cell, row in zip(cells, mine)}
+            assert len(cells) == attract + 1
+            assert len(set(cells)) == len(taus) == attract
 
 
 def test_raw_records_are_the_metric_on_the_input_features(zoo_dir, tmp_path):
@@ -1136,6 +1155,24 @@ def test_synth_stops_at_the_first_bad_accuracy(tmp_path, monkeypatch, jobs):
     line = assert_one_data_error_line(result)
     assert "model-00" in line and "outside (0, 100]" in line, line
     assert 0 in calls and len(calls) < 6, calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_synth_checks_each_truth_record_once(tmp_path, monkeypatch, jobs):
+    # each pool task checks its own model's record, and synth writes the
+    # merged tables the tasks return without checking any record again
+    calls = []
+    check = synth.check_truth_record
+    monkeypatch.setattr(synth, "check_truth_record",
+                        lambda key, acc: calls.append(key[0]) or check(key, acc))
+    out = tmp_path / "zoo"
+    result = run_ok(["synth", "--models", "4", "--classes", "2", "--per-class", "5",
+                     "--dim", "3", "--jobs", jobs, "--format", "csv", "--out", str(out)])
+    assert sorted(calls) == ["model-00", "model-01", "model-02", "model-03"]
+    printed = {row["model"]: float(row["oracle_accuracy"])
+               for row in csv.DictReader(result.stdout.splitlines())}
+    truth = load_truth(out / "truth.csv")
+    assert {key[0]: acc for key, acc in truth.records.items()} == printed
 
 
 @pytest.mark.parametrize("before,after", [(4, 3), (3, 3), (3, 4)])

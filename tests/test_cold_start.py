@@ -324,6 +324,25 @@ def test_one_seed_rule_in_the_cli_model_map():
     assert sites == ["_map_models"]
 
 
+def test_one_scorer_of_the_model_pool_in_the_cli():
+    # cli._map_models alone names metrics.score_model, which it calls with
+    # the running command's own scoring flags; a command that named it
+    # would score its pool with flags it hands over itself
+    sites = []
+
+    def visit(node, where):  # where: the enclosing module-level function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not where:
+            where = node.name
+        if "score_model" in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "name", None), getattr(node, "asname", None)):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((SRC / "terank" / "cli.py").read_text(encoding="utf-8")), None)
+    assert set(sites) == {"_map_models"}
+
+
 def test_no_command_groups_records_itself():
     # evaluation.rank_cells holds the one cell key and improvement_summary
     # the one baseline rule; a setdefault in cli.py would be a second key
