@@ -314,8 +314,9 @@ def _manifest(input_files: list[Path], **timings: float) -> dict:
     --truth as "bundled"; `inputs` keys each file's os_text by its digest;
     `runtime` is execution metadata, excluded from determinism
     comparisons: --jobs where the command has it, and `timings`, the
-    seconds the command measured itself beside `total_s`, its wall time
-    from the start _command noted up to now."""
+    seconds the command measured itself (synth's draw_s, score's load_s)
+    beside `total_s`, its wall time from the start _command noted up to
+    now."""
     ctx = click.get_current_context()
     config = {}
     for name, value in ctx.params.items():
@@ -445,6 +446,14 @@ def _pool_map(count: int, jobs: int, task) -> list:
     return results
 
 
+def _timed(fn, *args):
+    """`fn(*args)` and the seconds it took, as (seconds, result): the one
+    clock of the per-model timings a command hands to `_manifest`."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return time.perf_counter() - start, result
+
+
 def _map_models(files: list[Path], configs, check=None):
     """Score each input file's set with `score_model` under `configs` and
     the running command's own scoring flags, --jobs and --seed, through
@@ -461,9 +470,7 @@ def _map_models(files: list[Path], configs, check=None):
     def task(index: int):
         path = files[index]
         try:
-            start = time.perf_counter()
-            ds = _load_set(path, params["label_col"])
-            load_s = time.perf_counter() - start
+            load_s, ds = _timed(_load_set, path, params["label_col"])
             if check is not None:
                 check(ds)
             return load_s, score_model(
@@ -544,19 +551,20 @@ def synth(models, classes, per_class, dim, rho_range, noise_range, out, seed,
     with _all_or_nothing(out) as stage:
         labels = cfg.labels
 
-        def task(m: int) -> TruthTable:
+        def task(m: int) -> tuple[float, TruthTable]:
             # each class block goes to the file as it is drawn: a model
             # never holds its training set, and only its accuracy stays
             model_id = cfg.model_ids[m]
             with emb1_writer(stage / f"{model_id}.emb1", labels, dim) as append:
-                acc = draw_zoo_model(cfg, m, append)
+                draw_s, acc = _timed(draw_zoo_model, cfg, m, append)
             # a bad accuracy stops the zoo here, not after every model
-            return zoo_truth([(model_id, acc)])
+            return draw_s, zoo_truth([(model_id, acc)])
 
-        truth = TruthTable(records={key: acc for table in _pool_map(models, jobs, task)
+        done = _pool_map(models, jobs, task)
+        truth = TruthTable(records={key: acc for _, table in done
                                     for key, acc in table.records.items()})
         write_truth(truth, stage / "truth.csv")
-        manifest = _manifest([])
+        manifest = _manifest([], draw_s=sum(draw_s for draw_s, _ in done))
         (stage / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     header = ["model", "rho", "noise", "oracle_accuracy"]
     rows = [[key[0], cfg.rhos[i], cfg.noises[i], acc]

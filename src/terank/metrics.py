@@ -68,19 +68,21 @@ def _evidence_fixed_point(
     per-iteration trace, which is non-decreasing.
     """
     zsq = z**2
+    s2_zsq = s2 * zsq
     resid_base = max(ysq - float(zsq.sum()), 0.0)
     m = s2.shape[0]
 
     def state(a: float, b: float) -> tuple[float, float, float, float]:
         denom = a + b * s2
-        gamma = float(b * np.sum(s2 / denom))
-        msq = float(b * b * np.sum(s2 * zsq / denom**2))
-        res = float(np.sum((a / denom) ** 2 * zsq)) + resid_base
+        gamma = float(b * np.add.reduce(s2 / denom))
+        msq = float(b * b * np.add.reduce(s2_zsq / denom**2))
+        res = float(np.add.reduce((a / denom) ** 2 * zsq)) + resid_base
+        log_a = math.log(a)
         ev = 0.5 * (
-            k * math.log(a)
+            k * log_a
             + n * math.log(b)
-            - float(np.sum(np.log(denom)))
-            - (k - m) * math.log(a)
+            - float(np.add.reduce(np.log(denom)))
+            - (k - m) * log_a
             - b * res
             - a * msq
             - n * _LOG_2PI

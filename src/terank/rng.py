@@ -24,6 +24,16 @@ differs takes all three from per-element `math` maps instead. The
 Gaussian stream therefore depends on the C library's log, cos and sin
 and nothing else, exactly as the scalar `gaussian()` does. Fills work
 in blocks of `_BLOCK` draws to keep the temporaries small.
+
+The C library's cos and sin branch on the range and quadrant of their
+argument, and Box-Muller hands them its angles in random order, so in
+stream order about half their time went to mispredicted branches. A
+block therefore feeds its angles to cos and sin grouped by which of
+`_SLICES` equal slices of [0, 2pi) they fall in (a stable radix sort
+of 8-bit keys), and puts each cosine and sine back at its stream index
+before the multiply by the radius. The logs keep stream order, since
+grouping gains log nothing. libm's functions are pure, so the order of
+their calls changes no bit.
 """
 from __future__ import annotations
 
@@ -41,6 +51,7 @@ _TWO_PI = 6.283185307179586
 
 _BLOCK = 8192  # draws per vectorised step; even, so only a fill's last block is odd
 _CHECK_PAIRS = 256  # pairs per step of the once-per-process libm check
+_SLICES = 64  # equal slices of [0, 2pi) a block's angles are grouped by; at most 256
 # _STEPS[k] = (k + 1) * golden mod 2^64: the state increments within a block
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 _STEPS.setflags(write=False)  # shared by every stream, in every thread
@@ -61,17 +72,25 @@ def _fill_uniform(out: np.ndarray, state: int) -> int:
     return (state + n * _GOLDEN) & _MASK
 
 
-def _libm_rows(z: np.ndarray) -> np.ndarray:
-    """The inputs of a block's log, cos and sin, from its uniforms `z`
-    (an even count), as rows of one (3, pairs + 2) buffer: the clamped
-    draws, the angles and the angles again. Each row's inputs start one
-    slot in; its trailing 1.0 keeps input and output overlapping when the
-    block holds a single pair."""
-    rows = np.empty((3, z.shape[0] // 2 + 2), dtype=np.float64)
+def _angle_order(u2: np.ndarray) -> np.ndarray:
+    """The order that groups the angles of the draws `u2` by their slice
+    of [0, 2pi), stream order within a slice. 2pi * u2 is monotone in u2,
+    so the key is the slice of u2 in [0, 1); numpy runs a radix sort for
+    8-bit keys."""
+    return np.argsort((_SLICES * u2).astype(np.uint8), kind="stable")
+
+
+def _libm_rows(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The inputs of the log, cos and sin of the pairs (u1, u2), as rows
+    of one (3, pairs + 2) buffer: the clamped draws u1, the angles of the
+    draws u2 and those angles again. Each row's inputs start one slot in;
+    its trailing 1.0 keeps input and output overlapping when the block
+    holds a single pair."""
+    rows = np.empty((3, u1.shape[0] + 2), dtype=np.float64)
     # draws are multiples of 2^-53, so this is gaussian()'s u1 <= 0 clamp
-    np.maximum(z[0::2], _TWO_NEG53, out=rows[0, 1:-1])
+    np.maximum(u1, _TWO_NEG53, out=rows[0, 1:-1])
     # theta rounded as in gaussian()
-    np.multiply(_TWO_PI, z[1::2], out=rows[1, 1:-1])
+    np.multiply(_TWO_PI, u2, out=rows[1, 1:-1])
     rows[2, 1:-1] = rows[1, 1:-1]
     rows[:, -1] = 1.0
     return rows
@@ -101,15 +120,16 @@ def _mapped_libm(rows: np.ndarray) -> np.ndarray:
 @functools.cache
 def _shifted_libm_is_exact() -> bool:
     """Whether `_shifted_libm` gives the `math` functions' bits on one
-    fixed block of stream pairs; checked once per process, by its first
-    bulk Gaussian fill."""
+    fixed block of stream pairs, its angles grouped as the fill groups
+    them; checked once per process, by its first bulk Gaussian fill."""
     z = np.empty(_BLOCK, dtype=np.float64)
     _fill_uniform(z, 0)
-    shifted = _shifted_libm(_libm_rows(z))
+    u1, u2 = z[0::2], z[1::2][_angle_order(z[1::2])]
+    shifted = _shifted_libm(_libm_rows(u1, u2))
     # the math maps run _CHECK_PAIRS pairs at a time, so only that many
     # Python floats are alive; bytes keep -0.0 apart from 0.0
     return all(
-        _mapped_libm(_libm_rows(z[2 * i:2 * (i + _CHECK_PAIRS)])).tobytes()
+        _mapped_libm(_libm_rows(u1[i:i + _CHECK_PAIRS], u2[i:i + _CHECK_PAIRS])).tobytes()
         == shifted[:, i:i + _CHECK_PAIRS].tobytes()
         for i in range(0, shifted.shape[1], _CHECK_PAIRS)
     )
@@ -120,14 +140,20 @@ def _box_muller(state: int, pairs: int) -> tuple[np.ndarray, int]:
     the advanced state."""
     z = np.empty(2 * pairs, dtype=np.float64)
     state = _fill_uniform(z, state)
-    rows = _libm_rows(z)
+    # cos and sin take the angles grouped by slice, so libm's range
+    # branches mostly predict right; the logs keep stream order
+    order = _angle_order(z[1::2])
+    rows = _libm_rows(z[0::2], z[1::2][order])
     # libm's log, cos and sin from one C loop each, or from math maps in a
     # process whose numpy runs those loops with other bits
     r, cos, sin = _shifted_libm(rows) if _shifted_libm_is_exact() else _mapped_libm(rows)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(cos, r, out=z[0::2])
-    np.multiply(sin, r, out=z[1::2])
+    # each cosine and sine back at its stream index, then times its radius
+    z[0::2][order] = cos
+    z[1::2][order] = sin
+    np.multiply(z[0::2], r, out=z[0::2])
+    np.multiply(z[1::2], r, out=z[1::2])
     return z, state
 
 

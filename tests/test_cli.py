@@ -1341,10 +1341,11 @@ def test_manifest_config_holds_every_computing_parameter(zoo_dir, zoo_scores,
     if "jobs" in params:
         assert runtime["jobs"] == 1
     timings = runtime["timings"]
-    assert set(timings) == ({"load_s", "total_s"} if command == "score" else {"total_s"})
+    own = {"synth": "draw_s", "score": "load_s"}.get(command)
+    assert set(timings) == {"total_s"} | ({own} if own else set())
     assert timings["total_s"] >= 0
-    if command == "score":
-        assert 0 <= timings["load_s"] <= timings["total_s"]
+    if own:
+        assert 0 <= timings[own] <= timings["total_s"]
 
 
 def test_default_score_and_evaluate_configs(zoo_dir, zoo_scores, tmp_path):

@@ -582,7 +582,7 @@ def test_rng_uses_no_numpy_transcendental():
 SHIFTED_LOG = "np.log(log_row[1:], out=log_row[:-1])"
 SHIFTED_COS = "np.cos(cos_row[1:], out=cos_row[:-1])"
 SHIFTED_SIN = "np.sin(sin_row[1:], out=sin_row[:-1])"
-FILL_COS = "np.multiply(cos, r, out=z[0::2])"
+FILL_COS = "np.multiply(z[0::2], r, out=z[0::2])"
 
 
 @pytest.mark.parametrize("old,new", [

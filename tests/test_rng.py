@@ -2,8 +2,9 @@
 bit-equality of the bulk numpy fills with the scalar draws, the bits of
 the shifted np.log, np.cos and np.sin (numpy's scalar loops over the C
 library's log, cos and sin) against math.log, math.cos and math.sin, the
-run-time check that guards them and its math fallback, and the calls the
-bulk fill makes: one np.log, one np.cos and one np.sin per block."""
+run-time check that guards them and its math fallback, the grouping of
+each block's angles by slice before cos and sin, and the calls the bulk
+fill makes: one np.log, one np.cos and one np.sin per block."""
 import math
 from collections import Counter
 
@@ -154,6 +155,102 @@ def test_zero_uniform_is_clamped_like_scalar_path():
     assert math.hypot(*got) == pytest.approx(math.sqrt(106.0 * math.log(2.0)))
 
 
+def xorshift_right_inverse(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix(z):
+    # the inverse of SplitMix64's output function: each xorshift and each
+    # product by an odd constant is a bijection of the 64-bit words
+    z = xorshift_right_inverse(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & MASK
+    z = xorshift_right_inverse(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK
+    return xorshift_right_inverse(z, 30)
+
+
+def seed_drawing(index, word):
+    """The seed whose stream's `index`-th next_u64 (counting from 1) is `word`."""
+    return (unmix(word) - index * 0x9E3779B97F4A7C15) & MASK
+
+
+def angle_slices(seed, count):
+    """The slice of [0, 2pi) of each angle among a stream's first `count` draws."""
+    return (SplitMix64(seed).uniforms(count)[1::2] * rng_module._SLICES).astype(int)
+
+
+# the fill hands cos and sin each block's angles grouped by slice and puts
+# each value back at its stream index: blocks whose angles share one slice
+# (so grouping keeps stream order), blocks with an angle at the very start
+# or end of [0, 2pi) as the first or last pair, so it is the first or last
+# input of the grouped rows, and one-pair blocks and odd tails; the block
+# edges are BLOCK_LENGTHS above
+LAST_U2 = 2**64 - 1  # the word whose draw is 1 - 2^-53
+GROUPED_FILL_CASES = {
+    # 14,277,603's first five angles all lie in slice 33
+    "one-slice-5-pairs": (14_277_603, 10),
+    "one-slice-odd-tail": (14_277_603, 9),
+    "u2-0-first-pair": (seed_drawing(2, 0), 8192),
+    "u2-0-last-pair": (seed_drawing(8192, 0), 8192),
+    "u2-max-first-pair": (seed_drawing(2, LAST_U2), 8192),
+    "u2-max-last-pair": (seed_drawing(8192, LAST_U2), 8192),
+    "block-edge-u2-max": (seed_drawing(8192, LAST_U2), 16385),
+    "one-pair": (3, 2),
+    "one-draw": (3, 1),
+    "odd-tail": (3, 7),
+}
+
+
+@pytest.mark.parametrize("seed,count", GROUPED_FILL_CASES.values(),
+                         ids=GROUPED_FILL_CASES.keys())
+def test_grouped_fill_equals_scalar_gaussians(seed, count):
+    scalar = SplitMix64(seed)
+    assert SplitMix64(seed).gaussians(count).tobytes() == scalar_draws(
+        scalar.gaussian, count).tobytes()
+
+
+def test_grouped_fill_cases_hold_what_they_name():
+    slices = angle_slices(*GROUPED_FILL_CASES["one-slice-5-pairs"])
+    assert set(slices) == {33}
+    for name, (seed, count) in GROUPED_FILL_CASES.items():
+        if name.startswith("u2-"):
+            draws = SplitMix64(seed).uniforms(count)
+            index = 1 if "first" in name else 8191
+            want = 0.0 if name.startswith("u2-0") else 1.0 - 2.0**-53
+            assert draws[index] == want, name
+    # the two-block case: the last angle of its first block is the last
+    # slice's, and the first block's angles cover every slice
+    slices = angle_slices(*GROUPED_FILL_CASES["block-edge-u2-max"])
+    assert slices[4095] == rng_module._SLICES - 1
+    assert set(slices[:4096]) == set(range(rng_module._SLICES))
+    for index in (2, 8192, 5):
+        word = 0x0123456789ABCDEF
+        rng = SplitMix64(seed_drawing(index, word))
+        assert [rng.next_u64() for _ in range(index)][-1] == word
+
+
+ANGLE_DRAWS = {
+    "stream-block": SplitMix64(0).uniforms(8192)[1::2],
+    "one-slice": np.full(5, 0.5),
+    "ends": np.array([1.0 - 2.0**-53, 0.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 0.0]),
+    "slice-edges": np.arange(rng_module._SLICES)[::-1] / rng_module._SLICES,
+    "one-pair": np.array([0.25]),
+}
+
+
+@pytest.mark.parametrize("u2", ANGLE_DRAWS.values(), ids=ANGLE_DRAWS.keys())
+def test_angle_order_is_a_stable_permutation_by_slice(u2):
+    order = rng_module._angle_order(u2)
+    keys = np.floor(u2 * rng_module._SLICES)
+    assert np.array_equal(np.sort(order), np.arange(u2.size))
+    assert np.all(np.diff(keys[order]) >= 0)
+    # stream order within a slice
+    assert np.array_equal(order, np.lexsort((np.arange(u2.size), keys)))
+
+
 def k_nearest(angle):
     return round(angle / rng_module._TWO_PI * 2**53)
 
@@ -176,8 +273,13 @@ def libm_rows_of(z):
     """The bulk fill's rows for the uniforms `z` (u1, u2 pairs): the log of
     each clamped u1 and the cos and sin of each angle, from one shifted
     numpy call per function as the fill makes them, and the same rows from
-    math.log, math.cos and math.sin."""
-    got = rng_module._shifted_libm(rng_module._libm_rows(z))
+    math.log, math.cos and math.sin. The fill hands cos and sin its angles
+    grouped by slice; their rows go back to stream order here, so each
+    value is compared with the math function of its own input."""
+    order = rng_module._angle_order(z[1::2])
+    grouped = rng_module._shifted_libm(rng_module._libm_rows(z[0::2], z[1::2][order]))
+    got = grouped.copy()
+    got[1:, order] = grouped[1:]
     u1 = np.maximum(z[0::2], 2.0**-53).tolist()
     theta = (rng_module._TWO_PI * z[1::2]).tolist()
     want = np.array([np.fromiter(map(f, x), dtype=np.float64, count=len(x))
@@ -283,6 +385,25 @@ def check_with_one_value_one_ulp_off(monkeypatch, row):
     assert check()
     monkeypatch.setattr(rng_module, "_shifted_libm", one_ulp_off)
     return check()
+
+
+def test_libm_check_runs_the_angles_grouped_as_the_fill_does(monkeypatch):
+    # the check covers what the fill runs: the shifted cos and sin of its
+    # fixed block see that block's angles in the fill's grouped order
+    seen = []
+    shifted_libm = rng_module._shifted_libm
+
+    def recording(rows):
+        seen.append(rows[1:, 1:-1].copy())
+        return shifted_libm(rows)
+
+    monkeypatch.setattr(rng_module, "_shifted_libm", recording)
+    assert rng_module._shifted_libm_is_exact.__wrapped__()
+    u2 = SplitMix64(0).uniforms(rng_module._BLOCK)[1::2]
+    grouped = rng_module._TWO_PI * u2[rng_module._angle_order(u2)]
+    assert len(seen) == 1
+    assert seen[0][0].tobytes() == seen[0][1].tobytes() == grouped.tobytes()
+    assert grouped.tobytes() != (rng_module._TWO_PI * u2).tobytes()
 
 
 def test_log_check_fails_on_a_log_one_ulp_off_at_one_point(monkeypatch):
